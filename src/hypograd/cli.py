@@ -356,6 +356,8 @@ def _exp_duality(spec, cfg, run_cfg):
         metrics[f"rhs_{name}"] = rhs
         ok = abs(gap) <= 4.0 * se
         print(f"duality[{name}] gap={gap:.5g} se={se:.3g} {'OK' if ok else 'FAIL'}")
+        if not ok:
+            status = 2
     return metrics, None, status
 
 

@@ -322,12 +322,50 @@ def _hess_z1(spec, x):
     return out
 
 
-def _pinv_stack(mats, rcond=1e-13):
-    """SVD pseudo-inverse of stacked matrices; never raises on singularity."""
+def _svd_pinv(mats, rcond):
+    """SVD pseudo-inverse of stacked matrices, singular values below
+    rcond * s_max dropped."""
     u, s, vt = np.linalg.svd(mats)
     cut = rcond * s[..., :1]
     sinv = np.where(s > cut, 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return np.einsum("...ab,...b,...cb->...ac", np.swapaxes(vt, -1, -2), sinv, u)
+
+
+def _norm1(mats):
+    return np.abs(mats).sum(axis=-2).max(axis=-1)
+
+
+def _pinv_stack(mats, rcond=1e-13):
+    """Pseudo-inverse of stacked square matrices; never raises on singularity.
+
+    A batched LU inverse serves every member it can be trusted on.  A member
+    falls back to the SVD pseudo-inverse (``_svd_pinv``, same ``rcond``) when
+    it is exactly singular, or when its 1-norm condition estimate
+    n ||A||_1 ||A^-1||_1 reaches 1/rcond.  Since cond_2 <= n cond_1, every
+    member kept on the fast path is one the SVD would not have truncated, so
+    the result equals the pseudo-inverse up to round-off.  Non-finite members
+    give NaN (LAPACK's SVD does not converge on them).
+    """
+    mats = np.asarray(mats, dtype=float)
+    n = mats.shape[-1]
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    bad = ~finite
+    safe = np.where(bad[..., None, None], np.eye(n), mats) if bad.any() else mats
+    try:
+        inv = np.linalg.inv(safe)
+    except np.linalg.LinAlgError:
+        # one exactly singular member fails the whole batch; the determinant
+        # comes from the same LU factorization and is 0 exactly for those
+        det = np.linalg.det(safe)
+        bad |= ~np.isfinite(det) | (det == 0.0)
+        safe = np.where(bad[..., None, None], np.eye(n), mats)
+        inv = np.linalg.inv(safe)
+    bad |= ~(n * _norm1(safe) * _norm1(inv) < 1.0 / rcond)
+    if bad.any():
+        inv[bad] = np.nan
+        redo = bad & finite
+        inv[redo] = _svd_pinv(mats[redo], rcond)
+    return inv
 
 
 def _skorokhod_trace(spec, states, grid, v, profile, ad, k):
@@ -526,8 +564,17 @@ def _summarize(fvals, delta, ok, method, cfg, diagnostics):
     dl = delta[ok]
     prod = fv * dl
     n_eff = fv.size
-    value = float(np.mean(prod))
-    se = float(np.std(prod, ddof=1) / np.sqrt(n_eff))
+    if cfg.antithetic:
+        # paths 2r and 2r+1 share one noise stream, so the independent
+        # samples are the pair means; a path whose partner is missing (odd
+        # n_paths or a rejected partner) counts on its own
+        pair = np.nonzero(ok)[0] // 2
+        size = np.bincount(pair)
+        units = np.bincount(pair, weights=prod)[size > 0] / size[size > 0]
+    else:
+        units = prod
+    value = float(np.mean(units))
+    se = float(np.std(units, ddof=1) / np.sqrt(units.size))
     d_mean = float(np.mean(dl))
     d_se = float(np.std(dl, ddof=1) / np.sqrt(n_eff))
     m2 = float(np.mean(dl**2))
@@ -791,14 +838,14 @@ def expectation(spec, x0, f, grid, cfg, seed_offset=0):
 # Gaussian closed form for affine models
 # ---------------------------------------------------------------------------
 
-def closed_form_gradient(spec, x0, v, f, t_final, n_quad=2**14):
+def closed_form_gradient(spec, x0, v, f, t_final):
     """Exact grad_v E f(X_T) for an affine model and linear/quadratic f.
 
-    X_T ~ N(exp(TG) x0, Sigma_T), Sigma_T = int_0^T exp(sG) D exp(sG^T) ds
-    with D = diag(0, sigma sigma^T).  The mean flow is scaling-and-squaring;
-    Sigma_T uses high-resolution trapezoid quadrature with a refinement
-    check (the quadratic-f gradient is covariance-free, so Sigma_T only
-    feeds the refinement diagnostics).
+    X_T ~ N(exp(TG) x0, Sigma_T) with mean flow exp(TG) by scaling and
+    squaring.  Both gradients depend on the mean alone: a linear f gives
+    a . exp(TG) v, and a quadratic x^T S x + b . x gives
+    (exp(TG) v)^T (S + S^T) exp(TG) x0 + b . exp(TG) v, since the
+    covariance term tr(S Sigma_T) does not depend on x0.
     """
     if not spec.is_linear:
         raise MethodMisuseError("closed_form_gradient needs an affine model")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypograd import estimator
 from hypograd.cli import (build_model, build_test_function, canonical_json,
                           config_hash, list_builtins, load_config, main, run)
 from hypograd.errors import ConfigurationError
@@ -212,8 +213,8 @@ def test_custom_model_detects_structure():
     assert not nonlin.constant_jac_z1
 
 
-def test_duality_experiment(tmp_path):
-    cfg = {
+def _duality_cfg(tmp_path):
+    return {
         "schema_version": 1,
         "experiment": "duality_test",
         "output": str(tmp_path / "out"),
@@ -227,6 +228,10 @@ def test_duality_experiment(tmp_path):
                       "method": "bismut_skorokhod"},
         "duality": {"functions": ["linear"]},
     }
+
+
+def test_duality_experiment(tmp_path):
+    cfg = _duality_cfg(tmp_path)
     assert run(_write(tmp_path, "d.json", cfg)) == 0
     rec = json.loads((tmp_path / "out" / "results.json").read_text())[0]
     assert abs(rec["metrics"]["gap_linear"]) <= 4 * rec["metrics"]["se_linear"]
@@ -234,6 +239,17 @@ def test_duality_experiment(tmp_path):
     big["grid"] = {"t_final": 0.5, "n_steps": 64}
     with pytest.raises(ConfigurationError):
         run(_write(tmp_path, "dbig.json", big))
+
+
+def test_duality_failure_sets_exit_status(tmp_path, monkeypatch, capsys):
+    # a gap of 5 standard errors: the identity check must fail the run
+    monkeypatch.setattr(estimator, "duality_gap",
+                        lambda *args, **kwargs: (0.5, 0.1, 1.5, 1.0))
+    path = _write(tmp_path, "d.json", _duality_cfg(tmp_path))
+    assert main(["run", path]) == 2
+    assert "FAIL" in capsys.readouterr().out
+    rec = json.loads((tmp_path / "out" / "results.json").read_text())[0]
+    assert rec["metrics"]["gap_linear"] == 0.5
 
 
 def test_lock_file_blocks_concurrent_runs(tmp_path):

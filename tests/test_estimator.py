@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypograd import estimator
 from hypograd.control import phi_parabolic, xi_case1
 from hypograd.errors import MethodMisuseError, RunDegenerateError
 from hypograd.estimator import (EstimatorConfig, bismut_gradient,
@@ -89,6 +90,59 @@ def test_skorokhod_trace_matches_brute_force(anticipative_spec, v):
         assert abs(oracle - fast) <= 1e-7 * max(1.0, abs(oracle))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pinv_stack_matches_pinv_when_well_conditioned(n):
+    rng = np.random.default_rng(n)
+    mats = rng.standard_normal((40, 3, n, n)) + 2.0 * n * np.eye(n)
+    got = estimator._pinv_stack(mats)
+    ref = np.linalg.pinv(mats, rcond=1e-13)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _count_svd_members(monkeypatch):
+    """Spy on the SVD fallback; returns the list of member counts it got."""
+    seen = []
+    svd_pinv = estimator._svd_pinv
+
+    def spy(mats, rcond):
+        seen.append(len(mats))
+        return svd_pinv(mats, rcond)
+
+    monkeypatch.setattr(estimator, "_svd_pinv", spy)
+    return seen
+
+
+def test_pinv_stack_falls_back_per_member(monkeypatch):
+    rng = np.random.default_rng(4)
+    mats = rng.standard_normal((8, 2, 2)) + 3.0 * np.eye(2)
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    mats[1] = [[1.0, 2.0], [2.0, 4.0]]                       # exactly singular
+    mats[4] = rot @ np.diag([1.0, 3e-14]) @ rot.T            # cond > 1e13
+    mats[6, 0, 1] = np.nan
+    seen = _count_svd_members(monkeypatch)
+    got = estimator._pinv_stack(mats)
+    assert seen == [2]
+    for i in (1, 4):
+        np.testing.assert_array_equal(got[i], estimator._svd_pinv(mats[i], 1e-13))
+    assert np.max(np.abs(got[4])) <= 1.0 + 1e-12             # 3e-14 dropped, not inverted
+    assert np.all(np.isnan(got[6]))
+    rest = [0, 2, 3, 5, 7]
+    np.testing.assert_array_equal(got[rest], np.linalg.inv(mats[rest]))
+
+
+def test_pinv_stack_singular_member_does_not_reroute_stack(monkeypatch):
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((16, 32, 1, 1))
+    mats[3, 7] = 0.0
+    seen = _count_svd_members(monkeypatch)
+    got = estimator._pinv_stack(mats)
+    assert seen == [1]
+    assert got[3, 7, 0, 0] == 0.0
+    keep = np.ones((16, 32), dtype=bool)
+    keep[3, 7] = False
+    np.testing.assert_array_equal(got[keep], 1.0 / mats[keep])
+
+
 def test_bismut_ito_rejects_anticipative_model(anticipative_spec):
     cfg = EstimatorConfig(n_paths=10, master_seed=0, method="bismut_ito")
     with pytest.raises(MethodMisuseError):
@@ -143,6 +197,44 @@ def test_antithetic_runs_and_skips_cv(kinetic_spec):
     assert est.value_cv is None
     truth = 0.66
     assert abs(est.value - truth) <= 6 * est.std_error + 0.05
+
+
+def test_antithetic_se_matches_seed_spread(kinetic_spec):
+    # paired paths are not independent: the reported standard error must
+    # match the spread of the estimate across seeds with pairing on or off
+    grid = TimeGrid(1.0, 32)
+    f = linear_f([1.0, 0.0])
+    for antithetic in (False, True):
+        vals, ses = [], []
+        for seed in range(20):
+            cfg = EstimatorConfig(n_paths=1000, master_seed=seed,
+                                  method="bismut_ito", antithetic=antithetic)
+            est = bismut_gradient(kinetic_spec, [1.0, 1.0], [1.0, 0.0], f,
+                                  grid, cfg)
+            vals.append(est.value)
+            ses.append(est.std_error)
+        spread = np.std(vals, ddof=1)
+        assert abs(np.mean(ses) - spread) <= 0.25 * spread, antithetic
+
+
+def test_antithetic_summary_groups_pairs():
+    n = 2001                                  # odd: the last path has no partner
+    rng = np.random.default_rng(6)
+    fvals = rng.standard_normal(n)
+    delta = rng.standard_normal(n)
+    ok = np.ones(n, dtype=bool)
+    ok[10] = False                            # path 11 loses its partner
+    cfg = EstimatorConfig(n_paths=n, antithetic=True)
+    est = estimator._summarize(fvals, delta, ok, "bismut_ito", cfg, {})
+    units = []
+    for r in range(0, n, 2):
+        members = [i for i in (r, r + 1) if i < n and ok[i]]
+        units.append(np.mean([fvals[i] * delta[i] for i in members]))
+    assert len(units) == 1001
+    assert est.value == pytest.approx(np.mean(units), rel=1e-12)
+    assert est.std_error == pytest.approx(
+        np.std(units, ddof=1) / np.sqrt(len(units)), rel=1e-12)
+    assert est.n_effective == n - 1 and est.rejected == 1
 
 
 def test_reproducibility_bitwise(kinetic_spec):

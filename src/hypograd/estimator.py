@@ -29,7 +29,10 @@ the Gaussian closed form for affine models.
 
 Randomness: each path has its own counter-based stream keyed by
 (master_seed, path_index), so results do not depend on chunking or thread
-count; reductions run over per-path arrays assembled in path order.
+count; reductions run over per-path arrays assembled in path order.  One
+Philox bit generator per ``path_increments`` call is reset to a fresh state
+(zero counter, empty buffer, the path's key) before each path, which draws
+exactly what a newly built generator would.
 """
 
 from __future__ import annotations
@@ -203,18 +206,26 @@ def path_increments(grid, d, master_seed, start, count, antithetic=False):
     """Increments for paths [start, start+count), one Philox stream per path.
 
     With antithetic pairing, paths 2r and 2r+1 share the stream keyed by
-    (master_seed, r) with opposite signs.
+    (master_seed, r) with opposite signs.  One bit generator serves the
+    call: it is reset per path to the state a fresh ``Philox(key=...)``
+    starts from (building one per path also draws OS entropy), and it is
+    local to the call, so threaded chunks stay independent.
     """
     out = np.empty((count, grid.n_steps, d))
-    root = np.sqrt(grid.dt)
-    seed64 = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
+    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bg)
+    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for row, idx in enumerate(range(start, start + count)):
-        base = idx // 2 if antithetic else idx
-        bg = np.random.Philox(key=np.array([seed64, np.uint64(base)], dtype=np.uint64))
-        z = np.random.Generator(bg).standard_normal((grid.n_steps, d))
-        if antithetic and idx % 2 == 1:
-            z = -z
-        out[row] = z * root
+        key[1] = idx // 2 if antithetic else idx
+        bg.state = fresh                      # the setter copies the values
+        gen.standard_normal(out=out[row])
+    if antithetic:
+        odd = out[1 - start % 2::2]
+        np.negative(odd, out=odd)
+    out *= np.sqrt(grid.dt)
     return out
 
 
@@ -290,7 +301,8 @@ def skorokhod_delta(spec, x0, grid, noise, v, weights, return_parts=False):
     single = inc.ndim == 2
     if single:
         inc = inc[None]
-    states = simulate_path(spec, x0, grid, NoisePath(increments=inc))
+    states = np.ascontiguousarray(simulate_path(spec, x0, grid,
+                                                NoisePath(increments=inc)))
     k = terminal_flow(spec, states, grid)
     ad = build_alpha(spec, states, k, grid, v, weights)
     _, h_dot, _ = build_bridge(spec, states, k, ad, grid, v)
@@ -554,29 +566,45 @@ def _moment_flag(delta, p):
     return rel[-1] > 0.25, ests
 
 
-def _summarize(fvals, delta, ok, method, cfg, diagnostics):
-    n_paths = fvals.size
+def _check_rejected(ok):
+    """Number of rejected paths; raises past ``MAX_REJECT_FRACTION``."""
     rejected = int(np.sum(~ok))
-    if rejected > MAX_REJECT_FRACTION * n_paths:
+    if rejected > MAX_REJECT_FRACTION * ok.size:
         raise RunDegenerateError(
-            f"{rejected}/{n_paths} paths rejected (limit {MAX_REJECT_FRACTION:.1%})")
+            f"{rejected}/{ok.size} paths rejected (limit {MAX_REJECT_FRACTION:.1%})")
+    return rejected
+
+
+def _mean_se(got, ok, antithetic):
+    """Mean and standard error of accepted per-path values ``got = vals[ok]``.
+
+    With antithetic pairing, paths 2r and 2r+1 share one noise stream, so
+    the independent samples are the pair means; a path whose partner is
+    missing (odd n_paths or a rejected partner) counts on its own.
+    """
+    if antithetic:
+        pair = np.nonzero(ok)[0] // 2
+        size = np.bincount(pair)
+        got = np.bincount(pair, weights=got)[size > 0] / size[size > 0]
+    return float(np.mean(got)), float(np.std(got, ddof=1) / np.sqrt(got.size))
+
+
+def _summarize(fvals, delta, ok, method, cfg, diagnostics):
+    """Estimate and weight statistics from per-path f(X_T) and delta.
+
+    ``value``/``std_error`` and ``delta_mean``/``delta_se`` reduce over the
+    independent samples of ``_mean_se``.  With antithetic pairing and a
+    path-independent hdot (affine models) the paired weights cancel
+    exactly, so ``delta_se`` is then 0.  ``weight_l2``, ``kurtosis`` and the
+    moment flag are per-path moments of delta.
+    """
+    rejected = _check_rejected(ok)
     fv = fvals[ok]
     dl = delta[ok]
     prod = fv * dl
     n_eff = fv.size
-    if cfg.antithetic:
-        # paths 2r and 2r+1 share one noise stream, so the independent
-        # samples are the pair means; a path whose partner is missing (odd
-        # n_paths or a rejected partner) counts on its own
-        pair = np.nonzero(ok)[0] // 2
-        size = np.bincount(pair)
-        units = np.bincount(pair, weights=prod)[size > 0] / size[size > 0]
-    else:
-        units = prod
-    value = float(np.mean(units))
-    se = float(np.std(units, ddof=1) / np.sqrt(units.size))
-    d_mean = float(np.mean(dl))
-    d_se = float(np.std(dl, ddof=1) / np.sqrt(n_eff))
+    value, se = _mean_se(prod, ok, cfg.antithetic)
+    d_mean, d_se = _mean_se(dl, ok, cfg.antithetic)
     m2 = float(np.mean(dl**2))
     kurt = float(np.mean(dl**4) / m2**2) if m2 > 0 else 0.0
     flagged, moment_seq = _moment_flag(dl, cfg.moment_p)
@@ -659,6 +687,8 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             h_dot = _assemble_hdot(spec, states, det_control)
             dl = np.sum(h_dot * inc, axis=(-2, -1))
         else:
+            # the trace's einsums run 5-10 % slower on the path-major view
+            states = np.ascontiguousarray(states)
             k = terminal_flow(spec, states, grid)
             ad = build_alpha(spec, states, k, grid, v, weights)
             _, h_dot, res = build_bridge(spec, states, k, ad, grid, v)
@@ -753,14 +783,10 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
         ok[start:stop] = good & np.isfinite(vals)
 
     _run_chunked(n_paths, chunk, cfg.n_threads, worker)
-    rejected = int(np.sum(~ok))
-    if rejected > MAX_REJECT_FRACTION * n_paths:
-        raise RunDegenerateError(f"{rejected}/{n_paths} paths rejected")
-    vals = fvals[ok]
-    return GradientEstimate(value=float(np.mean(vals)),
-                            std_error=float(np.std(vals, ddof=1) / np.sqrt(vals.size)),
-                            n_effective=vals.size, rejected=rejected,
-                            method="pathwise")
+    rejected = _check_rejected(ok)
+    value, se = _mean_se(fvals[ok], ok, cfg.antithetic)
+    return GradientEstimate(value=value, std_error=se, n_effective=n_paths - rejected,
+                            rejected=rejected, method="pathwise")
 
 
 def _terminal_direction(spec, states, grid, v):
@@ -796,14 +822,10 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
         ok[start:stop] = good & np.isfinite(diff)
 
     _run_chunked(n_paths, chunk, cfg.n_threads, worker)
-    rejected = int(np.sum(~ok))
-    if rejected > MAX_REJECT_FRACTION * n_paths:
-        raise RunDegenerateError(f"{rejected}/{n_paths} paths rejected")
-    got = vals[ok]
-    return GradientEstimate(value=float(np.mean(got)),
-                            std_error=float(np.std(got, ddof=1) / np.sqrt(got.size)),
-                            n_effective=got.size, rejected=rejected,
-                            method="finite_difference")
+    rejected = _check_rejected(ok)
+    value, se = _mean_se(vals[ok], ok, cfg.antithetic)
+    return GradientEstimate(value=value, std_error=se, n_effective=n_paths - rejected,
+                            rejected=rejected, method="finite_difference")
 
 
 def expectation(spec, x0, f, grid, cfg, seed_offset=0):
@@ -826,12 +848,8 @@ def expectation(spec, x0, f, grid, cfg, seed_offset=0):
         ok[start:stop] = good & np.isfinite(fv)
 
     _run_chunked(n_paths, chunk, cfg.n_threads, worker)
-    rejected = int(np.sum(~ok))
-    if rejected > MAX_REJECT_FRACTION * n_paths:
-        raise RunDegenerateError(f"{rejected}/{n_paths} paths rejected")
-    got = vals[ok]
-    return (float(np.mean(got)),
-            float(np.std(got, ddof=1) / np.sqrt(got.size)))
+    _check_rejected(ok)
+    return _mean_se(vals[ok], ok, cfg.antithetic)
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +945,7 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
                               cfg.antithetic)
         states = simulate_path(spec, x0, grid, NoisePath(increments=inc))
         states, good = _sanitize_states(states, x0)
+        states = np.ascontiguousarray(states)
         k = terminal_flow(spec, states, grid)
         ad = build_alpha(spec, states, k, grid, v, weights)
         _, h_dot, _ = build_bridge(spec, states, k, ad, grid, v)
@@ -952,6 +971,5 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
         ok[start:stop] = good & np.isfinite(lhs) & np.isfinite(rhs)
 
     _run_chunked(n_paths, chunk, cfg.n_threads, worker)
-    g = gaps[ok]
-    return (float(np.mean(g)), float(np.std(g, ddof=1) / np.sqrt(g.size)),
+    return (*_mean_se(gaps[ok], ok, cfg.antithetic),
             float(np.mean(lhs_all[ok])), float(np.mean(rhs_all[ok])))

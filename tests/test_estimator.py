@@ -6,10 +6,10 @@ from hypograd.control import phi_parabolic, xi_case1
 from hypograd.errors import MethodMisuseError, RunDegenerateError
 from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 closed_form_gradient, covariance_flow,
-                                default_weights, duality_gap, fd_gradient,
-                                gaussian_bump_f, indicator_f, ito_delta,
-                                linear_f, path_increments, pathwise_gradient,
-                                quadratic_f, skorokhod_delta)
+                                default_weights, duality_gap, expectation,
+                                fd_gradient, gaussian_bump_f, indicator_f,
+                                ito_delta, linear_f, path_increments,
+                                pathwise_gradient, quadratic_f, skorokhod_delta)
 from hypograd.flow import NoisePath, TimeGrid, simulate_path
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import brute_force_divergence, case1_profile
@@ -216,6 +216,54 @@ def test_antithetic_se_matches_seed_spread(kinetic_spec):
         spread = np.std(vals, ddof=1)
         assert abs(np.mean(ses) - spread) <= 0.25 * spread, antithetic
 
+    # the other drivers, with a smooth nonlinear f: for a linear f on this
+    # affine model the antithetic pair means are exact constants.  Treating
+    # pairs as independent overstated the standard error 4-8 times here.
+    def grad(x):
+        g = np.zeros(np.shape(x))
+        g[..., 0] = 0.5 * np.cos(0.5 * x[..., 0])
+        return g
+
+    g = estimator.TestFunction(f=lambda x: np.sin(0.5 * np.asarray(x)[..., 0]),
+                               grad_f=grad)
+    drivers = {
+        "expectation": lambda cfg: expectation(kinetic_spec, [1.0, 1.0], g, grid, cfg),
+        "pathwise": lambda cfg: pathwise_gradient(kinetic_spec, [1.0, 1.0],
+                                                  [1.0, 0.0], g, grid, cfg),
+        "finite_difference": lambda cfg: fd_gradient(kinetic_spec, [1.0, 1.0],
+                                                     [1.0, 0.0], g, grid, cfg),
+    }
+    for name, run in drivers.items():
+        for antithetic in (False, True):
+            vals, ses = [], []
+            for seed in range(60):
+                cfg = EstimatorConfig(n_paths=1000, master_seed=seed,
+                                      method="pathwise", antithetic=antithetic)
+                out = run(cfg)
+                value, se = out if name == "expectation" else (out.value,
+                                                               out.std_error)
+                vals.append(value)
+                ses.append(se)
+            spread = np.std(vals, ddof=1)
+            assert abs(np.mean(ses) - spread) <= 0.25 * spread, (name, antithetic)
+
+
+def test_antithetic_delta_stats_over_pairs(kinetic_spec):
+    # affine model: hdot is path-independent, so the paired weights cancel
+    # exactly and delta_se is 0; per-path moments are unchanged by pairing
+    grid = TimeGrid(1.0, 32)
+    f = linear_f([1.0, 0.0])
+    runs = {}
+    for antithetic in (False, True):
+        cfg = EstimatorConfig(n_paths=1000, master_seed=4, method="bismut_ito",
+                              antithetic=antithetic)
+        runs[antithetic] = bismut_gradient(kinetic_spec, [1.0, 1.0], [1.0, 0.0],
+                                           f, grid, cfg)
+    est = runs[True]
+    assert est.delta_mean == 0.0 and est.delta_se == 0.0
+    assert est.weight_l2 > 0 and est.kurtosis > 0
+    assert runs[False].delta_se > 0
+
 
 def test_antithetic_summary_groups_pairs():
     n = 2001                                  # odd: the last path has no partner
@@ -235,6 +283,13 @@ def test_antithetic_summary_groups_pairs():
     assert est.std_error == pytest.approx(
         np.std(units, ddof=1) / np.sqrt(len(units)), rel=1e-12)
     assert est.n_effective == n - 1 and est.rejected == 1
+    d_units = [np.mean([delta[i] for i in (r, r + 1) if i < n and ok[i]])
+               for r in range(0, n, 2)]
+    assert est.delta_mean == pytest.approx(np.mean(d_units), rel=1e-12)
+    assert est.delta_se == pytest.approx(
+        np.std(d_units, ddof=1) / np.sqrt(len(d_units)), rel=1e-12)
+    assert est.weight_l2 == pytest.approx(np.sqrt(np.mean(delta[ok] ** 2)),
+                                          rel=1e-12)
 
 
 def test_reproducibility_bitwise(kinetic_spec):
@@ -249,6 +304,50 @@ def test_reproducibility_bitwise(kinetic_spec):
     assert runs[0].value == runs[1].value == runs[2].value
     assert runs[0].std_error == runs[2].std_error
     assert runs[0].weight_l2 == runs[2].weight_l2
+
+
+def test_skorokhod_reproducible_across_chunks_and_threads(anticipative_spec):
+    grid = TimeGrid(0.5, 16)
+    f = gaussian_bump_f([0.2, 0.0], 0.8)
+    runs = []
+    for chunk, threads in ((None, 1), (70, 1), (25, 2), (70, 2)):
+        cfg = EstimatorConfig(n_paths=200, master_seed=9,
+                              method="bismut_skorokhod", c_bound=3.0,
+                              chunk_size=chunk, n_threads=threads)
+        runs.append(bismut_gradient(anticipative_spec, [0.3, -0.2], [0.7, -0.4],
+                                    f, grid, cfg))
+    for est in runs[1:]:
+        assert est.value == runs[0].value
+        assert est.std_error == runs[0].std_error
+        assert est.delta_mean == runs[0].delta_mean
+
+
+def _path_increments_per_path(grid, d, master_seed, start, count, antithetic):
+    # reference: a freshly constructed Philox generator for every path
+    out = np.empty((count, grid.n_steps, d))
+    root = np.sqrt(grid.dt)
+    seed64 = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
+    for row, idx in enumerate(range(start, start + count)):
+        base = idx // 2 if antithetic else idx
+        bg = np.random.Philox(key=np.array([seed64, np.uint64(base)], dtype=np.uint64))
+        z = np.random.Generator(bg).standard_normal((grid.n_steps, d))
+        if antithetic and idx % 2 == 1:
+            z = -z
+        out[row] = z * root
+    return out
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("master_seed", [0, 77, -5])
+@pytest.mark.parametrize("start,count", [(0, 6), (3, 5), (7, 1), (10, 2)])
+def test_path_increments_match_per_path_generators(antithetic, d, master_seed,
+                                                   start, count):
+    grid = TimeGrid(0.7, 9)
+    got = path_increments(grid, d, master_seed, start, count, antithetic)
+    ref = _path_increments_per_path(grid, d, master_seed, start, count, antithetic)
+    assert got.shape == (count, 9, d)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_seed_changes_estimate_but_not_structure(kinetic_spec):

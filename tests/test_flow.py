@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hypograd.flow import (NoisePath, PathBundle, TimeGrid,
-                           directional_jacobian, first_bad_step,
-                           full_jacobian_flow, refine_noise, sample_noise,
-                           simulate_path, terminal_flow, valid_mask)
+from hypograd.flow import (NoisePath, TimeGrid, directional_jacobian,
+                           first_bad_step, full_jacobian_flow, refine_noise,
+                           sample_noise, simulate_path, terminal_flow,
+                           valid_mask)
 from hypograd.model import ModelSpec, builtin_model
 
 # closed-form oracle for the kinetic model: drift matrix M = [[0,1],[-1,-1]],
@@ -209,14 +209,59 @@ def test_full_jacobian_flow_matches_directional(hamiltonian_spec):
     assert np.allclose(phi[-1] @ v, jac[-1], rtol=1e-12)
 
 
-def test_path_bundle_build(kinetic_spec):
+def test_single_path_flow_shapes(kinetic_spec):
     grid = TimeGrid(1.0, 32)
     rng = np.random.default_rng(11)
     noise = sample_noise(grid, 1, rng)
-    bundle = PathBundle.build(kinetic_spec, np.array([1.0, 0.0]), grid, noise,
-                              v=np.array([1.0, 0.0]))
-    assert bundle.valid
-    assert bundle.x.shape == (33, 2)
-    assert bundle.k_flow.shape == (33, 1, 1)
-    assert bundle.jac.shape == (33, 2)
-    assert np.array_equal(bundle.k_flow[-1], np.eye(1))
+    x = simulate_path(kinetic_spec, np.array([1.0, 0.0]), grid, noise)
+    k = terminal_flow(kinetic_spec, x, grid)
+    jac = directional_jacobian(kinetic_spec, x, grid, np.array([1.0, 0.0]))
+    assert bool(valid_mask(x))
+    assert x.shape == (33, 2)
+    assert k.shape == (33, 1, 1)
+    assert jac.shape == (33, 2)
+    assert np.array_equal(k[-1], np.eye(1))
+
+
+def _simulate_path_major(spec, x0, grid, inc):
+    # reference: the path-major Euler loop, state buffer (B, N+1, n)
+    x = np.empty((inc.shape[0], grid.n_steps + 1, spec.dim))
+    x[:, 0] = x0
+    kicks = inc @ spec.sigma.T
+    for i in range(grid.n_steps):
+        xi = x[:, i]
+        x[:, i + 1] = xi + spec.drift(xi) * grid.dt
+        x[:, i + 1, spec.m:] += kicks[:, i]
+    return x
+
+
+@pytest.mark.parametrize("params", [
+    {"v_expr": "0.5*x1^2 + 0.1*x1^4"},
+    {"v_expr": "0.5*x1^2 + 0.3*x2^2 + 0.1*x1*x2^3", "m": 2, "friction": 0.4,
+     "sigma": [[1.0, 0.2], [0.3, 0.8]]},
+])
+def test_simulate_path_matches_path_major_loop(params):
+    spec = builtin_model("hamiltonian", params)
+    grid = TimeGrid(0.5, 24)
+    rng = np.random.default_rng(12)
+    x0 = rng.standard_normal(spec.dim)
+    for n_paths in (1, 2, 37):
+        inc = rng.standard_normal((n_paths, 24, spec.d)) * np.sqrt(grid.dt)
+        ref = _simulate_path_major(spec, x0, grid, inc)
+        got = simulate_path(spec, x0, grid, NoisePath(inc))
+        assert got.shape == ref.shape
+        assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+        one = simulate_path(spec, x0, grid, NoisePath(inc[0]))
+        assert one.shape == (25, spec.dim)
+        assert np.ascontiguousarray(one).tobytes() == ref[0].tobytes()
+
+
+def test_valid_mask_finds_nan_in_time_major_view():
+    buf = np.zeros((17, 9, 2))                   # (N+1, B, n), as simulated
+    buf[5, 6, 1] = np.nan
+    view = np.swapaxes(buf, 0, 1)
+    expected = np.ones(9, dtype=bool)
+    expected[6] = False
+    assert np.array_equal(valid_mask(view), expected)
+    assert np.array_equal(valid_mask(np.ascontiguousarray(view)), expected)
+    assert not valid_mask(view[6]) and valid_mask(view[0])

@@ -131,17 +131,8 @@ def simulate_path(spec, x0, grid, noise):
 
 
 def valid_mask(states):
-    """Boolean per-path mask: True where every state entry is finite.
-
-    The reduction follows the memory layout: on a path-major view of a
-    time-major buffer (``simulate_path``'s output) the node axis is reduced
-    first, on contiguous paths both trailing axes at once; the other order
-    is about 10x slower on each.
-    """
-    finite = np.isfinite(states)
-    if finite.ndim > 2 and abs(finite.strides[-2]) > abs(finite.strides[-3]):
-        return finite.all(axis=-2).all(axis=-1)
-    return finite.all(axis=(-2, -1))
+    """Boolean per-path mask: True where every state entry is finite."""
+    return np.isfinite(states).all(axis=-2).all(axis=-1)
 
 
 def first_bad_step(states):

@@ -31,7 +31,8 @@ from . import estimator as _est
 from .errors import ConfigurationError, HypogradError, RunDegenerateError
 from .exprdrift import DriftExpr
 from .flow import TimeGrid
-from .model import ModelSpec, builtin_model, builtin_schemas, validate_model
+from .model import (ModelSpec, builtin_model, builtin_schemas, expression_blocks,
+                    validate_model)
 
 SCHEMA_VERSION = 1
 
@@ -130,10 +131,7 @@ def _custom_model(c):
     if const_j1 and const_j2 and np.allclose(zfull.value(np.zeros(n)), 0.0):
         drift_matrix = zfull.jacobian(np.zeros(n))
     return ModelSpec(
-        m=m, d=d,
-        z1=z1.value, z2=z2.value,
-        jac_z1=lambda x: (z1.jacobian(x)[..., :m], z1.jacobian(x)[..., m:]),
-        jac_z2=lambda x: (z2.jacobian(x)[..., :m], z2.jacobian(x)[..., m:]),
+        m=m, d=d, **expression_blocks(zfull, m),
         sigma=np.asarray(c["sigma"], dtype=float),
         b0=np.asarray(c["b0"], dtype=float),
         epsilon=float(c.get("epsilon", 0.0)),
@@ -158,7 +156,6 @@ def build_test_function(f_cfg):
 
 def build_estimator_config(cfg, seed_override=None, threads=1):
     e = dict(cfg.get("estimator", {}))
-    grid = cfg.get("grid", {})
     return _est.EstimatorConfig(
         n_paths=int(e.get("n_paths", 10000)),
         master_seed=int(seed_override if seed_override is not None
@@ -166,7 +163,6 @@ def build_estimator_config(cfg, seed_override=None, threads=1):
         method=e.get("method", "bismut_ito"),
         fd_bump=float(e.get("fd_bump", 1e-3)),
         antithetic=bool(e.get("antithetic", False)),
-        n_steps=int(grid["n_steps"]) if "n_steps" in grid else None,
         moment_p=float(e.get("moment_p", 4.0)),
         n_threads=int(threads),
         chunk_size=(int(e["chunk_size"]) if e.get("chunk_size") else None),

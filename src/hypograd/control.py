@@ -29,6 +29,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigurationError, NotApplicableError
+from .flow import node_jacobian
 
 __all__ = [
     "WeightProfile",
@@ -147,15 +148,16 @@ def gramian_M(k_flow, b0, phi, grid, t_index=None):
     return gram if t_index is None else gram[..., t_index, :, :]
 
 
-def gramian_Q(spec, states, k_flow, phi, grid, t_index=None):
+def gramian_Q(spec, states, k_flow, phi, grid, t_index=None, jac=None):
     """Gramian with the full cross Jacobian d2Z1(X_s) in place of B0.
 
-    Not symmetrized: Q_t is not symmetric in general.
+    Not symmetrized: Q_t is not symmetric in general.  ``jac`` is the node
+    Jacobian of ``flow.node_jacobian``, evaluated here when not given.
     """
     x, single_x = _as_batch(states, 2)
     k, _ = _as_batch(k_flow, 3)
     phi_vals = phi(grid.nodes) if callable(phi) else np.asarray(phi, dtype=float)
-    _, c_nodes = spec.jac_z1(x)                       # (B, N+1, m, d)
+    c_nodes = node_jacobian(spec, x, jac)[..., :spec.m, spec.m:]   # (B, N+1, m, d)
     kc = k @ c_nodes                                   # K C
     kb = k @ spec.b0                                   # K B0
     integ = phi_vals[:, None, None] * (kc @ np.swapaxes(kb, -1, -2)) * grid.dt
@@ -329,7 +331,7 @@ def _guarded_solve(mats, rhs):
     return sol, ~bad
 
 
-def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None):
+def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None, jac=None):
     """Assemble the control alpha on the grid (left-endpoint quadrature).
 
     alpha_t = (T-t)/T v2
@@ -339,7 +341,8 @@ def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None):
     Boundary values alpha_0 = v2 and alpha_N = 0 hold exactly by
     construction.  Nodes whose discrete Q is numerically singular are
     dropped from the backward sum (their weight is a quadrature artifact of
-    phi(0) = 0); drops are counted.
+    phi(0) = 0); drops are counted.  ``jac`` is the node Jacobian of
+    ``flow.node_jacobian``, evaluated here when not given.
     """
     x, single = _as_batch(states, 2)
     k, _ = _as_batch(k_flow, 3)
@@ -356,8 +359,9 @@ def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None):
     w0 = (T - nodes) / T
     w0[-1] = 0.0
 
+    jac = node_jacobian(spec, x, jac)
     if q_path is None:
-        q_path = gramian_Q(spec, x, k, profile.phi, grid)
+        q_path = gramian_Q(spec, x, k, profile.phi, grid, jac=jac)
     q_b, _ = _as_batch(q_path, 3)
 
     xi_vals = profile.xi_grid(grid)
@@ -365,7 +369,7 @@ def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None):
     degenerate = np.zeros(n_paths, dtype=bool)
     dropped = np.zeros(n_paths, dtype=int)
 
-    a_nodes, c_nodes = spec.jac_z1(x)
+    a_nodes, c_nodes = jac[..., :m, :m], jac[..., :m, m:]
 
     # second term: p = Q_T^{-1} c2
     kc_v2 = np.einsum("pjik,pjkl,l->pji", k, c_nodes, v2)
@@ -453,12 +457,13 @@ class ControlData:
     degenerate: Optional[np.ndarray] = None
 
 
-def build_bridge(spec, states, k_flow, alpha_data, grid, v):
+def build_bridge(spec, states, k_flow, alpha_data, grid, v, jac=None):
     """Propagate g and assemble hdot from a built alpha.
 
     g follows the forward linear ODE g' = d1Z1(X) g + d2Z1(X) alpha with
     g_0 = v1 (Euler, shared grid); hdot_t = sigma^{-1}(dZ2(X_t)(g_t, alpha_t)
-    - alpha_dot_t) pointwise on steps.
+    - alpha_dot_t) pointwise on steps.  ``jac`` is the node Jacobian of
+    ``flow.node_jacobian``, evaluated here when not given.
     """
     x, single = _as_batch(states, 2)
     k, _ = _as_batch(k_flow, 3)
@@ -471,7 +476,8 @@ def build_bridge(spec, states, k_flow, alpha_data, grid, v):
     v = np.asarray(v, dtype=float).ravel()
     v1, v2 = v[:m], v[m:]
 
-    a_nodes, c_nodes = spec.jac_z1(x)
+    jac = node_jacobian(spec, x, jac)
+    a_nodes, c_nodes = jac[..., :m, :m], jac[..., :m, m:]
     g = np.empty((n_paths, n + 1, m))
     g[:, 0] = v1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -480,7 +486,7 @@ def build_bridge(spec, states, k_flow, alpha_data, grid, v):
                 np.einsum("pab,pb->pa", a_nodes[:, i], g[:, i])
                 + np.einsum("pad,pd->pa", c_nodes[:, i], alpha[:, i]))
 
-    j21, j22 = spec.jac_z2(x)
+    j21, j22 = jac[..., m:, :m], jac[..., m:, m:]
     drive = (np.einsum("pjda,pja->pjd", j21[:, :-1], g[:, :-1])
              + np.einsum("pjde,pje->pjd", j22[:, :-1], alpha[:, :-1])
              - alpha_dot)

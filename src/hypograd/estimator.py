@@ -48,7 +48,8 @@ from .control import (build_alpha, build_bridge, phi_parabolic,
                       q_inverse_bound_ratio, xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
-from .flow import NoisePath, full_jacobian_flow, simulate_path, terminal_flow, valid_mask
+from .flow import (NoisePath, full_jacobian_flow, node_jacobian, simulate_path,
+                   terminal_flow, valid_mask)
 
 __all__ = [
     "EstimatorConfig",
@@ -82,7 +83,6 @@ class EstimatorConfig:
     method: str = "bismut_ito"
     fd_bump: float = 1e-3
     antithetic: bool = False
-    n_steps: Optional[int] = None      # echoed by the CLI; the grid is authoritative
     moment_p: float = 4.0
     n_threads: int = 1
     chunk_size: Optional[int] = None
@@ -302,18 +302,32 @@ def skorokhod_delta(spec, x0, grid, noise, v, weights, return_parts=False):
     if single:
         inc = inc[None]
     states = simulate_path(spec, x0, grid, NoisePath(increments=inc))
-    k = terminal_flow(spec, states, grid)
-    ad = build_alpha(spec, states, k, grid, v, weights)
-    _, h_dot, _ = build_bridge(spec, states, k, ad, grid, v)
+    _, _, h_dot, _, corr = _bridge_chain(spec, states, grid, v, weights)
     delta = np.sum(h_dot * inc, axis=(-2, -1))
-    if spec.constant_jac_z1:
+    if corr is None:
         corr = np.zeros_like(delta)
     else:
-        corr = _skorokhod_trace(spec, states, grid, v, weights, ad, k)
         delta = delta - corr
     if return_parts:
         return (delta[0], corr[0]) if single else (delta, corr)
     return delta[0] if single else delta
+
+
+def _bridge_chain(spec, states, grid, v, weights):
+    """The control chain of one chunk of paths, from one bulk evaluation of
+    the node Jacobian.
+
+    Returns ``(jac, alpha_data, h_dot, bridge_residuals, trace)``; the
+    Skorokhod trace is None when jac_z1 is constant (the control is then
+    deterministic and the trace vanishes).
+    """
+    jac = node_jacobian(spec, states)
+    k = terminal_flow(spec, states, grid, jac)
+    ad = build_alpha(spec, states, k, grid, v, weights, jac=jac)
+    _, h_dot, res = build_bridge(spec, states, k, ad, grid, v, jac)
+    trace = (None if spec.constant_jac_z1
+             else _skorokhod_trace(spec, states, grid, v, weights, ad, k, jac))
+    return jac, ad, h_dot, res, trace
 
 
 def _hess_z1(spec, x):
@@ -343,7 +357,24 @@ def _svd_pinv(mats, rcond):
 
 
 def _norm1(mats):
-    return np.abs(mats).sum(axis=-2).max(axis=-1)
+    """Matrix 1-norm (largest absolute column sum) of stacked matrices.
+
+    Up to 8 rows, adding the rows in order and comparing the column sums
+    with ``np.maximum`` gives the bits of ``np.abs(mats).sum(axis=-2)
+    .max(axis=-1)``, NaN included, several times faster; larger matrices
+    keep that reduction, whose summation order could differ.
+    """
+    rows, cols = mats.shape[-2:]
+    if rows > 8:
+        return np.abs(mats).sum(axis=-2).max(axis=-1)
+    a = np.abs(mats)
+    col = a[..., 0, :]
+    for r in range(1, rows):
+        col = col + a[..., r, :]
+    out = col[..., 0]
+    for c in range(1, cols):
+        out = np.maximum(out, col[..., c])
+    return out
 
 
 def _pinv_stack(mats, rcond=1e-13):
@@ -379,7 +410,7 @@ def _pinv_stack(mats, rcond=1e-13):
     return inv
 
 
-def _skorokhod_trace(spec, states, grid, v, profile, ad, k):
+def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac=None):
     """dt * sum_i tr(d hdot_i / d W_i), exact, via factored sensitivities.
 
     Notation per path: k_i = K(T, t_i), Phi_i the full state-transition
@@ -391,7 +422,8 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k):
 
     through which D alpha_j[i] = -phi_j B0^T k_j^T omega_i for j <= i+1,
     giving the diagonal derivatives of alpha, its divided-difference rate,
-    and g.
+    and g.  ``jac`` is the node Jacobian of ``flow.node_jacobian``,
+    evaluated here when not given.
     """
     x = states
     p_paths, n_nodes = x.shape[:2]
@@ -410,7 +442,8 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k):
     e_sigma = np.zeros((n, d))
     e_sigma[m:, :] = spec.sigma
 
-    phi_full = full_jacobian_flow(spec, x, grid)             # (p, N+1, n, n)
+    jac = node_jacobian(spec, x, jac)
+    phi_full = full_jacobian_flow(spec, x, grid, jac)        # (p, N+1, n, n)
     y_seed = _pinv_stack(phi_full[:, 1:]) @ e_sigma          # (p, N, n, d)
 
     hess = _hess_z1(spec, x)                                 # (p, N+1, m, n, n)
@@ -420,7 +453,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k):
     theta2 = np.einsum("pjabe,pjec->pjabc", t2, phi_full)    # (p, N+1, m, d, n)
 
     kinv = _pinv_stack(k)
-    a_nodes, c_nodes = spec.jac_z1(x)
+    c_nodes = jac[..., :m, m:]
     kc = k @ c_nodes                                         # K C
     kb = k @ spec.b0                                         # K B0
     qcore = np.einsum("pjad,pjbd->pjab", kc, kb)             # K C B0^T K^T
@@ -526,7 +559,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k):
     kappa_omega = np.einsum("piab,pibt->piat", kappa, omega)
     d_g = -np.einsum("piab,pibt->piat", kinv[:, :n_steps], kappa_omega)
 
-    j21, j22 = spec.jac_z2(x)
+    j21, j22 = jac[..., m:, :m], jac[..., m:, m:]
     d_hdot = (np.einsum("pida,piat->pidt", j21[:, :n_steps], d_g)
               + np.einsum("pide,piet->pidt", j22[:, :n_steps], d_alpha)
               - d_alpha_dot)
@@ -683,16 +716,17 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
         states, good = _sanitize_states(states, x0)
         payload = None
         if det_control is not None:
-            h_dot = _assemble_hdot(spec, states, det_control)
+            # with constant jac_z2 (affine models) every path has the same
+            # hdot: assemble it once and let the product broadcast
+            h_dot = _assemble_hdot(spec, states[:1] if spec.constant_jac_z2 else states,
+                                   det_control)
             dl = np.sum(h_dot * inc, axis=(-2, -1))
         else:
             # the Skorokhod trace runs slower on the path-major view
             states = np.ascontiguousarray(states)
-            k = terminal_flow(spec, states, grid)
-            ad = build_alpha(spec, states, k, grid, v, weights)
-            _, h_dot, res = build_bridge(spec, states, k, ad, grid, v)
+            _, ad, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
             dl = np.sum(h_dot * inc, axis=(-2, -1))
-            dl = dl - _skorokhod_trace(spec, states, grid, v, weights, ad, k)
+            dl = dl - trace
             good = good & ~ad.degenerate
             got = res[good]
             qratio = (q_inverse_bound_ratio(ad.q_path[good][:64], ad.xi_vals,
@@ -946,12 +980,10 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
         states, good = _sanitize_states(states, x0)
         # the Skorokhod trace runs slower on the path-major view
         states = np.ascontiguousarray(states)
-        k = terminal_flow(spec, states, grid)
-        ad = build_alpha(spec, states, k, grid, v, weights)
-        _, h_dot, _ = build_bridge(spec, states, k, ad, grid, v)
+        jac, ad, h_dot, _, trace = _bridge_chain(spec, states, grid, v, weights)
         dl = np.sum(h_dot * inc, axis=(-2, -1))
-        if not spec.constant_jac_z1:
-            dl = dl - _skorokhod_trace(spec, states, grid, v, weights, ad, k)
+        if trace is not None:
+            dl = dl - trace
             good = good & ~ad.degenerate
         fv = f.f(states[:, -1])
         lhs = fv * dl
@@ -963,8 +995,7 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
         for i in range(grid.n_steps - 1, -1, -1):
             dfdw = (adj[:, spec.m:] @ spec.sigma)            # (P, d)
             rhs += np.einsum("pd,pd->p", dfdw, h_dot[:, i]) * dt
-            g_i = spec.full_jacobian(states[:, i])
-            adj = adj + dt * np.einsum("pba,pb->pa", g_i, adj)
+            adj = adj + dt * np.einsum("pba,pb->pa", jac[:, i], adj)
         gaps[start:stop] = lhs - rhs
         lhs_all[start:stop] = lhs
         rhs_all[start:stop] = rhs

@@ -13,10 +13,23 @@ Grammar:  expr   := term (('+'|'-') term)*
           atom   := number | variable | function '(' expr ')' | '(' expr ')'
 
 Supported functions: sin, cos, exp, tanh, sqrt, log.
+
+Evaluation runs a compiled tape.  ``DriftExpr`` compiles its components,
+their gradient entries and their Hessian entries, once at construction,
+into three flat lists of operations.  Nodes are keyed by ``Expr.key()``, so
+a subtree shared by several entries of one tape (a state-dependent mass in
+several Jacobian entries, the two equal mixed entries of a Hessian) runs
+once per call.  Constants are held as Python floats, and each intermediate
+array is released after its last use.  Every node keeps its operation and
+operand order, and a variable is the strided view ``x[..., i]`` (numpy may
+send strided and contiguous ``power`` to different kernels), so the tape
+gives the same bits as evaluating each tree on its own.  ``Expr.__call__``
+runs a one-output tape.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -121,23 +134,7 @@ class Expr:
     def __call__(self, x):
         """Evaluate on states ``x`` of shape (..., k); returns shape (...)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "const":
-            return np.full(x.shape[:-1], self.value)
-        if self.kind == "var":
-            return x[..., self.value]
-        if self.kind == "+":
-            return self.args[0](x) + self.args[1](x)
-        if self.kind == "*":
-            return self.args[0](x) * self.args[1](x)
-        if self.kind == "/":
-            return self.args[0](x) / self.args[1](x)
-        if self.kind == "neg":
-            return -self.args[0](x)
-        if self.kind == "pow":
-            return self.args[0](x) ** self.value
-        if self.kind == "call":
-            return _FUNCS[self.value][0](self.args[0](x))
-        raise AssertionError(self.kind)
+        return _run(_compile([(self, ())]), x, np.empty(x.shape[:-1]))
 
     # -- symbolic derivative ------------------------------------------------
 
@@ -200,6 +197,92 @@ class Expr:
 
     def __repr__(self):
         return f"Expr[{self.key()}]"
+
+
+_BINARY = {"+": operator.add, "*": operator.mul, "/": operator.truediv}
+
+
+def _compile(entries):
+    """Compile ``(expr, index)`` pairs into a tape that writes each
+    expression to ``out[..., *index]``.
+
+    The tape is ``(registers, ops, fills)``: the initial registers (0 takes
+    the states; constants and exponents are preloaded), the operations
+    ``(fn, a, b, dst, stores, dead)`` in evaluation order, and the
+    ``(value, index)`` of constant entries.  An operation puts ``fn(r[a])``,
+    or ``fn(r[a], r[b])`` when ``b >= 0``, in register ``dst``, writes it to
+    every index in ``stores`` and then drops the registers in ``dead``.
+    """
+    registers = [None]
+    slot = {}                 # node key -> register
+    producer = {}             # register -> its operation
+    ops = []
+
+    def preload(key, value):
+        if key not in slot:
+            slot[key] = len(registers)
+            registers.append(value)
+        return slot[key]
+
+    def emit(key, fn, a, b=-1):
+        dst = slot[key] = len(registers)
+        registers.append(None)
+        producer[dst] = len(ops)
+        ops.append((fn, a, b, dst, []))
+        return dst
+
+    def visit(e):
+        key = e.key()
+        if key in slot:
+            return slot[key]
+        if e.kind == "const":
+            return preload(key, e.value)
+        if e.kind == "var":
+            return emit(key, operator.itemgetter((Ellipsis, e.value)), 0)
+        if e.kind in _BINARY:
+            a = visit(e.args[0])
+            return emit(key, _BINARY[e.kind], a, visit(e.args[1]))
+        a = visit(e.args[0])
+        if e.kind == "neg":
+            return emit(key, operator.neg, a)
+        if e.kind == "pow":
+            return emit(key, operator.pow, a, preload(("exponent", e.value), e.value))
+        return emit(key, _FUNCS[e.value][0], a)
+
+    fills = []
+    for expr, index in entries:
+        reg = visit(expr)
+        index = (Ellipsis,) + tuple(index)
+        if reg in producer:
+            ops[producer[reg]][4].append(index)
+        else:
+            fills.append((registers[reg], index))
+
+    # liveness, walking back: a register no later operation reads dies here
+    read, tape = set(), []
+    for fn, a, b, dst, stores in reversed(ops):
+        dead = tuple(r for r in dict.fromkeys((dst, a, b)) if r in producer and r not in read)
+        read.update((a, b))
+        tape.append((fn, a, b, dst, tuple(stores), dead))
+    tape.reverse()
+    return registers, tape, fills
+
+
+def _run(tape, x, out):
+    """Run a compiled tape on states ``x`` and return ``out``."""
+    registers, ops, fills = tape
+    r = list(registers)
+    r[0] = x
+    for value, index in fills:
+        out[index] = value
+    for fn, a, b, dst, stores, dead in ops:
+        val = fn(r[a]) if b < 0 else fn(r[a], r[b])
+        for index in stores:
+            out[index] = val
+        r[dst] = val
+        for i in dead:
+            r[i] = None
+    return out
 
 
 def _tokenize(text):
@@ -315,6 +398,8 @@ class DriftExpr:
     first and second derivatives.
 
     Evaluation is vectorized: ``value(x)`` accepts x of shape (..., k).
+    Each of ``value``, ``jacobian`` and ``hessian`` runs one tape compiled
+    at construction.
     """
 
     def __init__(self, exprs, n_vars):
@@ -327,32 +412,28 @@ class DriftExpr:
         self._grad = [[c.diff(i) for i in range(self.n_vars)] for c in self.components]
         self._hess = [[[g.diff(j) for j in range(self.n_vars)] for g in row]
                       for row in self._grad]
+        self._value_tape = _compile([(c, (a,)) for a, c in enumerate(self.components)])
+        self._jac_tape = _compile([(g, (a, i)) for a, row in enumerate(self._grad)
+                                   for i, g in enumerate(row)])
+        self._hess_tape = _compile([(h, (a, i, j)) for a, mat in enumerate(self._hess)
+                                    for i, row in enumerate(mat)
+                                    for j, h in enumerate(row)])
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.n_out,))
-        for a, c in enumerate(self.components):
-            out[..., a] = c(x)
-        return out
+        return _run(self._value_tape, x, np.empty(x.shape[:-1] + (self.n_out,)))
 
     def jacobian(self, x):
         """Shape (..., n_out, n_vars)."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.n_out, self.n_vars))
-        for a, row in enumerate(self._grad):
-            for i, g in enumerate(row):
-                out[..., a, i] = g(x)
-        return out
+        return _run(self._jac_tape, x,
+                    np.empty(x.shape[:-1] + (self.n_out, self.n_vars)))
 
     def hessian(self, x):
         """Shape (..., n_out, n_vars, n_vars)."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.n_out, self.n_vars, self.n_vars))
-        for a, mat in enumerate(self._hess):
-            for i, row in enumerate(mat):
-                for j, h in enumerate(row):
-                    out[..., a, i, j] = h(x)
-        return out
+        return _run(self._hess_tape, x,
+                    np.empty(x.shape[:-1] + (self.n_out, self.n_vars, self.n_vars)))
 
     def is_constant_jacobian(self):
         return all(h.is_zero() for mat in self._hess for row in mat for h in row)

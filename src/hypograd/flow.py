@@ -28,6 +28,7 @@ __all__ = [
     "terminal_flow",
     "directional_jacobian",
     "full_jacobian_flow",
+    "node_jacobian",
     "valid_mask",
     "first_bad_step",
 ]
@@ -147,12 +148,27 @@ def first_bad_step(states):
     return idx
 
 
-def terminal_flow(spec, states, grid):
+def node_jacobian(spec, x, jac=None):
+    """Full drift Jacobian at every node of batched states ``x`` (B, N+1, n).
+
+    ``jac`` is one the caller has already evaluated at these states, for
+    the batch or for a single path; without it the model is evaluated once
+    in bulk.  Shape (B, N+1, n, n).
+    """
+    if jac is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return spec.full_jacobian(x)
+    jac = np.asarray(jac, dtype=float)
+    return jac if jac.ndim == x.ndim + 1 else jac[None]
+
+
+def terminal_flow(spec, states, grid, jac=None):
     """Terminal flow family K(T, t_i), i = 0..N, of the noise-free block.
 
     Built from per-step propagators P_i = I + dt d1Z1(X_i) by backward
     accumulation K(T, t_i) = K(T, t_{i+1}) P_i, K(T, T) = I.  Shape
-    (N+1, m, m), batched as (B, N+1, m, m).
+    (N+1, m, m), batched as (B, N+1, m, m).  ``jac`` is the node Jacobian
+    of ``node_jacobian``, evaluated here when not given.
     """
     x = np.asarray(states, dtype=float)
     single = x.ndim == 2
@@ -162,8 +178,7 @@ def terminal_flow(spec, states, grid):
     if n_nodes != grid.n_steps + 1:
         raise ConfigurationError("states do not match the grid")
     m = spec.m
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_blocks, _ = spec.jac_z1(x)                  # (B, N+1, m, m)
+    a_blocks = node_jacobian(spec, x, jac)[..., :m, :m]     # (B, N+1, m, m)
     k = np.empty((n_paths, n_nodes, m, m))
     k[:, -1] = np.eye(m)
     dt = grid.dt
@@ -201,11 +216,12 @@ def directional_jacobian(spec, states, grid, v):
     return jac[0] if single else jac
 
 
-def full_jacobian_flow(spec, states, grid):
+def full_jacobian_flow(spec, states, grid, jac=None):
     """State-transition matrices Phi_i = dX_i/dX_0 of the discrete chain.
 
     Phi_0 = I, Phi_{i+1} = (I + dt dZ(X_i)) Phi_i.  Shape (N+1, n, n),
-    batched (B, N+1, n, n).  Used by sensitivity propagation.
+    batched (B, N+1, n, n).  Used by sensitivity propagation.  ``jac`` is
+    the node Jacobian of ``node_jacobian``, evaluated here when not given.
     """
     x = np.asarray(states, dtype=float)
     single = x.ndim == 2
@@ -213,12 +229,13 @@ def full_jacobian_flow(spec, states, grid):
         x = x[None]
     n_paths, n_nodes = x.shape[:2]
     n = spec.dim
+    jac = node_jacobian(spec, x, jac)
     phi = np.empty((n_paths, n_nodes, n, n))
     phi[:, 0] = np.eye(n)
     dt = grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_nodes - 1):
-            f_i = np.eye(n) + dt * spec.full_jacobian(x[:, i])
+            f_i = np.eye(n) + dt * jac[:, i]
             phi[:, i + 1] = f_i @ phi[:, i]
     return phi[0] if single else phi
 

@@ -36,6 +36,7 @@ __all__ = [
     "builtin_model",
     "builtin_schemas",
     "drift_split",
+    "expression_blocks",
 ]
 
 
@@ -72,6 +73,11 @@ class ModelSpec:
     ``hess_z1`` (optional) returns the second-derivative stack of Z1 with
     shape (..., m, m+d, m+d); when absent it is finite-differenced from
     ``jac_z1`` where needed.
+    ``drift_expr`` (optional) is the whole drift Z as one ``DriftExpr``
+    with m+d components.  When it is set, ``drift`` and ``full_jacobian``
+    each evaluate it once per call, in one tape pass, instead of
+    concatenating the block callables (which are then slices of the same
+    results).
     """
 
     m: int
@@ -88,6 +94,7 @@ class ModelSpec:
     constant_jac_z1: bool = False
     constant_jac_z2: bool = False
     drift_matrix: Optional[np.ndarray] = None
+    drift_expr: Optional[DriftExpr] = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -110,6 +117,9 @@ class ModelSpec:
             if g.shape != (n, n):
                 raise ConfigurationError(f"drift_matrix must be {n}x{n}, got {g.shape}")
             object.__setattr__(self, "drift_matrix", g)
+        if self.drift_expr is not None and not (
+                self.drift_expr.n_out == self.drift_expr.n_vars == self.m + self.d):
+            raise ConfigurationError("drift_expr must have m+d components in m+d variables")
 
     @property
     def dim(self):
@@ -124,11 +134,15 @@ class ModelSpec:
 
     def drift(self, x):
         """Full drift Z(x) of shape (..., m+d)."""
+        if self.drift_expr is not None:
+            return self.drift_expr.value(x)
         x = np.asarray(x, dtype=float)
         return np.concatenate([self.z1(x), self.z2(x)], axis=-1)
 
     def full_jacobian(self, x):
         """Full (m+d) x (m+d) Jacobian of Z, shape (..., m+d, m+d)."""
+        if self.drift_expr is not None:
+            return self.drift_expr.jacobian(x)
         j11, j12 = self.jac_z1(x)
         j21, j22 = self.jac_z2(x)
         top = np.concatenate([j11, j12], axis=-1)
@@ -534,24 +548,8 @@ def _build_hamiltonian(p, raw):
     # lift V-expressions from m variables into the full 2m-variable space:
     # they only reference x1..xm so the trees are already valid there.
     zfull = DriftExpr(z1c + z2c, n)
-    const_j1 = DriftExpr(z1c, n).is_constant_jacobian()
-
-    def z1(x):
-        return zfull.value(x)[..., :m]
-
-    def z2(x):
-        return zfull.value(x)[..., m:]
-
-    def jac_z1(x):
-        j = zfull.jacobian(x)
-        return j[..., :m, :m], j[..., :m, m:]
-
-    def jac_z2(x):
-        j = zfull.jacobian(x)
-        return j[..., m:, :m], j[..., m:, m:]
-
-    def hess_z1(x):
-        return zfull.hessian(x)[..., :m, :, :]
+    z1_field = DriftExpr(z1c, n)
+    const_j1 = z1_field.is_constant_jacobian()
 
     drift_matrix = None
     if const_j1 and DriftExpr(z2c, n).is_constant_jacobian():
@@ -577,11 +575,33 @@ def _build_hamiltonian(p, raw):
         return x[..., m:] @ mass.T
 
     hyp = HypothesisData(w=w, grad2_w=grad2_w, c_const=64.0, l1=1.0, l2=1.0)
-    return ModelSpec(m=m, d=d, z1=z1, z2=z2, jac_z1=jac_z1, jac_z2=jac_z2,
+    return ModelSpec(m=m, d=d, **expression_blocks(zfull, m),
                      sigma=sigma, b0=float(c_mass) * np.eye(m, d), epsilon=0.0,
-                     hypothesis=hyp, hess_z1=hess_z1, constant_jac_z1=const_j1,
+                     hypothesis=hyp, hess_z1=z1_field.hessian, constant_jac_z1=const_j1,
                      constant_jac_z2=(drift_matrix is not None),
                      drift_matrix=drift_matrix, name="hamiltonian", params=raw)
+
+
+def expression_blocks(zfull, m):
+    """``ModelSpec`` fields of a drift given as one ``DriftExpr`` whose first
+    m components are Z1: the expression itself and block callables that
+    slice one evaluation of it."""
+
+    def z1(x):
+        return zfull.value(x)[..., :m]
+
+    def z2(x):
+        return zfull.value(x)[..., m:]
+
+    def jac_z1(x):
+        j = zfull.jacobian(x)
+        return j[..., :m, :m], j[..., :m, m:]
+
+    def jac_z2(x):
+        j = zfull.jacobian(x)
+        return j[..., m:, :m], j[..., m:, m:]
+
+    return {"z1": z1, "z2": z2, "jac_z1": jac_z1, "jac_z2": jac_z2, "drift_expr": zfull}
 
 
 def _build_integrator_chain(p, raw):

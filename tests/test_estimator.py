@@ -570,3 +570,117 @@ def test_skorokhod_trace_multidimensional(model_cfg, x0):
         oracle = brute_force_divergence(spec, x0, grid, w, v, prof)
         fast = float(skorokhod_delta(spec, x0, grid, NoisePath(w), v, prof))
         assert abs(oracle - fast) <= 1e-6 * max(1.0, abs(oracle))
+
+
+def test_norm1_matches_reduction_formula():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 7, 8, 9):
+        mats = rng.standard_normal((60, 3, n, n)) * rng.uniform(1e-3, 1e3, (60, 3, 1, 1))
+        mats[0, 0, 0, 0] = np.nan
+        mats[1, 1, -1, -1] = np.inf
+        mats[2, 2, 0, -1] = -np.inf
+        mats[3, 0] = np.nan
+        mats[4, 0, 0, 0], mats[4, 0, -1, 0] = np.inf, np.nan
+        ref = np.abs(mats).sum(axis=-2).max(axis=-1)
+        got = estimator._norm1(mats)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes(), n
+
+
+# ---------------------------------------------------------------------------
+# one model evaluation per chunk
+# ---------------------------------------------------------------------------
+
+def _estimate_custom_spec():
+    from pathlib import Path
+
+    from hypograd.cli import build_model, load_config
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "estimate_custom.json")
+    return build_model(cfg["model"])
+
+
+@pytest.mark.parametrize("which", ["mass", "custom"])
+def test_chain_bitwise_with_and_without_shared_jacobian(which, anticipative_spec):
+    from hypograd.control import build_alpha, build_bridge, gramian_Q
+    from hypograd.flow import full_jacobian_flow, terminal_flow
+    spec = anticipative_spec if which == "mass" else _estimate_custom_spec()
+    x0, v = np.array([0.3, -0.2]), np.array([0.7, -0.4])
+    grid = TimeGrid(0.5, 16)
+    inc = path_increments(grid, spec.d, 3, 0, 24)
+    states = np.ascontiguousarray(simulate_path(spec, x0, grid, NoisePath(inc)))
+    weights = default_weights(spec, grid, c_bound=3.0)
+    jac = spec.full_jacobian(states)
+
+    def same(a, b):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    k = terminal_flow(spec, states, grid)
+    same(k, terminal_flow(spec, states, grid, jac))
+    same(k[2], terminal_flow(spec, states[2], grid, jac[2]))
+    same(full_jacobian_flow(spec, states, grid),
+         full_jacobian_flow(spec, states, grid, jac))
+    same(gramian_Q(spec, states, k, weights.phi, grid),
+         gramian_Q(spec, states, k, weights.phi, grid, jac=jac))
+    ad = build_alpha(spec, states, k, grid, v, weights)
+    ad_j = build_alpha(spec, states, k, grid, v, weights, jac=jac)
+    for name in ("alpha", "alpha_dot", "alpha_dot_analytic", "q_path", "u_nodes",
+                 "rho", "p_vec", "nu"):
+        same(getattr(ad, name), getattr(ad_j, name))
+    for a, b in zip(build_bridge(spec, states, k, ad, grid, v),
+                    build_bridge(spec, states, k, ad, grid, v, jac)):
+        same(a, b)
+    same(estimator._skorokhod_trace(spec, states, grid, v, weights, ad, k),
+         estimator._skorokhod_trace(spec, states, grid, v, weights, ad, k, jac))
+
+
+def _spy_drift_expr(monkeypatch):
+    """Record the state shape of every DriftExpr evaluation, per method."""
+    from hypograd.exprdrift import DriftExpr
+    calls = {"value": [], "jacobian": [], "hessian": []}
+    for name in calls:
+        def spy(self, x, _orig=getattr(DriftExpr, name), _seen=calls[name]):
+            _seen.append(np.shape(x))
+            return _orig(self, x)
+        monkeypatch.setattr(DriftExpr, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("driver", ["bismut", "duality"])
+def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
+    grid = TimeGrid(0.5, 12)
+    cfg = EstimatorConfig(n_paths=60, master_seed=2, method="bismut_skorokhod",
+                          c_bound=3.0, chunk_size=25)
+    x0, v = [0.3, -0.2], [0.7, -0.4]
+    calls = _spy_drift_expr(monkeypatch)
+    # built after the spy is in place: hess_z1 binds its DriftExpr method
+    spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4",
+                                         "mass_expr": "1 + 0.2*x1^2", "c_mass": 1.0})
+    if driver == "bismut":
+        bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid, cfg)
+    else:
+        duality_gap(spec, x0, v, quadratic_f(np.eye(2)), grid, cfg)
+    chunks = [(25, 13, 2), (25, 13, 2), (10, 13, 2)]
+    # one bulk Jacobian and Hessian per chunk; the Jacobian flow and the
+    # adjoint sweep index the bulk Jacobian instead of calling per step
+    assert calls["jacobian"] == chunks
+    assert calls["hessian"] == chunks
+    # Euler stepping: one drift evaluation per step
+    assert calls["value"] == [(c[0], 2) for c in chunks for _ in range(grid.n_steps)]
+
+
+@pytest.mark.parametrize("name,params,x0,v,f", [
+    ("kinetic_ou", {"m": 2, "k": [[1.0, 0.3], [0.2, 1.5]], "gamma": [[0.7, 0.1], [0.0, 1.2]],
+                    "sigma": [[1.0, 0.3], [0.2, 0.8]]},
+     [1.0, 0.5, 0.2, -0.1], [1.0, 0.3, 0.5, 0.2], gaussian_bump_f([0.2, 0.0, 0.1, 0.0], 0.8)),
+    ("integrator_chain", {"a": [[0.0, 1.0], [0.0, 0.0]], "b0": [[0.0], [1.0]]},
+     [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], linear_f([1.0, 0.0, 0.0])),
+])
+def test_affine_hdot_assembled_once_bitwise(name, params, x0, v, f):
+    import dataclasses
+    spec = builtin_model(name, params)
+    assert spec.constant_jac_z1 and spec.constant_jac_z2
+    per_path = dataclasses.replace(spec, constant_jac_z2=False)
+    grid = TimeGrid(1.0, 48)
+    cfg = EstimatorConfig(n_paths=700, master_seed=4, method="bismut_ito", chunk_size=300)
+    shared = bismut_gradient(spec, x0, v, f, grid, cfg)
+    assert shared == bismut_gradient(per_path, x0, v, f, grid, cfg)

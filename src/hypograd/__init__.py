@@ -11,9 +11,9 @@ Harnack inequalities).
 from .analysis import (HarnackReport, KalmanResult, RateFit,
                        entropy_gradient_check, gradient_rate_sweep,
                        gramian_scaling, harnack_check, kalman_index)
-from .control import (ControlData, WeightProfile, build_alpha, build_bridge,
-                      build_control, gramian_M, gramian_Q, phi_parabolic,
-                      q_inverse_bound_ratio, xi_case1, xi_case2)
+from .control import (WeightProfile, build_alpha, build_bridge, gramian_M,
+                      gramian_Q, phi_parabolic, q_inverse_bound_ratio, xi_case1,
+                      xi_case2)
 from .errors import (ConfigurationError, HypogradError, MethodMisuseError,
                      NotApplicableError, PathDegenerateError, RunDegenerateError)
 from .estimator import (EstimatorConfig, GradientEstimate, TestFunction,

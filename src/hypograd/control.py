@@ -23,7 +23,7 @@ All operations are vectorized over a leading batch-of-paths axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,7 +33,6 @@ from .flow import node_jacobian
 
 __all__ = [
     "WeightProfile",
-    "ControlData",
     "phi_parabolic",
     "gramian_M",
     "gramian_Q",
@@ -41,7 +40,6 @@ __all__ = [
     "xi_case2",
     "build_alpha",
     "build_bridge",
-    "build_control",
     "q_inverse_bound_ratio",
 ]
 
@@ -296,18 +294,38 @@ class AlphaData:
     degenerate: np.ndarray       # (...,) bool, Q_T solve failed
 
 
+def _solve(mats, rhs_col):
+    """``np.linalg.solve`` of a stack, NaN for exactly singular members.
+
+    LAPACK's solve of a 1x1 system is the one correctly rounded division
+    b/a, so 1x1 stacks divide element-wise: same bits, no per-member
+    dispatch, and a == 0 gives a non-finite member instead of an error.
+    For m > 1 one singular member fails LAPACK's whole batch; the LU sign
+    of ``slogdet`` is 0 exactly for the members whose pivot was zero, and
+    the others are solved as they would be alone.
+    """
+    if mats.shape[-1] == 1:
+        return rhs_col / mats
+    try:
+        return np.linalg.solve(mats, rhs_col)
+    except np.linalg.LinAlgError:
+        sing = (np.linalg.slogdet(mats)[0] == 0.0)[..., None, None]
+        sol = np.linalg.solve(np.where(sing, np.eye(mats.shape[-1]), mats), rhs_col)
+        return np.where(sing, np.nan, sol)
+
+
 def _guarded_solve(mats, rhs):
     """Solve stacked systems with the residual-guarded regularized retry.
 
     Returns (solution, ok_mask).  ``mats``: (..., m, m); ``rhs``: (..., m).
+    Each member is judged on its own: an exactly singular member fails
+    alone, with a zero solution.  1x1 systems are divided element-wise,
+    which is exact: LAPACK's 1x1 solve is the same division (``_solve``).
     """
     m = mats.shape[-1]
     rhs_col = rhs[..., None]
     with np.errstate(all="ignore"):
-        try:
-            sol = np.linalg.solve(mats, rhs_col)[..., 0]
-        except np.linalg.LinAlgError:
-            sol = np.full(rhs.shape, np.nan)
+        sol = _solve(mats, rhs_col)[..., 0]
     scale = np.linalg.norm(rhs, axis=-1) + 1e-300
     resid = np.linalg.norm(np.einsum("...ab,...b->...a", mats, np.nan_to_num(sol))
                            - rhs, axis=-1) / scale
@@ -316,10 +334,7 @@ def _guarded_solve(mats, rhs):
         tr = np.einsum("...aa->...", mats)
         reg = mats + (_REG_SCALE * tr / m)[..., None, None] * np.eye(m)
         with np.errstate(all="ignore"):
-            try:
-                sol2 = np.linalg.solve(reg, rhs_col)[..., 0]
-            except np.linalg.LinAlgError:
-                sol2 = np.full(rhs.shape, np.nan)
+            sol2 = _solve(reg, rhs_col)[..., 0]
         resid2 = np.linalg.norm(np.einsum("...ab,...b->...a", mats,
                                           np.nan_to_num(sol2)) - rhs,
                                 axis=-1) / scale
@@ -439,24 +454,6 @@ def _squeeze_alpha(a):
         setattr(a, name, getattr(a, name)[0])
 
 
-@dataclass
-class ControlData:
-    """Full per-path control information."""
-
-    alpha: np.ndarray
-    alpha_dot: np.ndarray
-    g: np.ndarray                 # (..., N+1, m)
-    h_dot: np.ndarray             # (..., N, d)
-    q: np.ndarray                 # (..., N+1, m, m)
-    bridge_residuals: np.ndarray  # (..., 3): |alpha_0 - v2|, |alpha_N|, |g_N|
-    alpha_dot_gap: float = 0.0
-    xi_vals: Optional[np.ndarray] = None
-    xi_eff: Optional[np.ndarray] = None
-    nu: Optional[np.ndarray] = None
-    dropped_nodes: Optional[np.ndarray] = None
-    degenerate: Optional[np.ndarray] = None
-
-
 def build_bridge(spec, states, k_flow, alpha_data, grid, v, jac=None):
     """Propagate g and assemble hdot from a built alpha.
 
@@ -500,24 +497,6 @@ def build_bridge(spec, states, k_flow, alpha_data, grid, v, jac=None):
     if single:
         return g[0], h_dot[0], res[0]
     return g, h_dot, res
-
-
-def build_control(spec, states, k_flow, grid, v, profile, q_path=None):
-    """alpha + bridge in one pass; returns ControlData (batched like states)."""
-    x, single = _as_batch(states, 2)
-    k, _ = _as_batch(k_flow, 3)
-    ad = build_alpha(spec, x, k, grid, v, profile, q_path=q_path)
-    g, h_dot, res = build_bridge(spec, x, k, ad, grid, v)
-    out = ControlData(alpha=ad.alpha, alpha_dot=ad.alpha_dot, g=g, h_dot=h_dot,
-                      q=ad.q_path, bridge_residuals=res,
-                      alpha_dot_gap=ad.alpha_dot_gap, xi_vals=ad.xi_vals,
-                      xi_eff=ad.xi_eff, nu=ad.nu, dropped_nodes=ad.dropped_nodes,
-                      degenerate=ad.degenerate)
-    if single:
-        for name in ("alpha", "alpha_dot", "g", "h_dot", "q", "bridge_residuals",
-                     "xi_eff", "nu", "dropped_nodes", "degenerate"):
-            setattr(out, name, getattr(out, name)[0])
-    return out
 
 
 def q_inverse_bound_ratio(q_path, xi_grid_vals, epsilon):

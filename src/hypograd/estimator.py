@@ -377,6 +377,22 @@ def _norm1(mats):
     return out
 
 
+def _inv(mats):
+    """``np.linalg.inv`` of a stack, with 1x1 stacks inverted element-wise.
+
+    LAPACK's LU inverse of a 1x1 matrix is the one correctly rounded
+    division 1/a, and it fails exactly when a == 0 (-0.0 included), so the
+    division gives the same bits and the same error without LAPACK's
+    per-member dispatch.
+    """
+    if mats.shape[-1] > 1:
+        return np.linalg.inv(mats)
+    if (mats == 0.0).any():
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(over="ignore"):          # LAPACK overflows silently too
+        return 1.0 / mats
+
+
 def _pinv_stack(mats, rcond=1e-13):
     """Pseudo-inverse of stacked square matrices; never raises on singularity.
 
@@ -386,7 +402,10 @@ def _pinv_stack(mats, rcond=1e-13):
     n ||A||_1 ||A^-1||_1 reaches 1/rcond.  Since cond_2 <= n cond_1, every
     member kept on the fast path is one the SVD would not have truncated, so
     the result equals the pseudo-inverse up to round-off.  Non-finite members
-    give NaN (LAPACK's SVD does not converge on them).
+    give NaN (LAPACK's SVD does not converge on them).  A 1x1 stack is
+    inverted element-wise (``_inv``); LAPACK's 1x1 LU inverse is that same
+    correctly rounded division 1/a, so every bit and every guard is as it
+    would be with LAPACK.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
@@ -394,14 +413,14 @@ def _pinv_stack(mats, rcond=1e-13):
     bad = ~finite
     safe = np.where(bad[..., None, None], np.eye(n), mats) if bad.any() else mats
     try:
-        inv = np.linalg.inv(safe)
+        inv = _inv(safe)
     except np.linalg.LinAlgError:
         # one exactly singular member fails the whole batch; the determinant
         # comes from the same LU factorization and is 0 exactly for those
         det = np.linalg.det(safe)
         bad |= ~np.isfinite(det) | (det == 0.0)
         safe = np.where(bad[..., None, None], np.eye(n), mats)
-        inv = np.linalg.inv(safe)
+        inv = _inv(safe)
     bad |= ~(n * _norm1(safe) * _norm1(inv) < 1.0 / rcond)
     if bad.any():
         inv[bad] = np.nan

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypograd import control, estimator
 from hypograd.control import build_alpha, build_bridge, phi_parabolic, xi_case1
 from hypograd.flow import NoisePath, simulate_path, terminal_flow
 from hypograd.model import builtin_model
@@ -66,3 +67,73 @@ def brute_force_divergence(spec, x0, grid, increments, v, profile, eta=1e-6):
 
 def case1_profile(spec, t_final, c_bound=0.0):
     return xi_case1(None, spec.b0, phi_parabolic(t_final), c_bound, t_final)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def wide_values(n, seed):
+    """n nonzero floats spanning 1e-300 to 1e300, both signs, 2% subnormal."""
+    rng = np.random.default_rng(seed)
+    vals = 10.0 ** rng.uniform(-300.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
+    n_sub = n // 50
+    vals[rng.permutation(n)[:n_sub]] = (rng.choice([-1.0, 1.0], n_sub)
+                                        * rng.integers(1, 2**52, n_sub) * 5e-324)
+    return vals
+
+
+def pinv_stack_lapack(mats, rcond=1e-13):
+    """Guarded inverse with LAPACK's batched LU for every size (reference)."""
+    mats = np.asarray(mats, dtype=float)
+    n = mats.shape[-1]
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    bad = ~finite
+    safe = np.where(bad[..., None, None], np.eye(n), mats) if bad.any() else mats
+    try:
+        inv = np.linalg.inv(safe)
+    except np.linalg.LinAlgError:
+        det = np.linalg.det(safe)
+        bad |= ~np.isfinite(det) | (det == 0.0)
+        safe = np.where(bad[..., None, None], np.eye(n), mats)
+        inv = np.linalg.inv(safe)
+    bad |= ~(n * estimator._norm1(safe) * estimator._norm1(inv) < 1.0 / rcond)
+    if bad.any():
+        inv[bad] = np.nan
+        redo = bad & finite
+        inv[redo] = estimator._svd_pinv(mats[redo], rcond)
+    return inv
+
+
+def guarded_solve_lapack(mats, rhs):
+    """Guarded solve with LAPACK for every size (reference).
+
+    An exactly singular member fails the whole stack here.
+    """
+    m = mats.shape[-1]
+    rhs_col = rhs[..., None]
+    with np.errstate(all="ignore"):
+        try:
+            sol = np.linalg.solve(mats, rhs_col)[..., 0]
+        except np.linalg.LinAlgError:
+            sol = np.full(rhs.shape, np.nan)
+    scale = np.linalg.norm(rhs, axis=-1) + 1e-300
+    resid = np.linalg.norm(np.einsum("...ab,...b->...a", mats, np.nan_to_num(sol))
+                           - rhs, axis=-1) / scale
+    bad = ~np.isfinite(sol).all(axis=-1) | (resid > control._SOLVE_RESIDUAL_TOL)
+    if np.any(bad):
+        tr = np.einsum("...aa->...", mats)
+        reg = mats + (control._REG_SCALE * tr / m)[..., None, None] * np.eye(m)
+        with np.errstate(all="ignore"):
+            try:
+                sol2 = np.linalg.solve(reg, rhs_col)[..., 0]
+            except np.linalg.LinAlgError:
+                sol2 = np.full(rhs.shape, np.nan)
+        resid2 = np.linalg.norm(np.einsum("...ab,...b->...a", mats,
+                                          np.nan_to_num(sol2)) - rhs,
+                                axis=-1) / scale
+        ok2 = np.isfinite(sol2).all(axis=-1) & (resid2 <= control._SOLVE_RESIDUAL_TOL)
+        sol = np.where((bad & ok2)[..., None], sol2, sol)
+        bad = bad & ~ok2
+    sol = np.where(bad[..., None], 0.0, np.nan_to_num(sol))
+    return sol, ~bad

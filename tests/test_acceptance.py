@@ -13,7 +13,8 @@ from scipy.linalg import expm
 
 from hypograd.analysis import gramian_scaling, gradient_rate_sweep, harnack_check
 from hypograd.cli import run as cli_run
-from hypograd.control import build_control, gramian_M, gramian_Q, phi_parabolic
+from hypograd.control import (build_alpha, build_bridge, gramian_M, gramian_Q,
+                              phi_parabolic)
 from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 closed_form_gradient, duality_gap, fd_gradient,
                                 gaussian_bump_f, linear_f, pathwise_gradient,
@@ -158,8 +159,9 @@ def test_criterion_5_bridge_conditions(criterion3_run, hamiltonian):
         x = simulate_path(hamiltonian, criterion3_run["x0"], cur, g)
         k = terminal_flow(hamiltonian, x, cur)
         prof = case1_profile(hamiltonian, 0.5, c_bound=0.0)
-        ctrl = build_control(hamiltonian, x, k, cur, v, prof)
-        g_levels.append(float(np.mean(ctrl.bridge_residuals[:, 2])))
+        ad = build_alpha(hamiltonian, x, k, cur, v, prof)
+        _, _, res_cur = build_bridge(hamiltonian, x, k, ad, cur, v)
+        g_levels.append(float(np.mean(res_cur[:, 2])))
     ratios = [b / a for a, b in zip(g_levels, g_levels[1:])]
     ok_half = all(0.25 <= r <= 0.75 for r in ratios)
     _report(5, ok and ok_half,

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hypograd.control import (build_alpha, build_bridge, build_control,
-                              gramian_M, gramian_Q, phi_parabolic,
-                              q_inverse_bound_ratio, xi_case1, xi_case2)
+from hypograd import control
+from hypograd.control import (build_alpha, build_bridge, gramian_M, gramian_Q,
+                              phi_parabolic, q_inverse_bound_ratio, xi_case1,
+                              xi_case2)
 from hypograd.errors import NotApplicableError
 from hypograd.flow import NoisePath, TimeGrid, refine_noise, sample_noise, simulate_path, terminal_flow
 from hypograd.model import builtin_model
-from tests.conftest import case1_profile
+from tests.conftest import (case1_profile, guarded_solve_lapack, same_bytes,
+                            wide_values)
 
 
 def _flat_flow(grid, m):
@@ -180,8 +182,10 @@ def test_bridge_g_residual_kinetic(kinetic_spec):
                       sample_noise(grid, 1, rng))
     k = terminal_flow(kinetic_spec, x, grid)
     prof = case1_profile(kinetic_spec, 1.0)
-    ctrl = build_control(kinetic_spec, x, k, grid, np.array([1.0, 0.0]), prof)
-    assert ctrl.bridge_residuals[2] <= 1e-3
+    v = np.array([1.0, 0.0])
+    ad = build_alpha(kinetic_spec, x, k, grid, v, prof)
+    _, _, res = build_bridge(kinetic_spec, x, k, ad, grid, v)
+    assert res[2] <= 1e-3
 
 
 def test_bridge_telescoping_h_total():
@@ -215,8 +219,9 @@ def test_bridge_residual_halves_with_refinement(anticipative_spec):
                 noise, grid = refine_noise(noise, grid, rng)
             x = simulate_path(spec, np.array([0.3, -0.2]), grid, noise)
             k = terminal_flow(spec, x, grid)
-            ctrl = build_control(spec, x, k, grid, v, prof_for(grid))
-            levels[n_steps].append(ctrl.bridge_residuals[2])
+            ad = build_alpha(spec, x, k, grid, v, prof_for(grid))
+            _, _, res = build_bridge(spec, x, k, ad, grid, v)
+            levels[n_steps].append(res[2])
     means = [np.mean(levels[n]) for n in (512, 1024, 2048, 4096)]
     for a, b in zip(means, means[1:]):
         assert 0.25 <= b / a <= 0.75
@@ -248,8 +253,10 @@ def test_linear_model_control_deterministic(chain_spec):
     k = terminal_flow(chain_spec, x, grid)
     prof = xi_case2(chain_spec.jac_z1(np.zeros(3))[0], chain_spec.b0,
                     phi_parabolic(1.0), 1.0)
-    ctrl = build_control(chain_spec, x, k, grid, np.array([1.0, 0.2, -0.5]), prof)
-    for arr in (ctrl.alpha, ctrl.g, ctrl.q):
+    v = np.array([1.0, 0.2, -0.5])
+    ad = build_alpha(chain_spec, x, k, grid, v, prof)
+    g, _, _ = build_bridge(chain_spec, x, k, ad, grid, v)
+    for arr in (ad.alpha, g, ad.q_path):
         assert np.max(np.abs(arr - arr[0])) <= 1e-12
 
 
@@ -291,3 +298,42 @@ def test_weight_profile_shape_properties(kinetic_spec):
     xi_vals = prof.xi(t)
     assert np.all(np.diff(xi_vals) >= -1e-15)
     assert np.all(xi_vals[1:] > 0)
+
+
+def test_guarded_solve_1x1_matches_lapack_bitwise():
+    mats = wide_values(200_000, 31).reshape(400, 500, 1, 1)
+    rhs = wide_values(200_000, 32).reshape(400, 500, 1)
+    with np.errstate(all="ignore"):
+        assert same_bytes(control._solve(mats, rhs[..., None]),
+                           np.linalg.solve(mats, rhs[..., None]))
+        sol, ok = control._guarded_solve(mats, rhs)
+        ref_sol, ref_ok = guarded_solve_lapack(mats, rhs)
+    assert same_bytes(sol, ref_sol) and same_bytes(ok, ref_ok)
+    assert 0 < np.count_nonzero(~ok) < ok.size
+
+
+@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+def test_guarded_solve_1x1_nonfinite_members_match_lapack_path(special):
+    rng = np.random.default_rng(33)
+    mats = wide_values(20_000, 34).reshape(40, 500, 1, 1)
+    rhs = rng.standard_normal((40, 500, 1))
+    mats.reshape(-1)[::997] = special
+    with np.errstate(all="ignore"):
+        sol, ok = control._guarded_solve(mats, rhs)
+        ref_sol, ref_ok = guarded_solve_lapack(mats, rhs)
+    assert same_bytes(sol, ref_sol) and same_bytes(ok, ref_ok)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_guarded_solve_singular_member_fails_alone(m):
+    rng = np.random.default_rng(35 + m)
+    mats = rng.standard_normal((6, m, m)) + 2.0 * m * np.eye(m)
+    rhs = rng.standard_normal((6, m))
+    mats[3] = 0.0
+    keep = np.arange(6) != 3
+    sol, ok = control._guarded_solve(mats, rhs)
+    assert ok.tolist() == [True, True, True, False, True, True]
+    assert np.array_equal(sol[3], np.zeros(m))
+    alone, alone_ok = control._guarded_solve(mats[keep], rhs[keep])
+    assert alone_ok.all() and same_bytes(sol[keep], alone)
+    assert same_bytes(alone, np.linalg.solve(mats[keep], rhs[keep][..., None])[..., 0])

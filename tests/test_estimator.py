@@ -1,7 +1,10 @@
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
-from hypograd import estimator
+from hypograd import control, estimator
 from hypograd.control import phi_parabolic, xi_case1
 from hypograd.errors import MethodMisuseError, RunDegenerateError
 from hypograd.estimator import (EstimatorConfig, bismut_gradient,
@@ -12,7 +15,9 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 pathwise_gradient, quadratic_f, skorokhod_delta)
 from hypograd.flow import NoisePath, TimeGrid, simulate_path
 from hypograd.model import ModelSpec, builtin_model
-from tests.conftest import brute_force_divergence, case1_profile
+from tests.conftest import (brute_force_divergence, case1_profile,
+                            guarded_solve_lapack, pinv_stack_lapack,
+                            same_bytes, wide_values)
 
 KOU_TRUE_V1 = 0.6597001533917016   # (exp M)_11 for M = [[0,1],[-1,-1]]
 KOU_TRUE_V2 = 0.5335071951146929   # (exp M)_12
@@ -141,6 +146,78 @@ def test_pinv_stack_singular_member_does_not_reroute_stack(monkeypatch):
     keep = np.ones((16, 32), dtype=bool)
     keep[3, 7] = False
     np.testing.assert_array_equal(got[keep], 1.0 / mats[keep])
+
+
+def test_pinv_stack_1x1_matches_lapack_bitwise(monkeypatch):
+    mats = wide_values(200_000, 21).reshape(400, 500, 1, 1)
+    seen = _count_svd_members(monkeypatch)
+    got = estimator._pinv_stack(mats)
+    n_fallback = sum(seen)
+    with np.errstate(all="ignore"):
+        lapack = np.linalg.inv(mats)
+        kept = np.abs(mats * lapack)[..., 0, 0] < 1e13
+    assert 0 < n_fallback == np.count_nonzero(~kept)   # reciprocals that overflow
+    assert same_bytes(got[kept], lapack[kept])
+    seen.clear()
+    assert same_bytes(got, pinv_stack_lapack(mats))
+    assert sum(seen) == n_fallback
+
+
+@pytest.mark.parametrize("special", [0.0, -0.0, np.inf, -np.inf, np.nan])
+def test_pinv_stack_1x1_special_members_match_lapack_path(special, monkeypatch):
+    small = np.array([2.0, special, -4.0]).reshape(3, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # LAPACK meets a zero pivot silently
+        assert same_bytes(estimator._pinv_stack(small), pinv_stack_lapack(small))
+    mats = wide_values(20_000, 22).reshape(40, 500, 1, 1)
+    mats.reshape(-1)[::997] = special
+    seen = _count_svd_members(monkeypatch)
+    got = estimator._pinv_stack(mats)
+    n_fallback = sum(seen)
+    seen.clear()
+    assert same_bytes(got, pinv_stack_lapack(mats))
+    assert sum(seen) == n_fallback
+
+
+def _chain_outputs(spec):
+    """skorokhod_delta, bismut_gradient (pairing off/on) and duality_gap."""
+    x0, v = [0.3, -0.2], [0.7, -0.4]
+    grid = TimeGrid(0.5, 16)
+    weights = default_weights(spec, grid, c_bound=3.0)
+    inc = path_increments(grid, spec.d, 3, 0, 40)
+    out = [skorokhod_delta(spec, x0, grid, NoisePath(inc), v, weights)]
+    for antithetic in (False, True):
+        cfg = EstimatorConfig(n_paths=120, master_seed=5, method="bismut_skorokhod",
+                              chunk_size=50, antithetic=antithetic)
+        out.append(bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8),
+                                   grid, cfg, weights=weights))
+    cfg = EstimatorConfig(n_paths=120, master_seed=6, method="bismut_skorokhod",
+                          chunk_size=50)
+    out.append(duality_gap(spec, x0, v, quadratic_f(np.eye(2)), grid, cfg,
+                           weights=weights))
+    return pickle.dumps(out)
+
+
+@pytest.mark.parametrize("which", ["mass", "custom"])
+def test_chain_bitwise_with_lapack_inverses_and_solves(which, anticipative_spec,
+                                                       monkeypatch):
+    spec = anticipative_spec if which == "mass" else _estimate_custom_spec()
+    assert spec.m == 1
+    fast = _chain_outputs(spec)
+    calls = {"pinv": 0, "solve": 0}
+
+    def pinv(mats, rcond=1e-13):
+        calls["pinv"] += 1
+        return pinv_stack_lapack(mats, rcond)
+
+    def solve(mats, rhs):
+        calls["solve"] += 1
+        return guarded_solve_lapack(mats, rhs)
+
+    monkeypatch.setattr(estimator, "_pinv_stack", pinv)
+    monkeypatch.setattr(control, "_guarded_solve", solve)
+    assert _chain_outputs(spec) == fast
+    assert calls["pinv"] > 0 and calls["solve"] > 0
 
 
 def test_bismut_ito_rejects_anticipative_model(anticipative_spec):

@@ -21,8 +21,8 @@ from .estimator import (EstimatorConfig, GradientEstimate, TestFunction,
                         duality_gap, fd_gradient, gaussian_bump_f, indicator_f,
                         ito_delta, linear_f, pathwise_gradient, quadratic_f,
                         skorokhod_delta)
-from .flow import (NoisePath, TimeGrid, directional_jacobian, refine_noise,
-                   sample_noise, simulate_path, terminal_flow)
+from .flow import (TimeGrid, directional_jacobian, refine_noise, sample_noise,
+                   simulate_path, terminal_flow)
 from .model import (HypothesisData, ModelSpec, ValidationReport, builtin_model,
                     builtin_schemas, drift_split, validate_model)
 

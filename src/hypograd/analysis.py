@@ -179,7 +179,7 @@ def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512, c_bound=None):
     else:
         if not spec.constant_jac_z1:
             raise NotApplicableError("rate sweep needs constant d1Z1 for Case II")
-        a0 = spec.jac_z1(np.zeros(spec.dim))[0]
+        a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
         kal = kalman_index(a0, spec.b0)
         if kal.k is None:
             raise NotApplicableError("no Kalman index: rate exponent undefined")
@@ -353,7 +353,7 @@ def harnack_check(spec, f_positive, x, v, p_grid, t_final, cfg, n_steps=256,
     p_grid = [float(p) for p in np.atleast_1d(p_grid)]
     if min(p_grid) <= 1.0:
         raise ConfigurationError("harnack_check needs p > 1")
-    a0 = spec.jac_z1(np.zeros(spec.dim))[0]
+    a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
     kal = kalman_index(a0, spec.b0)
     if kal.k is None:
         raise NotApplicableError("harnack_check needs the Kalman condition")

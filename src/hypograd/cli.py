@@ -31,8 +31,7 @@ from . import estimator as _est
 from .errors import ConfigurationError, HypogradError, RunDegenerateError
 from .exprdrift import DriftExpr
 from .flow import TimeGrid
-from .model import (ModelSpec, builtin_model, builtin_schemas, expression_blocks,
-                    validate_model)
+from .model import ModelSpec, builtin_model, builtin_schemas, validate_model
 
 SCHEMA_VERSION = 1
 
@@ -131,7 +130,7 @@ def _custom_model(c):
     if const_j1 and const_j2 and np.allclose(zfull.value(np.zeros(n)), 0.0):
         drift_matrix = zfull.jacobian(np.zeros(n))
     return ModelSpec(
-        m=m, d=d, **expression_blocks(zfull, m),
+        m=m, d=d, z=zfull.value, dz=zfull.jacobian,
         sigma=np.asarray(c["sigma"], dtype=float),
         b0=np.asarray(c["b0"], dtype=float),
         epsilon=float(c.get("epsilon", 0.0)),
@@ -268,7 +267,7 @@ def _exp_gramian(spec, cfg, run_cfg):
     t_grid = np.asarray(sec.get("t_grid", np.geomspace(1e-3, 1e-1, 9)), dtype=float)
     if not spec.constant_jac_z1:
         raise ConfigurationError("gramian experiment needs constant jac_z1")
-    a0 = spec.jac_z1(np.zeros(spec.dim))[0]
+    a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
     fit = _analysis.gramian_scaling(a0, spec.b0, t_grid)
     metrics = {"slope": fit.slope, "slope_ci": fit.slope_ci,
                "theoretical_exponent": float(fit.theoretical_exponent),
@@ -282,7 +281,7 @@ def _exp_gramian(spec, cfg, run_cfg):
 def _exp_kalman(spec, cfg, run_cfg):
     if not spec.constant_jac_z1:
         raise ConfigurationError("kalman experiment needs constant jac_z1")
-    a0 = spec.jac_z1(np.zeros(spec.dim))[0]
+    a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
     res = _analysis.kalman_index(a0, spec.b0)
     metrics = {"k": float(res.k) if res.k is not None else -1.0}
     for j, (r, s) in enumerate(zip(res.ranks, res.singular_values)):

@@ -48,8 +48,8 @@ from .control import (build_alpha, build_bridge, phi_parabolic,
                       q_inverse_bound_ratio, xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
-from .flow import (NoisePath, full_jacobian_flow, node_jacobian, simulate_path,
-                   terminal_flow, valid_mask)
+from .flow import (directional_jacobian, full_jacobian_flow, node_jacobian,
+                   simulate_path, terminal_flow, valid_mask)
 
 __all__ = [
     "EstimatorConfig",
@@ -244,7 +244,7 @@ def default_weights(spec, grid, c_bound=None, probe_x0=None, probe_seed=0):
     if full_rank:
         if c_bound is None:
             if spec.constant_jac_z1:
-                a0 = spec.jac_z1(np.zeros(spec.dim))[0]
+                a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
                 c_bound = float(np.linalg.norm(a0, 2))
             elif probe_x0 is not None:
                 c_bound = _sampled_jac_bound(spec, grid, probe_x0, probe_seed)
@@ -256,7 +256,7 @@ def default_weights(spec, grid, c_bound=None, probe_x0=None, probe_seed=0):
         return xi_case1(None, spec.b0, phi_pair, c_bound, grid.t_final)
     if not spec.constant_jac_z1:
         raise NotApplicableError("rank-deficient B0 with non-constant d1Z1: no profile")
-    a0 = spec.jac_z1(np.zeros(spec.dim))[0]
+    a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
     return xi_case2(a0, spec.b0, phi_pair, grid.t_final)
 
 
@@ -271,12 +271,11 @@ def _profile_summary(profile):
 
 def _sampled_jac_bound(spec, grid, x0, seed, n_probe=32):
     inc = path_increments(grid, spec.d, seed ^ 0x9E3779B97F4A7C15, 0, n_probe)
-    states = simulate_path(spec, np.asarray(x0, dtype=float).ravel(), grid,
-                           NoisePath(increments=inc))
+    states = simulate_path(spec, np.asarray(x0, dtype=float).ravel(), grid, inc)
     states = states[valid_mask(states)]
     if states.size == 0:
         raise RunDegenerateError("all probe paths for the Jacobian bound blew up")
-    a_nodes = spec.jac_z1(states)[0]
+    a_nodes = spec.dz(states)[..., :spec.m, :spec.m]
     return 1.25 * float(np.max(np.linalg.norm(a_nodes, ord=2, axis=(-2, -1))))
 
 
@@ -284,24 +283,23 @@ def _sampled_jac_bound(spec, grid, x0, seed, n_probe=32):
 # divergences
 # ---------------------------------------------------------------------------
 
-def ito_delta(h_dot, noise):
+def ito_delta(h_dot, inc):
     """Adapted divergence sum_i <hdot_i, dW_i>; hdot shaped (..., N, d)."""
-    inc = noise.increments if hasattr(noise, "increments") else np.asarray(noise)
-    return np.sum(np.asarray(h_dot) * inc, axis=(-2, -1))
+    return np.sum(np.asarray(h_dot) * np.asarray(inc), axis=(-2, -1))
 
 
-def skorokhod_delta(spec, x0, grid, noise, v, weights, return_parts=False):
-    """Anticipative divergence of the bridge control, per path.
+def skorokhod_delta(spec, x0, grid, inc, v, weights, return_parts=False):
+    """Anticipative divergence of the bridge control, per path, for
+    increments ``inc`` of one path (N, d) or a batch (B, N, d).
 
     The trace correction vanishes identically when jac_z1 is constant (the
     control is then deterministic), which the implementation exploits.
     """
-    inc = noise.increments if hasattr(noise, "increments") else np.asarray(noise)
     inc = np.asarray(inc, dtype=float)
     single = inc.ndim == 2
     if single:
         inc = inc[None]
-    states = simulate_path(spec, x0, grid, NoisePath(increments=inc))
+    states = simulate_path(spec, x0, grid, inc)
     _, _, h_dot, _, corr = _bridge_chain(spec, states, grid, v, weights)
     delta = np.sum(h_dot * inc, axis=(-2, -1))
     if corr is None:
@@ -330,29 +328,17 @@ def _bridge_chain(spec, states, grid, v, weights):
     return jac, ad, h_dot, res, trace
 
 
-def _hess_z1(spec, x):
-    """Second-derivative stack of Z1, shape (..., m, n, n)."""
-    if spec.hess_z1 is not None:
-        return spec.hess_z1(x)
-    n = spec.dim
-    x = np.asarray(x, dtype=float)
-    h = 1e-5 * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
-    out = np.empty(x.shape[:-1] + (spec.m, n, n))
-    for e in range(n):
-        step = np.zeros(n)
-        step[e] = 1.0
-        jp = np.concatenate(spec.jac_z1(x + h * step), axis=-1)
-        jm = np.concatenate(spec.jac_z1(x - h * step), axis=-1)
-        out[..., e] = (jp - jm) / (2.0 * h[..., None])
-    return out
-
-
 def _svd_pinv(mats, rcond):
     """SVD pseudo-inverse of stacked matrices, singular values below
-    rcond * s_max dropped."""
+    rcond * s_max dropped.
+
+    Only kept values are inverted; a kept subnormal one gives inf silently,
+    as in ``_inv``.
+    """
     u, s, vt = np.linalg.svd(mats)
-    cut = rcond * s[..., :1]
-    sinv = np.where(s > cut, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    keep = s > rcond * s[..., :1]
+    with np.errstate(over="ignore"):
+        sinv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     return np.einsum("...ab,...b,...cb->...ac", np.swapaxes(vt, -1, -2), sinv, u)
 
 
@@ -444,6 +430,9 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac=None):
     and g.  ``jac`` is the node Jacobian of ``flow.node_jacobian``,
     evaluated here when not given.
     """
+    if spec.hess_z1 is None:
+        raise MethodMisuseError("the Skorokhod trace needs the model's hess_z1 "
+                                "(second derivatives of Z1)")
     x = states
     p_paths, n_nodes = x.shape[:2]
     n_steps = grid.n_steps
@@ -465,7 +454,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac=None):
     phi_full = full_jacobian_flow(spec, x, grid, jac)        # (p, N+1, n, n)
     y_seed = _pinv_stack(phi_full[:, 1:]) @ e_sigma          # (p, N, n, d)
 
-    hess = _hess_z1(spec, x)                                 # (p, N+1, m, n, n)
+    hess = spec.hess_z1(x)                                   # (p, N+1, m, n, n)
     t1 = hess[..., :m, :]                                    # dA/dx
     t2 = hess[..., m:, :]                                    # dC/dx
     theta1 = np.einsum("pjabe,pjec->pjabc", t1, phi_full)    # (p, N+1, m, m, n)
@@ -591,17 +580,60 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac=None):
 # estimator drivers
 # ---------------------------------------------------------------------------
 
-def _chunk_ranges(n_paths, chunk):
-    return [(s, min(s + chunk, n_paths)) for s in range(0, n_paths, chunk)]
+def _mc_run(spec, grid, cfg, per_chunk, n_cols, chunk=16384, seed_offset=0):
+    """The Monte Carlo loop of every driver: chunks, threads, noise, masks.
+
+    Paths [0, n_paths) run in chunks of ``cfg.chunk_size`` (default
+    ``chunk``) on ``cfg.n_threads`` threads.  A chunk's increments come
+    from ``path_increments`` keyed by (master_seed + seed_offset, path) with
+    the configured antithetic pairing, so no result depends on chunking or
+    thread count.  ``per_chunk(start, inc)`` returns ``(cols, good,
+    payload)``: ``n_cols`` per-path value arrays, the mask of the paths it
+    kept and a diagnostics payload.  A path is accepted when it was kept and
+    all its values are finite.  Chunks write disjoint slices of the output,
+    and the payload list is in path order, so diagnostics are deterministic
+    under any thread count.
+
+    Returns the (n_cols, n_paths) values, the accepted mask and the
+    payloads; raises ``RunDegenerateError`` past ``MAX_REJECT_FRACTION``
+    rejected paths.
+    """
+    n_paths = cfg.n_paths
+    chunk = cfg.chunk_size or chunk
+    vals = np.empty((n_cols, n_paths))
+    ok = np.zeros(n_paths, dtype=bool)
+
+    def worker(start):
+        stop = min(start + chunk, n_paths)
+        inc = path_increments(grid, spec.d, cfg.master_seed + seed_offset, start,
+                              stop - start, cfg.antithetic)
+        cols, good, payload = per_chunk(start, inc)
+        vals[:, start:stop] = cols
+        ok[start:stop] = good & np.isfinite(vals[:, start:stop]).all(axis=0)
+        return payload
+
+    starts = range(0, n_paths, chunk)
+    if cfg.n_threads <= 1 or len(starts) == 1:
+        payloads = [worker(s) for s in starts]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
+            payloads = list(pool.map(worker, starts))
+    rejected = int(np.sum(~ok))
+    if rejected > MAX_REJECT_FRACTION * n_paths:
+        raise RunDegenerateError(
+            f"{rejected}/{n_paths} paths rejected (limit {MAX_REJECT_FRACTION:.1%})")
+    return vals, ok, payloads
 
 
-def _sanitize_states(states, x0):
-    """Replace non-finite paths by the constant x0 path (results are masked)."""
+def _simulate(spec, x0, grid, inc):
+    """Euler paths from x0 and the mask of the finite ones; a non-finite
+    path is replaced by the constant x0 path (its results are masked)."""
+    states = simulate_path(spec, x0, grid, inc)
     ok = valid_mask(states)
     if np.all(ok):
         return states, ok
     states = states.copy()
-    states[~ok] = np.asarray(x0, dtype=float)
+    states[~ok] = x0
     return states, ok
 
 
@@ -615,15 +647,6 @@ def _moment_flag(delta, p):
     rel = [abs(ests[i + 1] - ests[i]) / max(ests[i + 1], 1e-300)
            for i in range(len(ests) - 1)]
     return rel[-1] > 0.25, ests
-
-
-def _check_rejected(ok):
-    """Number of rejected paths; raises past ``MAX_REJECT_FRACTION``."""
-    rejected = int(np.sum(~ok))
-    if rejected > MAX_REJECT_FRACTION * ok.size:
-        raise RunDegenerateError(
-            f"{rejected}/{ok.size} paths rejected (limit {MAX_REJECT_FRACTION:.1%})")
-    return rejected
 
 
 def _mean_se(got, ok, antithetic):
@@ -649,7 +672,6 @@ def _summarize(fvals, delta, ok, method, cfg, diagnostics):
     exactly, so ``delta_se`` is then 0.  ``weight_l2``, ``kurtosis`` and the
     moment flag are per-path moments of delta.
     """
-    rejected = _check_rejected(ok)
     fv = fvals[ok]
     dl = delta[ok]
     prod = fv * dl
@@ -660,7 +682,7 @@ def _summarize(fvals, delta, ok, method, cfg, diagnostics):
     kurt = float(np.mean(dl**4) / m2**2) if m2 > 0 else 0.0
     flagged, moment_seq = _moment_flag(dl, cfg.moment_p)
     est = GradientEstimate(value=value, std_error=se, n_effective=n_eff,
-                           rejected=rejected, method=method,
+                           rejected=ok.size - n_eff, method=method,
                            weight_l2=float(np.sqrt(m2)), delta_mean=d_mean,
                            delta_se=d_se, kurtosis=kurt, moment_flagged=flagged,
                            diagnostics=dict(diagnostics))
@@ -677,18 +699,12 @@ def _summarize(fvals, delta, ok, method, cfg, diagnostics):
     return est
 
 
-def _run_chunked(n_paths, chunk, n_threads, worker):
-    """Run worker over path ranges; returns per-chunk payloads in path order.
-
-    Workers write per-path outputs into disjoint slices of preallocated
-    arrays and return any summary payload; the ordered payload list keeps
-    diagnostics deterministic under any thread count.
-    """
-    ranges = _chunk_ranges(n_paths, chunk)
-    if n_threads <= 1 or len(ranges) == 1:
-        return [worker(r) for r in ranges]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(worker, ranges))
+def _plain_estimate(vals, ok, cfg, method):
+    """GradientEstimate of the mean of accepted per-path values."""
+    value, se = _mean_se(vals[ok], ok, cfg.antithetic)
+    n_eff = int(np.sum(ok))
+    return GradientEstimate(value=value, std_error=se, n_effective=n_eff,
+                            rejected=ok.size - n_eff, method=method)
 
 
 def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
@@ -710,12 +726,7 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
         weights = default_weights(spec, grid, c_bound=cfg.c_bound, probe_x0=x0,
                                   probe_seed=cfg.master_seed)
 
-    n_paths = cfg.n_paths
-    fvals = np.empty(n_paths)
-    delta = np.empty(n_paths)
-    ok = np.zeros(n_paths, dtype=bool)
     diagnostics = {"weights": _profile_summary(weights)}
-
     det_control = None
     if spec.constant_jac_z1:
         det_control = _deterministic_control(spec, x0, grid, v, weights)
@@ -724,15 +735,8 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
         diagnostics["q_bound_ratio"] = det_control["q_bound_ratio"]
         diagnostics["dropped_nodes_max"] = int(det_control["dropped"])
 
-    chunk = cfg.chunk_size or (16384 if spec.constant_jac_z1 else 1024)
-
-    def worker(rng):
-        start, stop = rng
-        count = stop - start
-        inc = path_increments(grid, spec.d, cfg.master_seed, start, count,
-                              cfg.antithetic)
-        states = simulate_path(spec, x0, grid, NoisePath(increments=inc))
-        states, good = _sanitize_states(states, x0)
+    def per_chunk(start, inc):
+        states, good = _simulate(spec, x0, grid, inc)
         payload = None
         if det_control is not None:
             # with constant jac_z2 (affine models) every path has the same
@@ -744,23 +748,18 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             # the Skorokhod trace runs slower on the path-major view
             states = np.ascontiguousarray(states)
             _, ad, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
-            dl = np.sum(h_dot * inc, axis=(-2, -1))
-            dl = dl - trace
+            dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
             good = good & ~ad.degenerate
             got = res[good]
             qratio = (q_inverse_bound_ratio(ad.q_path[good][:64], ad.xi_vals,
                                             spec.epsilon) if start == 0 else 0.0)
             payload = (got.max(axis=0) if got.size else np.zeros(3),
                        ad.alpha_dot_gap, int(ad.dropped_nodes.max()), qratio)
-        good = good & np.isfinite(dl)
-        fvals[start:stop] = f.f(states[:, -1])
-        delta[start:stop] = dl
-        ok[start:stop] = good
-        return payload
+        return (f.f(states[:, -1]), dl), good, payload
 
-    payloads = _run_chunked(n_paths, chunk, cfg.n_threads, worker)
+    (fvals, delta), ok, payloads = _mc_run(
+        spec, grid, cfg, per_chunk, 2, chunk=16384 if spec.constant_jac_z1 else 1024)
     if det_control is None:
-        payloads = [p for p in payloads if p is not None]
         diagnostics["bridge_residuals_max"] = np.max(
             np.stack([p[0] for p in payloads]), axis=0).tolist()
         diagnostics["alpha_dot_gap"] = max(p[1] for p in payloads)
@@ -794,9 +793,10 @@ def _deterministic_control(spec, x0, grid, v, weights):
 def _assemble_hdot(spec, states, det):
     """hdot for per-path states with a shared deterministic (alpha, g)."""
     n_steps = det["alpha_dot"].shape[0]
-    j21, j22 = spec.jac_z2(states[:, :n_steps])
-    drive = (np.einsum("pjda,ja->pjd", j21, det["g"][:n_steps])
-             + np.einsum("pjde,je->pjd", j22, det["alpha"][:n_steps])
+    m = spec.m
+    jac = spec.dz(states[:, :n_steps])
+    drive = (np.einsum("pjda,ja->pjd", jac[..., m:, :m], det["g"][:n_steps])
+             + np.einsum("pjde,je->pjd", jac[..., m:, m:], det["alpha"][:n_steps])
              - det["alpha_dot"][None])
     return drive @ spec.sigma_inv().T
 
@@ -807,47 +807,21 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
         raise MethodMisuseError("pathwise_gradient needs grad_f")
     v = np.asarray(v, dtype=float).ravel()
     x0 = np.asarray(x0, dtype=float).ravel()
-    n_paths = cfg.n_paths
-    fvals = np.empty(n_paths)   # here: the pathwise products
-    ok = np.zeros(n_paths, dtype=bool)
-
     jac_terminal_const = None
     if spec.is_linear:
-        g_full = spec.drift_matrix
-        step = np.eye(spec.dim) + grid.dt * g_full
+        step = np.eye(spec.dim) + grid.dt * spec.drift_matrix
         jac_terminal_const = np.linalg.matrix_power(step, grid.n_steps) @ v
 
-    chunk = cfg.chunk_size or 16384
-
-    def worker(rng):
-        start, stop = rng
-        inc = path_increments(grid, spec.d, cfg.master_seed, start, stop - start,
-                              cfg.antithetic)
-        states = simulate_path(spec, x0, grid, NoisePath(increments=inc))
-        states, good = _sanitize_states(states, x0)
+    def per_chunk(start, inc):
+        states, good = _simulate(spec, x0, grid, inc)
+        grad = f.grad_f(states[:, -1])
         if jac_terminal_const is not None:
-            jt = jac_terminal_const
-            vals = f.grad_f(states[:, -1]) @ jt
-        else:
-            jac = _terminal_direction(spec, states, grid, v)
-            vals = np.einsum("pa,pa->p", f.grad_f(states[:, -1]), jac)
-        fvals[start:stop] = vals
-        ok[start:stop] = good & np.isfinite(vals)
+            return (grad @ jac_terminal_const,), good, None
+        jac = directional_jacobian(spec, states, grid, v)
+        return (np.einsum("pa,pa->p", grad, jac),), good, None
 
-    _run_chunked(n_paths, chunk, cfg.n_threads, worker)
-    rejected = _check_rejected(ok)
-    value, se = _mean_se(fvals[ok], ok, cfg.antithetic)
-    return GradientEstimate(value=value, std_error=se, n_effective=n_paths - rejected,
-                            rejected=rejected, method="pathwise")
-
-
-def _terminal_direction(spec, states, grid, v):
-    jac = np.broadcast_to(v, states.shape[:1] + v.shape).copy()
-    dt = grid.dt
-    for i in range(grid.n_steps):
-        g = spec.full_jacobian(states[:, i])
-        jac = jac + dt * np.einsum("pab,pb->pa", g, jac)
-    return jac
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1)
+    return _plain_estimate(vals, ok, cfg, "pathwise")
 
 
 def fd_gradient(spec, x0, v, f, grid, cfg):
@@ -855,52 +829,26 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
     v = np.asarray(v, dtype=float).ravel()
     x0 = np.asarray(x0, dtype=float).ravel()
     eta = cfg.fd_bump
-    n_paths = cfg.n_paths
-    vals = np.empty(n_paths)
-    ok = np.zeros(n_paths, dtype=bool)
-    chunk = cfg.chunk_size or 16384
 
-    def worker(rng):
-        start, stop = rng
-        inc = path_increments(grid, spec.d, cfg.master_seed, start, stop - start,
-                              cfg.antithetic)
-        noise = NoisePath(increments=inc)
-        xp = simulate_path(spec, x0 + eta * v, grid, noise)
-        xm = simulate_path(spec, x0 - eta * v, grid, noise)
-        good = valid_mask(xp) & valid_mask(xm)
-        with np.errstate(invalid="ignore"):
-            diff = (f.f(xp[:, -1]) - f.f(xm[:, -1])) / (2.0 * eta)
-        vals[start:stop] = diff
-        ok[start:stop] = good & np.isfinite(diff)
+    def per_chunk(start, inc):
+        xp, good_p = _simulate(spec, x0 + eta * v, grid, inc)
+        xm, good_m = _simulate(spec, x0 - eta * v, grid, inc)
+        diff = (f.f(xp[:, -1]) - f.f(xm[:, -1])) / (2.0 * eta)
+        return (diff,), good_p & good_m, None
 
-    _run_chunked(n_paths, chunk, cfg.n_threads, worker)
-    rejected = _check_rejected(ok)
-    value, se = _mean_se(vals[ok], ok, cfg.antithetic)
-    return GradientEstimate(value=value, std_error=se, n_effective=n_paths - rejected,
-                            rejected=rejected, method="finite_difference")
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1)
+    return _plain_estimate(vals, ok, cfg, "finite_difference")
 
 
 def expectation(spec, x0, f, grid, cfg, seed_offset=0):
     """Plain Monte Carlo P_T f(x0) with standard error."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    n_paths = cfg.n_paths
-    vals = np.empty(n_paths)
-    ok = np.zeros(n_paths, dtype=bool)
-    chunk = cfg.chunk_size or 16384
 
-    def worker(rng):
-        start, stop = rng
-        inc = path_increments(grid, spec.d, cfg.master_seed + seed_offset, start,
-                              stop - start, cfg.antithetic)
-        states = simulate_path(spec, x0, grid, NoisePath(increments=inc))
-        good = valid_mask(states)
-        with np.errstate(invalid="ignore"):
-            fv = f.f(states[:, -1])
-        vals[start:stop] = fv
-        ok[start:stop] = good & np.isfinite(fv)
+    def per_chunk(start, inc):
+        states, good = _simulate(spec, x0, grid, inc)
+        return (f.f(states[:, -1]),), good, None
 
-    _run_chunked(n_paths, chunk, cfg.n_threads, worker)
-    _check_rejected(ok)
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, seed_offset=seed_offset)
     return _mean_se(vals[ok], ok, cfg.antithetic)
 
 
@@ -935,8 +883,9 @@ def closed_form_gradient(spec, x0, v, f, t_final):
     return float(ev @ (s_mat + s_mat.T) @ mu + b @ ev)
 
 
-def covariance_flow(spec, t_final, n_quad=2**14, refine_check=True):
-    """Sigma_T for an affine model by trapezoid quadrature of the flow."""
+def covariance_flow(spec, t_final):
+    """Sigma_T for an affine model by trapezoid quadrature of the flow, on
+    2^14 intervals and checked against 2^13."""
     if not spec.is_linear:
         raise MethodMisuseError("covariance_flow needs an affine model")
     g_full = spec.drift_matrix
@@ -957,12 +906,11 @@ def covariance_flow(spec, t_final, n_quad=2**14, refine_check=True):
             flow = e_step @ flow
         return acc
 
-    full = quad(n_quad)
-    if refine_check:
-        half = quad(n_quad // 2)
-        rel = np.linalg.norm(full - half) / max(np.linalg.norm(full), 1e-300)
-        if rel > 1e-6:
-            raise RunDegenerateError(f"covariance quadrature not converged (rel={rel:.2e})")
+    full = quad(2**14)
+    half = quad(2**13)
+    rel = np.linalg.norm(full - half) / max(np.linalg.norm(full), 1e-300)
+    if rel > 1e-6:
+        raise RunDegenerateError(f"covariance quadrature not converged (rel={rel:.2e})")
     return full
 
 
@@ -984,19 +932,9 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
         weights = default_weights(spec, grid, c_bound=cfg.c_bound, probe_x0=x0,
                                   probe_seed=cfg.master_seed)
     v = np.asarray(v, dtype=float).ravel()
-    n_paths = cfg.n_paths
-    gaps = np.empty(n_paths)
-    lhs_all = np.empty(n_paths)
-    rhs_all = np.empty(n_paths)
-    ok = np.zeros(n_paths, dtype=bool)
-    chunk = cfg.chunk_size or 1024
 
-    def worker(rng):
-        start, stop = rng
-        inc = path_increments(grid, spec.d, cfg.master_seed, start, stop - start,
-                              cfg.antithetic)
-        states = simulate_path(spec, x0, grid, NoisePath(increments=inc))
-        states, good = _sanitize_states(states, x0)
+    def per_chunk(start, inc):
+        states, good = _simulate(spec, x0, grid, inc)
         # the Skorokhod trace runs slower on the path-major view
         states = np.ascontiguousarray(states)
         jac, ad, h_dot, _, trace = _bridge_chain(spec, states, grid, v, weights)
@@ -1004,22 +942,18 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
         if trace is not None:
             dl = dl - trace
             good = good & ~ad.degenerate
-        fv = f.f(states[:, -1])
-        lhs = fv * dl
+        lhs = f.f(states[:, -1]) * dl
 
         # adjoint sweep: a_i = (I + dt dZ(X_i))^T a_{i+1}, a_N = grad f(X_T)
         adj = f.grad_f(states[:, -1])
-        rhs = np.zeros(stop - start)
+        rhs = np.zeros(len(inc))
         dt = grid.dt
         for i in range(grid.n_steps - 1, -1, -1):
             dfdw = (adj[:, spec.m:] @ spec.sigma)            # (P, d)
             rhs += np.einsum("pd,pd->p", dfdw, h_dot[:, i]) * dt
             adj = adj + dt * np.einsum("pba,pb->pa", jac[:, i], adj)
-        gaps[start:stop] = lhs - rhs
-        lhs_all[start:stop] = lhs
-        rhs_all[start:stop] = rhs
-        ok[start:stop] = good & np.isfinite(lhs) & np.isfinite(rhs)
+        return (lhs - rhs, lhs, rhs), good, None
 
-    _run_chunked(n_paths, chunk, cfg.n_threads, worker)
+    (gaps, lhs, rhs), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 3, chunk=1024)
     return (*_mean_se(gaps[ok], ok, cfg.antithetic),
-            float(np.mean(lhs_all[ok])), float(np.mean(rhs_all[ok])))
+            float(np.mean(lhs[ok])), float(np.mean(rhs[ok])))

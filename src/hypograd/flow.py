@@ -1,14 +1,17 @@
 """Euler simulation of the degenerate SDE and its variational flows.
 
-The three propagated objects are the state path X, the terminal flow family
+The propagated objects are the state path X, the terminal flow family
 K(T, t_i) of the noise-free block (fundamental solution of the linearized
-X1-dynamics, accumulated backward from T), and the full directional
-derivative path J_i = dX_i/dx0 . v.
+X1-dynamics, accumulated backward from T), the full state-transition
+matrices Phi_i = dX_i/dX_0, and the terminal directional derivative
+J_N = dX_N/dx0 . v.
 
-All functions accept either one path (arrays shaped (N, d) / (N+1, n)) or a
-batch (leading batch axis); outputs match the input convention.  Non-finite
-states are propagated, not clamped; use ``valid_mask``/``first_bad_step`` to
-detect and reject such paths.
+Brownian increments are plain arrays, (N, d) for one path or (B, N, d) for
+a batch, with increments[..., i, :] ~ N(0, dt I_d).  All functions accept
+either one path (states shaped (N+1, n)) or a batch (leading batch axis);
+outputs match the input convention.  Non-finite states are propagated, not
+clamped; use ``valid_mask``/``first_bad_step`` to detect and reject such
+paths.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "TimeGrid",
-    "NoisePath",
     "sample_noise",
     "refine_noise",
     "simulate_path",
@@ -56,55 +58,37 @@ class TimeGrid:
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Brownian increments on a grid; increments[..., i, :] ~ N(0, dt I_d)."""
-
-    increments: np.ndarray
-    stream_id: int = 0
-
-    @property
-    def n_steps(self):
-        return self.increments.shape[-2]
-
-    @property
-    def d(self):
-        return self.increments.shape[-1]
-
-
-def sample_noise(grid, d, rng, n_paths=None, stream_id=0):
+def sample_noise(grid, d, rng, n_paths=None):
     """Draw Brownian increments for the grid from a numpy Generator."""
     shape = (grid.n_steps, d) if n_paths is None else (n_paths, grid.n_steps, d)
-    inc = rng.standard_normal(shape) * np.sqrt(grid.dt)
-    return NoisePath(increments=inc, stream_id=stream_id)
+    return rng.standard_normal(shape) * np.sqrt(grid.dt)
 
 
-def refine_noise(noise, grid, rng):
+def refine_noise(inc, grid, rng):
     """Split each increment into two bridge-consistent halves.
 
     The fine path agrees with the coarse one at the coarse nodes: a coarse
     increment w over dt becomes the pair (w/2 + z, w/2 - z) with
     z ~ N(0, dt/4), the conditional law of the midpoint.  Returns the
-    refined (NoisePath, TimeGrid) pair.
+    refined (increments, TimeGrid) pair.
     """
-    inc = np.asarray(noise.increments, dtype=float)
+    inc = np.asarray(inc, dtype=float)
     z = rng.standard_normal(inc.shape) * (0.5 * np.sqrt(grid.dt))
     halves = np.stack([0.5 * inc + z, 0.5 * inc - z], axis=-2)  # (..., N, 2, d)
     fine = halves.reshape(inc.shape[:-2] + (2 * inc.shape[-2], inc.shape[-1]))
-    return (NoisePath(increments=fine, stream_id=noise.stream_id),
-            TimeGrid(t_final=grid.t_final, n_steps=2 * grid.n_steps))
+    return fine, TimeGrid(t_final=grid.t_final, n_steps=2 * grid.n_steps)
 
 
-def simulate_path(spec, x0, grid, noise):
+def simulate_path(spec, x0, grid, inc):
     """Euler path X_{i+1} = X_i + Z(X_i) dt + (0, sigma dB_i).
 
-    Deterministic given (x0, noise).  Returns states of shape (N+1, m+d),
+    Deterministic given (x0, inc).  Returns states of shape (N+1, m+d),
     or (B, N+1, m+d) for batched increments.  The batch is stepped in a
     time-major (N+1, B, m+d) buffer, so each step reads and writes one
     contiguous slab; the result is a path-major view of that buffer (not
     C-contiguous; callers that need contiguous paths copy it).
     """
-    inc = np.asarray(noise.increments, dtype=float)
+    inc = np.asarray(inc, dtype=float)
     single = inc.ndim == 2
     if single:
         inc = inc[None]
@@ -191,28 +175,25 @@ def terminal_flow(spec, states, grid, jac=None):
 
 
 def directional_jacobian(spec, states, grid, v):
-    """Directional derivative path J_i = dX_i/dx0 . v by forward Euler.
+    """Terminal directional derivative J_N = dX_N/dx0 . v by forward Euler.
 
     J_{i+1} = (I + dt dZ(X_i)) J_i with J_0 = v; exact derivative of the
-    discrete Euler map.  Shape (N+1, m+d), batched (B, N+1, m+d).
+    discrete Euler map.  Only the running node is kept.  Shape (m+d,),
+    batched (B, m+d).
     """
     v = np.asarray(v, dtype=float).ravel()
     if v.shape != (spec.dim,):
         raise ConfigurationError(f"v must have dimension {spec.dim}")
-    if not np.linalg.norm(v) > 0:
-        raise ConfigurationError("v must be nonzero")
     x = np.asarray(states, dtype=float)
     single = x.ndim == 2
     if single:
         x = x[None]
-    n_paths, n_nodes = x.shape[:2]
-    jac = np.empty((n_paths, n_nodes, spec.dim))
-    jac[:, 0] = v
+    jac = np.broadcast_to(v, x.shape[:1] + v.shape).copy()
     dt = grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_nodes - 1):
+        for i in range(x.shape[1] - 1):
             g = spec.full_jacobian(x[:, i])
-            jac[:, i + 1] = jac[:, i] + dt * np.einsum("pab,pb->pa", g, jac[:, i])
+            jac = jac + dt * np.einsum("pab,pb->pa", g, jac)
     return jac[0] if single else jac
 
 

@@ -12,7 +12,8 @@ part B0 and a remainder B that B0 dominates:
     <B(x) B0^T a, a> >= -epsilon |B0^T a|^2   for all a,  epsilon in [0, 1).
 
 All model callables are vectorized: they accept states of shape (..., m+d).
-Jacobian callables return the pair of blocks (d/dx1, d/dx2).
+A model supplies the whole drift Z = (Z1, Z2) and its whole Jacobian DZ;
+code that needs a block, such as the cross Jacobian d(Z1)/d(x2), slices it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "builtin_model",
     "builtin_schemas",
     "drift_split",
-    "expression_blocks",
 ]
 
 
@@ -68,24 +68,19 @@ class HypothesisData:
 class ModelSpec:
     """Immutable model declaration.
 
-    All callables must be pure so the model object can be shared across
-    concurrent path workers.
-    ``hess_z1`` (optional) returns the second-derivative stack of Z1 with
-    shape (..., m, m+d, m+d); when absent it is finite-differenced from
-    ``jac_z1`` where needed.
-    ``drift_expr`` (optional) is the whole drift Z as one ``DriftExpr``
-    with m+d components.  When it is set, ``drift`` and ``full_jacobian``
-    each evaluate it once per call, in one tape pass, instead of
-    concatenating the block callables (which are then slices of the same
-    results).
+    ``z`` is the drift Z, shape (..., m+d), and ``dz`` its Jacobian DZ,
+    shape (..., m+d, m+d); blocks are slices of these.  ``hess_z1`` returns
+    the second-derivative stack of Z1, shape (..., m, m+d, m+d); the
+    anticipative Skorokhod trace needs it.  All callables must be pure so
+    the model object can be shared across concurrent path workers.
+    The Euler loop and the flows call Z and DZ through the ``drift`` and
+    ``full_jacobian`` methods, which ``perfbench/tracer.py`` times.
     """
 
     m: int
     d: int
-    z1: Callable[[np.ndarray], np.ndarray]
-    z2: Callable[[np.ndarray], np.ndarray]
-    jac_z1: Callable[[np.ndarray], tuple]
-    jac_z2: Callable[[np.ndarray], tuple]
+    z: Callable[[np.ndarray], np.ndarray]
+    dz: Callable[[np.ndarray], np.ndarray]
     sigma: np.ndarray
     b0: np.ndarray
     epsilon: float
@@ -94,7 +89,6 @@ class ModelSpec:
     constant_jac_z1: bool = False
     constant_jac_z2: bool = False
     drift_matrix: Optional[np.ndarray] = None
-    drift_expr: Optional[DriftExpr] = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -117,9 +111,6 @@ class ModelSpec:
             if g.shape != (n, n):
                 raise ConfigurationError(f"drift_matrix must be {n}x{n}, got {g.shape}")
             object.__setattr__(self, "drift_matrix", g)
-        if self.drift_expr is not None and not (
-                self.drift_expr.n_out == self.drift_expr.n_vars == self.m + self.d):
-            raise ConfigurationError("drift_expr must have m+d components in m+d variables")
 
     @property
     def dim(self):
@@ -134,26 +125,16 @@ class ModelSpec:
 
     def drift(self, x):
         """Full drift Z(x) of shape (..., m+d)."""
-        if self.drift_expr is not None:
-            return self.drift_expr.value(x)
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([self.z1(x), self.z2(x)], axis=-1)
+        return self.z(x)
 
     def full_jacobian(self, x):
         """Full (m+d) x (m+d) Jacobian of Z, shape (..., m+d, m+d)."""
-        if self.drift_expr is not None:
-            return self.drift_expr.jacobian(x)
-        j11, j12 = self.jac_z1(x)
-        j21, j22 = self.jac_z2(x)
-        top = np.concatenate([j11, j12], axis=-1)
-        bot = np.concatenate([j21, j22], axis=-1)
-        return np.concatenate([top, bot], axis=-2)
+        return self.dz(x)
 
 
 def drift_split(spec, x):
     """Remainder B(x) = d(Z1)/d(x2) - B0 of the drift splitting."""
-    _, j12 = spec.jac_z1(x)
-    return j12 - spec.b0
+    return spec.dz(x)[..., :spec.m, spec.m:] - spec.b0
 
 
 @dataclass
@@ -239,18 +220,12 @@ def validate_model(spec, sample_box, n_samples=256, seed=0, cond_cap=1e8):
 
 def _check_shapes(spec, x0):
     x = np.asarray(x0, dtype=float)[None, :]
-    z1 = np.asarray(spec.z1(x))
-    z2 = np.asarray(spec.z2(x))
-    if z1.shape[-1] != spec.m:
-        raise ConfigurationError(f"z1 returns dimension {z1.shape[-1]}, expected m={spec.m}")
-    if z2.shape[-1] != spec.d:
-        raise ConfigurationError(f"z2 returns dimension {z2.shape[-1]}, expected d={spec.d}")
-    j11, j12 = spec.jac_z1(x)
-    if j11.shape[-2:] != (spec.m, spec.m) or j12.shape[-2:] != (spec.m, spec.d):
-        raise ConfigurationError("jac_z1 blocks have wrong shapes")
-    j21, j22 = spec.jac_z2(x)
-    if j21.shape[-2:] != (spec.d, spec.m) or j22.shape[-2:] != (spec.d, spec.d):
-        raise ConfigurationError("jac_z2 blocks have wrong shapes")
+    n = spec.dim
+    z = np.asarray(spec.z(x))
+    if z.shape[-1] != n:
+        raise ConfigurationError(f"z returns dimension {z.shape[-1]}, expected m+d={n}")
+    if np.asarray(spec.dz(x)).shape[-2:] != (n, n):
+        raise ConfigurationError(f"dz must return {n}x{n} Jacobians")
 
 
 def _jacobian_check(spec, x, rel_tol=1e-5):
@@ -258,8 +233,7 @@ def _jacobian_check(spec, x, rel_tol=1e-5):
     h = 1e-5 * (1.0 + np.linalg.norm(x, axis=-1))
     worst = 0.0
     witness = None
-    an = np.concatenate([np.concatenate(spec.jac_z1(x), axis=-1),
-                         np.concatenate(spec.jac_z2(x), axis=-1)], axis=-2)
+    an = spec.dz(x)
     for c in range(n):
         e = np.zeros(n)
         e[c] = 1.0
@@ -457,34 +431,30 @@ def _build_kinetic_ou(p, raw):
     k_mat = _as_matrix(p["k"], d, m, "kinetic_ou k")
     g_mat = _as_matrix(p["gamma"], d, d, "kinetic_ou gamma")
     sigma = _as_matrix(p["sigma"], d, d, "kinetic_ou sigma")
-    zero_mm = np.zeros((m, m))
     eye_md = np.eye(m, d)
-    gfull = np.block([[zero_mm, eye_md], [-k_mat, -g_mat]])
+    gfull = np.block([[np.zeros((m, m)), eye_md], [-k_mat, -g_mat]])
 
-    def z1(x):
-        return np.asarray(x, dtype=float)[..., m:]
-
-    def z2(x):
+    def z(x):
         x = np.asarray(x, dtype=float)
-        return -x[..., :m] @ k_mat.T - x[..., m:] @ g_mat.T
-
-    def jac_z1(x):
-        shp = np.asarray(x).shape[:-1]
-        return (np.broadcast_to(zero_mm, shp + (m, m)),
-                np.broadcast_to(eye_md, shp + (m, d)))
-
-    def jac_z2(x):
-        shp = np.asarray(x).shape[:-1]
-        return (np.broadcast_to(-k_mat, shp + (d, m)),
-                np.broadcast_to(-g_mat, shp + (d, d)))
+        return np.concatenate([x[..., m:], -x[..., :m] @ k_mat.T - x[..., m:] @ g_mat.T],
+                              axis=-1)
 
     w, make_grad2, c = _quadratic_hypothesis(np.linalg.norm(gfull, 2), sigma)
     hyp = HypothesisData(w=w, grad2_w=make_grad2(m), c_const=c, l1=0.0, l2=0.0)
-    return ModelSpec(m=m, d=d, z1=z1, z2=z2, jac_z1=jac_z1, jac_z2=jac_z2,
+    return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
                      sigma=sigma, b0=eye_md.copy(), epsilon=0.0, hypothesis=hyp,
                      hess_z1=_zero_hess(m, d), constant_jac_z1=True,
                      constant_jac_z2=True, drift_matrix=gfull,
                      name="kinetic_ou", params=raw)
+
+
+def _constant_jacobian(gfull):
+    """DZ of an affine drift: a fresh copy of ``gfull`` per state."""
+
+    def dz(x):
+        return np.broadcast_to(gfull, np.shape(x)[:-1] + gfull.shape).copy()
+
+    return dz
 
 
 def _zero_hess(m, d):
@@ -575,33 +545,11 @@ def _build_hamiltonian(p, raw):
         return x[..., m:] @ mass.T
 
     hyp = HypothesisData(w=w, grad2_w=grad2_w, c_const=64.0, l1=1.0, l2=1.0)
-    return ModelSpec(m=m, d=d, **expression_blocks(zfull, m),
+    return ModelSpec(m=m, d=d, z=zfull.value, dz=zfull.jacobian,
                      sigma=sigma, b0=float(c_mass) * np.eye(m, d), epsilon=0.0,
                      hypothesis=hyp, hess_z1=z1_field.hessian, constant_jac_z1=const_j1,
                      constant_jac_z2=(drift_matrix is not None),
                      drift_matrix=drift_matrix, name="hamiltonian", params=raw)
-
-
-def expression_blocks(zfull, m):
-    """``ModelSpec`` fields of a drift given as one ``DriftExpr`` whose first
-    m components are Z1: the expression itself and block callables that
-    slice one evaluation of it."""
-
-    def z1(x):
-        return zfull.value(x)[..., :m]
-
-    def z2(x):
-        return zfull.value(x)[..., m:]
-
-    def jac_z1(x):
-        j = zfull.jacobian(x)
-        return j[..., :m, :m], j[..., :m, m:]
-
-    def jac_z2(x):
-        j = zfull.jacobian(x)
-        return j[..., m:, :m], j[..., m:, m:]
-
-    return {"z1": z1, "z2": z2, "jac_z1": jac_z1, "jac_z2": jac_z2, "drift_expr": zfull}
 
 
 def _build_integrator_chain(p, raw):
@@ -628,25 +576,13 @@ def _build_integrator_chain(p, raw):
     z1_lin = np.concatenate([a_mat, b0], axis=1)
     gfull = np.concatenate([z1_lin, z2_lin], axis=0)
 
-    def z1(x):
-        return np.asarray(x, dtype=float) @ z1_lin.T
-
-    def z2(x):
-        return np.asarray(x, dtype=float) @ z2_lin.T + z2_off
-
-    def jac_z1(x):
-        shp = np.asarray(x).shape[:-1]
-        return (np.broadcast_to(a_mat, shp + (m, m)),
-                np.broadcast_to(b0, shp + (m, d)))
-
-    def jac_z2(x):
-        shp = np.asarray(x).shape[:-1]
-        return (np.broadcast_to(z2_lin[:, :m], shp + (d, m)),
-                np.broadcast_to(z2_lin[:, m:], shp + (d, d)))
+    def z(x):
+        x = np.asarray(x, dtype=float)
+        return np.concatenate([x @ z1_lin.T, x @ z2_lin.T + z2_off], axis=-1)
 
     w, make_grad2, c = _quadratic_hypothesis(np.linalg.norm(gfull, 2), sigma)
     hyp = HypothesisData(w=w, grad2_w=make_grad2(m), c_const=c, l1=0.0, l2=0.0)
-    return ModelSpec(m=m, d=d, z1=z1, z2=z2, jac_z1=jac_z1, jac_z2=jac_z2,
+    return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
                      sigma=sigma, b0=b0, epsilon=0.0, hypothesis=hyp,
                      hess_z1=_zero_hess(m, d), constant_jac_z1=True,
                      constant_jac_z2=True, drift_matrix=gfull,

@@ -3,7 +3,8 @@ import pytest
 
 from hypograd import control, estimator
 from hypograd.control import build_alpha, build_bridge, phi_parabolic, xi_case1
-from hypograd.flow import NoisePath, simulate_path, terminal_flow
+from hypograd.exprdrift import DriftExpr
+from hypograd.flow import simulate_path, terminal_flow
 from hypograd.model import builtin_model
 
 
@@ -35,7 +36,7 @@ def anticipative_spec():
 
 def control_chain_hdot(spec, x0, grid, increments, v, profile):
     """Full deterministic chain increments -> hdot for one path."""
-    states = simulate_path(spec, x0, grid, NoisePath(increments=increments))
+    states = simulate_path(spec, x0, grid, increments)
     k = terminal_flow(spec, states, grid)
     ad = build_alpha(spec, states, k, grid, v, profile)
     _, h_dot, _ = build_bridge(spec, states, k, ad, grid, v)
@@ -137,3 +138,58 @@ def guarded_solve_lapack(mats, rhs):
         bad = bad & ~ok2
     sol = np.where(bad[..., None], 0.0, np.nan_to_num(sol))
     return sol, ~bad
+
+
+def reference_blocks(spec):
+    """Block callables (z1, z2, jac_z1, jac_z2) as the model builders used to
+    pass them: numpy closures for the affine built-ins, and for expression
+    models one ``DriftExpr`` per block."""
+    m, n = spec.m, spec.dim
+    if spec.name in ("kinetic_ou", "integrator_chain"):
+        shp = lambda x: np.asarray(x).shape[:-1]
+        g = spec.drift_matrix
+        blocks = (g[:m, :m], g[:m, m:], g[m:, :m], g[m:, m:])
+        jac_z1 = lambda x: (np.broadcast_to(blocks[0], shp(x) + (m, m)),
+                            np.broadcast_to(blocks[1], shp(x) + (m, spec.d)))
+        jac_z2 = lambda x: (np.broadcast_to(blocks[2], shp(x) + (spec.d, m)),
+                            np.broadcast_to(blocks[3], shp(x) + (spec.d, spec.d)))
+        if spec.name == "kinetic_ou":
+            k_mat, g_mat = -g[m:, :m], -g[m:, m:]
+            z1 = lambda x: np.asarray(x, dtype=float)[..., m:]
+            z2 = lambda x: -x[..., :m] @ k_mat.T - x[..., m:] @ g_mat.T
+        else:
+            z1_lin, z2_lin = g[:m], g[m:]
+            off = spec.params.get("z2_off")
+            z2_off = np.zeros(spec.d) if off is None else np.asarray(off, dtype=float).ravel()
+            z1 = lambda x: np.asarray(x, dtype=float) @ z1_lin.T
+            z2 = lambda x: np.asarray(x, dtype=float) @ z2_lin.T + z2_off
+        return z1, z2, jac_z1, jac_z2
+    comps = spec.z.__self__.components
+    e1, e2 = DriftExpr(comps[:m], n), DriftExpr(comps[m:], n)
+
+    def jac_z1(x):
+        j = e1.jacobian(x)
+        return j[..., :m], j[..., m:]
+
+    def jac_z2(x):
+        j = e2.jacobian(x)
+        return j[..., :m], j[..., m:]
+
+    return e1.value, e2.value, jac_z1, jac_z2
+
+
+def reference_drift(spec, x):
+    """Full drift by concatenating the blocks (the former ``ModelSpec.drift``)."""
+    z1, z2, _, _ = reference_blocks(spec)
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([z1(x), z2(x)], axis=-1)
+
+
+def reference_full_jacobian(spec, x):
+    """Full Jacobian from the four blocks (the former ``ModelSpec.full_jacobian``)."""
+    _, _, jac_z1, jac_z2 = reference_blocks(spec)
+    j11, j12 = jac_z1(x)
+    j21, j22 = jac_z2(x)
+    top = np.concatenate([j11, j12], axis=-1)
+    bot = np.concatenate([j21, j22], axis=-1)
+    return np.concatenate([top, bot], axis=-2)

@@ -19,8 +19,8 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 closed_form_gradient, duality_gap, fd_gradient,
                                 gaussian_bump_f, linear_f, pathwise_gradient,
                                 quadratic_f)
-from hypograd.flow import (NoisePath, TimeGrid, refine_noise, sample_noise,
-                           simulate_path, terminal_flow)
+from hypograd.flow import (TimeGrid, refine_noise, sample_noise, simulate_path,
+                           terminal_flow)
 from hypograd.model import builtin_model
 from tests.conftest import case1_profile
 

@@ -7,7 +7,7 @@ from hypograd.control import (build_alpha, build_bridge, gramian_M, gramian_Q,
                               phi_parabolic, q_inverse_bound_ratio, xi_case1,
                               xi_case2)
 from hypograd.errors import NotApplicableError
-from hypograd.flow import NoisePath, TimeGrid, refine_noise, sample_noise, simulate_path, terminal_flow
+from hypograd.flow import TimeGrid, refine_noise, sample_noise, simulate_path, terminal_flow
 from hypograd.model import builtin_model
 from tests.conftest import (case1_profile, guarded_solve_lapack, same_bytes,
                             wide_values)
@@ -164,7 +164,7 @@ def test_alpha_boundary_values_exact(kinetic_spec):
 def test_alpha_zero_direction_gives_zero_control(kinetic_spec):
     grid = TimeGrid(1.0, 64)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
-                      NoisePath(np.zeros((64, 1))))
+                      np.zeros((64, 1)))
     k = terminal_flow(kinetic_spec, x, grid)
     prof = case1_profile(kinetic_spec, 1.0)
     ad = build_alpha(kinetic_spec, x, k, grid, np.zeros(2), prof)
@@ -236,7 +236,7 @@ def test_q_inverse_bound_on_paths(anticipative_spec):
     x = simulate_path(spec, np.array([0.3, -0.2]), grid,
                       sample_noise(grid, 1, rng, n_paths=8))
     k = terminal_flow(spec, x, grid)
-    a_nodes, _ = spec.jac_z1(x)
+    a_nodes = spec.dz(x)[..., :1, :1]
     cb = float(np.max(np.abs(a_nodes)))
     prof = case1_profile(spec, 0.5, c_bound=cb)
     phi, _ = phi_parabolic(0.5)
@@ -251,7 +251,7 @@ def test_linear_model_control_deterministic(chain_spec):
     x = simulate_path(chain_spec, np.array([0.4, -0.1, 0.3]), grid,
                       sample_noise(grid, 1, rng, n_paths=6))
     k = terminal_flow(chain_spec, x, grid)
-    prof = xi_case2(chain_spec.jac_z1(np.zeros(3))[0], chain_spec.b0,
+    prof = xi_case2(chain_spec.dz(np.zeros(3))[:2, :2], chain_spec.b0,
                     phi_parabolic(1.0), 1.0)
     v = np.array([1.0, 0.2, -0.5])
     ad = build_alpha(chain_spec, x, k, grid, v, prof)
@@ -265,7 +265,7 @@ def test_alpha_dot_gap_shrinks_with_refinement(kinetic_spec):
     for n_steps in (128, 1024):
         grid = TimeGrid(1.0, n_steps)
         x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
-                          NoisePath(np.zeros((n_steps, 1))))
+                          np.zeros((n_steps, 1)))
         k = terminal_flow(kinetic_spec, x, grid)
         ad = build_alpha(kinetic_spec, x, k, grid, np.array([1.0, 1.0]),
                          case1_profile(kinetic_spec, 1.0))
@@ -281,7 +281,7 @@ def test_case2_q_inverse_bound_on_chain(chain_spec):
     x = simulate_path(chain_spec, np.zeros(3), grid,
                       sample_noise(grid, 1, rng, n_paths=4))
     k = terminal_flow(chain_spec, x, grid)
-    prof = xi_case2(chain_spec.jac_z1(np.zeros(3))[0], chain_spec.b0,
+    prof = xi_case2(chain_spec.dz(np.zeros(3))[:2, :2], chain_spec.b0,
                     phi_parabolic(1.0), 1.0)
     phi, _ = phi_parabolic(1.0)
     q = gramian_Q(chain_spec, x, k, phi, grid)

@@ -13,7 +13,7 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 fd_gradient, gaussian_bump_f, indicator_f,
                                 ito_delta, linear_f, path_increments,
                                 pathwise_gradient, quadratic_f, skorokhod_delta)
-from hypograd.flow import NoisePath, TimeGrid, simulate_path
+from hypograd.flow import TimeGrid, simulate_path
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import (brute_force_divergence, case1_profile,
                             guarded_solve_lapack, pinv_stack_lapack,
@@ -28,8 +28,8 @@ KOU_TRUE_V2 = 0.5335071951146929   # (exp M)_12
 # ---------------------------------------------------------------------------
 
 def test_ito_delta_zero_integrand():
-    noise = NoisePath(np.random.default_rng(0).standard_normal((32, 2)))
-    assert ito_delta(np.zeros((32, 2)), noise) == 0.0
+    inc = np.random.default_rng(0).standard_normal((32, 2))
+    assert ito_delta(np.zeros((32, 2)), inc) == 0.0
 
 
 def test_ito_delta_gaussian_moments():
@@ -39,7 +39,7 @@ def test_ito_delta_gaussian_moments():
     h_dot = rng.standard_normal((64, 1))
     n = 100_000
     inc = rng.standard_normal((n, 64, 1)) * np.sqrt(grid.dt)
-    deltas = ito_delta(h_dot, NoisePath(inc))
+    deltas = ito_delta(h_dot, inc)
     var_true = float(np.sum(h_dot**2) * grid.dt)
     se_mean = np.sqrt(var_true / n)
     assert abs(np.mean(deltas)) <= 4 * se_mean
@@ -64,17 +64,17 @@ def test_skorokhod_equals_ito_for_adapted_chain():
     # constant jac_z1 forced through the anticipative machinery: every
     # sensitivity tensor vanishes, so the trace term is exactly zero
     base = builtin_model("kinetic_ou", {"m": 1})
-    forced = ModelSpec(m=1, d=1, z1=base.z1, z2=base.z2, jac_z1=base.jac_z1,
-                       jac_z2=base.jac_z2, sigma=base.sigma, b0=base.b0,
-                       epsilon=0.0, constant_jac_z1=False)  # hess via FD
+    forced = ModelSpec(m=1, d=1, z=base.z, dz=base.dz, sigma=base.sigma,
+                       b0=base.b0, epsilon=0.0, hess_z1=base.hess_z1,
+                       constant_jac_z1=False)
     grid = TimeGrid(1.0, 32)
     inc = path_increments(grid, 1, 7, 0, 16)
     prof = case1_profile(base, 1.0)
     v = np.array([0.8, -0.6])
     d_forced, corr = skorokhod_delta(forced, np.array([1.0, 1.0]), grid,
-                                     NoisePath(inc), v, prof, return_parts=True)
+                                     inc, v, prof, return_parts=True)
     d_fast = skorokhod_delta(base, np.array([1.0, 1.0]), grid,
-                             NoisePath(inc), v, prof)
+                             inc, v, prof)
     assert np.max(np.abs(corr)) <= 1e-8
     assert np.max(np.abs(d_forced - d_fast)) <= 1e-8
 
@@ -91,7 +91,7 @@ def test_skorokhod_trace_matches_brute_force(anticipative_spec, v):
     for _ in range(3):
         w = rng.standard_normal((12, 1)) * np.sqrt(grid.dt)
         oracle = brute_force_divergence(spec, x0, grid, w, v, prof)
-        fast = skorokhod_delta(spec, x0, grid, NoisePath(w), v, prof)
+        fast = skorokhod_delta(spec, x0, grid, w, v, prof)
         assert abs(oracle - fast) <= 1e-7 * max(1.0, abs(oracle))
 
 
@@ -102,6 +102,17 @@ def test_pinv_stack_matches_pinv_when_well_conditioned(n):
     got = estimator._pinv_stack(mats)
     ref = np.linalg.pinv(mats, rcond=1e-13)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_svd_pinv_drops_subnormal_singular_value_silently():
+    # 1/s used to be taken before the cut, so a dropped subnormal s overflowed
+    mats = np.diag([1.0, 1e-310])[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimator._svd_pinv(mats, 1e-13)
+        lone = estimator._svd_pinv(np.full((1, 1, 1), 1e-310), 1e-13)
+    assert same_bytes(got, np.diag([1.0, 0.0])[None])
+    assert lone[0, 0, 0] == np.inf          # kept: its reciprocal overflows
 
 
 def _count_svd_members(monkeypatch):
@@ -185,7 +196,7 @@ def _chain_outputs(spec):
     grid = TimeGrid(0.5, 16)
     weights = default_weights(spec, grid, c_bound=3.0)
     inc = path_increments(grid, spec.d, 3, 0, 40)
-    out = [skorokhod_delta(spec, x0, grid, NoisePath(inc), v, weights)]
+    out = [skorokhod_delta(spec, x0, grid, inc, v, weights)]
     for antithetic in (False, True):
         cfg = EstimatorConfig(n_paths=120, master_seed=5, method="bismut_skorokhod",
                               chunk_size=50, antithetic=antithetic)
@@ -218,6 +229,16 @@ def test_chain_bitwise_with_lapack_inverses_and_solves(which, anticipative_spec,
     monkeypatch.setattr(control, "_guarded_solve", solve)
     assert _chain_outputs(spec) == fast
     assert calls["pinv"] > 0 and calls["solve"] > 0
+
+
+def test_skorokhod_trace_needs_hess_z1(anticipative_spec):
+    import dataclasses
+    spec = dataclasses.replace(anticipative_spec, hess_z1=None)
+    grid = TimeGrid(0.5, 8)
+    inc = path_increments(grid, 1, 3, 0, 4)
+    with pytest.raises(MethodMisuseError, match="hess_z1"):
+        skorokhod_delta(spec, [0.3, -0.2], grid, inc, [0.7, -0.4],
+                        case1_profile(spec, 0.5, c_bound=3.0))
 
 
 def test_bismut_ito_rejects_anticipative_model(anticipative_spec):
@@ -597,6 +618,46 @@ def test_run_degenerate_on_explosive_model():
                         grid, cfg)
 
 
+@pytest.mark.parametrize("driver", ["bismut", "pathwise", "fd", "expectation",
+                                    "duality"])
+def test_every_driver_enforces_reject_limit(driver, anticipative_spec, monkeypatch):
+    # NaN increments make a path non-finite; 1 path in 2000 is within
+    # MAX_REJECT_FRACTION, 3 are not.  duality_gap used to drop them silently.
+    grid = TimeGrid(0.5, 8)
+    x0, v = [0.3, -0.2], [0.7, -0.4]
+    f = quadratic_f(np.eye(2))
+    runs = {
+        "bismut": lambda cfg: bismut_gradient(anticipative_spec, x0, v, f, grid, cfg),
+        "pathwise": lambda cfg: pathwise_gradient(anticipative_spec, x0, v, f, grid, cfg),
+        "fd": lambda cfg: fd_gradient(anticipative_spec, x0, v, f, grid, cfg),
+        "expectation": lambda cfg: expectation(anticipative_spec, x0, f, grid, cfg),
+        "duality": lambda cfg: duality_gap(anticipative_spec, x0, v, f, grid, cfg),
+    }
+    cfg = EstimatorConfig(n_paths=2000, master_seed=1, method="bismut_skorokhod",
+                          c_bound=3.0, chunk_size=500)
+    clean = runs[driver](cfg)
+    for bad_paths, raises in (((7,), False), ((7, 900, 1999), True)):
+        def poisoned(*args, _orig=path_increments, _bad=bad_paths, **kwargs):
+            out = _orig(*args, **kwargs)
+            start = args[3]
+            for idx in _bad:
+                if start <= idx < start + len(out):
+                    out[idx - start, 2, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(estimator, "path_increments", poisoned)
+        if raises:
+            with pytest.raises(RunDegenerateError, match="3/2000 paths rejected"):
+                runs[driver](cfg)
+        else:
+            got = runs[driver](cfg)
+            if driver in ("bismut", "pathwise", "fd"):
+                assert got.rejected == 1 and got.n_effective == 1999
+                assert got.value != clean.value
+            else:
+                assert got[0] != clean[0]
+
+
 def test_default_weights_selects_case(kinetic_spec, chain_spec):
     grid = TimeGrid(1.0, 32)
     assert default_weights(kinetic_spec, grid).xi_case == "case1"
@@ -645,7 +706,7 @@ def test_skorokhod_trace_multidimensional(model_cfg, x0):
         v = rng.standard_normal(spec.dim)
         w = rng.standard_normal((n_steps, spec.d)) * np.sqrt(grid.dt)
         oracle = brute_force_divergence(spec, x0, grid, w, v, prof)
-        fast = float(skorokhod_delta(spec, x0, grid, NoisePath(w), v, prof))
+        fast = float(skorokhod_delta(spec, x0, grid, w, v, prof))
         assert abs(oracle - fast) <= 1e-6 * max(1.0, abs(oracle))
 
 
@@ -684,7 +745,7 @@ def test_chain_bitwise_with_and_without_shared_jacobian(which, anticipative_spec
     x0, v = np.array([0.3, -0.2]), np.array([0.7, -0.4])
     grid = TimeGrid(0.5, 16)
     inc = path_increments(grid, spec.d, 3, 0, 24)
-    states = np.ascontiguousarray(simulate_path(spec, x0, grid, NoisePath(inc)))
+    states = np.ascontiguousarray(simulate_path(spec, x0, grid, inc))
     weights = default_weights(spec, grid, c_bound=3.0)
     jac = spec.full_jacobian(states)
 

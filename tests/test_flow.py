@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hypograd.flow import (NoisePath, TimeGrid, directional_jacobian,
+from hypograd.flow import (TimeGrid, directional_jacobian,
                            first_bad_step, full_jacobian_flow, refine_noise,
                            sample_noise, simulate_path, terminal_flow,
                            valid_mask)
@@ -25,29 +25,21 @@ def test_expm_oracle_agrees_with_scipy():
 def _zero_drift_spec(d=2):
     m = 1
 
-    def z1(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (m,))
+    def z(x):
+        return np.zeros(np.asarray(x).shape[:-1] + (m + d,))
 
-    def z2(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (d,))
+    def dz(x):
+        return np.zeros(np.asarray(x).shape[:-1] + (m + d, m + d))
 
-    def jac_z1(x):
-        shp = np.asarray(x).shape[:-1]
-        return np.zeros(shp + (m, m)), np.zeros(shp + (m, d))
-
-    def jac_z2(x):
-        shp = np.asarray(x).shape[:-1]
-        return np.zeros(shp + (d, m)), np.zeros(shp + (d, d))
-
-    return ModelSpec(m=m, d=d, z1=z1, z2=z2, jac_z1=jac_z1, jac_z2=jac_z2,
-                     sigma=2.0 * np.eye(d), b0=np.ones((m, d)), epsilon=0.0)
+    return ModelSpec(m=m, d=d, z=z, dz=dz, sigma=2.0 * np.eye(d),
+                     b0=np.ones((m, d)), epsilon=0.0)
 
 
 def test_zero_drift_zero_noise_constant_path():
     spec = _zero_drift_spec()
     grid = TimeGrid(1.0, 16)
     x0 = np.array([0.3, -0.2, 1.0])
-    x = simulate_path(spec, x0, grid, NoisePath(np.zeros((16, 2))))
+    x = simulate_path(spec, x0, grid, np.zeros((16, 2)))
     assert np.array_equal(x, np.tile(x0, (17, 1)))
 
 
@@ -56,7 +48,7 @@ def test_single_step_pure_diffusion():
     spec = _zero_drift_spec()
     grid = TimeGrid(0.5, 1)
     inc = np.ones((1, 2))
-    x = simulate_path(spec, np.zeros(3), grid, NoisePath(inc))
+    x = simulate_path(spec, np.zeros(3), grid, inc)
     assert np.array_equal(x[1], [0.0, 2.0, 2.0])
 
 
@@ -64,7 +56,7 @@ def test_kinetic_ou_deterministic_flow_matches_expm():
     spec = builtin_model("kinetic_ou", {"m": 1})
     grid = TimeGrid(1.0, 4096)
     x = simulate_path(spec, np.array([1.0, 0.0]), grid,
-                      NoisePath(np.zeros((4096, 1))))
+                      np.zeros((4096, 1)))
     assert np.linalg.norm(x[-1] - KOU_EXP @ [1.0, 0.0]) <= 5e-3
 
 
@@ -93,7 +85,7 @@ def test_discrete_cocycle_reconstruction(chain_spec):
     x = simulate_path(chain_spec, np.array([0.2, -0.1, 0.4]), grid,
                       sample_noise(grid, 1, rng))
     k = terminal_flow(chain_spec, x, grid)
-    a_nodes, _ = chain_spec.jac_z1(x)
+    a_nodes = chain_spec.dz(x)[..., :2, :2]
     for i in [0, 13, 64, 127]:
         p_i = np.eye(2) + grid.dt * a_nodes[i]
         recon = k[i + 1] @ p_i
@@ -106,7 +98,7 @@ def test_cocycle_spot_products(chain_spec):
     rng = np.random.default_rng(3)
     x = simulate_path(chain_spec, np.zeros(3), grid, sample_noise(grid, 1, rng))
     k = terminal_flow(chain_spec, x, grid)
-    a_nodes, _ = chain_spec.jac_z1(x)
+    a_nodes = chain_spec.dz(x)[..., :2, :2]
     i, j = 10, 40
     kji = np.eye(2)
     for r in range(j - 1, i - 1, -1):
@@ -120,7 +112,7 @@ def test_directional_jacobian_linear_exponential(kinetic_spec):
     x = simulate_path(kinetic_spec, np.array([1.0, 0.0]), grid,
                       sample_noise(grid, 1, rng))
     jac = directional_jacobian(kinetic_spec, x, grid, np.array([1.0, 0.0]))
-    assert np.linalg.norm(jac[-1] - KOU_EXP @ [1.0, 0.0]) <= 5e-3
+    assert np.linalg.norm(jac - KOU_EXP @ [1.0, 0.0]) <= 5e-3
 
 
 def test_directional_jacobian_constant_for_zero_drift():
@@ -130,7 +122,7 @@ def test_directional_jacobian_constant_for_zero_drift():
     x = simulate_path(spec, np.zeros(3), grid, sample_noise(grid, 2, rng))
     v = np.array([0.3, -1.0, 0.5])
     jac = directional_jacobian(spec, x, grid, v)
-    assert np.array_equal(jac, np.tile(v, (33, 1)))
+    assert np.array_equal(jac, v)
 
 
 @settings(max_examples=20, deadline=None)
@@ -156,7 +148,7 @@ def test_linear_model_jacobian_noise_independent(chain_spec):
     noise = sample_noise(grid, 1, rng, n_paths=8)
     x = simulate_path(chain_spec, np.zeros(3), grid, noise)
     jac = directional_jacobian(chain_spec, x, grid, np.array([1.0, 0.5, -0.2]))
-    spread = np.max(np.abs(jac[:, -1] - jac[0, -1]))
+    spread = np.max(np.abs(jac - jac[0]))
     assert spread <= 1e-12
 
 
@@ -185,15 +177,15 @@ def test_refined_noise_consistency():
     noise = sample_noise(grid, 2, rng)
     fine, fgrid = refine_noise(noise, grid, rng)
     assert fgrid.n_steps == 32
-    paired = fine.increments.reshape(16, 2, 2).sum(axis=1)
-    assert np.allclose(paired, noise.increments, atol=1e-15)
+    paired = fine.reshape(16, 2, 2).sum(axis=1)
+    assert np.allclose(paired, noise, atol=1e-15)
 
 
 def test_invalid_path_detection():
     spec = builtin_model("hamiltonian", {"v_expr": "-10*x1^4"})  # explosive
     grid = TimeGrid(5.0, 64)
     x = simulate_path(spec, np.array([3.0, 3.0]), grid,
-                      NoisePath(np.zeros((64, 1))))
+                      np.zeros((64, 1)))
     assert not valid_mask(x)
     assert first_bad_step(x) > 0
 
@@ -206,7 +198,7 @@ def test_full_jacobian_flow_matches_directional(hamiltonian_spec):
     phi = full_jacobian_flow(hamiltonian_spec, x, grid)
     v = np.array([0.7, 0.2])
     jac = directional_jacobian(hamiltonian_spec, x, grid, v)
-    assert np.allclose(phi[-1] @ v, jac[-1], rtol=1e-12)
+    assert np.allclose(phi[-1] @ v, jac, rtol=1e-12)
 
 
 def test_single_path_flow_shapes(kinetic_spec):
@@ -219,7 +211,7 @@ def test_single_path_flow_shapes(kinetic_spec):
     assert bool(valid_mask(x))
     assert x.shape == (33, 2)
     assert k.shape == (33, 1, 1)
-    assert jac.shape == (33, 2)
+    assert jac.shape == (2,)
     assert np.array_equal(k[-1], np.eye(1))
 
 
@@ -248,10 +240,10 @@ def test_simulate_path_matches_path_major_loop(params):
     for n_paths in (1, 2, 37):
         inc = rng.standard_normal((n_paths, 24, spec.d)) * np.sqrt(grid.dt)
         ref = _simulate_path_major(spec, x0, grid, inc)
-        got = simulate_path(spec, x0, grid, NoisePath(inc))
+        got = simulate_path(spec, x0, grid, inc)
         assert got.shape == ref.shape
         assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
-        one = simulate_path(spec, x0, grid, NoisePath(inc[0]))
+        one = simulate_path(spec, x0, grid, inc[0])
         assert one.shape == (25, spec.dim)
         assert np.ascontiguousarray(one).tobytes() == ref[0].tobytes()
 

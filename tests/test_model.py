@@ -4,6 +4,7 @@ import pytest
 from hypograd.errors import ConfigurationError
 from hypograd.model import (HypothesisData, ModelSpec, builtin_model,
                             builtin_schemas, drift_split, validate_model)
+from tests.conftest import reference_drift, reference_full_jacobian
 
 BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
@@ -13,23 +14,21 @@ def test_kinetic_ou_drift_matrix():
     spec = builtin_model("kinetic_ou", {"m": 1})
     assert np.allclose(spec.drift_matrix, [[0.0, 1.0], [-1.0, -1.0]])
     x = np.array([[0.7, -0.3]])
-    assert np.allclose(spec.z1(x), [[-0.3]])
-    assert np.allclose(spec.z2(x), [[-0.7 + 0.3]])
+    assert np.allclose(spec.drift(x), [[-0.3, -0.7 + 0.3]])
 
 
 def test_hamiltonian_free_particle():
     # M = I, V = 0, F = 0: Z1 = y, Z2 = 0
     spec = builtin_model("hamiltonian", {"v_expr": "0", "m": 1})
     x = np.array([[1.3, -2.1]])
-    assert np.allclose(spec.z1(x), [[-2.1]])
-    assert np.allclose(spec.z2(x), [[0.0]])
+    assert np.allclose(spec.drift(x), [[-2.1, 0.0]])
 
 
 def test_integrator_chain_kalman_rank():
     from hypograd.analysis import kalman_index
     spec = builtin_model("integrator_chain", {"a": [[0, 1], [0, 0]],
                                               "b0": [[0], [1]]})
-    a_mat = spec.jac_z1(np.zeros(3))[0]
+    a_mat = spec.dz(np.zeros(3))[:2, :2]
     assert kalman_index(a_mat, spec.b0).k == 1
 
 
@@ -72,22 +71,15 @@ def test_domination_mass_matrix_case():
 def test_domination_failure_witnessed():
     # m=d=1, Z1(x,y) = -y so d2Z1 = -1; declared B0 = +1, eps = 0.5:
     # B = -2 and <B B0 a, a> = -2 a^2 < -0.5 a^2 -> check fails
-    def z1(x):
-        return -np.asarray(x)[..., 1:]
+    def z(x):
+        return -np.asarray(x)[..., ::-1]
 
-    def z2(x):
-        return -np.asarray(x)[..., :1]
+    def dz(x):
+        jac = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        return np.broadcast_to(jac, np.asarray(x).shape[:-1] + (2, 2))
 
-    def jac_z1(x):
-        shp = np.asarray(x).shape[:-1]
-        return (np.zeros(shp + (1, 1)), np.broadcast_to(-np.eye(1), shp + (1, 1)))
-
-    def jac_z2(x):
-        shp = np.asarray(x).shape[:-1]
-        return (np.broadcast_to(-np.eye(1), shp + (1, 1)), np.zeros(shp + (1, 1)))
-
-    spec = ModelSpec(m=1, d=1, z1=z1, z2=z2, jac_z1=jac_z1, jac_z2=jac_z2,
-                     sigma=np.eye(1), b0=np.eye(1), epsilon=0.5)
+    spec = ModelSpec(m=1, d=1, z=z, dz=dz, sigma=np.eye(1), b0=np.eye(1),
+                     epsilon=0.5)
     report = validate_model(spec, BOX, n_samples=16, seed=0)
     dom = {c.name: c for c in report.checks}["domination"]
     assert not dom.passed
@@ -101,8 +93,7 @@ def test_drift_split_exact():
                                          "c_mass": 1.0})
     x = np.array([[0.5, 1.0], [-0.2, 0.1]])
     b = drift_split(spec, x)
-    _, j12 = spec.jac_z1(x)
-    assert np.array_equal(b + spec.b0, j12)
+    assert np.array_equal(b + spec.b0, spec.dz(x)[..., :1, 1:])
 
 
 def test_hypothesis_checks_run():
@@ -116,9 +107,8 @@ def test_hypothesis_checks_run():
 
 def test_singular_sigma_is_hard_failure():
     spec = builtin_model("kinetic_ou", {"m": 1})
-    bad = ModelSpec(m=1, d=1, z1=spec.z1, z2=spec.z2, jac_z1=spec.jac_z1,
-                    jac_z2=spec.jac_z2, sigma=np.zeros((1, 1)), b0=np.eye(1),
-                    epsilon=0.0)
+    bad = ModelSpec(m=1, d=1, z=spec.z, dz=spec.dz, sigma=np.zeros((1, 1)),
+                    b0=np.eye(1), epsilon=0.0)
     with pytest.raises(ConfigurationError):
         validate_model(bad, BOX, n_samples=8, seed=0)
 
@@ -134,8 +124,8 @@ def test_bad_parameters_rejected():
         builtin_model("hamiltonian", {"v_expr": "0", "m": 2,
                                       "mass_expr": "1 + x1^2"})
     with pytest.raises(ConfigurationError):
-        ModelSpec(m=1, d=1, z1=None, z2=None, jac_z1=None, jac_z2=None,
-                  sigma=np.eye(1), b0=np.eye(1), epsilon=1.0)
+        ModelSpec(m=1, d=1, z=None, dz=None, sigma=np.eye(1), b0=np.eye(1),
+                  epsilon=1.0)
 
 
 def test_hypothesis_field_validation():
@@ -151,3 +141,56 @@ def test_schema_listing_stable():
     assert set(first) == {"kinetic_ou", "hamiltonian", "integrator_chain"}
     for sch in first.values():
         assert "required" in sch and "optional" in sch
+
+
+def _custom_config_spec():
+    from pathlib import Path
+
+    from hypograd.cli import build_model, load_config
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "estimate_custom.json")
+    return build_model(cfg["model"])
+
+
+@pytest.mark.parametrize("name,params", [
+    ("kinetic_ou", {"m": 1}),
+    ("kinetic_ou", {"m": 2, "k": [[1.0, 0.3], [0.2, 1.5]],
+                    "gamma": [[0.7, 0.1], [0.0, 1.2]], "sigma": [[1.0, 0.3], [0.2, 0.8]]}),
+    ("integrator_chain", {"a": [[0.0, 1.0], [0.0, 0.0]], "b0": [[0.0], [1.0]]}),
+    ("integrator_chain", {"a": [[0.1, 1.0], [-0.3, 0.2]], "b0": [[0.5, 0.0], [0.2, 1.0]],
+                          "z2_lin": [[-1.0, 0.2, -0.7, 0.1], [0.3, -0.4, 0.0, -1.1]],
+                          "z2_off": [0.25, -0.5]}),
+    ("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4"}),
+    ("hamiltonian", {"v_expr": "0.5*x1^2 + 0.3*x2^2 + 0.1*x1*x2^3", "m": 2,
+                     "friction": 0.4, "sigma": [[1.0, 0.2], [0.3, 0.8]]}),
+    ("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4", "mass_expr": "1 + 0.2*x1^2",
+                     "c_mass": 1.0}),
+    ("custom", None),
+])
+def test_drift_and_jacobian_match_block_reference(name, params):
+    # one drift and one Jacobian callable give the bytes the former
+    # block-concatenating drift/full_jacobian gave
+    spec = _custom_config_spec() if name == "custom" else builtin_model(name, params)
+    rng = np.random.default_rng(3)
+    bulk = rng.standard_normal((5, 7, spec.dim))
+    inputs = {
+        "batched": bulk,
+        "paths": bulk[:, 0],
+        "single": bulk[2, 3],
+        "strided": np.swapaxes(np.swapaxes(bulk, 0, 1).copy(), 0, 1)[:, ::2],
+    }
+    for label, x in inputs.items():
+        for got, ref in ((spec.drift(x), reference_drift(spec, x)),
+                         (spec.full_jacobian(x), reference_full_jacobian(spec, x))):
+            assert got.shape == ref.shape, label
+            assert got.tobytes() == ref.tobytes(), label
+
+
+def test_validate_rejects_wrong_shapes():
+    spec = builtin_model("kinetic_ou", {"m": 1})
+    short_z = ModelSpec(m=1, d=1, z=lambda x: spec.z(x)[..., :1], dz=spec.dz,
+                        sigma=np.eye(1), b0=np.eye(1), epsilon=0.0)
+    flat_dz = ModelSpec(m=1, d=1, z=spec.z, dz=lambda x: spec.dz(x)[..., :1],
+                        sigma=np.eye(1), b0=np.eye(1), epsilon=0.0)
+    for bad, what in ((short_z, "z returns dimension 1"), (flat_dz, "dz must return")):
+        with pytest.raises(ConfigurationError, match=what):
+            validate_model(bad, BOX, n_samples=8, seed=0)

@@ -15,7 +15,7 @@ from .control import (WeightProfile, build_alpha, build_bridge, gramian_M,
                       gramian_Q, phi_parabolic, q_inverse_bound_ratio, xi_case1,
                       xi_case2)
 from .errors import (ConfigurationError, HypogradError, MethodMisuseError,
-                     NotApplicableError, PathDegenerateError, RunDegenerateError)
+                     NotApplicableError, RunDegenerateError)
 from .estimator import (EstimatorConfig, GradientEstimate, TestFunction,
                         bismut_gradient, closed_form_gradient, default_weights,
                         duality_gap, fd_gradient, gaussian_bump_f, indicator_f,

@@ -12,16 +12,17 @@ check the inequality on a fresh sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.stats import t as student_t
 
+from .control import numerical_rank
 from .errors import ConfigurationError, MethodMisuseError, NotApplicableError
-from .estimator import (EstimatorConfig, TestFunction, bismut_gradient,
-                        covariance_flow, default_weights, expectation)
+from .estimator import (TestFunction, bismut_gradient, covariance_flow,
+                        default_weights, expectation)
 from .flow import TimeGrid
 
 __all__ = [
@@ -50,8 +51,8 @@ class KalmanResult:
 def kalman_index(a_matrix, b0):
     """Minimal k with Rank[B0, AB0, ..., A^kB0] = m, if any.
 
-    Ranks use an SVD cutoff tau = m * ||block|| * eps * 2^6; k is absent when
-    even the full block falls short of rank m.
+    Ranks are ``control.numerical_rank``'s (SVD cutoff m * ||block|| * eps *
+    2^6); k is absent when even the full block falls short of rank m.
     """
     a_mat = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     b0 = np.atleast_2d(np.asarray(b0, dtype=float))
@@ -64,10 +65,7 @@ def kalman_index(a_matrix, b0):
     for j in range(m):
         if j > 0:
             blocks.append(a_mat @ blocks[-1])
-        stack = np.concatenate(blocks, axis=1)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        tau = m * (sv[0] if sv.size else 0.0) * np.finfo(float).eps * 64
-        r = int(np.sum(sv > tau))
+        r, sv = numerical_rank(np.concatenate(blocks, axis=1))
         ranks.append(r)
         smallest.append(float(sv[r - 1]) if r > 0 else 0.0)
         if r == m and k is None:
@@ -171,9 +169,7 @@ def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512, c_bound=None):
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     t_grid = np.asarray(t_grid, dtype=float)
-    sv = np.linalg.svd(spec.b0, compute_uv=False)
-    full_rank = sv.size >= spec.m and sv[spec.m - 1] > 64 * spec.m * sv[0] * np.finfo(float).eps
-    if full_rank:
+    if numerical_rank(spec.b0)[0] == spec.m:
         expo = -1.5
         k_idx = 0
     else:
@@ -192,10 +188,8 @@ def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512, c_bound=None):
     for t_final in t_grid:
         grid = TimeGrid(float(t_final), n_steps)
         weights = default_weights(spec, grid, c_bound=c_bound)
-        run_cfg = EstimatorConfig(n_paths=cfg.n_paths, master_seed=cfg.master_seed,
-                                  method=method, antithetic=cfg.antithetic,
-                                  n_threads=cfg.n_threads, chunk_size=cfg.chunk_size)
-        est = bismut_gradient(spec, x0, v, f, grid, run_cfg, weights=weights)
+        est = bismut_gradient(spec, x0, v, f, grid, replace(cfg, method=method),
+                              weights=weights)
         if constant_f:
             zero_ok.append(abs(est.value) <= 4.0 * est.std_error + 1e-12)
             continue

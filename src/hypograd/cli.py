@@ -202,18 +202,16 @@ def _exp_estimate(spec, cfg, run_cfg):
     f = build_test_function(cfg["f"])
     grid = TimeGrid(float(cfg["grid"]["t_final"]), int(cfg["grid"]["n_steps"]))
     method = run_cfg.method
+    if method == "closed_form":
+        value = _est.closed_form_gradient(spec, x0, v, f, grid.t_final)
+        return {"value": value, "std_error": 0.0, "n_effective": 0,
+                "rejected": 0}, None, 0
     if method in ("bismut_ito", "bismut_skorokhod"):
         est = _est.bismut_gradient(spec, x0, v, f, grid, run_cfg)
     elif method == "pathwise":
         est = _est.pathwise_gradient(spec, x0, v, f, grid, run_cfg)
-    elif method == "finite_difference":
+    else:                                   # EstimatorConfig admits no other method
         est = _est.fd_gradient(spec, x0, v, f, grid, run_cfg)
-    elif method == "closed_form":
-        value = _est.closed_form_gradient(spec, x0, v, f, grid.t_final)
-        return {"value": value, "std_error": 0.0, "n_effective": 0,
-                "rejected": 0}, None, 0
-    else:
-        raise ConfigurationError(f"method {method!r} not runnable via estimate")
     metrics = {
         "value": est.value, "std_error": est.std_error,
         "weight_l2": est.weight_l2,

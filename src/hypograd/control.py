@@ -17,7 +17,10 @@ shifted path derivative matches the directional derivative up to the g_N
 defect exactly (see tests).  The analytic rate, which uses
 d/dt K(T,t) = -K(T,t) d1Z1(X_t), is also computed and the gap is reported.
 
-All operations are vectorized over a leading batch-of-paths axis.
+All operations take a batch of paths: flows K(T, t_i) are (B, N+1, m, m),
+and in place of the states each function takes the node Jacobian
+``jac`` = DZ(X) of shape (B, N+1, n, n), which the caller evaluates once
+for the whole chain.  One path is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigurationError, NotApplicableError
-from .flow import node_jacobian
 
 __all__ = [
     "WeightProfile",
@@ -46,6 +48,15 @@ __all__ = [
 _SOLVE_RESIDUAL_TOL = 1e-8
 _REG_SCALE = 1e-12
 _XI_HAIRCUT = 0.05
+_XI_N_CALIB = 64
+
+
+def numerical_rank(mat):
+    """Rank of an m-row matrix under the SVD cutoff m * s_max * eps * 2^6,
+    with its singular values (descending)."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    tau = mat.shape[0] * (sv[0] if sv.size else 0.0) * np.finfo(float).eps * 64
+    return int(np.sum(sv > tau)), sv
 
 
 def phi_parabolic(t_final):
@@ -72,7 +83,8 @@ class WeightProfile:
     by rate analysis; ``xi_grid`` returns the discretization-consistent node
     values used inside the control build and the Q-inverse bound (for case 1
     the per-step flow-decay product, for case 2 the closed form clipped by
-    the deterministic discrete Gramian floor).
+    the deterministic discrete Gramian floor).  ``xi_case`` is "case1" or
+    "case2".
     """
 
     t_final: float
@@ -95,12 +107,10 @@ class WeightProfile:
             integrand = self.phi(nodes) * decay
             out = np.concatenate([[0.0], np.cumsum(integrand[:-1]) * dt])
             return cp**2 * out
-        if self.xi_case == "case2":
-            vals = np.asarray(self.xi(nodes), dtype=float)
-            floor = _discrete_gramian_floor(self.meta["a_matrix"], self.meta["b0"],
-                                            self.phi, grid)
-            return np.minimum(vals, floor)
-        return np.asarray(self.xi(nodes), dtype=float)
+        vals = np.asarray(self.xi(nodes), dtype=float)
+        floor = _discrete_gramian_floor(self.meta["a_matrix"], self.meta["b0"],
+                                        self.phi, grid)
+        return np.minimum(vals, floor)
 
 
 def _discrete_gramian_floor(a_mat, b0, phi, grid):
@@ -112,84 +122,56 @@ def _discrete_gramian_floor(a_mat, b0, phi, grid):
     p_step = np.eye(m) + grid.dt * a_mat
     for i in range(n - 1, -1, -1):
         k[i] = k[i + 1] @ p_step
-    kb = k @ b0
-    integ = phi(grid.nodes)[:, None, None] * (kb @ np.swapaxes(kb, -1, -2)) * grid.dt
-    gram = np.concatenate([np.zeros((1, m, m)), np.cumsum(integ[:-1], axis=0)])
-    gram = 0.5 * (gram + np.swapaxes(gram, -1, -2))
-    return np.linalg.eigvalsh(gram)[:, 0]
+    return np.linalg.eigvalsh(gramian_M(k[None], b0, phi, grid)[0])[:, 0]
 
 
-def _as_batch(arr, core_ndim):
-    arr = np.asarray(arr, dtype=float)
-    single = arr.ndim == core_ndim
-    return (arr[None] if single else arr), single
-
-
-def gramian_M(k_flow, b0, phi, grid, t_index=None):
+def gramian_M(k_flow, b0, phi, grid):
     """Controllability-style Gramian of the constant part B0.
 
     Left-endpoint sum M_{t_i} = sum_{j<i} phi(t_j) K(T,t_j) B0 B0^T
-    K(T,t_j)^* dt, symmetrized against round-off.  Returns all nodes
-    (shape (..., N+1, m, m)) or a single node when ``t_index`` is given.
+    K(T,t_j)^* dt at every node, symmetrized against round-off.  Flows
+    (B, N+1, m, m) give (B, N+1, m, m).
     """
-    k, single = _as_batch(k_flow, 3)
     b0 = np.atleast_2d(np.asarray(b0, dtype=float))
-    phi_vals = phi(grid.nodes) if callable(phi) else np.asarray(phi, dtype=float)
-    kb = k @ b0
-    integ = phi_vals[:, None, None] * (kb @ np.swapaxes(kb, -1, -2)) * grid.dt
+    kb = k_flow @ b0
+    integ = phi(grid.nodes)[:, None, None] * (kb @ np.swapaxes(kb, -1, -2)) * grid.dt
     m = b0.shape[0]
-    gram = np.concatenate([np.zeros(k.shape[:1] + (1, m, m)),
+    gram = np.concatenate([np.zeros(k_flow.shape[:1] + (1, m, m)),
                            np.cumsum(integ[:, :-1], axis=1)], axis=1)
-    gram = 0.5 * (gram + np.swapaxes(gram, -1, -2))
-    if single:
-        gram = gram[0]
-    return gram if t_index is None else gram[..., t_index, :, :]
+    return 0.5 * (gram + np.swapaxes(gram, -1, -2))
 
 
-def gramian_Q(spec, states, k_flow, phi, grid, t_index=None, jac=None):
+def gramian_Q(spec, jac, k_flow, phi, grid):
     """Gramian with the full cross Jacobian d2Z1(X_s) in place of B0.
 
-    Not symmetrized: Q_t is not symmetric in general.  ``jac`` is the node
-    Jacobian of ``flow.node_jacobian``, evaluated here when not given.
+    Not symmetrized: Q_t is not symmetric in general.  Shape (B, N+1, m, m).
     """
-    x, single_x = _as_batch(states, 2)
-    k, _ = _as_batch(k_flow, 3)
-    phi_vals = phi(grid.nodes) if callable(phi) else np.asarray(phi, dtype=float)
-    c_nodes = node_jacobian(spec, x, jac)[..., :spec.m, spec.m:]   # (B, N+1, m, d)
-    kc = k @ c_nodes                                   # K C
-    kb = k @ spec.b0                                   # K B0
-    integ = phi_vals[:, None, None] * (kc @ np.swapaxes(kb, -1, -2)) * grid.dt
     m = spec.m
-    gram = np.concatenate([np.zeros(x.shape[:1] + (1, m, m)),
+    kc = k_flow @ jac[..., :m, m:]                     # K C
+    kb = k_flow @ spec.b0                              # K B0
+    integ = phi(grid.nodes)[:, None, None] * (kc @ np.swapaxes(kb, -1, -2)) * grid.dt
+    return np.concatenate([np.zeros(jac.shape[:1] + (1, m, m)),
                            np.cumsum(integ[:, :-1], axis=1)], axis=1)
-    if single_x:
-        gram = gram[0]
-    return gram if t_index is None else gram[..., t_index, :, :]
 
 
-def xi_case1(k_flow, b0, phi, c_bound, t_final, grid=None):
+def xi_case1(b0, phi, c_bound, t_final):
     """Gramian floor for the full-rank case Rank(B0) = m.
 
     xi(t) = c'^2 int_0^t phi(s) exp(-2 c_bound (T-s)) ds with c' the smallest
     singular value of B0, following the flow bound |K(T,s)^* a| >=
-    exp(-C(T-s)) |a|.  When sample flows are given (with their grid) the
-    discrete floor is checked against them and the margin recorded.
+    exp(-C(T-s)) |a|.  ``phi`` is the (phi, phi_dot) pair.
     """
     b0 = np.atleast_2d(np.asarray(b0, dtype=float))
     m = b0.shape[0]
-    svals = np.linalg.svd(b0, compute_uv=False)
-    if len(svals) < m or svals[m - 1] <= m * svals[0] * np.finfo(float).eps * 64:
+    rank, svals = numerical_rank(b0)
+    if rank < m:
         raise NotApplicableError("xi_case1 requires Rank(B0) = m; use xi_case2")
     c_prime = float(svals[m - 1])
     cb = float(c_bound)
     if cb < 0:
         raise ConfigurationError("c_bound must be >= 0")
     T = float(t_final)
-    if callable(phi):
-        phi_fn = phi
-        _, phi_dot_fn = phi_parabolic(T)
-    else:
-        phi_fn, phi_dot_fn = phi
+    phi_fn, phi_dot_fn = phi
 
     s_dense = np.linspace(0.0, T, 8193)
     integrand = phi_fn(s_dense) * np.exp(-2.0 * cb * (T - s_dense))
@@ -200,26 +182,17 @@ def xi_case1(k_flow, b0, phi, c_bound, t_final, grid=None):
         t = np.asarray(t, dtype=float)
         return c_prime**2 * np.interp(t, s_dense, cum)
 
-    meta = {"c_prime": c_prime, "c_bound": cb}
-    profile = WeightProfile(t_final=T, phi=phi_fn, phi_dot=phi_dot_fn, xi=xi,
-                            xi_case="case1", meta=meta)
-    if k_flow is not None:
-        if grid is None:
-            raise ConfigurationError("xi_case1: provide the grid with sample flows")
-        gram = gramian_M(k_flow, b0, phi_fn, grid)
-        lam = np.linalg.eigvalsh(gram)[..., 0]
-        margin = float(np.min(lam - profile.xi_grid(grid)))
-        meta["flow_margin"] = margin
-    return profile
+    return WeightProfile(t_final=T, phi=phi_fn, phi_dot=phi_dot_fn, xi=xi,
+                         xi_case="case1", meta={"c_prime": c_prime, "c_bound": cb})
 
 
-def xi_case2(a_matrix, b0, phi, t_final, n_calib=64, haircut=_XI_HAIRCUT):
+def xi_case2(a_matrix, b0, phi, t_final):
     """Gramian floor under the Kalman condition with constant d1Z1 = A.
 
     xi(t) = c1 (t ^ 1)^{2(k+1)} / (T exp(c2 T)) with c2 = 2||A|| and c1
     calibrated (with a recorded haircut) as the largest constant keeping
-    lambda_min(M_t) >= xi(t) on a deterministic grid, where M_t uses the
-    exact flow exp((T-s)A).
+    lambda_min(M_t) >= xi(t) on a deterministic grid of 64 nodes, where M_t
+    uses the exact flow exp((T-s)A).  ``phi`` is the (phi, phi_dot) pair.
     """
     a_mat = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     b0 = np.atleast_2d(np.asarray(b0, dtype=float))
@@ -231,11 +204,7 @@ def xi_case2(a_matrix, b0, phi, t_final, n_calib=64, haircut=_XI_HAIRCUT):
         raise NotApplicableError("xi_case2 requires the Kalman rank condition")
     k_idx = kal.k
     T = float(t_final)
-    if callable(phi):
-        phi_fn = phi
-        _, phi_dot_fn = phi_parabolic(T)
-    else:
-        phi_fn, phi_dot_fn = phi
+    phi_fn, phi_dot_fn = phi
     c2 = 2.0 * float(np.linalg.norm(a_mat, 2))
 
     # lambda_min(M_t) on the calibration grid, with M_t accumulated by a
@@ -245,20 +214,20 @@ def xi_case2(a_matrix, b0, phi, t_final, n_calib=64, haircut=_XI_HAIRCUT):
     e_step = expm(-ds * a_mat)
     flow = expm(T * a_mat)                      # exp((T - s) A) at s = 0
     s_nodes = np.arange(n_fine) * ds
-    calib_t = T * np.arange(1, n_calib + 1) / n_calib
+    calib_t = T * np.arange(1, _XI_N_CALIB + 1) / _XI_N_CALIB
     acc = np.zeros((m, m))
-    lam_min = np.empty(n_calib)
+    lam_min = np.empty(_XI_N_CALIB)
     next_idx = 0
     for j in range(n_fine):
         fb = flow @ b0
         acc = acc + phi_fn(s_nodes[j]) * (fb @ fb.T) * ds
         flow = flow @ e_step
-        while next_idx < n_calib and (j + 1) * ds >= calib_t[next_idx] - 1e-12:
+        while next_idx < _XI_N_CALIB and (j + 1) * ds >= calib_t[next_idx] - 1e-12:
             lam_min[next_idx] = np.linalg.eigvalsh(0.5 * (acc + acc.T))[0]
             next_idx += 1
     shape = np.minimum(calib_t, 1.0) ** (2 * (k_idx + 1)) / (T * np.exp(c2 * T))
     ratios = lam_min / shape
-    c1 = (1.0 - haircut) * float(np.min(ratios))
+    c1 = (1.0 - _XI_HAIRCUT) * float(np.min(ratios))
     if not c1 > 0:
         raise NotApplicableError("xi_case2 calibration produced a nonpositive constant")
 
@@ -266,7 +235,7 @@ def xi_case2(a_matrix, b0, phi, t_final, n_calib=64, haircut=_XI_HAIRCUT):
         t = np.asarray(t, dtype=float)
         return c1 * np.minimum(t, 1.0) ** (2 * (k_idx + 1)) / (T * np.exp(c2 * T))
 
-    meta = {"k": k_idx, "c1": c1, "c2": c2, "haircut": haircut,
+    meta = {"k": k_idx, "c1": c1, "c2": c2, "haircut": _XI_HAIRCUT,
             "calib_grid": calib_t, "calib_lambda_min": lam_min,
             "margin": float(np.min(lam_min - xi(calib_t))),
             "a_matrix": a_mat, "b0": b0}
@@ -278,20 +247,19 @@ def xi_case2(a_matrix, b0, phi, t_final, n_calib=64, haircut=_XI_HAIRCUT):
 class AlphaData:
     """Control process alpha with its rates and solver by-products."""
 
-    alpha: np.ndarray            # (..., N+1, d)
-    alpha_dot: np.ndarray        # (..., N, d) divided difference, feeds hdot
-    alpha_dot_analytic: np.ndarray   # (..., N, d)
+    alpha: np.ndarray            # (B, N+1, d)
+    alpha_dot: np.ndarray        # (B, N, d) divided difference, feeds hdot
+    alpha_dot_analytic: np.ndarray   # (B, N, d)
     alpha_dot_gap: float
-    q_path: np.ndarray           # (..., N+1, m, m)
+    q_path: np.ndarray           # (B, N+1, m, m)
     xi_vals: np.ndarray          # (N+1,) grid profile before per-path drops
-    xi_eff: np.ndarray           # (..., N+1) after drops
-    nu: np.ndarray               # (...,) normalizer
-    u_nodes: np.ndarray          # (..., N+1, m) guarded Q^{-1} K(T,0) v1
-    rho: np.ndarray              # (..., N+1, m) backward xi^2-weighted sum of u
-    p_vec: np.ndarray            # (..., m) Q_T^{-1} c2
-    c2_vec: np.ndarray           # (..., m)
-    dropped_nodes: np.ndarray    # (...,) count of dropped quadrature nodes
-    degenerate: np.ndarray       # (...,) bool, Q_T solve failed
+    xi_eff: np.ndarray           # (B, N+1) after drops
+    nu: np.ndarray               # (B,) normalizer
+    u_nodes: np.ndarray          # (B, N+1, m) guarded Q^{-1} K(T,0) v1
+    rho: np.ndarray              # (B, N+1, m) backward xi^2-weighted sum of u
+    p_vec: np.ndarray            # (B, m) Q_T^{-1} c2
+    dropped_nodes: np.ndarray    # (B,) count of dropped quadrature nodes
+    degenerate: np.ndarray       # (B,) bool, Q_T solve failed
 
 
 def _solve(mats, rhs_col):
@@ -346,7 +314,7 @@ def _guarded_solve(mats, rhs):
     return sol, ~bad
 
 
-def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None, jac=None):
+def build_alpha(spec, jac, k_flow, grid, v, profile):
     """Assemble the control alpha on the grid (left-endpoint quadrature).
 
     alpha_t = (T-t)/T v2
@@ -356,15 +324,13 @@ def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None, jac=None):
     Boundary values alpha_0 = v2 and alpha_N = 0 hold exactly by
     construction.  Nodes whose discrete Q is numerically singular are
     dropped from the backward sum (their weight is a quadrature artifact of
-    phi(0) = 0); drops are counted.  ``jac`` is the node Jacobian of
-    ``flow.node_jacobian``, evaluated here when not given.
+    phi(0) = 0); drops are counted.
     """
-    x, single = _as_batch(states, 2)
-    k, _ = _as_batch(k_flow, 3)
-    n_paths = x.shape[0]
+    k = k_flow
+    n_paths = jac.shape[0]
     n = grid.n_steps
     dt = grid.dt
-    m, d = spec.m, spec.d
+    m = spec.m
     T = grid.t_final
     v = np.asarray(v, dtype=float).ravel()
     v1, v2 = v[:m], v[m:]
@@ -374,10 +340,7 @@ def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None, jac=None):
     w0 = (T - nodes) / T
     w0[-1] = 0.0
 
-    jac = node_jacobian(spec, x, jac)
-    if q_path is None:
-        q_path = gramian_Q(spec, x, k, profile.phi, grid, jac=jac)
-    q_b, _ = _as_batch(q_path, 3)
+    q_path = gramian_Q(spec, jac, k, profile.phi, grid)
 
     xi_vals = profile.xi_grid(grid)
     xi_eff = np.broadcast_to(xi_vals, (n_paths, n + 1)).copy()
@@ -390,7 +353,7 @@ def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None, jac=None):
     kc_v2 = np.einsum("pjik,pjkl,l->pji", k, c_nodes, v2)
     c2_vec = np.einsum("j,pji->pi", w0[:-1] * dt, kc_v2[:, :-1])
     if np.linalg.norm(v2) > 0:
-        p_vec, ok = _guarded_solve(q_b[:, n], c2_vec)
+        p_vec, ok = _guarded_solve(q_path[:, n], c2_vec)
         degenerate |= ~ok
     else:
         p_vec = np.zeros((n_paths, m))
@@ -403,7 +366,7 @@ def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None, jac=None):
         active = (xi_vals > 0) & (np.arange(n + 1) >= 1) & (np.arange(n + 1) <= n - 1)
         idx = np.nonzero(active)[0]
         if idx.size:
-            sol, ok = _guarded_solve(q_b[:, idx], rhs[:, None, :].repeat(len(idx), 1))
+            sol, ok = _guarded_solve(q_path[:, idx], rhs[:, None, :].repeat(len(idx), 1))
             u_nodes[:, idx] = sol
             drop = ~ok
             xi_eff[:, idx] = np.where(drop, 0.0, xi_eff[:, idx])
@@ -438,42 +401,27 @@ def build_alpha(spec, states, k_flow, grid, v, profile, q_path=None, jac=None):
                                         / nu[:, None])[..., None] * kt_u) @ spec.b0
     gap = float(np.max(np.abs(alpha_dot_an - alpha_dot))) if alpha.size else 0.0
 
-    out = AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_analytic=alpha_dot_an,
-                    alpha_dot_gap=gap, q_path=q_b, xi_vals=xi_vals, xi_eff=xi_eff,
-                    nu=nu, u_nodes=u_nodes, rho=rho, p_vec=p_vec, c2_vec=c2_vec,
-                    dropped_nodes=dropped, degenerate=degenerate)
-    if single:
-        _squeeze_alpha(out)
-    return out
+    return AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_analytic=alpha_dot_an,
+                     alpha_dot_gap=gap, q_path=q_path, xi_vals=xi_vals, xi_eff=xi_eff,
+                     nu=nu, u_nodes=u_nodes, rho=rho, p_vec=p_vec,
+                     dropped_nodes=dropped, degenerate=degenerate)
 
 
-def _squeeze_alpha(a):
-    for name in ("alpha", "alpha_dot", "alpha_dot_analytic", "q_path", "xi_eff",
-                 "nu", "u_nodes", "rho", "p_vec", "c2_vec", "dropped_nodes",
-                 "degenerate"):
-        setattr(a, name, getattr(a, name)[0])
-
-
-def build_bridge(spec, states, k_flow, alpha_data, grid, v, jac=None):
+def build_bridge(spec, jac, alpha_data, grid, v):
     """Propagate g and assemble hdot from a built alpha.
 
     g follows the forward linear ODE g' = d1Z1(X) g + d2Z1(X) alpha with
     g_0 = v1 (Euler, shared grid); hdot_t = sigma^{-1}(dZ2(X_t)(g_t, alpha_t)
-    - alpha_dot_t) pointwise on steps.  ``jac`` is the node Jacobian of
-    ``flow.node_jacobian``, evaluated here when not given.
+    - alpha_dot_t) pointwise on steps.
     """
-    x, single = _as_batch(states, 2)
-    k, _ = _as_batch(k_flow, 3)
-    alpha = alpha_data.alpha if not single else alpha_data.alpha[None]
-    alpha_dot = alpha_data.alpha_dot if not single else alpha_data.alpha_dot[None]
-    n_paths = x.shape[0]
+    alpha, alpha_dot = alpha_data.alpha, alpha_data.alpha_dot
+    n_paths = jac.shape[0]
     n = grid.n_steps
     dt = grid.dt
     m = spec.m
     v = np.asarray(v, dtype=float).ravel()
     v1, v2 = v[:m], v[m:]
 
-    jac = node_jacobian(spec, x, jac)
     a_nodes, c_nodes = jac[..., :m, :m], jac[..., :m, m:]
     g = np.empty((n_paths, n + 1, m))
     g[:, 0] = v1
@@ -494,8 +442,6 @@ def build_bridge(spec, states, k_flow, alpha_data, grid, v, jac=None):
         np.linalg.norm(alpha[:, n], axis=-1),
         np.linalg.norm(g[:, n], axis=-1),
     ], axis=-1)
-    if single:
-        return g[0], h_dot[0], res[0]
     return g, h_dot, res
 
 
@@ -503,14 +449,13 @@ def q_inverse_bound_ratio(q_path, xi_grid_vals, epsilon):
     """Worst ratio ||Q_t^{-1}|| * (1 - eps) xi(t) over nodes with xi > 0.
 
     The bound ||Q_t^{-1}|| <= 1/((1-eps) xi(t)) holds when the ratio is
-    <= 1 (up to round-off).  ``q_path``: (..., N+1, m, m).
+    <= 1 (up to round-off).  ``q_path``: (B, N+1, m, m).
     """
-    q, single = _as_batch(q_path, 3)
     xi = np.asarray(xi_grid_vals, dtype=float)
     active = xi > 0
     if not np.any(active):
         return 0.0
-    sv = np.linalg.svd(q[:, active], compute_uv=False)
+    sv = np.linalg.svd(q_path[:, active], compute_uv=False)
     smin = sv[..., -1]
     with np.errstate(divide="ignore"):
         ratio = (1.0 - epsilon) * xi[active][None, :] / smin

@@ -17,9 +17,5 @@ class MethodMisuseError(HypogradError):
     """An estimator was called on a model/function it does not qualify for."""
 
 
-class PathDegenerateError(HypogradError):
-    """A single path could not be processed (singular Gramian, overflow)."""
-
-
 class RunDegenerateError(HypogradError):
     """Too many paths rejected; the whole run is unreliable."""

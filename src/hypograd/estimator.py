@@ -44,12 +44,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .control import (build_alpha, build_bridge, phi_parabolic,
+from .control import (build_alpha, build_bridge, numerical_rank, phi_parabolic,
                       q_inverse_bound_ratio, xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
-from .flow import (directional_jacobian, full_jacobian_flow, node_jacobian,
-                   simulate_path, terminal_flow, valid_mask)
+from .flow import (directional_jacobian, full_jacobian_flow, simulate_path,
+                   terminal_flow, valid_mask)
 
 __all__ = [
     "EstimatorConfig",
@@ -239,9 +239,7 @@ def default_weights(spec, grid, c_bound=None, probe_x0=None, probe_seed=0):
     does not depend on chunking) with a 25% safety factor.
     """
     phi_pair = phi_parabolic(grid.t_final)
-    sv = np.linalg.svd(spec.b0, compute_uv=False)
-    full_rank = sv.size >= spec.m and sv[spec.m - 1] > 64 * spec.m * sv[0] * np.finfo(float).eps
-    if full_rank:
+    if numerical_rank(spec.b0)[0] == spec.m:
         if c_bound is None:
             if spec.constant_jac_z1:
                 a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
@@ -253,7 +251,7 @@ def default_weights(spec, grid, c_bound=None, probe_x0=None, probe_seed=0):
                     "default_weights needs c_bound (a bound on ||d1Z1||) or a "
                     "probe_x0 to sample one for a state-dependent first "
                     "Jacobian block")
-        return xi_case1(None, spec.b0, phi_pair, c_bound, grid.t_final)
+        return xi_case1(spec.b0, phi_pair, c_bound, grid.t_final)
     if not spec.constant_jac_z1:
         raise NotApplicableError("rank-deficient B0 with non-constant d1Z1: no profile")
     a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
@@ -290,42 +288,34 @@ def ito_delta(h_dot, inc):
 
 def skorokhod_delta(spec, x0, grid, inc, v, weights, return_parts=False):
     """Anticipative divergence of the bridge control, per path, for
-    increments ``inc`` of one path (N, d) or a batch (B, N, d).
+    increments ``inc`` of shape (B, N, d).
 
     The trace correction vanishes identically when jac_z1 is constant (the
     control is then deterministic), which the implementation exploits.
     """
     inc = np.asarray(inc, dtype=float)
-    single = inc.ndim == 2
-    if single:
-        inc = inc[None]
     states = simulate_path(spec, x0, grid, inc)
-    _, _, h_dot, _, corr = _bridge_chain(spec, states, grid, v, weights)
-    delta = np.sum(h_dot * inc, axis=(-2, -1))
-    if corr is None:
-        corr = np.zeros_like(delta)
-    else:
-        delta = delta - corr
-    if return_parts:
-        return (delta[0], corr[0]) if single else (delta, corr)
-    return delta[0] if single else delta
+    _, _, _, h_dot, _, corr = _bridge_chain(spec, states, grid, v, weights)
+    delta = np.sum(h_dot * inc, axis=(-2, -1)) - corr
+    return (delta, corr) if return_parts else delta
 
 
 def _bridge_chain(spec, states, grid, v, weights):
-    """The control chain of one chunk of paths, from one bulk evaluation of
+    """The control chain of a batch of paths, from one bulk evaluation of
     the node Jacobian.
 
-    Returns ``(jac, alpha_data, h_dot, bridge_residuals, trace)``; the
-    Skorokhod trace is None when jac_z1 is constant (the control is then
+    Returns ``(jac, alpha_data, g, h_dot, bridge_residuals, trace)``; the
+    Skorokhod trace is zero when jac_z1 is constant (the control is then
     deterministic and the trace vanishes).
     """
-    jac = node_jacobian(spec, states)
-    k = terminal_flow(spec, states, grid, jac)
-    ad = build_alpha(spec, states, k, grid, v, weights, jac=jac)
-    _, h_dot, res = build_bridge(spec, states, k, ad, grid, v, jac)
-    trace = (None if spec.constant_jac_z1
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = spec.full_jacobian(states)
+    k = terminal_flow(spec, jac, grid)
+    ad = build_alpha(spec, jac, k, grid, v, weights)
+    g, h_dot, res = build_bridge(spec, jac, ad, grid, v)
+    trace = (np.zeros(len(states)) if spec.constant_jac_z1
              else _skorokhod_trace(spec, states, grid, v, weights, ad, k, jac))
-    return jac, ad, h_dot, res, trace
+    return jac, ad, g, h_dot, res, trace
 
 
 def _svd_pinv(mats, rcond):
@@ -415,7 +405,7 @@ def _pinv_stack(mats, rcond=1e-13):
     return inv
 
 
-def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac=None):
+def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     """dt * sum_i tr(d hdot_i / d W_i), exact, via factored sensitivities.
 
     Notation per path: k_i = K(T, t_i), Phi_i the full state-transition
@@ -427,8 +417,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac=None):
 
     through which D alpha_j[i] = -phi_j B0^T k_j^T omega_i for j <= i+1,
     giving the diagonal derivatives of alpha, its divided-difference rate,
-    and g.  ``jac`` is the node Jacobian of ``flow.node_jacobian``,
-    evaluated here when not given.
+    and g.  ``jac`` is the node Jacobian DZ at ``states``.
     """
     if spec.hess_z1 is None:
         raise MethodMisuseError("the Skorokhod trace needs the model's hess_z1 "
@@ -450,8 +439,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac=None):
     e_sigma = np.zeros((n, d))
     e_sigma[m:, :] = spec.sigma
 
-    jac = node_jacobian(spec, x, jac)
-    phi_full = full_jacobian_flow(spec, x, grid, jac)        # (p, N+1, n, n)
+    phi_full = full_jacobian_flow(jac, grid)                 # (p, N+1, n, n)
     y_seed = _pinv_stack(phi_full[:, 1:]) @ e_sigma          # (p, N, n, d)
 
     hess = spec.hess_z1(x)                                   # (p, N+1, m, n, n)
@@ -747,7 +735,7 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
         else:
             # the Skorokhod trace runs slower on the path-major view
             states = np.ascontiguousarray(states)
-            _, ad, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
+            _, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
             dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
             good = good & ~ad.degenerate
             got = res[good]
@@ -775,9 +763,7 @@ def _deterministic_control(spec, x0, grid, v, weights):
     here, so a constant-x0 path serves.
     """
     states = np.tile(x0, (1, grid.n_steps + 1, 1))
-    k = terminal_flow(spec, states, grid)
-    ad = build_alpha(spec, states, k, grid, v, weights)
-    g, _, res = build_bridge(spec, states, k, ad, grid, v)
+    _, ad, g, _, res, _ = _bridge_chain(spec, states, grid, v, weights)
     if bool(ad.degenerate[0]):
         raise RunDegenerateError("deterministic control chain is degenerate "
                                  "(singular terminal Gramian)")
@@ -937,11 +923,9 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
         states, good = _simulate(spec, x0, grid, inc)
         # the Skorokhod trace runs slower on the path-major view
         states = np.ascontiguousarray(states)
-        jac, ad, h_dot, _, trace = _bridge_chain(spec, states, grid, v, weights)
-        dl = np.sum(h_dot * inc, axis=(-2, -1))
-        if trace is not None:
-            dl = dl - trace
-            good = good & ~ad.degenerate
+        jac, ad, _, h_dot, _, trace = _bridge_chain(spec, states, grid, v, weights)
+        dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
+        good = good & ~ad.degenerate
         lhs = f.f(states[:, -1]) * dl
 
         # adjoint sweep: a_i = (I + dt dZ(X_i))^T a_{i+1}, a_N = grad f(X_T)

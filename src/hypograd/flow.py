@@ -6,12 +6,12 @@ X1-dynamics, accumulated backward from T), the full state-transition
 matrices Phi_i = dX_i/dX_0, and the terminal directional derivative
 J_N = dX_N/dx0 . v.
 
-Brownian increments are plain arrays, (N, d) for one path or (B, N, d) for
-a batch, with increments[..., i, :] ~ N(0, dt I_d).  All functions accept
-either one path (states shaped (N+1, n)) or a batch (leading batch axis);
-outputs match the input convention.  Non-finite states are propagated, not
-clamped; use ``valid_mask``/``first_bad_step`` to detect and reject such
-paths.
+Everything is batched over paths: Brownian increments are (B, N, d) with
+increments[:, i, :] ~ N(0, dt I_d), states are (B, N+1, n), and one path
+is a batch of one.  The flows take the node Jacobian ``jac`` = DZ(X) of
+shape (B, N+1, n, n), evaluated once by the caller, in place of the
+states.  Non-finite states are propagated, not clamped; use
+``valid_mask``/``first_bad_step`` to detect and reject such paths.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "terminal_flow",
     "directional_jacobian",
     "full_jacobian_flow",
-    "node_jacobian",
     "valid_mask",
     "first_bad_step",
 ]
@@ -58,10 +57,9 @@ class TimeGrid:
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
 
-def sample_noise(grid, d, rng, n_paths=None):
-    """Draw Brownian increments for the grid from a numpy Generator."""
-    shape = (grid.n_steps, d) if n_paths is None else (n_paths, grid.n_steps, d)
-    return rng.standard_normal(shape) * np.sqrt(grid.dt)
+def sample_noise(grid, d, rng, n_paths):
+    """Draw (n_paths, N, d) Brownian increments from a numpy Generator."""
+    return rng.standard_normal((n_paths, grid.n_steps, d)) * np.sqrt(grid.dt)
 
 
 def refine_noise(inc, grid, rng):
@@ -82,16 +80,15 @@ def refine_noise(inc, grid, rng):
 def simulate_path(spec, x0, grid, inc):
     """Euler path X_{i+1} = X_i + Z(X_i) dt + (0, sigma dB_i).
 
-    Deterministic given (x0, inc).  Returns states of shape (N+1, m+d),
-    or (B, N+1, m+d) for batched increments.  The batch is stepped in a
-    time-major (N+1, B, m+d) buffer, so each step reads and writes one
-    contiguous slab; the result is a path-major view of that buffer (not
-    C-contiguous; callers that need contiguous paths copy it).
+    Deterministic given (x0, inc).  Increments (B, N, d) give states
+    (B, N+1, m+d), stepped in a time-major (N+1, B, m+d) buffer, so each
+    step reads and writes one contiguous slab; the result is a path-major
+    view of that buffer (not C-contiguous; callers that need contiguous
+    paths copy it).
     """
     inc = np.asarray(inc, dtype=float)
-    single = inc.ndim == 2
-    if single:
-        inc = inc[None]
+    if inc.ndim != 3:
+        raise ConfigurationError("increments must be shaped (B, N, d)")
     n_paths, n_steps, d = inc.shape
     if n_steps != grid.n_steps:
         raise ConfigurationError("noise does not match the grid step count")
@@ -111,8 +108,7 @@ def simulate_path(spec, x0, grid, inc):
             xi = x[i]
             np.add(xi, spec.drift(xi) * dt, out=x[i + 1])
             x[i + 1, :, spec.m:] += kicks[:, i]
-    x = np.swapaxes(x, 0, 1)
-    return x[0] if single else x
+    return np.swapaxes(x, 0, 1)
 
 
 def valid_mask(states):
@@ -121,48 +117,25 @@ def valid_mask(states):
 
 
 def first_bad_step(states):
-    """Index of the first node with a non-finite entry, or -1 if none."""
-    states = np.asarray(states)
+    """Per-path index of the first node with a non-finite entry, -1 if none."""
     bad = ~np.isfinite(states).all(axis=-1)
-    if states.ndim == 2:
-        idx = np.argmax(bad)
-        return int(idx) if bad.any() else -1
     idx = np.argmax(bad, axis=-1)
     idx[~bad.any(axis=-1)] = -1
     return idx
 
 
-def node_jacobian(spec, x, jac=None):
-    """Full drift Jacobian at every node of batched states ``x`` (B, N+1, n).
-
-    ``jac`` is one the caller has already evaluated at these states, for
-    the batch or for a single path; without it the model is evaluated once
-    in bulk.  Shape (B, N+1, n, n).
-    """
-    if jac is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return spec.full_jacobian(x)
-    jac = np.asarray(jac, dtype=float)
-    return jac if jac.ndim == x.ndim + 1 else jac[None]
-
-
-def terminal_flow(spec, states, grid, jac=None):
+def terminal_flow(spec, jac, grid):
     """Terminal flow family K(T, t_i), i = 0..N, of the noise-free block.
 
     Built from per-step propagators P_i = I + dt d1Z1(X_i) by backward
-    accumulation K(T, t_i) = K(T, t_{i+1}) P_i, K(T, T) = I.  Shape
-    (N+1, m, m), batched as (B, N+1, m, m).  ``jac`` is the node Jacobian
-    of ``node_jacobian``, evaluated here when not given.
+    accumulation K(T, t_i) = K(T, t_{i+1}) P_i, K(T, T) = I, with d1Z1 read
+    from the node Jacobian ``jac``.  Shape (B, N+1, m, m).
     """
-    x = np.asarray(states, dtype=float)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    n_paths, n_nodes = x.shape[:2]
+    n_paths, n_nodes = jac.shape[:2]
     if n_nodes != grid.n_steps + 1:
-        raise ConfigurationError("states do not match the grid")
+        raise ConfigurationError("node Jacobian does not match the grid")
     m = spec.m
-    a_blocks = node_jacobian(spec, x, jac)[..., :m, :m]     # (B, N+1, m, m)
+    a_blocks = jac[..., :m, :m]                            # (B, N+1, m, m)
     k = np.empty((n_paths, n_nodes, m, m))
     k[:, -1] = np.eye(m)
     dt = grid.dt
@@ -171,46 +144,35 @@ def terminal_flow(spec, states, grid, jac=None):
         for i in range(grid.n_steps - 1, -1, -1):
             p_i = eye + dt * a_blocks[:, i]
             k[:, i] = k[:, i + 1] @ p_i
-    return k[0] if single else k
+    return k
 
 
 def directional_jacobian(spec, states, grid, v):
     """Terminal directional derivative J_N = dX_N/dx0 . v by forward Euler.
 
     J_{i+1} = (I + dt dZ(X_i)) J_i with J_0 = v; exact derivative of the
-    discrete Euler map.  Only the running node is kept.  Shape (m+d,),
-    batched (B, m+d).
+    discrete Euler map.  Only the running node is kept.  Shape (B, m+d).
     """
     v = np.asarray(v, dtype=float).ravel()
     if v.shape != (spec.dim,):
         raise ConfigurationError(f"v must have dimension {spec.dim}")
     x = np.asarray(states, dtype=float)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
     jac = np.broadcast_to(v, x.shape[:1] + v.shape).copy()
     dt = grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(x.shape[1] - 1):
             g = spec.full_jacobian(x[:, i])
             jac = jac + dt * np.einsum("pab,pb->pa", g, jac)
-    return jac[0] if single else jac
+    return jac
 
 
-def full_jacobian_flow(spec, states, grid, jac=None):
+def full_jacobian_flow(jac, grid):
     """State-transition matrices Phi_i = dX_i/dX_0 of the discrete chain.
 
-    Phi_0 = I, Phi_{i+1} = (I + dt dZ(X_i)) Phi_i.  Shape (N+1, n, n),
-    batched (B, N+1, n, n).  Used by sensitivity propagation.  ``jac`` is
-    the node Jacobian of ``node_jacobian``, evaluated here when not given.
+    Phi_0 = I, Phi_{i+1} = (I + dt dZ(X_i)) Phi_i from the node Jacobian
+    ``jac``.  Shape (B, N+1, n, n).  Used by sensitivity propagation.
     """
-    x = np.asarray(states, dtype=float)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    n_paths, n_nodes = x.shape[:2]
-    n = spec.dim
-    jac = node_jacobian(spec, x, jac)
+    n_paths, n_nodes, n = jac.shape[:3]
     phi = np.empty((n_paths, n_nodes, n, n))
     phi[:, 0] = np.eye(n)
     dt = grid.dt
@@ -218,5 +180,4 @@ def full_jacobian_flow(spec, states, grid, jac=None):
         for i in range(n_nodes - 1):
             f_i = np.eye(n) + dt * jac[:, i]
             phi[:, i + 1] = f_i @ phi[:, i]
-    return phi[0] if single else phi
-
+    return phi

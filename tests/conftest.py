@@ -35,11 +35,12 @@ def anticipative_spec():
 
 
 def control_chain_hdot(spec, x0, grid, increments, v, profile):
-    """Full deterministic chain increments -> hdot for one path."""
+    """Full deterministic chain increments -> hdot for a batch of paths."""
     states = simulate_path(spec, x0, grid, increments)
-    k = terminal_flow(spec, states, grid)
-    ad = build_alpha(spec, states, k, grid, v, profile)
-    _, h_dot, _ = build_bridge(spec, states, k, ad, grid, v)
+    jac = spec.dz(states)
+    k = terminal_flow(spec, jac, grid)
+    ad = build_alpha(spec, jac, k, grid, v, profile)
+    _, h_dot, _ = build_bridge(spec, jac, ad, grid, v)
     return h_dot
 
 
@@ -48,26 +49,27 @@ def brute_force_divergence(spec, x0, grid, increments, v, profile, eta=1e-6):
 
     delta = sum <hdot, dW> - dt * sum_i,l d hdot[i,l]/d dW[i,l], with the
     derivative taken by central differences through the whole chain.  The
-    independent oracle for the factored implementation.
+    independent oracle for the factored implementation; ``increments`` is a
+    batch of one path, (1, N, d).
     """
     h_dot = control_chain_hdot(spec, x0, grid, increments, v, profile)
     base = float(np.sum(h_dot * increments))
     trace = 0.0
-    n_steps, d = increments.shape
+    _, n_steps, d = increments.shape
     for i in range(n_steps):
         for l in range(d):
             wp = increments.copy()
-            wp[i, l] += eta
+            wp[0, i, l] += eta
             wm = increments.copy()
-            wm[i, l] -= eta
+            wm[0, i, l] -= eta
             hp = control_chain_hdot(spec, x0, grid, wp, v, profile)
             hm = control_chain_hdot(spec, x0, grid, wm, v, profile)
-            trace += (hp[i, l] - hm[i, l]) / (2.0 * eta)
+            trace += (hp[0, i, l] - hm[0, i, l]) / (2.0 * eta)
     return base - grid.dt * trace
 
 
 def case1_profile(spec, t_final, c_bound=0.0):
-    return xi_case1(None, spec.b0, phi_parabolic(t_final), c_bound, t_final)
+    return xi_case1(spec.b0, phi_parabolic(t_final), c_bound, t_final)
 
 
 def same_bytes(a, b):

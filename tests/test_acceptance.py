@@ -157,10 +157,11 @@ def test_criterion_5_bridge_conditions(criterion3_run, hamiltonian):
         if cur.n_steps != n_steps:
             g, cur = refine_noise(g, cur, rng)
         x = simulate_path(hamiltonian, criterion3_run["x0"], cur, g)
-        k = terminal_flow(hamiltonian, x, cur)
+        jac = hamiltonian.dz(x)
+        k = terminal_flow(hamiltonian, jac, cur)
         prof = case1_profile(hamiltonian, 0.5, c_bound=0.0)
-        ad = build_alpha(hamiltonian, x, k, cur, v, prof)
-        _, _, res_cur = build_bridge(hamiltonian, x, k, ad, cur, v)
+        ad = build_alpha(hamiltonian, jac, k, cur, v, prof)
+        _, _, res_cur = build_bridge(hamiltonian, jac, ad, cur, v)
         g_levels.append(float(np.mean(res_cur[:, 2])))
     ratios = [b / a for a, b in zip(g_levels, g_levels[1:])]
     ok_half = all(0.25 <= r <= 0.75 for r in ratios)
@@ -177,9 +178,10 @@ def test_criterion_6_gramian_bounds(criterion3_run, hamiltonian):
     rng = np.random.default_rng(16)
     x = simulate_path(hamiltonian, criterion3_run["x0"], grid,
                       sample_noise(grid, 1, rng, n_paths=8))
-    k = terminal_flow(hamiltonian, x, grid)
+    jac = hamiltonian.dz(x)
+    k = terminal_flow(hamiltonian, jac, grid)
     phi, _ = phi_parabolic(grid.t_final)
-    q = gramian_Q(hamiltonian, x, k, phi, grid)
+    q = gramian_Q(hamiltonian, jac, k, phi, grid)
     m = gramian_M(k, hamiltonian.b0, phi, grid)
     worst = np.inf
     for _ in range(16):

@@ -14,13 +14,13 @@ from tests.conftest import (case1_profile, guarded_solve_lapack, same_bytes,
 
 
 def _flat_flow(grid, m):
-    return np.broadcast_to(np.eye(m), (grid.n_steps + 1, m, m)).copy()
+    return np.broadcast_to(np.eye(m), (1, grid.n_steps + 1, m, m)).copy()
 
 
 def test_gramian_m_zero_at_origin():
     grid = TimeGrid(1.0, 32)
     phi, _ = phi_parabolic(1.0)
-    m = gramian_M(_flat_flow(grid, 2), np.eye(2), phi, grid, t_index=0)
+    m = gramian_M(_flat_flow(grid, 2), np.eye(2), phi, grid)[0, 0]
     assert np.array_equal(m, np.zeros((2, 2)))
 
 
@@ -29,7 +29,7 @@ def test_gramian_m_parabolic_weight_closed_form():
     T = 2.0
     grid = TimeGrid(T, 8192)
     phi, _ = phi_parabolic(T)
-    m = gramian_M(_flat_flow(grid, 2), np.eye(2), phi, grid, t_index=8192)
+    m = gramian_M(_flat_flow(grid, 2), np.eye(2), phi, grid)[0, 8192]
     assert np.allclose(m, (T / 6.0) * np.eye(2), atol=2e-4)
 
 
@@ -39,8 +39,8 @@ def test_gramian_m_chain_flat_weight():
     grid = TimeGrid(1.0, 8192)
     a_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
     b0 = np.array([[0.0], [1.0]])
-    k = np.stack([expm((1.0 - t) * a_mat) for t in grid.nodes])
-    m = gramian_M(k, b0, lambda t: np.ones_like(t), grid, t_index=8192)
+    k = np.stack([expm((1.0 - t) * a_mat) for t in grid.nodes])[None]
+    m = gramian_M(k, b0, lambda t: np.ones_like(t), grid)[0, 8192]
     assert np.allclose(m, [[1 / 3, 1 / 2], [1 / 2, 1.0]], atol=2e-4)
 
 
@@ -48,13 +48,14 @@ def test_gramian_q_equals_m_when_c_is_b0(kinetic_spec):
     grid = TimeGrid(1.0, 256)
     rng = np.random.default_rng(0)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
-                      sample_noise(grid, 1, rng))
-    k = terminal_flow(kinetic_spec, x, grid)
+                      sample_noise(grid, 1, rng, 1))
+    jac = kinetic_spec.dz(x)
+    k = terminal_flow(kinetic_spec, jac, grid)
     phi, _ = phi_parabolic(1.0)
-    q = gramian_Q(kinetic_spec, x, k, phi, grid)
+    q = gramian_Q(kinetic_spec, jac, k, phi, grid)
     m = gramian_M(k, kinetic_spec.b0, phi, grid)
     assert np.allclose(q, m, atol=1e-12)
-    assert np.array_equal(q[0], np.zeros((1, 1)))
+    assert np.array_equal(q[0, 0], np.zeros((1, 1)))
 
 
 def test_gramian_ordering_on_nonlinear_paths(anticipative_spec):
@@ -64,9 +65,10 @@ def test_gramian_ordering_on_nonlinear_paths(anticipative_spec):
     rng = np.random.default_rng(1)
     x = simulate_path(spec, np.array([0.3, -0.2]), grid,
                       sample_noise(grid, 1, rng, n_paths=8))
-    k = terminal_flow(spec, x, grid)
+    jac = spec.dz(x)
+    k = terminal_flow(spec, jac, grid)
     phi, _ = phi_parabolic(0.5)
-    q = gramian_Q(spec, x, k, phi, grid)
+    q = gramian_Q(spec, jac, k, phi, grid)
     m = gramian_M(k, spec.b0, phi, grid)
     for _ in range(16):
         a = rng.standard_normal(spec.m)
@@ -97,21 +99,21 @@ def test_xi_case1_scalar_quadrature_oracle():
     # m=1, B0 = 2, c_bound = 1, T = 1: xi(1) = 4 int_0^1 s(1-s)e^{-2(1-s)} ds
     # = 2 e^{-2} (integrate by parts; cross-checked by dense trapezoid)
     phi, phid = phi_parabolic(1.0)
-    prof = xi_case1(None, [[2.0]], (phi, phid), 1.0, 1.0)
+    prof = xi_case1([[2.0]], (phi, phid), 1.0, 1.0)
     s = np.linspace(0, 1, 200001)
     oracle = 4.0 * np.trapezoid(s * (1 - s) * np.exp(-2 * (1 - s)), s)
     assert abs(oracle - 2 * np.exp(-2)) < 1e-9
     assert abs(prof.xi(1.0) - oracle) < 1e-6
     # on the constant flow K = I the Gramian dominates xi everywhere
     grid = TimeGrid(1.0, 1024)
-    m_t = gramian_M(_flat_flow(grid, 1), [[2.0]], phi, grid)
+    m_t = gramian_M(_flat_flow(grid, 1), [[2.0]], phi, grid)[0]
     assert np.all(np.linalg.eigvalsh(m_t)[:, 0] + 1e-15 >= prof.xi_grid(grid))
 
 
 def test_xi_case1_rank_deficient_rejected():
     phi_pair = phi_parabolic(1.0)
     with pytest.raises(NotApplicableError):
-        xi_case1(None, [[0.0], [1.0]], phi_pair, 0.0, 1.0)
+        xi_case1([[0.0], [1.0]], phi_pair, 0.0, 1.0)
 
 
 def test_xi_case2_k0_quadratic_floor():
@@ -129,9 +131,9 @@ def test_xi_case2_chain_small_time_exponent():
     a_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
     b0 = np.array([[0.0], [1.0]])
     grid = TimeGrid(1.0, 16384)
-    k_flow = np.stack([expm((1.0 - t) * a_mat) for t in grid.nodes])
+    k_flow = np.stack([expm((1.0 - t) * a_mat) for t in grid.nodes])[None]
     phi, _ = phi_parabolic(1.0)
-    m_t = gramian_M(k_flow, b0, phi, grid)
+    m_t = gramian_M(k_flow, b0, phi, grid)[0]
     lam = np.linalg.eigvalsh(m_t)[:, 0]
     ts = np.geomspace(1e-3, 1e-1, 9)
     idx = np.rint(ts / grid.dt).astype(int)
@@ -153,10 +155,11 @@ def test_alpha_boundary_values_exact(kinetic_spec):
     rng = np.random.default_rng(2)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
                       sample_noise(grid, 1, rng, n_paths=4))
-    k = terminal_flow(kinetic_spec, x, grid)
+    jac = kinetic_spec.dz(x)
+    k = terminal_flow(kinetic_spec, jac, grid)
     v = np.array([0.6, -0.8])
     prof = case1_profile(kinetic_spec, 1.0)
-    ad = build_alpha(kinetic_spec, x, k, grid, v, prof)
+    ad = build_alpha(kinetic_spec, jac, k, grid, v, prof)
     assert np.max(np.abs(ad.alpha[:, 0] - v[1:])) <= 1e-14
     assert np.max(np.abs(ad.alpha[:, -1])) <= 1e-14
 
@@ -164,11 +167,12 @@ def test_alpha_boundary_values_exact(kinetic_spec):
 def test_alpha_zero_direction_gives_zero_control(kinetic_spec):
     grid = TimeGrid(1.0, 64)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
-                      np.zeros((64, 1)))
-    k = terminal_flow(kinetic_spec, x, grid)
+                      np.zeros((1, 64, 1)))
+    jac = kinetic_spec.dz(x)
+    k = terminal_flow(kinetic_spec, jac, grid)
     prof = case1_profile(kinetic_spec, 1.0)
-    ad = build_alpha(kinetic_spec, x, k, grid, np.zeros(2), prof)
-    g, h_dot, _ = build_bridge(kinetic_spec, x, k, ad, grid, np.zeros(2))
+    ad = build_alpha(kinetic_spec, jac, k, grid, np.zeros(2), prof)
+    g, h_dot, _ = build_bridge(kinetic_spec, jac, ad, grid, np.zeros(2))
     assert np.array_equal(ad.alpha, np.zeros_like(ad.alpha))
     assert np.array_equal(g, np.zeros_like(g))
     assert np.array_equal(h_dot, np.zeros_like(h_dot))
@@ -179,13 +183,14 @@ def test_bridge_g_residual_kinetic(kinetic_spec):
     grid = TimeGrid(1.0, 4096)
     rng = np.random.default_rng(3)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
-                      sample_noise(grid, 1, rng))
-    k = terminal_flow(kinetic_spec, x, grid)
+                      sample_noise(grid, 1, rng, 1))
+    jac = kinetic_spec.dz(x)
+    k = terminal_flow(kinetic_spec, jac, grid)
     prof = case1_profile(kinetic_spec, 1.0)
     v = np.array([1.0, 0.0])
-    ad = build_alpha(kinetic_spec, x, k, grid, v, prof)
-    _, _, res = build_bridge(kinetic_spec, x, k, ad, grid, v)
-    assert res[2] <= 1e-3
+    ad = build_alpha(kinetic_spec, jac, k, grid, v, prof)
+    _, _, res = build_bridge(kinetic_spec, jac, ad, grid, v)
+    assert res[0, 2] <= 1e-3
 
 
 def test_bridge_telescoping_h_total():
@@ -194,13 +199,14 @@ def test_bridge_telescoping_h_total():
     spec = builtin_model("hamiltonian", {"v_expr": "0", "m": 1, "friction": 0.0})
     grid = TimeGrid(1.0, 128)
     rng = np.random.default_rng(4)
-    x = simulate_path(spec, np.array([0.2, 0.1]), grid, sample_noise(grid, 1, rng))
-    k = terminal_flow(spec, x, grid)
+    x = simulate_path(spec, np.array([0.2, 0.1]), grid, sample_noise(grid, 1, rng, 1))
+    jac = spec.dz(x)
+    k = terminal_flow(spec, jac, grid)
     prof = case1_profile(spec, 1.0)
     v = np.array([0.0, 0.7])
-    ad = build_alpha(spec, x, k, grid, v, prof)
-    _, h_dot, _ = build_bridge(spec, x, k, ad, grid, v)
-    h_total = np.sum(h_dot, axis=0) * grid.dt
+    ad = build_alpha(spec, jac, k, grid, v, prof)
+    _, h_dot, _ = build_bridge(spec, jac, ad, grid, v)
+    h_total = np.sum(h_dot[0], axis=0) * grid.dt
     assert np.allclose(h_total, v[1:], atol=1e-12)
 
 
@@ -213,15 +219,16 @@ def test_bridge_residual_halves_with_refinement(anticipative_spec):
     prof_for = lambda g: case1_profile(spec, 0.5, c_bound=3.0)
     levels = {512: [], 1024: [], 2048: [], 4096: []}
     for _ in range(4):
-        noise, grid = sample_noise(base, 1, rng), base
+        noise, grid = sample_noise(base, 1, rng, 1), base
         for n_steps in (512, 1024, 2048, 4096):
             if grid.n_steps != n_steps:
                 noise, grid = refine_noise(noise, grid, rng)
             x = simulate_path(spec, np.array([0.3, -0.2]), grid, noise)
-            k = terminal_flow(spec, x, grid)
-            ad = build_alpha(spec, x, k, grid, v, prof_for(grid))
-            _, _, res = build_bridge(spec, x, k, ad, grid, v)
-            levels[n_steps].append(res[2])
+            jac = spec.dz(x)
+            k = terminal_flow(spec, jac, grid)
+            ad = build_alpha(spec, jac, k, grid, v, prof_for(grid))
+            _, _, res = build_bridge(spec, jac, ad, grid, v)
+            levels[n_steps].append(res[0, 2])
     means = [np.mean(levels[n]) for n in (512, 1024, 2048, 4096)]
     for a, b in zip(means, means[1:]):
         assert 0.25 <= b / a <= 0.75
@@ -235,12 +242,13 @@ def test_q_inverse_bound_on_paths(anticipative_spec):
     rng = np.random.default_rng(6)
     x = simulate_path(spec, np.array([0.3, -0.2]), grid,
                       sample_noise(grid, 1, rng, n_paths=8))
-    k = terminal_flow(spec, x, grid)
-    a_nodes = spec.dz(x)[..., :1, :1]
+    jac = spec.dz(x)
+    k = terminal_flow(spec, jac, grid)
+    a_nodes = jac[..., :1, :1]
     cb = float(np.max(np.abs(a_nodes)))
     prof = case1_profile(spec, 0.5, c_bound=cb)
     phi, _ = phi_parabolic(0.5)
-    q = gramian_Q(spec, x, k, phi, grid)
+    q = gramian_Q(spec, jac, k, phi, grid)
     ratio = q_inverse_bound_ratio(q, prof.xi_grid(grid), spec.epsilon)
     assert ratio <= 1.0 + 1e-6
 
@@ -250,12 +258,13 @@ def test_linear_model_control_deterministic(chain_spec):
     rng = np.random.default_rng(7)
     x = simulate_path(chain_spec, np.array([0.4, -0.1, 0.3]), grid,
                       sample_noise(grid, 1, rng, n_paths=6))
-    k = terminal_flow(chain_spec, x, grid)
+    jac = chain_spec.dz(x)
+    k = terminal_flow(chain_spec, jac, grid)
     prof = xi_case2(chain_spec.dz(np.zeros(3))[:2, :2], chain_spec.b0,
                     phi_parabolic(1.0), 1.0)
     v = np.array([1.0, 0.2, -0.5])
-    ad = build_alpha(chain_spec, x, k, grid, v, prof)
-    g, _, _ = build_bridge(chain_spec, x, k, ad, grid, v)
+    ad = build_alpha(chain_spec, jac, k, grid, v, prof)
+    g, _, _ = build_bridge(chain_spec, jac, ad, grid, v)
     for arr in (ad.alpha, g, ad.q_path):
         assert np.max(np.abs(arr - arr[0])) <= 1e-12
 
@@ -265,9 +274,10 @@ def test_alpha_dot_gap_shrinks_with_refinement(kinetic_spec):
     for n_steps in (128, 1024):
         grid = TimeGrid(1.0, n_steps)
         x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
-                          np.zeros((n_steps, 1)))
-        k = terminal_flow(kinetic_spec, x, grid)
-        ad = build_alpha(kinetic_spec, x, k, grid, np.array([1.0, 1.0]),
+                          np.zeros((1, n_steps, 1)))
+        jac = kinetic_spec.dz(x)
+        k = terminal_flow(kinetic_spec, jac, grid)
+        ad = build_alpha(kinetic_spec, jac, k, grid, np.array([1.0, 1.0]),
                          case1_profile(kinetic_spec, 1.0))
         gaps.append(ad.alpha_dot_gap)
     assert gaps[1] <= 0.2 * gaps[0]
@@ -280,11 +290,12 @@ def test_case2_q_inverse_bound_on_chain(chain_spec):
     rng = np.random.default_rng(12)
     x = simulate_path(chain_spec, np.zeros(3), grid,
                       sample_noise(grid, 1, rng, n_paths=4))
-    k = terminal_flow(chain_spec, x, grid)
+    jac = chain_spec.dz(x)
+    k = terminal_flow(chain_spec, jac, grid)
     prof = xi_case2(chain_spec.dz(np.zeros(3))[:2, :2], chain_spec.b0,
                     phi_parabolic(1.0), 1.0)
     phi, _ = phi_parabolic(1.0)
-    q = gramian_Q(chain_spec, x, k, phi, grid)
+    q = gramian_Q(chain_spec, jac, k, phi, grid)
     ratio = q_inverse_bound_ratio(q, prof.xi_grid(grid), chain_spec.epsilon)
     assert ratio <= 1.0 + 1e-6
 

@@ -13,7 +13,7 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 fd_gradient, gaussian_bump_f, indicator_f,
                                 ito_delta, linear_f, path_increments,
                                 pathwise_gradient, quadratic_f, skorokhod_delta)
-from hypograd.flow import TimeGrid, simulate_path
+from hypograd.flow import TimeGrid
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import (brute_force_divergence, case1_profile,
                             guarded_solve_lapack, pinv_stack_lapack,
@@ -89,9 +89,9 @@ def test_skorokhod_trace_matches_brute_force(anticipative_spec, v):
     rng = np.random.default_rng(3)
     x0 = np.array([0.3, -0.2])
     for _ in range(3):
-        w = rng.standard_normal((12, 1)) * np.sqrt(grid.dt)
+        w = (rng.standard_normal((12, 1)) * np.sqrt(grid.dt))[None]
         oracle = brute_force_divergence(spec, x0, grid, w, v, prof)
-        fast = skorokhod_delta(spec, x0, grid, w, v, prof)
+        fast = skorokhod_delta(spec, x0, grid, w, v, prof)[0]
         assert abs(oracle - fast) <= 1e-7 * max(1.0, abs(oracle))
 
 
@@ -239,6 +239,21 @@ def test_skorokhod_trace_needs_hess_z1(anticipative_spec):
     with pytest.raises(MethodMisuseError, match="hess_z1"):
         skorokhod_delta(spec, [0.3, -0.2], grid, inc, [0.7, -0.4],
                         case1_profile(spec, 0.5, c_bound=3.0))
+
+
+def test_chain_tolerates_jacobian_overflow_at_finite_terminal_node(anticipative_spec):
+    # a last increment of 1e160 leaves the path finite, but dZ2/dx1 = -V'' -
+    # 0.2 y^2 overflows at its terminal node, which no bridge quantity reads:
+    # the Jacobian is evaluated silently and the other paths are unaffected
+    spec = anticipative_spec
+    grid = TimeGrid(0.5, 12)
+    inc = path_increments(grid, 1, 3, 0, 4)
+    inc[1, -1, 0] = 1e160
+    prof = case1_profile(spec, 0.5, c_bound=3.0)
+    delta = skorokhod_delta(spec, [0.3, -0.2], grid, inc, [0.7, -0.4], prof)
+    assert np.isfinite(delta).all()
+    rest = skorokhod_delta(spec, [0.3, -0.2], grid, inc[[0, 2, 3]], [0.7, -0.4], prof)
+    assert same_bytes(delta[[0, 2, 3]], rest)
 
 
 def test_bismut_ito_rejects_anticipative_model(anticipative_spec):
@@ -618,6 +633,22 @@ def test_run_degenerate_on_explosive_model():
                         grid, cfg)
 
 
+@pytest.mark.parametrize("v", [[0.0, 1.0], [1.0, 0.0]])
+def test_degenerate_constant_control_rejected_by_both_drivers(v):
+    # d2Z1 = 0 makes every Gramian Q_t vanish: the (deterministic) control
+    # cannot be built, and duality_gap must not report a gap from it
+    from hypograd.cli import build_model
+    spec = build_model({"custom": {"m": 1, "d": 1, "z1": ["0*x2"], "z2": ["-x1 - x2"],
+                                   "sigma": [[1.0]], "b0": [[1.0]]}})
+    assert spec.constant_jac_z1
+    grid = TimeGrid(0.5, 16)
+    cfg = EstimatorConfig(n_paths=200, master_seed=1, method="bismut_ito")
+    with pytest.raises(RunDegenerateError):
+        bismut_gradient(spec, [0.3, -0.2], v, linear_f([1.0, 0.0]), grid, cfg)
+    with pytest.raises(RunDegenerateError):
+        duality_gap(spec, [0.3, -0.2], v, quadratic_f(np.eye(2)), grid, cfg)
+
+
 @pytest.mark.parametrize("driver", ["bismut", "pathwise", "fd", "expectation",
                                     "duality"])
 def test_every_driver_enforces_reject_limit(driver, anticipative_spec, monkeypatch):
@@ -699,14 +730,14 @@ def test_skorokhod_trace_multidimensional(model_cfg, x0):
     assert not spec.constant_jac_z1
     t_final, n_steps = 0.4, 8
     grid = TimeGrid(t_final, n_steps)
-    prof = xi_case1(None, spec.b0, phi_parabolic(t_final), 2.0, t_final)
+    prof = xi_case1(spec.b0, phi_parabolic(t_final), 2.0, t_final)
     rng = np.random.default_rng(5)
     x0 = np.asarray(x0)
     for _ in range(2):
         v = rng.standard_normal(spec.dim)
-        w = rng.standard_normal((n_steps, spec.d)) * np.sqrt(grid.dt)
+        w = (rng.standard_normal((n_steps, spec.d)) * np.sqrt(grid.dt))[None]
         oracle = brute_force_divergence(spec, x0, grid, w, v, prof)
-        fast = float(skorokhod_delta(spec, x0, grid, w, v, prof))
+        fast = float(skorokhod_delta(spec, x0, grid, w, v, prof)[0])
         assert abs(oracle - fast) <= 1e-6 * max(1.0, abs(oracle))
 
 
@@ -737,40 +768,6 @@ def _estimate_custom_spec():
     return build_model(cfg["model"])
 
 
-@pytest.mark.parametrize("which", ["mass", "custom"])
-def test_chain_bitwise_with_and_without_shared_jacobian(which, anticipative_spec):
-    from hypograd.control import build_alpha, build_bridge, gramian_Q
-    from hypograd.flow import full_jacobian_flow, terminal_flow
-    spec = anticipative_spec if which == "mass" else _estimate_custom_spec()
-    x0, v = np.array([0.3, -0.2]), np.array([0.7, -0.4])
-    grid = TimeGrid(0.5, 16)
-    inc = path_increments(grid, spec.d, 3, 0, 24)
-    states = np.ascontiguousarray(simulate_path(spec, x0, grid, inc))
-    weights = default_weights(spec, grid, c_bound=3.0)
-    jac = spec.full_jacobian(states)
-
-    def same(a, b):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    k = terminal_flow(spec, states, grid)
-    same(k, terminal_flow(spec, states, grid, jac))
-    same(k[2], terminal_flow(spec, states[2], grid, jac[2]))
-    same(full_jacobian_flow(spec, states, grid),
-         full_jacobian_flow(spec, states, grid, jac))
-    same(gramian_Q(spec, states, k, weights.phi, grid),
-         gramian_Q(spec, states, k, weights.phi, grid, jac=jac))
-    ad = build_alpha(spec, states, k, grid, v, weights)
-    ad_j = build_alpha(spec, states, k, grid, v, weights, jac=jac)
-    for name in ("alpha", "alpha_dot", "alpha_dot_analytic", "q_path", "u_nodes",
-                 "rho", "p_vec", "nu"):
-        same(getattr(ad, name), getattr(ad_j, name))
-    for a, b in zip(build_bridge(spec, states, k, ad, grid, v),
-                    build_bridge(spec, states, k, ad, grid, v, jac)):
-        same(a, b)
-    same(estimator._skorokhod_trace(spec, states, grid, v, weights, ad, k),
-         estimator._skorokhod_trace(spec, states, grid, v, weights, ad, k, jac))
-
-
 def _spy_drift_expr(monkeypatch):
     """Record the state shape of every DriftExpr evaluation, per method."""
     from hypograd.exprdrift import DriftExpr
@@ -783,13 +780,25 @@ def _spy_drift_expr(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("driver", ["bismut", "duality"])
+@pytest.mark.parametrize("driver", ["bismut", "duality", "bismut_ito"])
 def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
     grid = TimeGrid(0.5, 12)
     cfg = EstimatorConfig(n_paths=60, master_seed=2, method="bismut_skorokhod",
                           c_bound=3.0, chunk_size=25)
     x0, v = [0.3, -0.2], [0.7, -0.4]
     calls = _spy_drift_expr(monkeypatch)
+    chunks = [(25, 13, 2), (25, 13, 2), (10, 13, 2)]
+    if driver == "bismut_ito":
+        import dataclasses
+        # constant mass: the control chain runs once, on the constant x0
+        # carrier path, from one Jacobian; each chunk then evaluates dZ2 on
+        # the stepped nodes for hdot
+        spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4"})
+        bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid,
+                        dataclasses.replace(cfg, method="bismut_ito"))
+        assert calls["jacobian"] == [(1, 13, 2)] + [(c[0], 12, 2) for c in chunks]
+        assert calls["hessian"] == []
+        return
     # built after the spy is in place: hess_z1 binds its DriftExpr method
     spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4",
                                          "mass_expr": "1 + 0.2*x1^2", "c_mass": 1.0})
@@ -797,7 +806,6 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
         bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid, cfg)
     else:
         duality_gap(spec, x0, v, quadratic_f(np.eye(2)), grid, cfg)
-    chunks = [(25, 13, 2), (25, 13, 2), (10, 13, 2)]
     # one bulk Jacobian and Hessian per chunk; the Jacobian flow and the
     # adjoint sweep index the bulk Jacobian instead of calling per step
     assert calls["jacobian"] == chunks

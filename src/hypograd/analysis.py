@@ -21,8 +21,8 @@ from scipy.stats import t as student_t
 
 from .control import numerical_rank
 from .errors import ConfigurationError, MethodMisuseError, NotApplicableError
-from .estimator import (TestFunction, bismut_gradient, covariance_flow,
-                        default_weights, expectation)
+from .estimator import (TestFunction, affine_mean, bismut_gradient,
+                        covariance_flow, default_weights, expectation)
 from .flow import TimeGrid
 
 __all__ = [
@@ -295,7 +295,8 @@ def gaussian_terminal_law(spec, x0, t_final):
     """Terminal law N(mu, Sigma) of an affine model."""
     if not spec.is_linear:
         raise MethodMisuseError("gaussian_terminal_law needs an affine model")
-    mu = expm(t_final * spec.drift_matrix) @ np.asarray(x0, dtype=float).ravel()
+    etg, shift = affine_mean(spec, t_final)
+    mu = etg @ np.asarray(x0, dtype=float).ravel() + shift
     cov = covariance_flow(spec, t_final)
     return mu, cov
 

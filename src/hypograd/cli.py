@@ -126,16 +126,14 @@ def _custom_model(c):
     zfull = DriftExpr(z1.components + z2.components, n)
     const_j1 = z1.is_constant_jacobian()
     const_j2 = z2.is_constant_jacobian()
-    drift_matrix = None
-    if const_j1 and const_j2 and np.allclose(zfull.value(np.zeros(n)), 0.0):
-        drift_matrix = zfull.jacobian(np.zeros(n))
+    drift_matrix = zfull.jacobian(np.zeros(n)) if const_j1 and const_j2 else None
     return ModelSpec(
         m=m, d=d, z=zfull.value, dz=zfull.jacobian,
         sigma=np.asarray(c["sigma"], dtype=float),
         b0=np.asarray(c["b0"], dtype=float),
         epsilon=float(c.get("epsilon", 0.0)),
         hess_z1=z1.hessian,
-        constant_jac_z1=const_j1, constant_jac_z2=const_j2,
+        constant_jac_z1=const_j1,
         drift_matrix=drift_matrix, name="custom", params=dict(c))
 
 

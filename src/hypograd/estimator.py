@@ -144,11 +144,13 @@ class TestFunction:
         return True
 
 
+# np.einsum, not BLAS, so no row's value depends on how many rows come with it
+
 def linear_f(a, b=0.0):
     a = np.asarray(a, dtype=float).ravel()
 
     def f(x):
-        return np.asarray(x) @ a + b
+        return np.einsum("...a,a->...", np.asarray(x, dtype=float), a) + b
 
     def grad(x):
         return np.broadcast_to(a, np.asarray(x).shape).copy()
@@ -165,10 +167,11 @@ def quadratic_f(s_mat, b=None, c=0.0):
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return np.einsum("...a,ab,...b->...", x, s_mat, x) + x @ b + c
+        return (np.einsum("...a,ab,...b->...", x, s_mat, x)
+                + np.einsum("...a,a->...", x, b) + c)
 
     def grad(x):
-        return np.asarray(x, dtype=float) @ sym.T + b
+        return np.einsum("...b,ab->...a", np.asarray(x, dtype=float), sym) + b
 
     return TestFunction(f=f, grad_f=grad, tag="quadratic",
                         params={"s": s_mat.tolist(), "b": b.tolist(), "c": float(c)})
@@ -354,50 +357,53 @@ def _norm1(mats):
 
 
 def _inv(mats):
-    """``np.linalg.inv`` of a stack, with 1x1 stacks inverted element-wise.
+    """Inverse of a finite stack and the mask of members it could not invert.
 
-    LAPACK's LU inverse of a 1x1 matrix is the one correctly rounded
-    division 1/a, and it fails exactly when a == 0 (-0.0 included), so the
-    division gives the same bits and the same error without LAPACK's
-    per-member dispatch.
+    1x1 and 2x2 stacks: the adjugate over the determinant, element-wise (the
+    1x1 case 1/a has LAPACK's bits); a computed determinant of 0 or non-finite
+    flags the member.  Larger stacks: LAPACK, retried with the members whose
+    LU determinant is 0 replaced by I when one of them fails the batch.
     """
-    if mats.shape[-1] > 1:
-        return np.linalg.inv(mats)
-    if (mats == 0.0).any():
-        raise np.linalg.LinAlgError("Singular matrix")
-    with np.errstate(over="ignore"):          # LAPACK overflows silently too
-        return 1.0 / mats
+    n = mats.shape[-1]
+    if n > 2:
+        try:
+            return np.linalg.inv(mats), np.zeros(mats.shape[:-2], dtype=bool)
+        except np.linalg.LinAlgError:
+            det = np.linalg.det(mats)
+            sing = ~np.isfinite(det) | (det == 0.0)
+            return np.linalg.inv(np.where(sing[..., None, None], np.eye(n), mats)), sing
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if n == 1:
+            det, inv = mats[..., 0, 0], 1.0 / mats
+        else:
+            a, b = mats[..., 0, 0], mats[..., 0, 1]
+            c, d = mats[..., 1, 0], mats[..., 1, 1]
+            det = a * d - b * c
+            adj = np.stack([d, -b, -c, a], axis=-1).reshape(mats.shape)
+            inv = adj / det[..., None, None]
+        return inv, ~np.isfinite(det) | (det == 0.0)
 
 
 def _pinv_stack(mats, rcond=1e-13):
     """Pseudo-inverse of stacked square matrices; never raises on singularity.
 
-    A batched LU inverse serves every member it can be trusted on.  A member
-    falls back to the SVD pseudo-inverse (``_svd_pinv``, same ``rcond``) when
-    it is exactly singular, or when its 1-norm condition estimate
+    A batched inverse (``_inv``) serves every member it can be trusted on.
+    A member falls back to the SVD pseudo-inverse (``_svd_pinv``, same
+    ``rcond``) when ``_inv`` flags it, or when its 1-norm condition estimate
     n ||A||_1 ||A^-1||_1 reaches 1/rcond.  Since cond_2 <= n cond_1, every
     member kept on the fast path is one the SVD would not have truncated, so
-    the result equals the pseudo-inverse up to round-off.  Non-finite members
-    give NaN (LAPACK's SVD does not converge on them).  A 1x1 stack is
-    inverted element-wise (``_inv``); LAPACK's 1x1 LU inverse is that same
-    correctly rounded division 1/a, so every bit and every guard is as it
-    would be with LAPACK.
+    the result equals the pseudo-inverse up to round-off (for 2x2, a few ulp
+    times the condition number).  Non-finite members give NaN.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
     finite = np.isfinite(mats).all(axis=(-2, -1))
     bad = ~finite
     safe = np.where(bad[..., None, None], np.eye(n), mats) if bad.any() else mats
-    try:
-        inv = _inv(safe)
-    except np.linalg.LinAlgError:
-        # one exactly singular member fails the whole batch; the determinant
-        # comes from the same LU factorization and is 0 exactly for those
-        det = np.linalg.det(safe)
-        bad |= ~np.isfinite(det) | (det == 0.0)
-        safe = np.where(bad[..., None, None], np.eye(n), mats)
-        inv = _inv(safe)
-    bad |= ~(n * _norm1(safe) * _norm1(inv) < 1.0 / rcond)
+    inv, singular = _inv(safe)
+    bad |= singular
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad |= ~(n * _norm1(safe) * _norm1(inv) < 1.0 / rcond)
     if bad.any():
         inv[bad] = np.nan
         redo = bad & finite
@@ -625,6 +631,51 @@ def _simulate(spec, x0, grid, inc):
     return states, ok
 
 
+class _AffineTerminal:
+    """Euler terminal states of an affine model, by one contraction of the
+    increments instead of N steps.
+
+    With F = I + dt G, z0 = Z(0) and E sigma the noise injection, exactly
+    X_N = F^N x0 + sum_i F^{N-1-i} (dt z0 + E sigma dW_i).  The weights
+    F^{N-1-i} E sigma are built once as an (N d, n) matrix; a path-independent
+    hdot (N, d) is one more column, giving delta = sum_i <hdot_i, dW_i>.
+    ``np.einsum`` contracts each row alone in a fixed order, so no result
+    depends on chunking (BLAS rounds few-row products differently) and an
+    antithetic partner gets the exact negative.  Only X_N is formed, so only
+    X_N is checked for finiteness.
+    """
+
+    def __init__(self, spec, grid, h_dot=None):
+        n, d, n_steps = spec.dim, spec.d, grid.n_steps
+        step = np.eye(n) + grid.dt * spec.drift_matrix
+        e_sigma = np.zeros((n, d))
+        e_sigma[spec.m:] = spec.sigma
+        z0_dt = grid.dt * spec.drift(np.zeros(n))
+        rows = np.empty((n_steps, d, n))             # rows[i] = (F^{N-1-i} E sigma)^T
+        flow, shift = np.eye(n), np.zeros(n)
+        for i in range(n_steps - 1, -1, -1):
+            rows[i] = (flow @ e_sigma).T
+            shift += flow @ z0_dt
+            flow = step @ flow
+        self.weights = rows.reshape(n_steps * d, n)
+        if h_dot is not None:
+            self.weights = np.concatenate([self.weights, h_dot.reshape(-1, 1)], axis=1)
+        self.dim, self.flow, self.shift = n, flow, shift    # flow = F^N
+
+    def contract(self, inc):
+        """(B, n [+1]) noise part of X_N [and delta] for increments (B, N, d)."""
+        return np.einsum("pk,kc->pc", inc.reshape(len(inc), -1), self.weights)
+
+    def terminal(self, x0, noise):
+        """X_N from x0 and ``contract``'s output, and the mask of the finite
+        ones; a non-finite row is replaced by x0 (its results are masked)."""
+        x_n = noise[:, :self.dim] + (self.flow @ x0 + self.shift)
+        ok = valid_mask(x_n[:, None])
+        if not np.all(ok):
+            x_n[~ok] = x0
+        return x_n, ok
+
+
 def _moment_flag(delta, p):
     """Cauchy-convergence heuristic for E|delta|^p over dyadic prefixes."""
     n = delta.size
@@ -715,22 +766,25 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
                                   probe_seed=cfg.master_seed)
 
     diagnostics = {"weights": _profile_summary(weights)}
-    det_control = None
+    det_control = affine = None
     if spec.constant_jac_z1:
         det_control = _deterministic_control(spec, x0, grid, v, weights)
         diagnostics["bridge_residuals_max"] = det_control["residuals"].tolist()
         diagnostics["alpha_dot_gap"] = det_control["alpha_dot_gap"]
         diagnostics["q_bound_ratio"] = det_control["q_bound_ratio"]
         diagnostics["dropped_nodes_max"] = int(det_control["dropped"])
+        if spec.is_linear:
+            affine = _AffineTerminal(spec, grid, det_control["h_dot"])
 
     def per_chunk(start, inc):
+        if affine is not None:
+            noise = affine.contract(inc)
+            x_n, good = affine.terminal(x0, noise)
+            return (f.f(x_n), noise[:, -1]), good, None
         states, good = _simulate(spec, x0, grid, inc)
         payload = None
         if det_control is not None:
-            # with constant jac_z2 (affine models) every path has the same
-            # hdot: assemble it once and let the product broadcast
-            h_dot = _assemble_hdot(spec, states[:1] if spec.constant_jac_z2 else states,
-                                   det_control)
+            h_dot = _assemble_hdot(spec, states, det_control)
             dl = np.sum(h_dot * inc, axis=(-2, -1))
         else:
             # the Skorokhod trace runs slower on the path-major view
@@ -760,17 +814,17 @@ def _deterministic_control(spec, x0, grid, v, weights):
     """Control chain for constant-jac_z1 models: path-independent, built once.
 
     The carrier path only supplies Jacobian evaluation points, all constant
-    here, so a constant-x0 path serves.
+    here, so a constant-x0 path serves.  For an affine model DZ is constant
+    too, and the carrier's ``h_dot`` is every path's.
     """
     states = np.tile(x0, (1, grid.n_steps + 1, 1))
-    _, ad, g, _, res, _ = _bridge_chain(spec, states, grid, v, weights)
+    _, ad, g, h_dot, res, _ = _bridge_chain(spec, states, grid, v, weights)
     if bool(ad.degenerate[0]):
         raise RunDegenerateError("deterministic control chain is degenerate "
                                  "(singular terminal Gramian)")
     qratio = q_inverse_bound_ratio(ad.q_path, ad.xi_vals, spec.epsilon)
     return {
-        "alpha": ad.alpha[0], "alpha_dot": ad.alpha_dot[0], "g": g[0],
-        "q_path": ad.q_path[0], "xi_vals": ad.xi_vals,
+        "alpha": ad.alpha[0], "alpha_dot": ad.alpha_dot[0], "g": g[0], "h_dot": h_dot[0],
         "residuals": res[0], "alpha_dot_gap": ad.alpha_dot_gap,
         "q_bound_ratio": qratio, "dropped": int(ad.dropped_nodes[0]),
     }
@@ -793,18 +847,17 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
         raise MethodMisuseError("pathwise_gradient needs grad_f")
     v = np.asarray(v, dtype=float).ravel()
     x0 = np.asarray(x0, dtype=float).ravel()
-    jac_terminal_const = None
-    if spec.is_linear:
-        step = np.eye(spec.dim) + grid.dt * spec.drift_matrix
-        jac_terminal_const = np.linalg.matrix_power(step, grid.n_steps) @ v
+    affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
     def per_chunk(start, inc):
-        states, good = _simulate(spec, x0, grid, inc)
-        grad = f.grad_f(states[:, -1])
-        if jac_terminal_const is not None:
-            return (grad @ jac_terminal_const,), good, None
-        jac = directional_jacobian(spec, states, grid, v)
-        return (np.einsum("pa,pa->p", grad, jac),), good, None
+        if affine is not None:
+            x_n, good = affine.terminal(x0, affine.contract(inc))
+            jac = np.broadcast_to(affine.flow @ v, x_n.shape)
+        else:
+            states, good = _simulate(spec, x0, grid, inc)
+            x_n = states[:, -1]
+            jac = directional_jacobian(spec, states, grid, v)
+        return (np.einsum("pa,pa->p", f.grad_f(x_n), jac),), good, None
 
     (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1)
     return _plain_estimate(vals, ok, cfg, "pathwise")
@@ -815,11 +868,18 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
     v = np.asarray(v, dtype=float).ravel()
     x0 = np.asarray(x0, dtype=float).ravel()
     eta = cfg.fd_bump
+    affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
     def per_chunk(start, inc):
-        xp, good_p = _simulate(spec, x0 + eta * v, grid, inc)
-        xm, good_m = _simulate(spec, x0 - eta * v, grid, inc)
-        diff = (f.f(xp[:, -1]) - f.f(xm[:, -1])) / (2.0 * eta)
+        if affine is not None:
+            noise = affine.contract(inc)
+            xp, good_p = affine.terminal(x0 + eta * v, noise)
+            xm, good_m = affine.terminal(x0 - eta * v, noise)
+        else:
+            xp, good_p = _simulate(spec, x0 + eta * v, grid, inc)
+            xm, good_m = _simulate(spec, x0 - eta * v, grid, inc)
+            xp, xm = xp[:, -1], xm[:, -1]
+        diff = (f.f(xp) - f.f(xm)) / (2.0 * eta)
         return (diff,), good_p & good_m, None
 
     (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1)
@@ -829,10 +889,15 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
 def expectation(spec, x0, f, grid, cfg, seed_offset=0):
     """Plain Monte Carlo P_T f(x0) with standard error."""
     x0 = np.asarray(x0, dtype=float).ravel()
+    affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
     def per_chunk(start, inc):
-        states, good = _simulate(spec, x0, grid, inc)
-        return (f.f(states[:, -1]),), good, None
+        if affine is not None:
+            x_n, good = affine.terminal(x0, affine.contract(inc))
+        else:
+            states, good = _simulate(spec, x0, grid, inc)
+            x_n = states[:, -1]
+        return (f.f(x_n),), good, None
 
     (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, seed_offset=seed_offset)
     return _mean_se(vals[ok], ok, cfg.antithetic)
@@ -842,24 +907,40 @@ def expectation(spec, x0, f, grid, cfg, seed_offset=0):
 # Gaussian closed form for affine models
 # ---------------------------------------------------------------------------
 
+def affine_mean(spec, t_final):
+    """Mean map of an affine model's X_T: returns (exp(TG), c) with
+    E X_T = exp(TG) x0 + c, c = int_0^T exp(sG) ds z0 and z0 = Z(0).
+
+    Both come from one exponential of the augmented generator
+    [[G, z0], [0, 0]].
+    """
+    if not spec.is_linear:
+        raise MethodMisuseError("affine_mean needs an affine model")
+    n = spec.dim
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = spec.drift_matrix
+    aug[:n, n] = spec.drift(np.zeros(n))
+    e_aug = expm(t_final * aug)
+    return e_aug[:n, :n], e_aug[:n, n]
+
+
 def closed_form_gradient(spec, x0, v, f, t_final):
     """Exact grad_v E f(X_T) for an affine model and linear/quadratic f.
 
-    X_T ~ N(exp(TG) x0, Sigma_T) with mean flow exp(TG) by scaling and
-    squaring.  Both gradients depend on the mean alone: a linear f gives
+    X_T ~ N(mu, Sigma_T) with mu = exp(TG) x0 + c from ``affine_mean``.
+    Both gradients depend on the mean alone: a linear f gives
     a . exp(TG) v, and a quadratic x^T S x + b . x gives
-    (exp(TG) v)^T (S + S^T) exp(TG) x0 + b . exp(TG) v, since the
-    covariance term tr(S Sigma_T) does not depend on x0.
+    (exp(TG) v)^T (S + S^T) mu + b . exp(TG) v, since the covariance term
+    tr(S Sigma_T) does not depend on x0.
     """
     if not spec.is_linear:
         raise MethodMisuseError("closed_form_gradient needs an affine model")
     if f.tag not in ("linear", "quadratic"):
         raise MethodMisuseError("closed_form_gradient supports linear/quadratic f")
-    g_full = spec.drift_matrix
     x0 = np.asarray(x0, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    etg = expm(t_final * g_full)
-    mu = etg @ x0
+    etg, shift = affine_mean(spec, t_final)
+    mu = etg @ x0 + shift
     ev = etg @ v
     if f.tag == "linear":
         a = np.asarray(f.params["a"], dtype=float)
@@ -870,34 +951,20 @@ def closed_form_gradient(spec, x0, v, f, t_final):
 
 
 def covariance_flow(spec, t_final):
-    """Sigma_T for an affine model by trapezoid quadrature of the flow, on
-    2^14 intervals and checked against 2^13."""
+    """Sigma_T = int_0^T exp(sG) D exp(sG)^T ds, D = diag(0, sigma sigma^T),
+    for an affine model, by Van Loan's block exponential: expm(T [[-G, D],
+    [0, G^T]]) has lower-right block exp(TG)^T and upper-right block
+    exp(-TG) Sigma_T."""
     if not spec.is_linear:
         raise MethodMisuseError("covariance_flow needs an affine model")
-    g_full = spec.drift_matrix
-    n = spec.dim
-    d_mat = np.zeros((n, n))
-    d_mat[spec.m:, spec.m:] = spec.sigma @ spec.sigma.T
-
-    def quad(nq):
-        s = np.linspace(0.0, t_final, nq + 1)
-        ds = s[1] - s[0]
-        e_step = expm(ds * g_full)
-        acc = np.zeros((n, n))
-        flow = np.eye(n)
-        for j in range(nq + 1):
-            w = 0.5 if j in (0, nq) else 1.0
-            term = flow @ d_mat @ flow.T
-            acc += w * term * ds
-            flow = e_step @ flow
-        return acc
-
-    full = quad(2**14)
-    half = quad(2**13)
-    rel = np.linalg.norm(full - half) / max(np.linalg.norm(full), 1e-300)
-    if rel > 1e-6:
-        raise RunDegenerateError(f"covariance quadrature not converged (rel={rel:.2e})")
-    return full
+    n, m = spec.dim, spec.m
+    blocks = np.zeros((2 * n, 2 * n))
+    blocks[:n, :n] = -spec.drift_matrix
+    blocks[m:n, n + m:] = spec.sigma @ spec.sigma.T
+    blocks[n:, n:] = spec.drift_matrix.T
+    e_blocks = expm(t_final * blocks)
+    cov = e_blocks[n:, n:].T @ e_blocks[:n, n:]
+    return 0.5 * (cov + cov.T)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,6 @@ class ModelSpec:
     hypothesis: Optional[HypothesisData] = None
     hess_z1: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constant_jac_z1: bool = False
-    constant_jac_z2: bool = False
     drift_matrix: Optional[np.ndarray] = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
@@ -443,8 +442,7 @@ def _build_kinetic_ou(p, raw):
     hyp = HypothesisData(w=w, grad2_w=make_grad2(m), c_const=c, l1=0.0, l2=0.0)
     return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
                      sigma=sigma, b0=eye_md.copy(), epsilon=0.0, hypothesis=hyp,
-                     hess_z1=_zero_hess(m, d), constant_jac_z1=True,
-                     constant_jac_z2=True, drift_matrix=gfull,
+                     hess_z1=_zero_hess(m, d), constant_jac_z1=True, drift_matrix=gfull,
                      name="kinetic_ou", params=raw)
 
 
@@ -548,7 +546,6 @@ def _build_hamiltonian(p, raw):
     return ModelSpec(m=m, d=d, z=zfull.value, dz=zfull.jacobian,
                      sigma=sigma, b0=float(c_mass) * np.eye(m, d), epsilon=0.0,
                      hypothesis=hyp, hess_z1=z1_field.hessian, constant_jac_z1=const_j1,
-                     constant_jac_z2=(drift_matrix is not None),
                      drift_matrix=drift_matrix, name="hamiltonian", params=raw)
 
 
@@ -584,6 +581,5 @@ def _build_integrator_chain(p, raw):
     hyp = HypothesisData(w=w, grad2_w=make_grad2(m), c_const=c, l1=0.0, l2=0.0)
     return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
                      sigma=sigma, b0=b0, epsilon=0.0, hypothesis=hyp,
-                     hess_z1=_zero_hess(m, d), constant_jac_z1=True,
-                     constant_jac_z2=True, drift_matrix=gfull,
+                     hess_z1=_zero_hess(m, d), constant_jac_z1=True, drift_matrix=gfull,
                      name="integrator_chain", params=raw)

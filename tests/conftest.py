@@ -87,20 +87,31 @@ def wide_values(n, seed):
 
 
 def pinv_stack_lapack(mats, rcond=1e-13):
-    """Guarded inverse with LAPACK's batched LU for every size (reference)."""
+    """Guarded inverse with LAPACK's batched LU for 1x1 and larger stacks
+    (reference).
+
+    2x2 stacks go through ``estimator._inv``'s closed form, which has no
+    LAPACK counterpart bit for bit; a 1x1 stack is LAPACK's own, so the
+    element-wise 1x1 inverse is checked against LAPACK's bits.
+    """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
     finite = np.isfinite(mats).all(axis=(-2, -1))
     bad = ~finite
     safe = np.where(bad[..., None, None], np.eye(n), mats) if bad.any() else mats
-    try:
-        inv = np.linalg.inv(safe)
-    except np.linalg.LinAlgError:
-        det = np.linalg.det(safe)
-        bad |= ~np.isfinite(det) | (det == 0.0)
-        safe = np.where(bad[..., None, None], np.eye(n), mats)
-        inv = np.linalg.inv(safe)
-    bad |= ~(n * estimator._norm1(safe) * estimator._norm1(inv) < 1.0 / rcond)
+    if n == 2:
+        inv, singular = estimator._inv(safe)
+        bad |= singular
+    else:
+        try:
+            inv = np.linalg.inv(safe)
+        except np.linalg.LinAlgError:
+            det = np.linalg.det(safe)
+            bad |= ~np.isfinite(det) | (det == 0.0)
+            safe = np.where(bad[..., None, None], np.eye(n), mats)
+            inv = np.linalg.inv(safe)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad |= ~(n * estimator._norm1(safe) * estimator._norm1(inv) < 1.0 / rcond)
     if bad.any():
         inv[bad] = np.nan
         redo = bad & finite

@@ -227,3 +227,14 @@ def test_harnack_mc_close_to_oracle(kinetic_spec):
 def test_gaussian_terminal_law_requires_linear(anticipative_spec):
     with pytest.raises(MethodMisuseError):
         gaussian_terminal_law(anticipative_spec, [0.0, 0.0], 1.0)
+
+
+def test_gaussian_terminal_law_mean_keeps_drift_offset():
+    # x1' = x2, x2' = 2 - x2 + noise: the mean solves the same ODE with the
+    # offset Z(0) = (0, 2), which a bare exp(TG) x0 drops
+    spec = builtin_model("integrator_chain", {"a": [[0.0]], "b0": [[1.0]],
+                                              "z2_lin": [[0.0, -1.0]], "z2_off": [2.0]})
+    mu, _ = gaussian_terminal_law(spec, [0.5, 0.3], 1.0)
+    decay = np.exp(-1.0)
+    truth = [0.5 + 2.0 + (0.3 - 2.0) * (1.0 - decay), 2.0 + (0.3 - 2.0) * decay]
+    assert np.allclose(mu, truth, rtol=1e-12, atol=0.0)

@@ -10,6 +10,7 @@ from hypograd import estimator
 from hypograd.cli import (build_model, build_test_function, canonical_json,
                           config_hash, list_builtins, load_config, main, run)
 from hypograd.errors import ConfigurationError
+from hypograd.model import builtin_model
 
 
 def _write(tmp_path, name, cfg):
@@ -211,6 +212,20 @@ def test_custom_model_detects_structure():
                                      "z2": ["-x1"], "sigma": [[1.0]],
                                      "b0": [[1.0]]}})
     assert not nonlin.constant_jac_z1
+
+
+def test_custom_affine_model_with_offset_is_linear():
+    # every affine path keeps Z(0), so an offset no longer hides the
+    # drift matrix; the closed form then matches the builtin chain's
+    spec = build_model({"custom": {"m": 1, "d": 1, "z1": ["x2"], "z2": ["2 - x2"],
+                                   "sigma": [[1.0]], "b0": [[1.0]]}})
+    assert spec.is_linear
+    chain = builtin_model("integrator_chain", {"a": [[0.0]], "b0": [[1.0]],
+                                               "z2_lin": [[0.0, -1.0]], "z2_off": [2.0]})
+    f = estimator.quadratic_f(np.eye(2))
+    got = estimator.closed_form_gradient(spec, [0.5, 0.3], [1.0, 0.0], f, 1.0)
+    assert got == pytest.approx(
+        estimator.closed_form_gradient(chain, [0.5, 0.3], [1.0, 0.0], f, 1.0), rel=1e-14)
 
 
 def _duality_cfg(tmp_path):

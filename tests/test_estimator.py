@@ -1,5 +1,6 @@
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,8 +143,32 @@ def test_pinv_stack_falls_back_per_member(monkeypatch):
         np.testing.assert_array_equal(got[i], estimator._svd_pinv(mats[i], 1e-13))
     assert np.max(np.abs(got[4])) <= 1.0 + 1e-12             # 3e-14 dropped, not inverted
     assert np.all(np.isnan(got[6]))
-    rest = [0, 2, 3, 5, 7]
-    np.testing.assert_array_equal(got[rest], np.linalg.inv(mats[rest]))
+    for i in (0, 2, 3, 5, 7):
+        assert_close_to_exact_inverse(mats[i], got[i])
+
+
+def _exact_inverse_2x2(mat):
+    """Inverse of a 2x2 float matrix in exact rational arithmetic."""
+    (a, b), (c, d) = [[Fraction(float(x)) for x in row] for row in mat]
+    det = a * d - b * c
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
+def assert_close_to_exact_inverse(mat, got):
+    """Every entry of ``got`` within 4 (1 + cond_1) ulp of the exact inverse.
+
+    The adjugate is exact and ad - bc is rounded three times, with error at
+    most eps (|ad| + |bc|) + eps |det| <= eps (2 cond_2 + 1) |det|, cond_2 <=
+    2 cond_1; the final division adds one more rounding.  So each entry is
+    off by at most about (4 cond_1 + 2) eps relative to itself.
+    """
+    exact = _exact_inverse_2x2(mat)
+    cond1 = float(np.abs(mat).sum(axis=0).max()
+                  * np.abs(np.array(exact, dtype=float)).sum(axis=0).max())
+    tol = Fraction(4.0 * (1.0 + cond1) * np.finfo(float).eps)
+    for r in range(2):
+        for c in range(2):
+            assert abs(Fraction(float(got[r, c])) - exact[r][c]) <= tol * abs(exact[r][c])
 
 
 def test_pinv_stack_singular_member_does_not_reroute_stack(monkeypatch):
@@ -157,6 +182,35 @@ def test_pinv_stack_singular_member_does_not_reroute_stack(monkeypatch):
     keep = np.ones((16, 32), dtype=bool)
     keep[3, 7] = False
     np.testing.assert_array_equal(got[keep], 1.0 / mats[keep])
+
+
+@pytest.mark.parametrize("special,kind,well_conditioned", [
+    ([[1.0, 2.0], [2.0, 4.0]], "zero", False),              # exactly singular
+    ([[1e-200, 0.0], [0.0, 1e-200]], "zero", True),         # det underflows
+    ([[1.0 + 2.0**-30, 1.0 + 2.0**-29], [1.0, 1.0 + 2.0**-30]], "zero", False),  # cancels
+    ([[1e200, 0.0], [0.0, 1e200]], "inf", True),            # det overflows
+    ([[1e200, 1e200], [1e200, 2e200]], "nan", True),        # inf - inf
+], ids=["singular", "underflow", "cancels", "overflow", "nan"])
+def test_pinv_stack_2x2_unusable_determinant_routed_per_member(special, kind,
+                                                                well_conditioned,
+                                                                monkeypatch):
+    # a member whose computed ad - bc is 0 or non-finite goes to the SVD on
+    # its own; the others keep the closed form, and nothing raises or warns
+    mats = np.random.default_rng(9).standard_normal((6, 2, 2)) + 3.0 * np.eye(2)
+    mats[2] = special
+    (a, b), (c, d) = mats[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a * d - b * c
+    assert {"zero": det == 0.0, "inf": np.isinf(det), "nan": np.isnan(det)}[kind]
+    seen = _count_svd_members(monkeypatch)
+    got = estimator._pinv_stack(mats)
+    assert seen == [1]
+    assert same_bytes(got[2], estimator._svd_pinv(mats[2:3], 1e-13)[0])
+    rest = [0, 1, 3, 4, 5]
+    assert same_bytes(got[rest], estimator._inv(mats[rest])[0])
+    if well_conditioned:                         # the SVD gives its true inverse
+        exact = np.array(_exact_inverse_2x2(mats[2]), dtype=float)
+        assert np.allclose(got[2], exact, rtol=1e-14, atol=0.0)
 
 
 def test_pinv_stack_1x1_matches_lapack_bitwise(monkeypatch):
@@ -821,12 +875,132 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
     ("integrator_chain", {"a": [[0.0, 1.0], [0.0, 0.0]], "b0": [[0.0], [1.0]]},
      [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], linear_f([1.0, 0.0, 0.0])),
 ])
-def test_affine_hdot_assembled_once_bitwise(name, params, x0, v, f):
+def test_affine_hdot_assembled_once_matches_euler(name, params, x0, v, f):
+    # the affine route contracts one shared hdot with the increments; the
+    # same model without its drift matrix steps Euler and assembles hdot per
+    # path.  Per-path values then differ by round-off only.
     import dataclasses
     spec = builtin_model(name, params)
-    assert spec.constant_jac_z1 and spec.constant_jac_z2
-    per_path = dataclasses.replace(spec, constant_jac_z2=False)
+    stepped = dataclasses.replace(spec, drift_matrix=None)
     grid = TimeGrid(1.0, 48)
     cfg = EstimatorConfig(n_paths=700, master_seed=4, method="bismut_ito", chunk_size=300)
     shared = bismut_gradient(spec, x0, v, f, grid, cfg)
-    assert shared == bismut_gradient(per_path, x0, v, f, grid, cfg)
+    euler = bismut_gradient(stepped, x0, v, f, grid, cfg)
+    assert (shared.n_effective, shared.rejected) == (euler.n_effective, euler.rejected)
+    for key in ("value", "std_error", "weight_l2", "delta_mean", "value_cv"):
+        assert getattr(shared, key) == pytest.approx(getattr(euler, key),
+                                                     rel=1e-12, abs=1e-14), key
+
+
+# ---------------------------------------------------------------------------
+# affine terminal states by one contraction
+# ---------------------------------------------------------------------------
+
+AFFINE_CASES = {
+    "kinetic_m1": ("kinetic_ou", {"m": 1}, [1.0, 1.0], [1.0, 0.0]),
+    "kinetic_m2": ("kinetic_ou", {"m": 2, "k": [[1.0, 0.3], [0.2, 1.5]],
+                                  "gamma": [[0.7, 0.1], [0.0, 1.2]],
+                                  "sigma": [[1.0, 0.3], [0.2, 0.8]]},
+                   [1.0, 0.5, 0.2, -0.1], [1.0, 0.3, 0.5, 0.2]),
+    # Z(0) = (0, 2): the drift offset enters every terminal state
+    "chain_offset": ("integrator_chain", {"a": [[0.0]], "b0": [[1.0]],
+                                          "z2_lin": [[0.0, -1.0]], "z2_off": [2.0]},
+                     [0.5, 0.3], [1.0, 0.0]),
+}
+
+
+def _affine_case(name):
+    model, params, x0, v = AFFINE_CASES[name]
+    return builtin_model(model, params), np.array(x0), np.array(v)
+
+
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_affine_terminal_matches_euler(case):
+    from hypograd.flow import simulate_path
+    spec, x0, v = _affine_case(case)
+    grid = TimeGrid(1.0, 64)
+    inc = path_increments(grid, spec.d, 3, 0, 50)
+    det = estimator._deterministic_control(spec, x0, grid, v, default_weights(spec, grid))
+    affine = estimator._AffineTerminal(spec, grid, det["h_dot"])
+    noise = affine.contract(inc)
+    x_n, ok = affine.terminal(x0, noise)
+    euler = simulate_path(spec, x0, grid, inc)[:, -1]
+    euler_delta = ito_delta(det["h_dot"], inc)
+    # each side rounds N sums of terms no larger than the result's scale
+    tol = 4 * grid.n_steps * np.finfo(float).eps
+    assert ok.all()
+    assert np.max(np.abs(x_n - euler)) <= tol * np.max(np.abs(euler))
+    assert np.max(np.abs(noise[:, -1] - euler_delta)) <= tol * np.max(np.abs(euler_delta))
+
+
+def _affine_driver_outputs(spec, x0, v, grid, chunk_size, n_threads):
+    f = quadratic_f(np.eye(spec.dim), b=np.linspace(0.5, -0.5, spec.dim))
+
+    def cfg(method, antithetic=False):
+        return EstimatorConfig(n_paths=141, master_seed=2, method=method,
+                               chunk_size=chunk_size, n_threads=n_threads,
+                               antithetic=antithetic)
+
+    return pickle.dumps([
+        bismut_gradient(spec, x0, v, f, grid, cfg("bismut_ito")),
+        bismut_gradient(spec, x0, v, f, grid, cfg("bismut_ito", antithetic=True)),
+        pathwise_gradient(spec, x0, v, f, grid, cfg("pathwise")),
+        fd_gradient(spec, x0, v, f, grid, cfg("finite_difference")),
+        expectation(spec, x0, f, grid, cfg("pathwise")),
+    ])
+
+
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_affine_drivers_independent_of_chunks_and_threads(case):
+    # a BLAS product would round the rows of a small chunk differently
+    spec, x0, v = _affine_case(case)
+    grid = TimeGrid(1.0, 24)
+    outs = {_affine_driver_outputs(spec, x0, v, grid, chunk_size, n_threads)
+            for chunk_size in (None, 70, 1) for n_threads in (1, 2)}
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("driver", ["bismut", "pathwise", "fd", "expectation"])
+def test_affine_drivers_reject_nan_increment(driver, kinetic_spec, monkeypatch):
+    # the last increment has weight 0 in x1 of X_N; NaN * 0 is NaN, so even
+    # there a NaN increment makes the terminal state non-finite
+    grid = TimeGrid(1.0, 16)
+    x0, v = np.array([1.0, 1.0]), np.array([1.0, 0.0])
+    assert estimator._AffineTerminal(kinetic_spec, grid).weights[-1, 0] == 0.0
+    f = quadratic_f(np.eye(2))
+    runs = {
+        "bismut": lambda cfg: bismut_gradient(kinetic_spec, x0, v, f, grid, cfg),
+        "pathwise": lambda cfg: pathwise_gradient(kinetic_spec, x0, v, f, grid, cfg),
+        "fd": lambda cfg: fd_gradient(kinetic_spec, x0, v, f, grid, cfg),
+        "expectation": lambda cfg: expectation(kinetic_spec, x0, f, grid, cfg),
+    }
+    cfg = EstimatorConfig(n_paths=2000, master_seed=1, method="bismut_ito", chunk_size=500)
+    clean = runs[driver](cfg)
+
+    def poisoned(*args, _orig=path_increments, **kwargs):
+        out = _orig(*args, **kwargs)
+        if args[3] <= 7 < args[3] + len(out):
+            out[7 - args[3], -1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(estimator, "path_increments", poisoned)
+    got = runs[driver](cfg)
+    if driver == "expectation":
+        assert np.isfinite(got[0]) and got[0] != clean[0]
+    else:
+        assert got.rejected == 1 and got.n_effective == 1999
+        assert np.isfinite(got.value) and got.value != clean.value
+
+
+def test_closed_form_keeps_drift_offset():
+    # x2' = 2 - x2, x1' = x2: E X1_T = x1 + 2T + (x2 - 2)(1 - e^-T), and
+    # grad_v E|X_T|^2 = 2 E X1_T along v = e1; dropping Z(0) gave 1.379
+    spec, x0, v = _affine_case("chain_offset")
+    f = quadratic_f(np.eye(2))
+    mean_x1 = 0.5 + 2.0 + (0.3 - 2.0) * (1.0 - np.exp(-1.0))
+    closed = closed_form_gradient(spec, x0, v, f, 1.0)
+    assert closed == pytest.approx(2.0 * mean_x1, rel=1e-12)
+    grid = TimeGrid(1.0, 512)
+    est = pathwise_gradient(spec, x0, v, f, grid,
+                            EstimatorConfig(n_paths=20000, master_seed=3, method="pathwise"))
+    assert abs(est.value - closed) <= 4 * est.std_error + 10.0 * grid.dt

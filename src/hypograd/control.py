@@ -423,13 +423,13 @@ def build_bridge(spec, jac, alpha_data, grid, v):
     v1, v2 = v[:m], v[m:]
 
     a_nodes, c_nodes = jac[..., :m, :m], jac[..., :m, m:]
-    g = np.empty((n_paths, n + 1, m))
-    g[:, 0] = v1
+    g = np.empty((n + 1, n_paths, m))                  # time-major, as the Euler loop
+    g[0] = v1
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            g[:, i + 1] = g[:, i] + dt * (
-                np.einsum("pab,pb->pa", a_nodes[:, i], g[:, i])
-                + np.einsum("pad,pd->pa", c_nodes[:, i], alpha[:, i]))
+            g[i + 1] = g[i] + dt * (np.einsum("pab,pb->pa", a_nodes[:, i], g[i])
+                                    + np.einsum("pad,pd->pa", c_nodes[:, i], alpha[:, i]))
+    g = np.swapaxes(g, 0, 1)
 
     j21, j22 = jac[..., m:, :m], jac[..., m:, m:]
     drive = (np.einsum("pjda,pja->pjd", j21[:, :-1], g[:, :-1])

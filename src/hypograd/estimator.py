@@ -217,8 +217,10 @@ def path_increments(grid, d, master_seed, start, count, antithetic=False):
     out = np.empty((count, grid.n_steps, d))
     bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bg)
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    zero = np.zeros(4, dtype=np.uint64)
+    # Python lists: the setter reads them item by item, much faster than
+    # uint64 arrays, and a Python int above 2^63 converts exactly
+    key = [master_seed & 0xFFFFFFFFFFFFFFFF, 0]
+    zero = [0, 0, 0, 0]
     fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
              "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for row, idx in enumerate(range(start, start + count)):
@@ -311,6 +313,7 @@ def _bridge_chain(spec, states, grid, v, weights):
     Skorokhod trace is zero when jac_z1 is constant (the control is then
     deterministic and the trace vanishes).
     """
+    states = np.ascontiguousarray(states)   # the derivative tapes run faster on it
     with np.errstate(over="ignore", invalid="ignore"):
         jac = spec.full_jacobian(states)
     k = terminal_flow(spec, jac, grid)
@@ -360,9 +363,10 @@ def _inv(mats):
     """Inverse of a finite stack and the mask of members it could not invert.
 
     1x1 and 2x2 stacks: the adjugate over the determinant, element-wise (the
-    1x1 case 1/a has LAPACK's bits); a computed determinant of 0 or non-finite
-    flags the member.  Larger stacks: LAPACK, retried with the members whose
-    LU determinant is 0 replaced by I when one of them fails the batch.
+    1x1 case 1/a has LAPACK's bits), in the memory layout of ``mats``; a
+    computed determinant of 0 or non-finite flags the member.  Larger stacks:
+    LAPACK, retried with the members whose LU determinant is 0 replaced by I
+    when one of them fails the batch.
     """
     n = mats.shape[-1]
     if n > 2:
@@ -379,8 +383,9 @@ def _inv(mats):
             a, b = mats[..., 0, 0], mats[..., 0, 1]
             c, d = mats[..., 1, 0], mats[..., 1, 1]
             det = a * d - b * c
-            adj = np.stack([d, -b, -c, a], axis=-1).reshape(mats.shape)
-            inv = adj / det[..., None, None]
+            inv = np.empty_like(mats)                 # keeps the stack's layout
+            inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 0], inv[..., 1, 1] = d, -b, -c, a
+            inv /= det[..., None, None]
         return inv, ~np.isfinite(det) | (det == 0.0)
 
 
@@ -411,6 +416,31 @@ def _pinv_stack(mats, rcond=1e-13):
     return inv
 
 
+def _cm(a):
+    """Contiguous (components..., P, N+1) copy of a (P, N+1, components...) array."""
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+
+
+def _pinv_cm(mats):
+    """``_pinv_stack`` of an (n, n, P, N) stack; n <= 2 keeps the layout, no copy."""
+    view = np.moveaxis(mats, (0, 1), (-2, -1))
+    return np.ascontiguousarray(np.moveaxis(_pinv_stack(view), (-2, -1), (0, 1)))
+
+
+def _prefix_sums(x):
+    """out_j = sum_{s<j} x_s along the node axis, out_0 = 0."""
+    out = np.zeros_like(x)
+    out[..., 1:] = np.cumsum(x[..., :-1], axis=-1)
+    return out
+
+
+def _suffix_sums(x):
+    """out_j = sum_{s>=j} x_s along the node axis, one node longer, out_N = 0."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
+    return out
+
+
 def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     """dt * sum_i tr(d hdot_i / d W_i), exact, via factored sensitivities.
 
@@ -424,149 +454,120 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     through which D alpha_j[i] = -phi_j B0^T k_j^T omega_i for j <= i+1,
     giving the diagonal derivatives of alpha, its divided-difference rate,
     and g.  ``jac`` is the node Jacobian DZ at ``states``.
+
+    Per-node tensors are component-major, (components..., P, N+1), converted
+    once on entry, so each contraction runs one long contiguous loop over
+    paths and nodes; operand order, contracted indices and the sequential
+    node sums are the path-major form's, whose bits m = d = 1 keeps.
     """
     if spec.hess_z1 is None:
         raise MethodMisuseError("the Skorokhod trace needs the model's hess_z1 "
                                 "(second derivatives of Z1)")
-    x = states
-    p_paths, n_nodes = x.shape[:2]
-    n_steps = grid.n_steps
-    m, d, n = spec.m, spec.d, spec.dim
-    dt = grid.dt
-    v = np.asarray(v, dtype=float).ravel()
-    v1, v2 = v[:m], v[m:]
-    has_v1 = float(np.linalg.norm(v1)) > 0.0
-    has_v2 = float(np.linalg.norm(v2)) > 0.0
+    n_steps, dt, m, d = grid.n_steps, grid.dt, spec.m, spec.d
+    v1, v2 = np.split(np.asarray(v, dtype=float).ravel(), [m])
     nodes = grid.nodes
     phi_vals = profile.phi(nodes)
     w0 = (grid.t_final - nodes) / grid.t_final
     w0[-1] = 0.0
 
-    e_sigma = np.zeros((n, d))
-    e_sigma[m:, :] = spec.sigma
+    phi_full = _cm(full_jacobian_flow(jac, grid))                  # (n, n, p, N+1)
+    # Y_i = Phi_{i+1}^{-1} E sigma, (n, d, p, N): the inverse's last d columns
+    y_seed = np.einsum("akpj,kc->acpj", _pinv_cm(phi_full[..., 1:])[:, m:], spec.sigma)
+    hess = _cm(spec.hess_z1(states))                               # (m, n, n, p, N+1)
+    theta1 = np.einsum("abepj,ecpj->abcpj", hess[:, :m], phi_full)  # dA/dx . Phi
+    theta2 = np.einsum("abepj,ecpj->abcpj", hess[:, m:], phi_full)  # dC/dx . Phi
+    del hess, phi_full
 
-    phi_full = full_jacobian_flow(jac, grid)                 # (p, N+1, n, n)
-    y_seed = _pinv_stack(phi_full[:, 1:]) @ e_sigma          # (p, N, n, d)
-
-    hess = spec.hess_z1(x)                                   # (p, N+1, m, n, n)
-    t1 = hess[..., :m, :]                                    # dA/dx
-    t2 = hess[..., m:, :]                                    # dC/dx
-    theta1 = np.einsum("pjabe,pjec->pjabc", t1, phi_full)    # (p, N+1, m, m, n)
-    theta2 = np.einsum("pjabe,pjec->pjabc", t2, phi_full)    # (p, N+1, m, d, n)
-
-    kinv = _pinv_stack(k)
-    c_nodes = jac[..., :m, m:]
-    kc = k @ c_nodes                                         # K C
-    kb = k @ spec.b0                                         # K B0
-    qcore = np.einsum("pjad,pjbd->pjab", kc, kb)             # K C B0^T K^T
+    jac, k = _cm(jac), _cm(k)                                      # (n, n, ...), (m, m, ...)
+    kinv = _pinv_cm(k)
+    c_nodes = jac[:m, m:]
+    kc = np.einsum("akpj,kdpj->adpj", k, c_nodes)                  # K C
+    kb = np.einsum("akpj,kd->adpj", k, spec.b0)                    # K B0
+    qcore = np.einsum("adpj,bdpj->abpj", kc, kb)                   # K C B0^T K^T
 
     #   chi_s . Y = dt k_{s+1} (theta1_s . Y) k_s^{-1};  Lambda_i = sum_{s>=i} chi_s
-    chi = dt * np.einsum("pjAa,pjabc,pjbB->pjABc",
-                         k[:, 1:], theta1[:, :-1], kinv[:, :-1])
-    lam = np.zeros((p_paths, n_nodes, m, m, n))
-    lam[:, :-1] = np.cumsum(chi[:, ::-1], axis=1)[:, ::-1]
-
-    g_tensor = np.einsum("pjabc,pjct->pjabt", lam[:, 1:], y_seed)   # G_i, (p,N,m,m,d)
+    lam = _suffix_sums(dt * np.einsum("Aapj,abcpj,bBpj->ABcpj",
+                                      k[..., 1:], theta1[..., :-1], kinv[..., :-1]))
+    g_tensor = np.einsum("abcpj,ctpj->abtpj", lam[..., 1:], y_seed)  # G_i, (m, m, d, p, N)
 
     # Psi_r: tangent of the Q integrand at node r as a linear map of Y
-    psi1 = np.einsum("pjaxc,pjxb->pjabc", lam, qcore)
-    psi2 = np.einsum("pjax,pjxec,pjbe->pjabc", k, theta2, kb)
-    psi3 = np.einsum("pjax,pjbxc->pjabc", qcore, lam)
-    psi = (phi_vals * dt)[None, :, None, None, None] * (psi1 + psi2 + psi3)
-    psicum = np.zeros_like(psi)
-    psicum[:, 1:] = np.cumsum(psi[:, :-1], axis=1)
+    psi = (np.einsum("axcpj,xbpj->abcpj", lam, qcore)
+           + np.einsum("axpj,xecpj,bepj->abcpj", k, theta2, kb)
+           + np.einsum("axpj,bxcpj->abcpj", qcore, lam))
+    psicum = _prefix_sums(psi * (phi_vals * dt))
 
-    # eta_r: tangent of the c2 integrand
-    kcv2 = np.einsum("pjad,d->pja", kc, v2)
-    eta = (w0 * dt)[None, :, None, None] * (
-        np.einsum("pjabc,pjb->pjac", lam, kcv2)
-        + np.einsum("pjab,pjbec,e->pjac", k, theta2, v2))
-    etacum = np.zeros_like(eta)
-    etacum[:, 1:] = np.cumsum(eta[:, :-1], axis=1)
+    # eta_r: tangent of the c2 integrand; c2 and kappa_A forward cumulatives
+    kcv2 = np.einsum("adpj,d->apj", kc, v2)
+    etacum = _prefix_sums((w0 * dt) * (np.einsum("abcpj,bpj->acpj", lam, kcv2)
+                                       + np.einsum("abpj,becpj,e->acpj", k, theta2, v2)))
+    c2low = _prefix_sums((w0 * dt) * kcv2)
+    kappa = _prefix_sums((phi_vals[:-1] * dt) * np.einsum(
+        "ikpj,klpj,blpj->ibpj", k[..., 1:], c_nodes[..., :-1], kb[..., :-1]))
+    del psi, lam, theta1, theta2, qcore, kc, kb, kcv2
 
-    # c2 and kappa_A forward cumulatives
-    c2low = np.zeros((p_paths, n_nodes, m))
-    c2low[:, 1:] = np.cumsum((w0 * dt)[None, :-1, None] * kcv2[:, :-1], axis=1)
-    ka_step = (phi_vals[:-1] * dt)[None, :, None, None] * np.einsum(
-        "pjik,pjkl,pjbl->pjib", k[:, 1:], c_nodes[:, :-1], kb[:, :-1])
-    kappa = np.zeros((p_paths, n_steps, m, m))
-    kappa[:, 1:] = np.cumsum(ka_step[:, :-1], axis=1)
-
-    q_path = ad.q_path
-    xi_eff = ad.xi_eff
-    u_nodes = ad.u_nodes
-    rho = ad.rho
-    nu = ad.nu
-    p_vec = ad.p_vec
+    q_path = _cm(ad.q_path)
+    p_vec = ad.p_vec.T                                             # (m, p)
 
     # Omega_i and the forward-tangent aggregates
-    q_next = q_path[:, 1:]                                    # Q_{i+1}
-    gq = np.einsum("piact,picb->piabt", g_tensor, q_next)
-    qgt = np.einsum("piac,pibct->piabt", q_next, g_tensor)
-    psicum_y = np.einsum("piabc,pict->piabt", psicum[:, 1:], y_seed)
-    omega_mat = gq + qgt - psicum_y                           # (p, N, m, m, d)
-    dq_t = omega_mat + np.einsum("pabc,pict->piabt", psicum[:, -1], y_seed)
+    q_next = q_path[..., 1:]                                       # Q_{i+1}
+    omega_mat = (np.einsum("actpi,cbpi->abtpi", g_tensor, q_next)
+                 + np.einsum("acpi,bctpi->abtpi", q_next, g_tensor)
+                 - np.einsum("abcpi,ctpi->abtpi", psicum[..., 1:], y_seed))
 
-    if has_v2:
-        dc2 = (np.einsum("piact,pic->piat", g_tensor, c2low[:, 1:])
-               + np.einsum("piac,pict->piat", etacum[:, -1][:, None] - etacum[:, 1:],
-                           y_seed))
-        rhs = dc2 - np.einsum("piabt,pb->piat", dq_t, p_vec)
-        dp = np.einsum("pab,pibt->piat", _pinv_stack(q_path[:, -1]), rhs)
+    if np.linalg.norm(v2) > 0.0:
+        dq_t = omega_mat + np.einsum("abcp,ctpi->abtpi", psicum[..., -1], y_seed)
+        rhs = (np.einsum("actpi,cpi->atpi", g_tensor, c2low[..., 1:])      # D c2
+               + np.einsum("acpi,ctpi->atpi", etacum[..., -1:] - etacum[..., 1:], y_seed)
+               - np.einsum("abtpi,bp->atpi", dq_t, p_vec))
+        q_t_inv = np.moveaxis(_pinv_stack(ad.q_path[:, -1]), 0, -1)       # (m, m, p)
+        dp = np.einsum("abp,btpi->atpi", q_t_inv, rhs)
+        del dq_t, rhs
     else:
-        dp = np.zeros((p_paths, n_steps, m, d))
+        dp = np.zeros((m, d) + y_seed.shape[-2:])
+    del etacum, c2low
 
-    if has_v1:
-        wgt = (xi_eff[:, :n_steps] ** 2) * dt                 # (p, N)
+    if np.linalg.norm(v1) > 0.0:
+        wgt = (ad.xi_eff[:, :n_steps] ** 2) * dt                   # (p, N)
+        u_nodes = _cm(ad.u_nodes)[..., :n_steps]                   # (m, p, N)
         qinv = np.zeros_like(q_path)
-        base_active = np.nonzero(ad.xi_vals[:n_steps] > 0)[0]
-        base_active = base_active[base_active >= 1]
-        if base_active.size:
-            qinv[:, base_active] = _pinv_stack(q_path[:, base_active])
-        w1_step = np.einsum("pj,pjab,pjc->pjabc", wgt, qinv[:, :n_steps],
-                            u_nodes[:, :n_steps])
-        w2_step = np.einsum("pj,pjab,pjbec,pje->pjac", wgt, qinv[:, :n_steps],
-                            psicum[:, :n_steps], u_nodes[:, :n_steps])
-        w3_step = np.einsum("pj,pjab->pjab", wgt, qinv[:, :n_steps])
-        w1 = np.zeros((p_paths, n_nodes, m, m, m))
-        w2 = np.zeros((p_paths, n_nodes, m, n))
-        w3 = np.zeros((p_paths, n_nodes, m, m))
-        w1[:, :-1] = np.cumsum(w1_step[:, ::-1], axis=1)[:, ::-1]
-        w2[:, :-1] = np.cumsum(w2_step[:, ::-1], axis=1)[:, ::-1]
-        w3[:, :-1] = np.cumsum(w3_step[:, ::-1], axis=1)[:, ::-1]
+        active = np.nonzero(ad.xi_vals[1:n_steps] > 0)[0] + 1
+        qinv[..., active] = _pinv_cm(q_path[..., active])
+        qinv = qinv[..., :n_steps]
+        w1 = _suffix_sums(np.einsum("pj,abpj,cpj->abcpj", wgt, qinv, u_nodes))
+        w2 = _suffix_sums(np.einsum("pj,abpj,becpj,epj->acpj", wgt, qinv,
+                                    psicum[..., :n_steps], u_nodes))
+        w3 = _suffix_sums(np.einsum("pj,abpj->abpj", wgt, qinv))
+        del qinv
 
-        k0v1 = np.einsum("pik,k->pi", k[:, 0], v1)
-        gt_u = np.einsum("pibat,pib->piat", g_tensor, u_nodes[:, :n_steps])
-        g_k0 = np.einsum("piact,pc->piat", g_tensor, k0v1)
-        dr = (-(wgt[..., None, None] * gt_u)
-              - np.einsum("piabc,pibct->piat", w1[:, 1:], omega_mat)
-              - np.einsum("piac,pict->piat", w2[:, 1:], y_seed)
-              + np.einsum("piab,pibt->piat", w3[:, 1:], g_k0))
-        gt_rho = np.einsum("pibat,pib->piat", g_tensor, rho[:, :n_steps])
-        ratio_part = (dr + gt_rho) / nu[:, None, None, None]
+        k0v1 = np.einsum("ikp,k->ip", k[..., 0], v1)
+        gt_u = np.einsum("batpi,bpi->atpi", g_tensor, u_nodes)
+        g_k0 = np.einsum("actpi,cp->atpi", g_tensor, k0v1)
+        dr = (-(wgt * gt_u)
+              - np.einsum("abcpi,bctpi->atpi", w1[..., 1:], omega_mat)
+              - np.einsum("acpi,ctpi->atpi", w2[..., 1:], y_seed)
+              + np.einsum("abpi,btpi->atpi", w3[..., 1:], g_k0))
+        gt_rho = np.einsum("batpi,bpi->atpi", g_tensor, _cm(ad.rho)[..., :n_steps])
+        ratio_part = (dr + gt_rho) / ad.nu[:, None]
     else:
         ratio_part = 0.0
+    del omega_mat, psicum, y_seed
 
-    gt_p = np.einsum("pibat,pb->piat", g_tensor, p_vec)
-    omega = gt_p + dp + ratio_part                            # (p, N, m, d)
+    omega = np.einsum("batpi,bp->atpi", g_tensor, p_vec) + dp + ratio_part   # (m, d, p, N)
 
-    k_omega_i = np.einsum("pira,pirt->piat", k[:, :n_steps], omega)
-    k_omega_ip1 = np.einsum("pira,pirt->piat", k[:, 1:], omega)
-    d_alpha = -phi_vals[None, :n_steps, None, None] * np.einsum(
-        "ae,piat->piet", spec.b0, k_omega_i)
-    dd_rate = (phi_vals[None, 1:, None, None] * k_omega_ip1
-               - phi_vals[None, :n_steps, None, None] * k_omega_i) / dt
-    d_alpha_dot = -np.einsum("ae,piat->piet", spec.b0, dd_rate)
+    k_omega_i = np.einsum("rapi,rtpi->atpi", k[..., :n_steps], omega)
+    k_omega_ip1 = np.einsum("rapi,rtpi->atpi", k[..., 1:], omega)
+    d_alpha = -phi_vals[:n_steps] * np.einsum("ae,atpi->etpi", spec.b0, k_omega_i)
+    dd_rate = (phi_vals[1:] * k_omega_ip1 - phi_vals[:n_steps] * k_omega_i) / dt
+    d_alpha_dot = -np.einsum("ae,atpi->etpi", spec.b0, dd_rate)
 
-    kappa_omega = np.einsum("piab,pibt->piat", kappa, omega)
-    d_g = -np.einsum("piab,pibt->piat", kinv[:, :n_steps], kappa_omega)
+    kappa_omega = np.einsum("abpi,btpi->atpi", kappa, omega)
+    d_g = -np.einsum("abpi,btpi->atpi", kinv[..., :n_steps], kappa_omega)
 
-    j21, j22 = jac[..., m:, :m], jac[..., m:, m:]
-    d_hdot = (np.einsum("pida,piat->pidt", j21[:, :n_steps], d_g)
-              + np.einsum("pide,piet->pidt", j22[:, :n_steps], d_alpha)
+    d_hdot = (np.einsum("dapi,atpi->dtpi", jac[m:, :m, :, :n_steps], d_g)
+              + np.einsum("depi,etpi->dtpi", jac[m:, m:, :, :n_steps], d_alpha)
               - d_alpha_dot)
-    d_hdot = np.einsum("df,pift->pidt", spec.sigma_inv(), d_hdot)
-    trace = np.trace(d_hdot, axis1=-2, axis2=-1)
+    d_hdot = np.einsum("df,ftpi->dtpi", spec.sigma_inv(), d_hdot)
+    trace = np.trace(d_hdot, axis1=0, axis2=1)                     # (p, N), contiguous
     return dt * np.sum(trace, axis=1)
 
 
@@ -787,8 +788,6 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             h_dot = _assemble_hdot(spec, states, det_control)
             dl = np.sum(h_dot * inc, axis=(-2, -1))
         else:
-            # the Skorokhod trace runs slower on the path-major view
-            states = np.ascontiguousarray(states)
             _, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
             dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
             good = good & ~ad.degenerate
@@ -988,8 +987,6 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
 
     def per_chunk(start, inc):
         states, good = _simulate(spec, x0, grid, inc)
-        # the Skorokhod trace runs slower on the path-major view
-        states = np.ascontiguousarray(states)
         jac, ad, _, h_dot, _, trace = _bridge_chain(spec, states, grid, v, weights)
         dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
         good = good & ~ad.degenerate

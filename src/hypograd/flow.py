@@ -129,22 +129,20 @@ def terminal_flow(spec, jac, grid):
 
     Built from per-step propagators P_i = I + dt d1Z1(X_i) by backward
     accumulation K(T, t_i) = K(T, t_{i+1}) P_i, K(T, T) = I, with d1Z1 read
-    from the node Jacobian ``jac``.  Shape (B, N+1, m, m).
+    from the node Jacobian ``jac``.  Stepped in a time-major buffer and
+    returned as a contiguous (B, N+1, m, m) array.
     """
     n_paths, n_nodes = jac.shape[:2]
     if n_nodes != grid.n_steps + 1:
         raise ConfigurationError("node Jacobian does not match the grid")
-    m = spec.m
-    a_blocks = jac[..., :m, :m]                            # (B, N+1, m, m)
-    k = np.empty((n_paths, n_nodes, m, m))
-    k[:, -1] = np.eye(m)
-    dt = grid.dt
+    m, dt = spec.m, grid.dt
     eye = np.eye(m)
+    k = np.empty((n_nodes, n_paths, m, m))
+    k[-1] = eye
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_steps - 1, -1, -1):
-            p_i = eye + dt * a_blocks[:, i]
-            k[:, i] = k[:, i + 1] @ p_i
-    return k
+            k[i] = k[i + 1] @ (eye + dt * jac[:, i, :m, :m])
+    return np.ascontiguousarray(np.swapaxes(k, 0, 1))  # Gramian products run faster
 
 
 def directional_jacobian(spec, states, grid, v):
@@ -170,14 +168,18 @@ def full_jacobian_flow(jac, grid):
     """State-transition matrices Phi_i = dX_i/dX_0 of the discrete chain.
 
     Phi_0 = I, Phi_{i+1} = (I + dt dZ(X_i)) Phi_i from the node Jacobian
-    ``jac``.  Shape (B, N+1, n, n).  Used by sensitivity propagation.
+    ``jac``, stepped in a time-major buffer; returns its path-major
+    (B, N+1, n, n) view.  ``np.matmul``: an element-wise product would not
+    have the bits of its per-member BLAS product.
     """
     n_paths, n_nodes, n = jac.shape[:3]
-    phi = np.empty((n_paths, n_nodes, n, n))
-    phi[:, 0] = np.eye(n)
-    dt = grid.dt
+    dt, eye = grid.dt, np.eye(n)
+    phi = np.empty((n_nodes, n_paths, n, n))
+    phi[0] = eye
+    step = np.empty((n_paths, n, n))                       # I + dt dZ(X_i), reused
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_nodes - 1):
-            f_i = np.eye(n) + dt * jac[:, i]
-            phi[:, i + 1] = f_i @ phi[:, i]
-    return phi
+            np.multiply(jac[:, i], dt, out=step)
+            step += eye
+            np.matmul(step, phi[i], out=phi[i + 1])
+    return np.swapaxes(phi, 0, 1)

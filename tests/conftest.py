@@ -3,6 +3,7 @@ import pytest
 
 from hypograd import control, estimator
 from hypograd.control import build_alpha, build_bridge, phi_parabolic, xi_case1
+from hypograd.errors import MethodMisuseError
 from hypograd.exprdrift import DriftExpr
 from hypograd.flow import simulate_path, terminal_flow
 from hypograd.model import builtin_model
@@ -206,3 +207,180 @@ def reference_full_jacobian(spec, x):
     top = np.concatenate([j11, j12], axis=-1)
     bot = np.concatenate([j21, j22], axis=-1)
     return np.concatenate([top, bot], axis=-2)
+
+
+def reference_full_jacobian_flow(jac, grid):
+    """Phi_{i+1} = (I + dt dZ(X_i)) Phi_i stepped on a path-major (B, N+1, n, n)
+    array, one fresh step matrix per step (reference for
+    ``flow.full_jacobian_flow``)."""
+    n_paths, n_nodes, n = jac.shape[:3]
+    phi = np.empty((n_paths, n_nodes, n, n))
+    phi[:, 0] = np.eye(n)
+    dt = grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_nodes - 1):
+            f_i = np.eye(n) + dt * jac[:, i]
+            phi[:, i + 1] = f_i @ phi[:, i]
+    return phi
+
+
+def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
+    """The path-major Skorokhod trace, every per-node tensor (P, N+1, ...)
+    (reference for ``estimator._skorokhod_trace``).
+
+    dt * sum_i tr(d hdot_i / d W_i), exact, via factored sensitivities.
+
+    Notation per path: k_i = K(T, t_i), Phi_i the full state-transition
+    matrix, Y_i = Phi_{i+1}^{-1} (0, sigma), G_i = (Lambda_{i+1} . Y_i) with
+    Lambda the cumulative flow-sensitivity tensor, so that dk_r/dW_i =
+    G_i k_r for r <= i+1.  The chain collapses to the single vector
+
+        omega_i = G_i^T p + Dp_i + (DR_i + G_i^T rho_i)/nu,
+
+    through which D alpha_j[i] = -phi_j B0^T k_j^T omega_i for j <= i+1,
+    giving the diagonal derivatives of alpha, its divided-difference rate,
+    and g.  ``jac`` is the node Jacobian DZ at ``states``.
+    """
+    if spec.hess_z1 is None:
+        raise MethodMisuseError("the Skorokhod trace needs the model's hess_z1 "
+                                "(second derivatives of Z1)")
+    x = states
+    p_paths, n_nodes = x.shape[:2]
+    n_steps = grid.n_steps
+    m, d, n = spec.m, spec.d, spec.dim
+    dt = grid.dt
+    v = np.asarray(v, dtype=float).ravel()
+    v1, v2 = v[:m], v[m:]
+    has_v1 = float(np.linalg.norm(v1)) > 0.0
+    has_v2 = float(np.linalg.norm(v2)) > 0.0
+    nodes = grid.nodes
+    phi_vals = profile.phi(nodes)
+    w0 = (grid.t_final - nodes) / grid.t_final
+    w0[-1] = 0.0
+
+    e_sigma = np.zeros((n, d))
+    e_sigma[m:, :] = spec.sigma
+
+    phi_full = reference_full_jacobian_flow(jac, grid)                 # (p, N+1, n, n)
+    y_seed = estimator._pinv_stack(phi_full[:, 1:]) @ e_sigma          # (p, N, n, d)
+
+    hess = spec.hess_z1(x)                                   # (p, N+1, m, n, n)
+    t1 = hess[..., :m, :]                                    # dA/dx
+    t2 = hess[..., m:, :]                                    # dC/dx
+    theta1 = np.einsum("pjabe,pjec->pjabc", t1, phi_full)    # (p, N+1, m, m, n)
+    theta2 = np.einsum("pjabe,pjec->pjabc", t2, phi_full)    # (p, N+1, m, d, n)
+
+    kinv = estimator._pinv_stack(k)
+    c_nodes = jac[..., :m, m:]
+    kc = k @ c_nodes                                         # K C
+    kb = k @ spec.b0                                         # K B0
+    qcore = np.einsum("pjad,pjbd->pjab", kc, kb)             # K C B0^T K^T
+
+    #   chi_s . Y = dt k_{s+1} (theta1_s . Y) k_s^{-1};  Lambda_i = sum_{s>=i} chi_s
+    chi = dt * np.einsum("pjAa,pjabc,pjbB->pjABc",
+                         k[:, 1:], theta1[:, :-1], kinv[:, :-1])
+    lam = np.zeros((p_paths, n_nodes, m, m, n))
+    lam[:, :-1] = np.cumsum(chi[:, ::-1], axis=1)[:, ::-1]
+
+    g_tensor = np.einsum("pjabc,pjct->pjabt", lam[:, 1:], y_seed)   # G_i, (p,N,m,m,d)
+
+    # Psi_r: tangent of the Q integrand at node r as a linear map of Y
+    psi1 = np.einsum("pjaxc,pjxb->pjabc", lam, qcore)
+    psi2 = np.einsum("pjax,pjxec,pjbe->pjabc", k, theta2, kb)
+    psi3 = np.einsum("pjax,pjbxc->pjabc", qcore, lam)
+    psi = (phi_vals * dt)[None, :, None, None, None] * (psi1 + psi2 + psi3)
+    psicum = np.zeros_like(psi)
+    psicum[:, 1:] = np.cumsum(psi[:, :-1], axis=1)
+
+    # eta_r: tangent of the c2 integrand
+    kcv2 = np.einsum("pjad,d->pja", kc, v2)
+    eta = (w0 * dt)[None, :, None, None] * (
+        np.einsum("pjabc,pjb->pjac", lam, kcv2)
+        + np.einsum("pjab,pjbec,e->pjac", k, theta2, v2))
+    etacum = np.zeros_like(eta)
+    etacum[:, 1:] = np.cumsum(eta[:, :-1], axis=1)
+
+    # c2 and kappa_A forward cumulatives
+    c2low = np.zeros((p_paths, n_nodes, m))
+    c2low[:, 1:] = np.cumsum((w0 * dt)[None, :-1, None] * kcv2[:, :-1], axis=1)
+    ka_step = (phi_vals[:-1] * dt)[None, :, None, None] * np.einsum(
+        "pjik,pjkl,pjbl->pjib", k[:, 1:], c_nodes[:, :-1], kb[:, :-1])
+    kappa = np.zeros((p_paths, n_steps, m, m))
+    kappa[:, 1:] = np.cumsum(ka_step[:, :-1], axis=1)
+
+    q_path = ad.q_path
+    xi_eff = ad.xi_eff
+    u_nodes = ad.u_nodes
+    rho = ad.rho
+    nu = ad.nu
+    p_vec = ad.p_vec
+
+    # Omega_i and the forward-tangent aggregates
+    q_next = q_path[:, 1:]                                    # Q_{i+1}
+    gq = np.einsum("piact,picb->piabt", g_tensor, q_next)
+    qgt = np.einsum("piac,pibct->piabt", q_next, g_tensor)
+    psicum_y = np.einsum("piabc,pict->piabt", psicum[:, 1:], y_seed)
+    omega_mat = gq + qgt - psicum_y                           # (p, N, m, m, d)
+    dq_t = omega_mat + np.einsum("pabc,pict->piabt", psicum[:, -1], y_seed)
+
+    if has_v2:
+        dc2 = (np.einsum("piact,pic->piat", g_tensor, c2low[:, 1:])
+               + np.einsum("piac,pict->piat", etacum[:, -1][:, None] - etacum[:, 1:],
+                           y_seed))
+        rhs = dc2 - np.einsum("piabt,pb->piat", dq_t, p_vec)
+        dp = np.einsum("pab,pibt->piat", estimator._pinv_stack(q_path[:, -1]), rhs)
+    else:
+        dp = np.zeros((p_paths, n_steps, m, d))
+
+    if has_v1:
+        wgt = (xi_eff[:, :n_steps] ** 2) * dt                 # (p, N)
+        qinv = np.zeros_like(q_path)
+        base_active = np.nonzero(ad.xi_vals[:n_steps] > 0)[0]
+        base_active = base_active[base_active >= 1]
+        if base_active.size:
+            qinv[:, base_active] = estimator._pinv_stack(q_path[:, base_active])
+        w1_step = np.einsum("pj,pjab,pjc->pjabc", wgt, qinv[:, :n_steps],
+                            u_nodes[:, :n_steps])
+        w2_step = np.einsum("pj,pjab,pjbec,pje->pjac", wgt, qinv[:, :n_steps],
+                            psicum[:, :n_steps], u_nodes[:, :n_steps])
+        w3_step = np.einsum("pj,pjab->pjab", wgt, qinv[:, :n_steps])
+        w1 = np.zeros((p_paths, n_nodes, m, m, m))
+        w2 = np.zeros((p_paths, n_nodes, m, n))
+        w3 = np.zeros((p_paths, n_nodes, m, m))
+        w1[:, :-1] = np.cumsum(w1_step[:, ::-1], axis=1)[:, ::-1]
+        w2[:, :-1] = np.cumsum(w2_step[:, ::-1], axis=1)[:, ::-1]
+        w3[:, :-1] = np.cumsum(w3_step[:, ::-1], axis=1)[:, ::-1]
+
+        k0v1 = np.einsum("pik,k->pi", k[:, 0], v1)
+        gt_u = np.einsum("pibat,pib->piat", g_tensor, u_nodes[:, :n_steps])
+        g_k0 = np.einsum("piact,pc->piat", g_tensor, k0v1)
+        dr = (-(wgt[..., None, None] * gt_u)
+              - np.einsum("piabc,pibct->piat", w1[:, 1:], omega_mat)
+              - np.einsum("piac,pict->piat", w2[:, 1:], y_seed)
+              + np.einsum("piab,pibt->piat", w3[:, 1:], g_k0))
+        gt_rho = np.einsum("pibat,pib->piat", g_tensor, rho[:, :n_steps])
+        ratio_part = (dr + gt_rho) / nu[:, None, None, None]
+    else:
+        ratio_part = 0.0
+
+    gt_p = np.einsum("pibat,pb->piat", g_tensor, p_vec)
+    omega = gt_p + dp + ratio_part                            # (p, N, m, d)
+
+    k_omega_i = np.einsum("pira,pirt->piat", k[:, :n_steps], omega)
+    k_omega_ip1 = np.einsum("pira,pirt->piat", k[:, 1:], omega)
+    d_alpha = -phi_vals[None, :n_steps, None, None] * np.einsum(
+        "ae,piat->piet", spec.b0, k_omega_i)
+    dd_rate = (phi_vals[None, 1:, None, None] * k_omega_ip1
+               - phi_vals[None, :n_steps, None, None] * k_omega_i) / dt
+    d_alpha_dot = -np.einsum("ae,piat->piet", spec.b0, dd_rate)
+
+    kappa_omega = np.einsum("piab,pibt->piat", kappa, omega)
+    d_g = -np.einsum("piab,pibt->piat", kinv[:, :n_steps], kappa_omega)
+
+    j21, j22 = jac[..., m:, :m], jac[..., m:, m:]
+    d_hdot = (np.einsum("pida,piat->pidt", j21[:, :n_steps], d_g)
+              + np.einsum("pide,piet->pidt", j22[:, :n_steps], d_alpha)
+              - d_alpha_dot)
+    d_hdot = np.einsum("df,pift->pidt", spec.sigma_inv(), d_hdot)
+    trace = np.trace(d_hdot, axis1=-2, axis2=-1)
+    return dt * np.sum(trace, axis=1)

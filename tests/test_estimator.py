@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypograd import control, estimator
-from hypograd.control import phi_parabolic, xi_case1
+from hypograd.control import build_alpha, phi_parabolic, xi_case1
 from hypograd.errors import MethodMisuseError, RunDegenerateError
 from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 closed_form_gradient, covariance_flow,
@@ -14,11 +14,11 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 fd_gradient, gaussian_bump_f, indicator_f,
                                 ito_delta, linear_f, path_increments,
                                 pathwise_gradient, quadratic_f, skorokhod_delta)
-from hypograd.flow import TimeGrid
+from hypograd.flow import TimeGrid, terminal_flow
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import (brute_force_divergence, case1_profile,
                             guarded_solve_lapack, pinv_stack_lapack,
-                            same_bytes, wide_values)
+                            reference_skorokhod_trace, same_bytes, wide_values)
 
 KOU_TRUE_V1 = 0.6597001533917016   # (exp M)_11 for M = [[0,1],[-1,-1]]
 KOU_TRUE_V2 = 0.5335071951146929   # (exp M)_12
@@ -506,7 +506,8 @@ def _path_increments_per_path(grid, d, master_seed, start, count, antithetic):
 
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("master_seed", [0, 77, -5])
+# keys at and above 2^63 included: the probe keys by seed ^ 0x9E3779B97F4A7C15
+@pytest.mark.parametrize("master_seed", [0, 77, -5, 2**63, 5 ^ 0x9E3779B97F4A7C15])
 @pytest.mark.parametrize("start,count", [(0, 6), (3, 5), (7, 1), (10, 2)])
 def test_path_increments_match_per_path_generators(antithetic, d, master_seed,
                                                    start, count):
@@ -762,7 +763,7 @@ def test_builder_gradients_consistent():
     assert not broken.check_gradient(pts)
 
 
-@pytest.mark.parametrize("model_cfg,x0", [
+MULTIDIM_MODELS = [
     # nonlinear first block, square noise: stresses all tensor index orders
     ({"m": 2, "d": 2,
       "z1": ["x3 + 0.3*x1*x4", "x4 + 0.2*x2^2 + 0.1*x3"],
@@ -777,7 +778,10 @@ def test_builder_gradients_consistent():
       "sigma": [[1.0, 0.0], [0.3, 0.9]],
       "b0": [[1.0, 0.4]], "epsilon": 0.6},
      [0.2, -0.1, 0.3]),
-])
+]
+
+
+@pytest.mark.parametrize("model_cfg,x0", MULTIDIM_MODELS)
 def test_skorokhod_trace_multidimensional(model_cfg, x0):
     from hypograd.cli import build_model
     spec = build_model({"custom": model_cfg})
@@ -1004,3 +1008,132 @@ def test_closed_form_keeps_drift_offset():
     est = pathwise_gradient(spec, x0, v, f, grid,
                             EstimatorConfig(n_paths=20000, master_seed=3, method="pathwise"))
     assert abs(est.value - closed) <= 4 * est.std_error + 10.0 * grid.dt
+
+
+# ---------------------------------------------------------------------------
+# component-major Skorokhod trace against the path-major reference
+# ---------------------------------------------------------------------------
+
+def _trace_case(spec, x0, grid, n_paths, v, weights):
+    """Chain inputs of one chunk, and the trace with its path-major reference."""
+    inc = path_increments(grid, spec.d, 3, 0, n_paths)
+    states, _ = estimator._simulate(spec, np.asarray(x0, dtype=float), grid, inc)
+    jac = spec.full_jacobian(states)
+    k = terminal_flow(spec, jac, grid)
+    ad = build_alpha(spec, jac, k, grid, v, weights)
+    args = (spec, states, grid, np.asarray(v, dtype=float), weights, ad, k, jac)
+    return estimator._skorokhod_trace(*args), reference_skorokhod_trace(*args)
+
+
+@pytest.mark.parametrize("v", [[0.7, -0.4], [0.0, -0.4], [0.7, 0.0]],
+                         ids=["v", "v1_zero", "v2_zero"])
+@pytest.mark.parametrize("n_paths", [1, 7, 1024])
+@pytest.mark.parametrize("which", ["mass", "custom"])
+def test_skorokhod_trace_matches_path_major_reference_bitwise(which, n_paths, v,
+                                                              anticipative_spec):
+    if which == "mass":
+        spec, x0, c_bound = anticipative_spec, [0.3, -0.2], 3.0
+    else:
+        spec, x0, c_bound = _estimate_custom_spec(), [0.5, 0.0], 1.0
+    assert spec.m == spec.d == 1
+    grid = TimeGrid(0.5, 24)                    # dt = 1/48: scaling by dt rounds
+    got, ref = _trace_case(spec, x0, grid, n_paths, v,
+                           default_weights(spec, grid, c_bound=c_bound))
+    assert np.isfinite(ref).all() and np.any(ref != 0.0)
+    assert same_bytes(got, ref)
+
+
+@pytest.mark.parametrize("n_paths", [1, 7, 256])
+@pytest.mark.parametrize("model_cfg,x0", MULTIDIM_MODELS)
+def test_skorokhod_trace_multidimensional_matches_reference(model_cfg, x0, n_paths):
+    # m or d > 1: contractions and BLAS products sum in another order, so the
+    # two layouts agree to round-off (measured up to 4e-15 relative)
+    from hypograd.cli import build_model
+    spec = build_model({"custom": model_cfg})
+    grid = TimeGrid(0.4, 64)
+    prof = xi_case1(spec.b0, phi_parabolic(0.4), 2.0, 0.4)
+    v = np.random.default_rng(5).standard_normal(spec.dim)
+    got, ref = _trace_case(spec, x0, grid, n_paths, v, prof)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pinv_stack_component_major_view_bitwise(n, monkeypatch):
+    # a component-major (n, n, P, N) stack, inverted through its (P, N, n, n)
+    # view, gives the bits of the contiguous copy, SVD fallbacks included
+    rng = np.random.default_rng(10 + n)
+    mats = rng.standard_normal((12, 9, n, n)) + 2.0 * n * np.eye(n)
+    mats[1, 2] = 0.0                                         # exactly singular
+    mats[3, 4] = 1e-15 * np.ones((n, n)) + np.diag([1.0] + [0.0] * (n - 1))
+    mats[5, 6, 0, -1] = np.nan
+    mats[7, 0] = np.diag(np.linspace(1.0, 1e-14, n))          # ill-conditioned
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, (0, 1), (-2, -1))),
+                       (-2, -1), (0, 1))
+    assert view.flags.c_contiguous == (n == 1)
+    seen = _count_svd_members(monkeypatch)
+    got = estimator._pinv_stack(view)
+    n_view = list(seen)
+    seen.clear()
+    ref = estimator._pinv_stack(np.ascontiguousarray(view))
+    assert n_view == seen and sum(seen) >= (1 if n == 1 else 3)
+    assert same_bytes(np.ascontiguousarray(got), ref)
+
+
+def _anticipative_m2_outputs(spec, x0, grid, weights, chunk_size, n_threads):
+    v = np.array([0.7, -0.4, 0.5, 0.2])
+
+    def cfg(antithetic=False):
+        return EstimatorConfig(n_paths=141, master_seed=2, method="bismut_skorokhod",
+                               chunk_size=chunk_size, n_threads=n_threads,
+                               antithetic=antithetic)
+
+    f = gaussian_bump_f([0.2, 0.0, 0.1, 0.0], 0.8)
+    ests = [bismut_gradient(spec, x0, v, f, grid, cfg(antithetic), weights=weights)
+            for antithetic in (False, True)]
+    for est in ests:
+        # a diagnostic of the first 64 paths of chunk 0, so chunking moves it
+        del est.diagnostics["q_bound_ratio"]
+    gap = duality_gap(spec, x0, v, quadratic_f(np.eye(4)), grid, cfg(), weights=weights)
+    return pickle.dumps([ests, gap])
+
+
+def test_anticipative_m2_independent_of_chunks_and_threads():
+    from hypograd.cli import build_model
+    model_cfg, x0 = MULTIDIM_MODELS[0]
+    spec = build_model({"custom": model_cfg})
+    assert spec.m == spec.d == 2 and not spec.constant_jac_z1
+    grid = TimeGrid(0.4, 8)
+    weights = xi_case1(spec.b0, phi_parabolic(0.4), 2.0, 0.4)
+    outs = {_anticipative_m2_outputs(spec, np.array(x0), grid, weights, chunk_size,
+                                     n_threads)
+            for chunk_size in (None, 70, 1) for n_threads in (1, 2)}
+    assert len(outs) == 1
+
+
+# traced peak of the former path-major trace on the chunk below (numpy 2.4):
+# 157,651,604 bytes; the component-major trace peaks near 58.9 MB there
+PATH_MAJOR_TRACE_PEAK = 157_650_000
+
+
+def test_skorokhod_trace_traced_peak_below_path_major(anticipative_spec):
+    import tracemalloc
+    spec = anticipative_spec
+    grid = TimeGrid(0.5, 256)
+    weights = default_weights(spec, grid, c_bound=3.0)
+    inc = path_increments(grid, 1, 1, 0, 1024)
+    states, _ = estimator._simulate(spec, np.array([0.3, -0.2]), grid, inc)
+    jac = spec.full_jacobian(states)
+    k = terminal_flow(spec, jac, grid)
+    v = np.array([0.7, -0.4])
+    ad = build_alpha(spec, jac, k, grid, v, weights)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        estimator._skorokhod_trace(spec, states, grid, v, weights, ad, k, jac)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= PATH_MAJOR_TRACE_PEAK

@@ -10,6 +10,7 @@ from hypograd.flow import (TimeGrid, directional_jacobian,
                            valid_mask)
 from hypograd.errors import ConfigurationError
 from hypograd.model import ModelSpec, builtin_model
+from tests.conftest import reference_full_jacobian_flow, same_bytes
 
 # closed-form oracle for the kinetic model: drift matrix M = [[0,1],[-1,-1]],
 # exp(M) = e^{-1/2} (cos w I + sin(w)/w (M + I/2)) with w = sqrt(3)/2
@@ -264,3 +265,33 @@ def test_valid_mask_finds_nan_in_time_major_view():
     assert np.array_equal(valid_mask(view), expected)
     assert np.array_equal(valid_mask(np.ascontiguousarray(view)), expected)
     assert not valid_mask(view[6]) and valid_mask(view[0])
+
+
+def _terminal_flow_path_major(spec, jac, grid):
+    # reference: K(T, t_i) = K(T, t_{i+1}) (I + dt d1Z1) on a (B, N+1, m, m) array
+    m = spec.m
+    k = np.empty(jac.shape[:2] + (m, m))
+    k[:, -1] = np.eye(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_steps - 1, -1, -1):
+            k[:, i] = k[:, i + 1] @ (np.eye(m) + grid.dt * jac[:, i, :m, :m])
+    return k
+
+
+@pytest.mark.parametrize("params", [
+    {"v_expr": "0.5*x1^2 + 0.1*x1^4", "mass_expr": "1 + 0.2*x1^2", "c_mass": 1.0},
+    {"v_expr": "0.5*x1^2 + 0.3*x2^2 + 0.1*x1*x2^3", "m": 2, "friction": 0.4,
+     "sigma": [[1.0, 0.2], [0.3, 0.8]]},
+])
+def test_flows_match_path_major_loops(params):
+    # both flows step a time-major buffer and return its path-major view
+    spec = builtin_model("hamiltonian", params)
+    grid = TimeGrid(0.5, 24)
+    rng = np.random.default_rng(13)
+    for n_paths in (1, 7, 37):
+        inc = rng.standard_normal((n_paths, 24, spec.d)) * np.sqrt(grid.dt)
+        jac = spec.dz(simulate_path(spec, rng.standard_normal(spec.dim), grid, inc))
+        phi = full_jacobian_flow(jac, grid)
+        assert same_bytes(np.ascontiguousarray(phi), reference_full_jacobian_flow(jac, grid))
+        k = terminal_flow(spec, jac, grid)
+        assert same_bytes(np.ascontiguousarray(k), _terminal_flow_path_major(spec, jac, grid))

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.stats import t as student_t
 
 from .control import numerical_rank
 from .errors import ConfigurationError, MethodMisuseError, NotApplicableError
@@ -99,6 +97,8 @@ def _loglog_fit(xs, ys):
         return slope, np.inf
     resid = ly - (ly.mean() + slope * (lx - lx.mean()))
     s2 = float(np.sum(resid**2) / (n - 2))
+    from scipy.stats import t as student_t  # deferred: slow to import
+
     half = float(student_t.ppf(0.975, n - 2) * np.sqrt(s2 / sxx))
     return slope, half
 
@@ -123,6 +123,8 @@ def gramian_scaling(a_matrix, b0, t_grid, rel_tol=1e-8):
 
 
 def _u_lambda_min(a_mat, b0, t, rel_tol):
+    from scipy.linalg import expm  # deferred: slow to import
+
     def simpson(n_iv):
         s = np.linspace(0.0, t, n_iv + 1)
         e_step = expm((s[1] - s[0]) * a_mat)

@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.metadata
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -226,6 +228,11 @@ def _exp_estimate(spec, cfg, run_cfg):
     for key, val in est.diagnostics.get("weights", {}).items():
         if isinstance(val, float):
             metrics[f"xi_{key}"] = val
+    realized = est.diagnostics.get("c_bound_realized")
+    if realized is not None and np.isfinite(realized):
+        metrics["c_bound_realized"] = realized
+    if "c_bound_exceeded" in est.diagnostics:
+        metrics["c_bound_exceeded"] = float(est.diagnostics["c_bound_exceeded"])
     if "bridge_residuals_max" in est.diagnostics:
         res = est.diagnostics["bridge_residuals_max"]
         metrics["alpha0_residual_max"] = float(res[0])
@@ -437,7 +444,11 @@ def run(config_path, seed_override=None, threads=None, out_override=None):
                 raise RunDegenerateError(f"non-finite metric {key}={val}")
         write_results(out_dir, [record], plotdata)
         with open(out_dir / "run_meta.json", "w", encoding="utf-8") as fh:
-            json.dump({"wall_time_s": time.time() - t0, "run_id": chash[:12]},
+            json.dump({"wall_time_s": time.time() - t0, "run_id": chash[:12],
+                       "threads": threads, "python": platform.python_version(),
+                       "numpy": np.__version__,
+                       # from the package metadata: importing scipy is slow
+                       "scipy": importlib.metadata.version("scipy")},
                       fh, indent=2)
         return status
     finally:

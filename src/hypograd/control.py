@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError, NotApplicableError
 
@@ -197,6 +196,8 @@ def xi_case2(a_matrix, b0, phi, t_final):
     a_mat = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     b0 = np.atleast_2d(np.asarray(b0, dtype=float))
     m = a_mat.shape[0]
+    from scipy.linalg import expm  # deferred: slow to import
+
     from .analysis import kalman_index  # deferred: analysis also uses this module
 
     kal = kalman_index(a_mat, b0)
@@ -449,14 +450,18 @@ def q_inverse_bound_ratio(q_path, xi_grid_vals, epsilon):
     """Worst ratio ||Q_t^{-1}|| * (1 - eps) xi(t) over nodes with xi > 0.
 
     The bound ||Q_t^{-1}|| <= 1/((1-eps) xi(t)) holds when the ratio is
-    <= 1 (up to round-off).  ``q_path``: (B, N+1, m, m).
+    <= 1 (up to round-off).  ``q_path``: (B, N+1, m, m); an empty batch
+    gives 0.  For m = 1 the smallest singular value is |Q|, LAPACK's bits.
     """
     xi = np.asarray(xi_grid_vals, dtype=float)
     active = xi > 0
-    if not np.any(active):
+    if not np.any(active) or len(q_path) == 0:
         return 0.0
-    sv = np.linalg.svd(q_path[:, active], compute_uv=False)
-    smin = sv[..., -1]
+    q = q_path[:, active]
+    if q.shape[-1] == 1:
+        smin = np.abs(q[..., 0, 0])
+    else:
+        smin = np.linalg.svd(q, compute_uv=False)[..., -1]
     with np.errstate(divide="ignore"):
         ratio = (1.0 - epsilon) * xi[active][None, :] / smin
     return float(np.max(ratio))

@@ -42,7 +42,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
+# numpy loads numpy.random on first use; importing it here keeps that
+# cost out of the first Monte Carlo run
+from numpy.random import Generator, Philox
 
 from .control import (build_alpha, build_bridge, numerical_rank, phi_parabolic,
                       q_inverse_bound_ratio, xi_case1, xi_case2)
@@ -215,8 +217,8 @@ def path_increments(grid, d, master_seed, start, count, antithetic=False):
     local to the call, so threaded chunks stay independent.
     """
     out = np.empty((count, grid.n_steps, d))
-    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bg)
+    bg = Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = Generator(bg)
     # Python lists: the setter reads them item by item, much faster than
     # uint64 arrays, and a Python int above 2^63 converts exactly
     key = [master_seed & 0xFFFFFFFFFFFFFFFF, 0]
@@ -278,8 +280,7 @@ def _sampled_jac_bound(spec, grid, x0, seed, n_probe=32):
     states = states[valid_mask(states)]
     if states.size == 0:
         raise RunDegenerateError("all probe paths for the Jacobian bound blew up")
-    a_nodes = spec.dz(states)[..., :spec.m, :spec.m]
-    return 1.25 * float(np.max(np.linalg.norm(a_nodes, ord=2, axis=(-2, -1))))
+    return 1.25 * _norm2_max(spec.dz(states)[..., :spec.m, :spec.m])
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +753,10 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
 
     Selects the adapted (Ito) or anticipative (Skorokhod) divergence per
     ``cfg.method``; ``bismut_ito`` demands a constant first Jacobian block.
+    The diagnostics check the profile's hypotheses on the accepted paths:
+    ``q_bound_ratio`` over every node with xi > 0, and ``c_bound_realized``,
+    the largest ||d1Z1|| over every node, flagged in ``c_bound_exceeded``
+    when the profile assumed a smaller ``c_bound``.
     """
     v = np.asarray(v, dtype=float).ravel()
     if not np.linalg.norm(v) > 0:
@@ -774,6 +779,7 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
         diagnostics["alpha_dot_gap"] = det_control["alpha_dot_gap"]
         diagnostics["q_bound_ratio"] = det_control["q_bound_ratio"]
         diagnostics["dropped_nodes_max"] = int(det_control["dropped"])
+        diagnostics["c_bound_realized"] = det_control["c_bound_realized"]
         if spec.is_linear:
             affine = _AffineTerminal(spec, grid, det_control["h_dot"])
 
@@ -788,14 +794,14 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             h_dot = _assemble_hdot(spec, states, det_control)
             dl = np.sum(h_dot * inc, axis=(-2, -1))
         else:
-            _, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
+            jac, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
             dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
             good = good & ~ad.degenerate
             got = res[good]
-            qratio = (q_inverse_bound_ratio(ad.q_path[good][:64], ad.xi_vals,
-                                            spec.epsilon) if start == 0 else 0.0)
             payload = (got.max(axis=0) if got.size else np.zeros(3),
-                       ad.alpha_dot_gap, int(ad.dropped_nodes.max()), qratio)
+                       ad.alpha_dot_gap, int(ad.dropped_nodes.max()),
+                       q_inverse_bound_ratio(ad.q_path[good], ad.xi_vals, spec.epsilon),
+                       _norm2_max(jac[..., :spec.m, :spec.m], good))
         return (f.f(states[:, -1]), dl), good, payload
 
     (fvals, delta), ok, payloads = _mc_run(
@@ -805,7 +811,11 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             np.stack([p[0] for p in payloads]), axis=0).tolist()
         diagnostics["alpha_dot_gap"] = max(p[1] for p in payloads)
         diagnostics["dropped_nodes_max"] = max(p[2] for p in payloads)
-        diagnostics["q_bound_ratio"] = payloads[0][3]
+        diagnostics["q_bound_ratio"] = max(p[3] for p in payloads)
+        diagnostics["c_bound_realized"] = max(p[4] for p in payloads)
+    if "c_bound" in weights.meta:
+        diagnostics["c_bound_exceeded"] = bool(
+            diagnostics["c_bound_realized"] > weights.meta["c_bound"])
     return _summarize(fvals, delta, ok, cfg.method, cfg, diagnostics)
 
 
@@ -817,7 +827,7 @@ def _deterministic_control(spec, x0, grid, v, weights):
     too, and the carrier's ``h_dot`` is every path's.
     """
     states = np.tile(x0, (1, grid.n_steps + 1, 1))
-    _, ad, g, h_dot, res, _ = _bridge_chain(spec, states, grid, v, weights)
+    jac, ad, g, h_dot, res, _ = _bridge_chain(spec, states, grid, v, weights)
     if bool(ad.degenerate[0]):
         raise RunDegenerateError("deterministic control chain is degenerate "
                                  "(singular terminal Gramian)")
@@ -826,7 +836,24 @@ def _deterministic_control(spec, x0, grid, v, weights):
         "alpha": ad.alpha[0], "alpha_dot": ad.alpha_dot[0], "g": g[0], "h_dot": h_dot[0],
         "residuals": res[0], "alpha_dot_gap": ad.alpha_dot_gap,
         "q_bound_ratio": qratio, "dropped": int(ad.dropped_nodes[0]),
+        "c_bound_realized": _norm2_max(jac[..., :spec.m, :spec.m]),
     }
+
+
+def _norm2_max(blocks, keep=slice(None)):
+    """Largest spectral norm over the square blocks (P, ..., m, m) of the
+    paths ``keep`` selects; 0 when it selects none, inf when a block is not
+    finite (LAPACK's SVD fails on those).  A 1x1 block's norm is its
+    absolute value."""
+    finite = np.isfinite(blocks).all(axis=(-2, -1))
+    if blocks.shape[-1] == 1:
+        norms = np.abs(blocks[..., 0, 0])
+    else:
+        norms = np.full(finite.shape, np.inf)
+        norms[finite] = np.linalg.norm(blocks[finite], ord=2, axis=(-2, -1))
+    norms[~finite] = np.inf
+    per_path = norms.max(axis=tuple(range(1, norms.ndim)))[keep]
+    return float(per_path.max()) if per_path.size else 0.0
 
 
 def _assemble_hdot(spec, states, det):
@@ -915,6 +942,8 @@ def affine_mean(spec, t_final):
     """
     if not spec.is_linear:
         raise MethodMisuseError("affine_mean needs an affine model")
+    from scipy.linalg import expm  # deferred: slow to import
+
     n = spec.dim
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = spec.drift_matrix
@@ -956,6 +985,8 @@ def covariance_flow(spec, t_final):
     exp(-TG) Sigma_T."""
     if not spec.is_linear:
         raise MethodMisuseError("covariance_flow needs an affine model")
+    from scipy.linalg import expm  # deferred: slow to import
+
     n, m = spec.dim, spec.m
     blocks = np.zeros((2 * n, 2 * n))
     blocks[:n, :n] = -spec.drift_matrix

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigurationError
 from .exprdrift import DriftExpr, Expr, parse_expr
@@ -163,6 +162,8 @@ class ValidationReport:
 
 
 def _sobol_points(box_lo, box_hi, n, seed):
+    from scipy.stats import qmc  # deferred: slow to import
+
     dim = box_lo.size
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     n_draw = 1 << max(0, math.ceil(math.log2(max(n, 1))))

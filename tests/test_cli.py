@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from hypograd import estimator
 from hypograd.cli import (build_model, build_test_function, canonical_json,
@@ -96,12 +98,19 @@ def test_validate_experiment_exit_zero(tmp_path):
 
 def test_estimate_rerun_byte_identical(tmp_path):
     path = _write(tmp_path, "e.json", _base_estimate_cfg(tmp_path))
-    assert run(path) == 0
+    assert run(path, threads=1) == 0
     first = (tmp_path / "out" / "results.json").read_bytes()
     first_csv = (tmp_path / "out" / "results.csv").read_bytes()
-    assert run(path) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["threads"] == 1
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    assert meta["scipy"] == scipy.__version__
+    # run_meta.json records the thread count; results.json does not change
+    assert run(path, threads=2) == 0
     assert (tmp_path / "out" / "results.json").read_bytes() == first
     assert (tmp_path / "out" / "results.csv").read_bytes() == first_csv
+    assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["threads"] == 2
 
 
 def test_threaded_rerun_identical_metrics(tmp_path):
@@ -243,6 +252,25 @@ def _duality_cfg(tmp_path):
                       "method": "bismut_skorokhod"},
         "duality": {"functions": ["linear"]},
     }
+
+
+def test_estimate_flags_exceeded_c_bound_without_failing(tmp_path):
+    mass = {"builtin": "hamiltonian",
+            "params": {"v_expr": "0.5*x1^2 + 0.1*x1^4",
+                       "mass_expr": "1 + 0.2*x1^2", "c_mass": 1.0}}
+    realized = []
+    for c_bound, exceeded in ((3.0, 0.0), (0.1, 1.0)):
+        cfg = _base_estimate_cfg(
+            tmp_path, model=mass, x0=[0.3, -0.2], v=[0.7, -0.4],
+            grid={"t_final": 0.5, "n_steps": 16},
+            estimator={"n_paths": 200, "master_seed": 9,
+                       "method": "bismut_skorokhod", "c_bound": c_bound})
+        assert run(_write(tmp_path, "m.json", cfg)) == 0
+        metrics = json.loads((tmp_path / "out" / "results.json").read_text())[0]["metrics"]
+        assert metrics["xi_c_bound"] == c_bound
+        assert metrics["c_bound_exceeded"] == exceeded
+        realized.append(metrics["c_bound_realized"])
+    assert 0.1 < realized[0] == realized[1] < 3.0
 
 
 def test_duality_experiment(tmp_path):

@@ -487,6 +487,68 @@ def test_skorokhod_reproducible_across_chunks_and_threads(anticipative_spec):
         assert est.value == runs[0].value
         assert est.std_error == runs[0].std_error
         assert est.delta_mean == runs[0].delta_mean
+        for key in ("q_bound_ratio", "c_bound_realized", "c_bound_exceeded"):
+            assert est.diagnostics[key] == runs[0].diagnostics[key], key
+
+
+def test_hypothesis_diagnostics_cover_every_accepted_path(anticipative_spec):
+    spec = anticipative_spec
+    grid = TimeGrid(0.5, 16)
+    x0, v = np.array([0.3, -0.2]), np.array([0.7, -0.4])
+    cfg = EstimatorConfig(n_paths=200, master_seed=9, method="bismut_skorokhod",
+                          c_bound=3.0, chunk_size=1)
+    est = bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid, cfg)
+    weights = default_weights(spec, grid, c_bound=3.0)
+    states, good = estimator._simulate(spec, x0, grid,
+                                       path_increments(grid, 1, 9, 0, 200))
+    jac, ad, *_ = estimator._bridge_chain(spec, states, grid, v, weights)
+    good &= ~ad.degenerate
+    assert good.all()
+    active = ad.xi_vals > 0
+    smin = np.linalg.svd(ad.q_path[good][:, active], compute_uv=False)[..., -1]
+    q_ref = np.max((1.0 - spec.epsilon) * ad.xi_vals[active] / smin)
+    c_path = np.max(np.linalg.norm(jac[good][..., :1, :1], ord=2, axis=(-2, -1)), axis=1)
+    c_ref = np.max(c_path)
+    assert np.argmax(c_path) > 0    # one-path chunks: not all from chunk 0
+    assert est.diagnostics["q_bound_ratio"] == q_ref
+    assert est.diagnostics["c_bound_realized"] == c_ref
+    assert est.diagnostics["c_bound_exceeded"] is False
+    low = bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid,
+                          EstimatorConfig(n_paths=200, master_seed=9,
+                                          method="bismut_skorokhod", c_bound=0.1))
+    assert low.diagnostics["c_bound_realized"] == c_ref
+    assert low.diagnostics["c_bound_exceeded"] is True
+
+
+def test_q_inverse_bound_ratio_1x1_matches_svd():
+    # LAPACK's 1x1 singular value is |q| bit for bit while |q| lies inside
+    # its unscaled range (about 1e-138 to 1e138); beyond it LAPACK rescales
+    # and may round by an ulp, while |q| stays exact
+    rng = np.random.default_rng(4)
+    q = rng.standard_normal((50, 9, 1, 1)) * 10.0 ** rng.uniform(-130, 130, (50, 9, 1, 1))
+    xi = np.linspace(0.0, 2.0, 9)
+    smin = np.linalg.svd(q[:, 1:], compute_uv=False)[..., -1]
+    ref = np.max((1.0 - 0.3) * xi[1:] / smin)
+    assert control.q_inverse_bound_ratio(q, xi, 0.3) == ref
+    assert control.q_inverse_bound_ratio(-np.abs(q), xi, 0.3) == ref
+    assert control.q_inverse_bound_ratio(q[:0], xi, 0.3) == 0.0
+
+
+def test_norm2_max_of_blocks():
+    rng = np.random.default_rng(5)
+    blocks = rng.standard_normal((6, 4, 2, 2))
+    ref = np.max(np.linalg.norm(blocks, ord=2, axis=(-2, -1)))
+    assert estimator._norm2_max(blocks) == ref
+    assert estimator._norm2_max(blocks[..., :1, :1]) == np.max(np.abs(blocks[..., 0, 0]))
+    assert estimator._norm2_max(blocks[:0]) == 0.0
+    keep = np.array([True, False, True, False, False, False])
+    assert estimator._norm2_max(blocks, keep) == np.max(
+        np.linalg.norm(blocks[keep], ord=2, axis=(-2, -1)))
+    assert estimator._norm2_max(blocks, np.zeros(6, dtype=bool)) == 0.0
+    for m in (1, 2):
+        bad = blocks[..., :m, :m].copy()
+        bad[2, 1, 0, 0] = np.nan
+        assert estimator._norm2_max(bad) == np.inf
 
 
 def _path_increments_per_path(grid, d, master_seed, start, count, antithetic):
@@ -1090,9 +1152,6 @@ def _anticipative_m2_outputs(spec, x0, grid, weights, chunk_size, n_threads):
     f = gaussian_bump_f([0.2, 0.0, 0.1, 0.0], 0.8)
     ests = [bismut_gradient(spec, x0, v, f, grid, cfg(antithetic), weights=weights)
             for antithetic in (False, True)]
-    for est in ests:
-        # a diagnostic of the first 64 paths of chunk 0, so chunking moves it
-        del est.diagnostics["q_bound_ratio"]
     gap = duality_gap(spec, x0, v, quadratic_f(np.eye(4)), grid, cfg(), weights=weights)
     return pickle.dumps([ests, gap])
 

@@ -1,0 +1,121 @@
+"""`import hypograd` loads numpy only; scipy loads at the call sites that use it.
+
+The checks run in a fresh interpreter, because the test modules themselves
+import scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+MASS_MODEL = {"builtin": "hamiltonian",
+              "params": {"v_expr": "0.5*x1^2 + 0.1*x1^4",
+                         "mass_expr": "1 + 0.2*x1^2", "c_mass": 1.0}}
+KINETIC = {"builtin": "kinetic_ou", "params": {"m": 1}}
+CHAIN = {"builtin": "integrator_chain",
+         "params": {"a": [[0.0, 1.0], [0.0, 0.0]], "b0": [[0.0], [1.0]]}}
+
+
+def _estimate(model, method, n_paths, n_steps, x0, v, f, **extra):
+    return {"experiment": "estimate", "model": model, "x0": x0, "v": v, "f": f,
+            "grid": {"t_final": 0.5, "n_steps": n_steps},
+            "estimator": {"n_paths": n_paths, "master_seed": 3, "method": method,
+                          **extra}}
+
+
+KIN_ARGS = dict(x0=[1.0, 1.0], v=[1.0, 0.0],
+                f={"tag": "linear", "params": {"a": [1.0, 0.0]}})
+MASS_ARGS = dict(x0=[0.3, -0.2], v=[0.7, -0.4],
+                 f={"tag": "gaussian_bump",
+                    "params": {"center": [0.2, 0.0], "width": 0.8}})
+
+# runs that must not load scipy: every Monte Carlo driver and duality_test
+NUMPY_ONLY = {
+    "bismut_ito": _estimate(KINETIC, "bismut_ito", 2000, 64, **KIN_ARGS),
+    "bismut_skorokhod": _estimate(MASS_MODEL, "bismut_skorokhod", 256, 32,
+                                  c_bound=3.0, **MASS_ARGS),
+    "pathwise": _estimate(MASS_MODEL, "pathwise", 500, 32, **MASS_ARGS),
+    "finite_difference": _estimate(KINETIC, "finite_difference", 2000, 64,
+                                   **KIN_ARGS),
+    "duality_test": {"experiment": "duality_test", "model": MASS_MODEL,
+                     "x0": [0.3, -0.2], "v": [0.7, -0.4],
+                     "grid": {"t_final": 0.5, "n_steps": 12},
+                     "estimator": {"n_paths": 1000, "master_seed": 3,
+                                   "method": "bismut_skorokhod", "c_bound": 3.0},
+                     "duality": {"functions": ["linear", "quadratic"]}},
+}
+
+# runs that reach a deferred scipy call site
+DEFERRED = {
+    "validate": {"experiment": "validate", "model": KINETIC,
+                 "validate": {"box_lo": [-1, -1], "box_hi": [1, 1],
+                              "n_samples": 64, "seed": 0}},
+    "sweep_T": {"experiment": "sweep_T", "model": CHAIN, "x0": [0.5, 0.5, 0.0],
+                "v": [1.0, 0.0, 0.0], "f": {"tag": "linear", "params": {"a": [1.0, 0.0, 0.0]}},
+                "estimator": {"n_paths": 1000, "master_seed": 5, "method": "bismut_ito"},
+                "sweep": {"t_grid": [0.1, 0.2, 0.4], "n_steps": 32}},
+    "closed_form": _estimate(KINETIC, "closed_form", 2, 8, **KIN_ARGS),
+    "gramian": {"experiment": "gramian", "model": CHAIN,
+                "gramian": {"t_grid": [0.01, 0.02, 0.04]}},
+}
+
+CHILD = r"""
+import json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = {"import": None, "numpy_only": {}, "deferred": {}}
+import hypograd
+from hypograd import cli, estimator
+out["import"] = scipy_modules()
+out["numpy_random"] = "numpy.random" in sys.modules
+cases = json.loads(sys.argv[1])
+for group in ("numpy_only", "deferred"):
+    for name, cfg in cases[group].items():
+        cfg = dict(cfg, schema_version=1, output=f"out_{name}")
+        Path(f"{name}.json").write_text(json.dumps(cfg))
+        status = cli.run(f"{name}.json")
+        metrics = json.loads(Path(f"out_{name}/results.json").read_text())[0]["metrics"]
+        out[group][name] = {"status": status, "scipy": scipy_modules(),
+                            "n_metrics": len(metrics)}
+cov = estimator.covariance_flow(hypograd.builtin_model("kinetic_ou", {"m": 1}), 0.5)
+out["covariance_flow"] = cov.tolist()
+out["xi_case2_k"] = hypograd.default_weights(
+    cli.build_model(cases["chain"]), hypograd.TimeGrid(0.5, 16)).meta["k"]
+meta = json.loads(Path("out_bismut_ito/run_meta.json").read_text())
+import numpy, platform, scipy
+out["run_meta"] = meta
+out["versions"] = {"python": platform.python_version(), "numpy": numpy.__version__,
+                   "scipy": scipy.__version__}
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loads_only_at_its_call_sites(tmp_path):
+    cases = json.dumps({"numpy_only": NUMPY_ONLY, "deferred": DEFERRED, "chain": CHAIN})
+    proc = subprocess.run([sys.executable, "-c", CHILD, cases], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC), HYPOGRAD_THREADS="1"),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["import"] == []
+    # numpy loads numpy.random lazily; the runs need it, so the import does
+    assert out["numpy_random"]
+    for name, rec in out["numpy_only"].items():
+        assert rec["status"] == 0, name
+        assert rec["scipy"] == [], name
+    for name, rec in out["deferred"].items():
+        assert rec["status"] == 0, name
+        assert rec["n_metrics"] > 0, name
+    cov = out["covariance_flow"]
+    assert cov[0][0] > 0 and cov[1][1] > 0
+    assert out["xi_case2_k"] == 1
+    meta = out["run_meta"]
+    assert {k: meta[k] for k in ("python", "numpy", "scipy")} == out["versions"]
+    assert meta["threads"] == 1

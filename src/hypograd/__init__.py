@@ -19,10 +19,8 @@ from .errors import (ConfigurationError, HypogradError, MethodMisuseError,
 from .estimator import (EstimatorConfig, GradientEstimate, TestFunction,
                         bismut_gradient, closed_form_gradient, default_weights,
                         duality_gap, fd_gradient, gaussian_bump_f, indicator_f,
-                        ito_delta, linear_f, pathwise_gradient, quadratic_f,
-                        skorokhod_delta)
-from .flow import (TimeGrid, directional_jacobian, refine_noise, sample_noise,
-                   simulate_path, terminal_flow)
+                        linear_f, pathwise_gradient, quadratic_f, skorokhod_delta)
+from .flow import TimeGrid, directional_jacobian, simulate_path, terminal_flow
 from .model import (HypothesisData, ModelSpec, ValidationReport, builtin_model,
                     builtin_schemas, drift_split, validate_model)
 

@@ -51,8 +51,8 @@ _SCHEMA = {
     "f": {"tag": None, "params": None},
     "grid": {"t_final": None, "n_steps": None},
     "estimator": {"n_paths": None, "master_seed": None, "method": None,
-                  "fd_bump": None, "antithetic": None, "moment_p": None,
-                  "chunk_size": None, "c_bound": None},
+                  "fd_bump": None, "antithetic": None, "chunk_size": None,
+                  "c_bound": None},
     "validate": {"box_lo": None, "box_hi": None, "n_samples": None, "seed": None},
     "sweep": {"t_grid": None, "n_steps": None, "c_bound": None},
     "gramian": {"t_grid": None},
@@ -143,11 +143,13 @@ def build_test_function(f_cfg):
     tag = f_cfg.get("tag")
     params = f_cfg.get("params", {})
     if tag == "linear":
-        return _est.linear_f(params["a"], params.get("b", 0.0))
+        return _est.linear_f(_need(params, "a", "f.params."), params.get("b", 0.0))
     if tag == "quadratic":
-        return _est.quadratic_f(params["s"], params.get("b"), params.get("c", 0.0))
+        return _est.quadratic_f(_need(params, "s", "f.params."), params.get("b"),
+                                params.get("c", 0.0))
     if tag == "gaussian_bump":
-        return _est.gaussian_bump_f(params["center"], params.get("width", 1.0))
+        return _est.gaussian_bump_f(_need(params, "center", "f.params."),
+                                    params.get("width", 1.0))
     if tag == "indicator":
         return _est.indicator_f(params.get("index", 0), params.get("threshold", 0.0))
     raise ConfigurationError(f"f tag must be one of {_F_TAGS}, got {tag!r}")
@@ -162,9 +164,8 @@ def build_estimator_config(cfg, seed_override=None, threads=1):
         method=e.get("method", "bismut_ito"),
         fd_bump=float(e.get("fd_bump", 1e-3)),
         antithetic=bool(e.get("antithetic", False)),
-        moment_p=float(e.get("moment_p", 4.0)),
         n_threads=int(threads),
-        chunk_size=(int(e["chunk_size"]) if e.get("chunk_size") else None),
+        chunk_size=(int(e["chunk_size"]) if e.get("chunk_size") is not None else None),
         c_bound=(float(e["c_bound"]) if e.get("c_bound") is not None else None),
     )
 
@@ -186,10 +187,21 @@ def _exp_validate(spec, cfg, run_cfg):
     return metrics, None, (0 if report.overall else 2)
 
 
+def _need(section, key, path=""):
+    """``section[key]``; a missing key is a config error naming ``path + key``."""
+    if key not in section:
+        raise ConfigurationError(f"config needs {path + key!r}")
+    return section[key]
+
+
+def _grid(cfg):
+    sec = _need(cfg, "grid")
+    return TimeGrid(float(_need(sec, "t_final", "grid.")),
+                    int(_need(sec, "n_steps", "grid.")))
+
+
 def _vec(cfg, key, spec):
-    if key not in cfg:
-        raise ConfigurationError(f"experiment {cfg.get('experiment')!r} needs {key!r}")
-    arr = np.asarray(cfg[key], dtype=float).ravel()
+    arr = np.asarray(_need(cfg, key), dtype=float).ravel()
     if arr.shape != (spec.dim,):
         raise ConfigurationError(
             f"{key} has dimension {arr.size}, model needs {spec.dim}")
@@ -199,8 +211,8 @@ def _vec(cfg, key, spec):
 def _exp_estimate(spec, cfg, run_cfg):
     x0 = _vec(cfg, "x0", spec)
     v = _vec(cfg, "v", spec)
-    f = build_test_function(cfg["f"])
-    grid = TimeGrid(float(cfg["grid"]["t_final"]), int(cfg["grid"]["n_steps"]))
+    f = build_test_function(_need(cfg, "f"))
+    grid = _grid(cfg)
     method = run_cfg.method
     if method == "closed_form":
         value = _est.closed_form_gradient(spec, x0, v, f, grid.t_final)
@@ -249,7 +261,7 @@ def _exp_sweep(spec, cfg, run_cfg):
         raise ConfigurationError("sweep_T needs sweep.t_grid")
     x0 = _vec(cfg, "x0", spec)
     v = _vec(cfg, "v", spec)
-    f = build_test_function(cfg["f"])
+    f = build_test_function(_need(cfg, "f"))
     fit = _analysis.gradient_rate_sweep(
         spec, x0, v, f, np.asarray(sec["t_grid"], dtype=float), run_cfg,
         n_steps=int(sec.get("n_steps", 512)), c_bound=sec.get("c_bound"))
@@ -298,7 +310,7 @@ def _exp_harnack(spec, cfg, run_cfg):
     sec = cfg.get("harnack", {})
     x0 = _vec(cfg, "x0", spec)
     v = _vec(cfg, "v", spec)
-    f = build_test_function(cfg["f"])
+    f = build_test_function(_need(cfg, "f"))
     rep = _analysis.harnack_check(
         spec, f, x0, v, sec.get("p_grid", [2.0, 4.0]),
         float(sec.get("t_final", 1.0)), run_cfg,
@@ -318,7 +330,7 @@ def _exp_entropy(spec, cfg, run_cfg):
     sec = cfg.get("entropy", {})
     x0 = _vec(cfg, "x0", spec)
     v = _vec(cfg, "v", spec)
-    f = build_test_function(cfg["f"])
+    f = build_test_function(_need(cfg, "f"))
     rows, a_fit, stats = _analysis.entropy_gradient_check(
         spec, x0, v, f, float(sec.get("t_final", 1.0)),
         np.asarray(sec.get("lambda_grid", [0.5, 1.0, 2.0, 4.0]), dtype=float),
@@ -335,7 +347,7 @@ def _exp_duality(spec, cfg, run_cfg):
     sec = cfg.get("duality", {})
     x0 = _vec(cfg, "x0", spec)
     v = _vec(cfg, "v", spec)
-    grid = TimeGrid(float(cfg["grid"]["t_final"]), int(cfg["grid"]["n_steps"]))
+    grid = _grid(cfg)
     if grid.n_steps > 16:
         raise ConfigurationError("duality_test is a small-N mode (n_steps <= 16)")
     metrics = {}

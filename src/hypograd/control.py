@@ -250,8 +250,7 @@ class AlphaData:
 
     alpha: np.ndarray            # (B, N+1, d)
     alpha_dot: np.ndarray        # (B, N, d) divided difference, feeds hdot
-    alpha_dot_analytic: np.ndarray   # (B, N, d)
-    alpha_dot_gap: float
+    alpha_dot_gap: float         # max |analytic rate - alpha_dot|
     q_path: np.ndarray           # (B, N+1, m, m)
     xi_vals: np.ndarray          # (N+1,) grid profile before per-path drops
     xi_eff: np.ndarray           # (B, N+1) after drops
@@ -402,10 +401,9 @@ def build_alpha(spec, jac, k_flow, grid, v, profile):
                                         / nu[:, None])[..., None] * kt_u) @ spec.b0
     gap = float(np.max(np.abs(alpha_dot_an - alpha_dot))) if alpha.size else 0.0
 
-    return AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_analytic=alpha_dot_an,
-                     alpha_dot_gap=gap, q_path=q_path, xi_vals=xi_vals, xi_eff=xi_eff,
-                     nu=nu, u_nodes=u_nodes, rho=rho, p_vec=p_vec,
-                     dropped_nodes=dropped, degenerate=degenerate)
+    return AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_gap=gap, q_path=q_path,
+                     xi_vals=xi_vals, xi_eff=xi_eff, nu=nu, u_nodes=u_nodes, rho=rho,
+                     p_vec=p_vec, dropped_nodes=dropped, degenerate=degenerate)
 
 
 def build_bridge(spec, jac, alpha_data, grid, v):

@@ -1,27 +1,24 @@
 """Monte Carlo gradient estimators for the degenerate semigroup.
 
 The headline estimator realizes  grad_v P_T f(x) = E[f(X_T) delta(h)]  with
-the bridge control of :mod:`hypograd.control`.  Two divergence evaluations
-are provided:
+the bridge control of :mod:`hypograd.control`.  In the discrete Gaussian
+calculus (D_i F = dF/dW_i with duality weight dt) the divergence of hdot is
+exactly
 
-* ``ito_delta`` -- the plain increment sum, valid when the first drift
-  Jacobian block is constant so the control is deterministic and hdot is
-  adapted;
-* ``skorokhod_delta`` -- the general anticipative case.  In the discrete
-  Gaussian calculus (D_i F = dF/dW_i with duality weight dt) the divergence
-  of hdot is exactly
+    delta(h) = sum_i <hdot_i, dW_i> - dt sum_i tr(d hdot_i / d W_i).
 
-      delta(h) = sum_i <hdot_i, dW_i> - dt sum_i tr(d hdot_i / d W_i),
-
-  and the trace is evaluated from the forward sensitivities of the entire
-  discrete chain (state -> K -> Q -> alpha -> hdot).  Increment i enters
-  only through the states after t_i, whose sensitivities factor through the
-  state-transition matrices; every pairwise object then contracts against
-  cumulative per-node tensors, collapsing the nominal O(N^2 d) sweep to
-  O(N d) work.  The result is the exact derivative (checked against
-  brute-force increment bumping in the tests), so the discrete
-  integration-by-parts identity E[F delta] = E[sum_i <dF/dW_i, hdot_i> dt]
-  holds with no discretization bias.
+When the first drift Jacobian block is constant the control is
+deterministic, hdot is adapted and the trace vanishes, leaving the plain
+increment sum.  Otherwise (``skorokhod_delta``) the trace is evaluated from
+the forward sensitivities of the entire discrete chain (state -> K -> Q ->
+alpha -> hdot).  Increment i enters only through the states after t_i,
+whose sensitivities factor through the state-transition matrices; every
+pairwise object then contracts against cumulative per-node tensors,
+collapsing the nominal O(N^2 d) sweep to O(N d) work.  The result is the
+exact derivative (checked against brute-force increment bumping in the
+tests), so the discrete integration-by-parts identity
+E[F delta] = E[sum_i <dF/dW_i, hdot_i> dt] holds with no discretization
+bias.
 
 Three independent oracles round out the module: the pathwise estimator
 E<grad f(X_T), dX_T/dx0 v>, common-random-number central differences, and
@@ -63,7 +60,6 @@ __all__ = [
     "indicator_f",
     "path_increments",
     "default_weights",
-    "ito_delta",
     "skorokhod_delta",
     "bismut_gradient",
     "pathwise_gradient",
@@ -74,6 +70,7 @@ __all__ = [
 ]
 
 MAX_REJECT_FRACTION = 1e-3
+MOMENT_P = 4.0       # order of the weight moment whose convergence is flagged
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,6 @@ class EstimatorConfig:
     method: str = "bismut_ito"
     fd_bump: float = 1e-3
     antithetic: bool = False
-    moment_p: float = 4.0
     n_threads: int = 1
     chunk_size: Optional[int] = None
     c_bound: Optional[float] = None    # ||d1Z1|| bound for the case-1 profile
@@ -98,6 +94,8 @@ class EstimatorConfig:
         if self.method not in ("bismut_ito", "bismut_skorokhod", "pathwise",
                                "finite_difference", "closed_form"):
             raise ConfigurationError(f"unknown method {self.method!r}")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ConfigurationError("chunk_size must be >= 1")
 
 
 @dataclass
@@ -127,23 +125,6 @@ class TestFunction:
     grad_f: Optional[Callable] = None
     tag: str = "custom"
     params: dict = field(default_factory=dict)
-
-    def check_gradient(self, points, rel_tol=1e-5):
-        """Verify grad_f against central differences at sample points."""
-        if self.grad_f is None:
-            return True
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = pts.shape[-1]
-        grad = np.asarray(self.grad_f(pts))
-        h = 1e-6 * (1.0 + np.linalg.norm(pts, axis=-1))
-        for c in range(n):
-            e = np.zeros(n)
-            e[c] = 1.0
-            fd = (self.f(pts + h[:, None] * e) - self.f(pts - h[:, None] * e)) \
-                / (2 * h)
-            if np.any(np.abs(fd - grad[:, c]) > rel_tol * (1 + np.abs(grad[:, c]))):
-                return False
-        return True
 
 
 # np.einsum, not BLAS, so no row's value depends on how many rows come with it
@@ -287,12 +268,7 @@ def _sampled_jac_bound(spec, grid, x0, seed, n_probe=32):
 # divergences
 # ---------------------------------------------------------------------------
 
-def ito_delta(h_dot, inc):
-    """Adapted divergence sum_i <hdot_i, dW_i>; hdot shaped (..., N, d)."""
-    return np.sum(np.asarray(h_dot) * np.asarray(inc), axis=(-2, -1))
-
-
-def skorokhod_delta(spec, x0, grid, inc, v, weights, return_parts=False):
+def skorokhod_delta(spec, x0, grid, inc, v, weights):
     """Anticipative divergence of the bridge control, per path, for
     increments ``inc`` of shape (B, N, d).
 
@@ -302,8 +278,7 @@ def skorokhod_delta(spec, x0, grid, inc, v, weights, return_parts=False):
     inc = np.asarray(inc, dtype=float)
     states = simulate_path(spec, x0, grid, inc)
     _, _, _, h_dot, _, corr = _bridge_chain(spec, states, grid, v, weights)
-    delta = np.sum(h_dot * inc, axis=(-2, -1)) - corr
-    return (delta, corr) if return_parts else delta
+    return np.sum(h_dot * inc, axis=(-2, -1)) - corr
 
 
 def _bridge_chain(spec, states, grid, v, weights):
@@ -678,16 +653,14 @@ class _AffineTerminal:
         return x_n, ok
 
 
-def _moment_flag(delta, p):
-    """Cauchy-convergence heuristic for E|delta|^p over dyadic prefixes."""
+def _moment_flag(delta):
+    """Cauchy-convergence heuristic for E|delta|^p, p = ``MOMENT_P``: flags a
+    relative change above 25% from the first half of the paths to all."""
     n = delta.size
     if n < 64:
-        return False, []
-    sizes = [n // 8, n // 4, n // 2, n]
-    ests = [float(np.mean(np.abs(delta[:s]) ** p)) for s in sizes]
-    rel = [abs(ests[i + 1] - ests[i]) / max(ests[i + 1], 1e-300)
-           for i in range(len(ests) - 1)]
-    return rel[-1] > 0.25, ests
+        return False
+    half, full = (float(np.mean(np.abs(delta[:s]) ** MOMENT_P)) for s in (n // 2, n))
+    return abs(full - half) / max(full, 1e-300) > 0.25
 
 
 def _mean_se(got, ok, antithetic):
@@ -721,13 +694,11 @@ def _summarize(fvals, delta, ok, method, cfg, diagnostics):
     d_mean, d_se = _mean_se(dl, ok, cfg.antithetic)
     m2 = float(np.mean(dl**2))
     kurt = float(np.mean(dl**4) / m2**2) if m2 > 0 else 0.0
-    flagged, moment_seq = _moment_flag(dl, cfg.moment_p)
     est = GradientEstimate(value=value, std_error=se, n_effective=n_eff,
                            rejected=ok.size - n_eff, method=method,
                            weight_l2=float(np.sqrt(m2)), delta_mean=d_mean,
-                           delta_se=d_se, kurtosis=kurt, moment_flagged=flagged,
+                           delta_se=d_se, kurtosis=kurt, moment_flagged=_moment_flag(dl),
                            diagnostics=dict(diagnostics))
-    est.diagnostics["moment_sequence"] = moment_seq
     if m2 > 0:
         # delta-method standard error of sqrt(E delta^2)
         est.diagnostics["wl2_se"] = float(
@@ -775,11 +746,6 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
     det_control = affine = None
     if spec.constant_jac_z1:
         det_control = _deterministic_control(spec, x0, grid, v, weights)
-        diagnostics["bridge_residuals_max"] = det_control["residuals"].tolist()
-        diagnostics["alpha_dot_gap"] = det_control["alpha_dot_gap"]
-        diagnostics["q_bound_ratio"] = det_control["q_bound_ratio"]
-        diagnostics["dropped_nodes_max"] = int(det_control["dropped"])
-        diagnostics["c_bound_realized"] = det_control["c_bound_realized"]
         if spec.is_linear:
             affine = _AffineTerminal(spec, grid, det_control["h_dot"])
 
@@ -789,30 +755,19 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             x_n, good = affine.terminal(x0, noise)
             return (f.f(x_n), noise[:, -1]), good, None
         states, good = _simulate(spec, x0, grid, inc)
-        payload = None
         if det_control is not None:
-            h_dot = _assemble_hdot(spec, states, det_control)
-            dl = np.sum(h_dot * inc, axis=(-2, -1))
-        else:
-            jac, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
-            dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
-            good = good & ~ad.degenerate
-            got = res[good]
-            payload = (got.max(axis=0) if got.size else np.zeros(3),
-                       ad.alpha_dot_gap, int(ad.dropped_nodes.max()),
-                       q_inverse_bound_ratio(ad.q_path[good], ad.xi_vals, spec.epsilon),
-                       _norm2_max(jac[..., :spec.m, :spec.m], good))
-        return (f.f(states[:, -1]), dl), good, payload
+            dl = np.sum(_assemble_hdot(spec, states, det_control) * inc, axis=(-2, -1))
+            return (f.f(states[:, -1]), dl), good, None
+        jac, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
+        dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
+        good = good & ~ad.degenerate
+        return (f.f(states[:, -1]), dl), good, _hypothesis_checks(spec, jac, ad, res, good)
 
     (fvals, delta), ok, payloads = _mc_run(
         spec, grid, cfg, per_chunk, 2, chunk=16384 if spec.constant_jac_z1 else 1024)
-    if det_control is None:
-        diagnostics["bridge_residuals_max"] = np.max(
-            np.stack([p[0] for p in payloads]), axis=0).tolist()
-        diagnostics["alpha_dot_gap"] = max(p[1] for p in payloads)
-        diagnostics["dropped_nodes_max"] = max(p[2] for p in payloads)
-        diagnostics["q_bound_ratio"] = max(p[3] for p in payloads)
-        diagnostics["c_bound_realized"] = max(p[4] for p in payloads)
+    checks = payloads if det_control is None else [det_control["checks"]]
+    diagnostics.update({key: np.max([c[key] for c in checks], axis=0).tolist()
+                        for key in checks[0]})
     if "c_bound" in weights.meta:
         diagnostics["c_bound_exceeded"] = bool(
             diagnostics["c_bound_realized"] > weights.meta["c_bound"])
@@ -831,13 +786,22 @@ def _deterministic_control(spec, x0, grid, v, weights):
     if bool(ad.degenerate[0]):
         raise RunDegenerateError("deterministic control chain is degenerate "
                                  "(singular terminal Gramian)")
-    qratio = q_inverse_bound_ratio(ad.q_path, ad.xi_vals, spec.epsilon)
-    return {
-        "alpha": ad.alpha[0], "alpha_dot": ad.alpha_dot[0], "g": g[0], "h_dot": h_dot[0],
-        "residuals": res[0], "alpha_dot_gap": ad.alpha_dot_gap,
-        "q_bound_ratio": qratio, "dropped": int(ad.dropped_nodes[0]),
-        "c_bound_realized": _norm2_max(jac[..., :spec.m, :spec.m]),
-    }
+    return {"alpha": ad.alpha[0], "alpha_dot": ad.alpha_dot[0], "g": g[0],
+            "h_dot": h_dot[0],
+            "checks": _hypothesis_checks(spec, jac, ad, res, ~ad.degenerate)}
+
+
+def _hypothesis_checks(spec, jac, ad, res, good):
+    """Hypothesis checks on one control chain: bridge residuals,
+    ``q_bound_ratio`` and ``c_bound_realized`` over the paths ``good`` keeps;
+    ``alpha_dot_gap`` and the dropped-node count over the whole chain."""
+    got = res[good]
+    return {"bridge_residuals_max": got.max(axis=0) if got.size else np.zeros(3),
+            "alpha_dot_gap": ad.alpha_dot_gap,
+            "dropped_nodes_max": int(ad.dropped_nodes.max()),
+            "q_bound_ratio": q_inverse_bound_ratio(ad.q_path[good], ad.xi_vals,
+                                                   spec.epsilon),
+            "c_bound_realized": _norm2_max(jac[..., :spec.m, :spec.m], good)}
 
 
 def _norm2_max(blocks, keep=slice(None)):

@@ -11,7 +11,7 @@ increments[:, i, :] ~ N(0, dt I_d), states are (B, N+1, n), and one path
 is a batch of one.  The flows take the node Jacobian ``jac`` = DZ(X) of
 shape (B, N+1, n, n), evaluated once by the caller, in place of the
 states.  Non-finite states are propagated, not clamped; use
-``valid_mask``/``first_bad_step`` to detect and reject such paths.
+``valid_mask`` to detect and reject such paths.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ from .errors import ConfigurationError
 
 __all__ = [
     "TimeGrid",
-    "sample_noise",
-    "refine_noise",
     "simulate_path",
     "terminal_flow",
     "directional_jacobian",
     "full_jacobian_flow",
     "valid_mask",
-    "first_bad_step",
 ]
 
 
@@ -55,26 +52,6 @@ class TimeGrid:
     @property
     def nodes(self):
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
-
-
-def sample_noise(grid, d, rng, n_paths):
-    """Draw (n_paths, N, d) Brownian increments from a numpy Generator."""
-    return rng.standard_normal((n_paths, grid.n_steps, d)) * np.sqrt(grid.dt)
-
-
-def refine_noise(inc, grid, rng):
-    """Split each increment into two bridge-consistent halves.
-
-    The fine path agrees with the coarse one at the coarse nodes: a coarse
-    increment w over dt becomes the pair (w/2 + z, w/2 - z) with
-    z ~ N(0, dt/4), the conditional law of the midpoint.  Returns the
-    refined (increments, TimeGrid) pair.
-    """
-    inc = np.asarray(inc, dtype=float)
-    z = rng.standard_normal(inc.shape) * (0.5 * np.sqrt(grid.dt))
-    halves = np.stack([0.5 * inc + z, 0.5 * inc - z], axis=-2)  # (..., N, 2, d)
-    fine = halves.reshape(inc.shape[:-2] + (2 * inc.shape[-2], inc.shape[-1]))
-    return fine, TimeGrid(t_final=grid.t_final, n_steps=2 * grid.n_steps)
 
 
 def simulate_path(spec, x0, grid, inc):
@@ -114,14 +91,6 @@ def simulate_path(spec, x0, grid, inc):
 def valid_mask(states):
     """Boolean per-path mask: True where every state entry is finite."""
     return np.isfinite(states).all(axis=-2).all(axis=-1)
-
-
-def first_bad_step(states):
-    """Per-path index of the first node with a non-finite entry, -1 if none."""
-    bad = ~np.isfinite(states).all(axis=-1)
-    idx = np.argmax(bad, axis=-1)
-    idx[~bad.any(axis=-1)] = -1
-    return idx
 
 
 def terminal_flow(spec, jac, grid):

@@ -5,7 +5,7 @@ from hypograd import control, estimator
 from hypograd.control import build_alpha, build_bridge, phi_parabolic, xi_case1
 from hypograd.errors import MethodMisuseError
 from hypograd.exprdrift import DriftExpr
-from hypograd.flow import simulate_path, terminal_flow
+from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import builtin_model
 
 
@@ -33,6 +33,26 @@ def anticipative_spec():
     return builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4",
                                          "mass_expr": "1 + 0.2*x1^2",
                                          "c_mass": 1.0})
+
+
+def sample_noise(grid, d, rng, n_paths):
+    """Draw (n_paths, N, d) Brownian increments from a numpy Generator."""
+    return rng.standard_normal((n_paths, grid.n_steps, d)) * np.sqrt(grid.dt)
+
+
+def refine_noise(inc, grid, rng):
+    """Split each increment into two bridge-consistent halves.
+
+    The fine path agrees with the coarse one at the coarse nodes: a coarse
+    increment w over dt becomes the pair (w/2 + z, w/2 - z) with
+    z ~ N(0, dt/4), the conditional law of the midpoint.  Returns the
+    refined (increments, TimeGrid) pair.
+    """
+    inc = np.asarray(inc, dtype=float)
+    z = rng.standard_normal(inc.shape) * (0.5 * np.sqrt(grid.dt))
+    halves = np.stack([0.5 * inc + z, 0.5 * inc - z], axis=-2)  # (..., N, 2, d)
+    fine = halves.reshape(inc.shape[:-2] + (2 * inc.shape[-2], inc.shape[-1]))
+    return fine, TimeGrid(t_final=grid.t_final, n_steps=2 * grid.n_steps)
 
 
 def control_chain_hdot(spec, x0, grid, increments, v, profile):

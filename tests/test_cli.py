@@ -320,10 +320,23 @@ def test_list_builtins_golden():
     assert "required" in text and "optional" in text
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"schema_version\": 1}")
     assert main(["run", str(bad)]) == 2
+    # missing sections and out-of-range settings are config errors (exit 2)
+    base = _base_estimate_cfg(tmp_path)
+    est = base["estimator"]
+    broken = [{k: v for k, v in base.items() if k != "f"},
+              {k: v for k, v in base.items() if k != "grid"},
+              dict(base, grid={"t_final": 1.0}),
+              dict(base, f={"tag": "linear", "params": {}}),
+              dict(base, estimator=dict(est, chunk_size=-5)),
+              dict(base, estimator=dict(est, chunk_size=0))]
+    for i, cfg in enumerate(broken):
+        capsys.readouterr()
+        assert main(["run", _write(tmp_path, f"broken{i}.json", cfg)]) == 2, i
+        assert capsys.readouterr().err.startswith("config error:"), i
     assert main(["list-builtins"]) == 0
 
 

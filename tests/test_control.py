@@ -7,10 +7,10 @@ from hypograd.control import (build_alpha, build_bridge, gramian_M, gramian_Q,
                               phi_parabolic, q_inverse_bound_ratio, xi_case1,
                               xi_case2)
 from hypograd.errors import NotApplicableError
-from hypograd.flow import TimeGrid, refine_noise, sample_noise, simulate_path, terminal_flow
+from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import builtin_model
-from tests.conftest import (case1_profile, guarded_solve_lapack, same_bytes,
-                            wide_values)
+from tests.conftest import (case1_profile, guarded_solve_lapack, refine_noise,
+                            same_bytes, sample_noise, wide_values)
 
 
 def _flat_flow(grid, m):

@@ -12,9 +12,9 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 closed_form_gradient, covariance_flow,
                                 default_weights, duality_gap, expectation,
                                 fd_gradient, gaussian_bump_f, indicator_f,
-                                ito_delta, linear_f, path_increments,
-                                pathwise_gradient, quadratic_f, skorokhod_delta)
-from hypograd.flow import TimeGrid, terminal_flow
+                                linear_f, path_increments, pathwise_gradient,
+                                quadratic_f, skorokhod_delta)
+from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import (brute_force_divergence, case1_profile,
                             guarded_solve_lapack, pinv_stack_lapack,
@@ -27,26 +27,6 @@ KOU_TRUE_V2 = 0.5335071951146929   # (exp M)_12
 # ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------
-
-def test_ito_delta_zero_integrand():
-    inc = np.random.default_rng(0).standard_normal((32, 2))
-    assert ito_delta(np.zeros((32, 2)), inc) == 0.0
-
-
-def test_ito_delta_gaussian_moments():
-    # deterministic hdot: E delta = 0 and Var delta = sum |hdot|^2 dt
-    grid = TimeGrid(1.0, 64)
-    rng = np.random.default_rng(1)
-    h_dot = rng.standard_normal((64, 1))
-    n = 100_000
-    inc = rng.standard_normal((n, 64, 1)) * np.sqrt(grid.dt)
-    deltas = ito_delta(h_dot, inc)
-    var_true = float(np.sum(h_dot**2) * grid.dt)
-    se_mean = np.sqrt(var_true / n)
-    assert abs(np.mean(deltas)) <= 4 * se_mean
-    se_var = np.std(deltas**2, ddof=1) / np.sqrt(n)
-    assert abs(np.var(deltas) - var_true) <= 4 * se_var
-
 
 def test_discrete_divergence_convention_single_step():
     # hdot_1 = dW_1 gives delta = dW^2 - dt; the finite-dimensional Gaussian
@@ -71,11 +51,11 @@ def test_skorokhod_equals_ito_for_adapted_chain():
     grid = TimeGrid(1.0, 32)
     inc = path_increments(grid, 1, 7, 0, 16)
     prof = case1_profile(base, 1.0)
-    v = np.array([0.8, -0.6])
-    d_forced, corr = skorokhod_delta(forced, np.array([1.0, 1.0]), grid,
-                                     inc, v, prof, return_parts=True)
-    d_fast = skorokhod_delta(base, np.array([1.0, 1.0]), grid,
-                             inc, v, prof)
+    x0, v = np.array([1.0, 1.0]), np.array([0.8, -0.6])
+    corr = estimator._bridge_chain(forced, simulate_path(forced, x0, grid, inc),
+                                   grid, v, prof)[-1]
+    d_forced = skorokhod_delta(forced, x0, grid, inc, v, prof)
+    d_fast = skorokhod_delta(base, x0, grid, inc, v, prof)
     assert np.max(np.abs(corr)) <= 1e-8
     assert np.max(np.abs(d_forced - d_fast)) <= 1e-8
 
@@ -366,22 +346,30 @@ def test_antithetic_runs_and_skips_cv(kinetic_spec):
     assert abs(est.value - truth) <= 6 * est.std_error + 0.05
 
 
-def test_antithetic_se_matches_seed_spread(kinetic_spec):
+def test_antithetic_se_matches_seed_spread(kinetic_spec, anticipative_spec):
     # paired paths are not independent: the reported standard error must
-    # match the spread of the estimate across seeds with pairing on or off
+    # match the spread of the estimate across seeds with pairing on or off,
+    # and std_error_cv the spread of value_cv (reported without pairing);
+    # the mass model pins the anticipative weight's standard errors
     grid = TimeGrid(1.0, 32)
-    f = linear_f([1.0, 0.0])
-    for antithetic in (False, True):
-        vals, ses = [], []
-        for seed in range(20):
-            cfg = EstimatorConfig(n_paths=1000, master_seed=seed,
-                                  method="bismut_ito", antithetic=antithetic)
-            est = bismut_gradient(kinetic_spec, [1.0, 1.0], [1.0, 0.0], f,
-                                  grid, cfg)
-            vals.append(est.value)
-            ses.append(est.std_error)
-        spread = np.std(vals, ddof=1)
-        assert abs(np.mean(ses) - spread) <= 0.25 * spread, antithetic
+    bismut_cases = [
+        (kinetic_spec, "bismut_ito", [1.0, 1.0], [1.0, 0.0], linear_f([1.0, 0.0]),
+         grid, 20, 1000, None),
+        (anticipative_spec, "bismut_skorokhod", [0.3, -0.2], [0.7, -0.4],
+         gaussian_bump_f([0.2, 0.0], 0.8), TimeGrid(0.5, 16), 40, 500, 3.0)]
+    for spec, method, x0, v, f, case_grid, n_seeds, n_paths, c_bound in bismut_cases:
+        for antithetic in (False, True):
+            ests = [bismut_gradient(spec, x0, v, f, case_grid, EstimatorConfig(
+                        n_paths=n_paths, master_seed=seed, method=method,
+                        antithetic=antithetic, c_bound=c_bound))
+                    for seed in range(n_seeds)]
+            pairs = [("value", "std_error")]
+            if not antithetic:                     # value_cv is not reported then
+                pairs.append(("value_cv", "std_error_cv"))
+            for val_key, se_key in pairs:
+                spread = np.std([getattr(e, val_key) for e in ests], ddof=1)
+                ses = np.mean([getattr(e, se_key) for e in ests])
+                assert abs(ses - spread) <= 0.25 * spread, (method, antithetic, val_key)
 
     # the other drivers, with a smooth nonlinear f: for a linear f on this
     # affine model the antithetic pair means are exact constants.  Treating
@@ -813,16 +801,25 @@ def test_default_weights_selects_case(kinetic_spec, chain_spec):
 
 
 def test_builder_gradients_consistent():
+    # grad_f against central differences at sample points
     rng = np.random.default_rng(0)
     pts = rng.uniform(-2, 2, size=(20, 2))
+    h = 1e-6 * (1.0 + np.linalg.norm(pts, axis=-1))
+
+    def gradient_matches(f, rel_tol=1e-5):
+        grad = f.grad_f(pts)
+        fd = np.stack([(f.f(pts + h[:, None] * e) - f.f(pts - h[:, None] * e)) / (2 * h)
+                       for e in np.eye(2)], axis=-1)
+        return bool(np.all(np.abs(fd - grad) <= rel_tol * (1 + np.abs(grad))))
+
     for f in (linear_f([1.0, -0.5], b=0.3),
               quadratic_f([[0.5, 0.1], [0.0, 0.2]], b=[1.0, -2.0], c=0.4),
               gaussian_bump_f([0.3, -0.1], width=0.9)):
-        assert f.check_gradient(pts)
+        assert gradient_matches(f)
     bad = quadratic_f(np.eye(2))
     broken = type(bad)(f=bad.f, grad_f=lambda x: 0.5 * bad.grad_f(x),
                        tag=bad.tag, params=bad.params)
-    assert not broken.check_gradient(pts)
+    assert not gradient_matches(broken)
 
 
 MULTIDIM_MODELS = [
@@ -982,7 +979,6 @@ def _affine_case(name):
 
 @pytest.mark.parametrize("case", sorted(AFFINE_CASES))
 def test_affine_terminal_matches_euler(case):
-    from hypograd.flow import simulate_path
     spec, x0, v = _affine_case(case)
     grid = TimeGrid(1.0, 64)
     inc = path_increments(grid, spec.d, 3, 0, 50)
@@ -991,7 +987,7 @@ def test_affine_terminal_matches_euler(case):
     noise = affine.contract(inc)
     x_n, ok = affine.terminal(x0, noise)
     euler = simulate_path(spec, x0, grid, inc)[:, -1]
-    euler_delta = ito_delta(det["h_dot"], inc)
+    euler_delta = np.sum(det["h_dot"] * inc, axis=(-2, -1))
     # each side rounds N sums of terms no larger than the result's scale
     tol = 4 * grid.n_steps * np.finfo(float).eps
     assert ok.all()

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hypograd.flow import (TimeGrid, directional_jacobian,
-                           first_bad_step, full_jacobian_flow, refine_noise,
-                           sample_noise, simulate_path, terminal_flow,
-                           valid_mask)
+from hypograd.flow import (TimeGrid, directional_jacobian, full_jacobian_flow,
+                           simulate_path, terminal_flow, valid_mask)
 from hypograd.errors import ConfigurationError
 from hypograd.model import ModelSpec, builtin_model
-from tests.conftest import reference_full_jacobian_flow, same_bytes
+from tests.conftest import (reference_full_jacobian_flow, refine_noise, same_bytes,
+                            sample_noise)
 
 # closed-form oracle for the kinetic model: drift matrix M = [[0,1],[-1,-1]],
 # exp(M) = e^{-1/2} (cos w I + sin(w)/w (M + I/2)) with w = sqrt(3)/2
@@ -189,7 +188,6 @@ def test_invalid_path_detection():
     x = simulate_path(spec, np.array([3.0, 3.0]), grid,
                       np.zeros((1, 64, 1)))
     assert not valid_mask(x)[0]
-    assert first_bad_step(x)[0] > 0
 
 
 def test_full_jacobian_flow_matches_directional(hamiltonian_spec):

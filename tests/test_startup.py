@@ -1,9 +1,11 @@
 """`import hypograd` loads numpy only; scipy loads at the call sites that use it.
 
 The checks run in a fresh interpreter, because the test modules themselves
-import scipy.
+import scipy.  Every name the package exports must resolve.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -119,3 +121,16 @@ def test_scipy_loads_only_at_its_call_sites(tmp_path):
     meta = out["run_meta"]
     assert {k: meta[k] for k in ("python", "numpy", "scipy")} == out["versions"]
     assert meta["threads"] == 1
+
+
+def test_exported_names_resolve():
+    # a name deleted from a module must leave its __all__ and the package too
+    for path in sorted((SRC / "hypograd").glob("*.py")):
+        module = importlib.import_module(f"hypograd.{path.stem}".removesuffix(".__init__"))
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), (path.name, name)
+        if path.stem == "__init__":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        assert hasattr(module, alias.asname or alias.name), alias.name

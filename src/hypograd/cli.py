@@ -67,8 +67,10 @@ _EXPERIMENTS = ("validate", "estimate", "sweep_T", "gramian", "kalman",
 
 
 def _check_keys(obj, schema, path=""):
-    if schema is None or not isinstance(obj, dict):
+    if schema is None:
         return
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"config key {path[:-1]!r} must be an object")
     for key, val in obj.items():
         if key not in schema:
             raise ConfigurationError(f"unknown config key {path + key!r}")
@@ -142,32 +144,46 @@ def _custom_model(c):
 def build_test_function(f_cfg):
     tag = f_cfg.get("tag")
     params = f_cfg.get("params", {})
-    if tag == "linear":
-        return _est.linear_f(_need(params, "a", "f.params."), params.get("b", 0.0))
-    if tag == "quadratic":
-        return _est.quadratic_f(_need(params, "s", "f.params."), params.get("b"),
-                                params.get("c", 0.0))
-    if tag == "gaussian_bump":
-        return _est.gaussian_bump_f(_need(params, "center", "f.params."),
-                                    params.get("width", 1.0))
-    if tag == "indicator":
-        return _est.indicator_f(params.get("index", 0), params.get("threshold", 0.0))
+    if not isinstance(params, dict):
+        raise ConfigurationError("config key 'f.params' must be an object")
+    try:
+        if tag == "linear":
+            return _est.linear_f(_need(params, "a", "f.params."), params.get("b", 0.0))
+        if tag == "quadratic":
+            return _est.quadratic_f(_need(params, "s", "f.params."), params.get("b"),
+                                    params.get("c", 0.0))
+        if tag == "gaussian_bump":
+            return _est.gaussian_bump_f(_need(params, "center", "f.params."),
+                                        params.get("width", 1.0))
+        if tag == "indicator":
+            return _est.indicator_f(params.get("index", 0), params.get("threshold", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"f.params of {tag!r}: {exc}") from exc
     raise ConfigurationError(f"f tag must be one of {_F_TAGS}, got {tag!r}")
+
+
+def _num(value, path, integer=False):
+    """A config number, integral if ``integer``; else a config error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integer and not float(value).is_integer()):
+        raise ConfigurationError(
+            f"{path} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def build_estimator_config(cfg, seed_override=None, threads=1):
     e = dict(cfg.get("estimator", {}))
-    return _est.EstimatorConfig(
-        n_paths=int(e.get("n_paths", 10000)),
-        master_seed=int(seed_override if seed_override is not None
-                        else e.get("master_seed", 0)),
-        method=e.get("method", "bismut_ito"),
-        fd_bump=float(e.get("fd_bump", 1e-3)),
-        antithetic=bool(e.get("antithetic", False)),
-        n_threads=int(threads),
-        chunk_size=(int(e["chunk_size"]) if e.get("chunk_size") is not None else None),
-        c_bound=(float(e["c_bound"]) if e.get("c_bound") is not None else None),
-    )
+    if seed_override is not None:
+        e["master_seed"] = seed_override
+    if not isinstance(e.get("antithetic", False), bool):
+        raise ConfigurationError("estimator.antithetic must be true or false")
+    nums = {key: _num(e[key], "estimator." + key, key != "fd_bump" and key != "c_bound")
+            for key in ("n_paths", "master_seed", "fd_bump", "chunk_size", "c_bound")
+            if e.get(key) is not None}
+    return _est.EstimatorConfig(**{"n_paths": 10000, **nums},
+                                method=e.get("method", "bismut_ito"),
+                                antithetic=e.get("antithetic", False),
+                                n_threads=int(threads))
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +212,38 @@ def _need(section, key, path=""):
 
 def _grid(cfg):
     sec = _need(cfg, "grid")
-    return TimeGrid(float(_need(sec, "t_final", "grid.")),
-                    int(_need(sec, "n_steps", "grid.")))
+    return TimeGrid(_num(_need(sec, "t_final", "grid."), "grid.t_final"),
+                    _num(_need(sec, "n_steps", "grid."), "grid.n_steps", integer=True))
 
 
 def _vec(cfg, key, spec):
-    arr = np.asarray(_need(cfg, key), dtype=float).ravel()
+    try:
+        arr = np.asarray(_need(cfg, key), dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key} must be a list of numbers") from exc
     if arr.shape != (spec.dim,):
         raise ConfigurationError(
             f"{key} has dimension {arr.size}, model needs {spec.dim}")
     return arr
 
 
-def _exp_estimate(spec, cfg, run_cfg):
-    x0 = _vec(cfg, "x0", spec)
-    v = _vec(cfg, "v", spec)
+def _x0_v_f(cfg, spec):
+    """x0, v and f of a config, checked against the model's dimension."""
     f = build_test_function(_need(cfg, "f"))
+    n = spec.dim
+    shapes = {"a": (n,), "s": (n, n), "center": (n,),
+              "b": (n,) if f.tag == "quadratic" else ()}     # linear's b is a scalar
+    for key, shape in shapes.items():
+        if key in f.params and np.shape(f.params[key]) != shape:
+            raise ConfigurationError(f"f.params.{key} has shape "
+                                     f"{np.shape(f.params[key])}, model needs {shape}")
+    if not 0 <= f.params.get("index", 0) < n:
+        raise ConfigurationError(f"f.params.index must be below the dimension {n}")
+    return _vec(cfg, "x0", spec), _vec(cfg, "v", spec), f
+
+
+def _exp_estimate(spec, cfg, run_cfg):
+    x0, v, f = _x0_v_f(cfg, spec)
     grid = _grid(cfg)
     method = run_cfg.method
     if method == "closed_form":
@@ -257,13 +289,9 @@ def _exp_estimate(spec, cfg, run_cfg):
 
 def _exp_sweep(spec, cfg, run_cfg):
     sec = cfg.get("sweep", {})
-    if "t_grid" not in sec:
-        raise ConfigurationError("sweep_T needs sweep.t_grid")
-    x0 = _vec(cfg, "x0", spec)
-    v = _vec(cfg, "v", spec)
-    f = build_test_function(_need(cfg, "f"))
+    x0, v, f = _x0_v_f(cfg, spec)
     fit = _analysis.gradient_rate_sweep(
-        spec, x0, v, f, np.asarray(sec["t_grid"], dtype=float), run_cfg,
+        spec, x0, v, f, np.asarray(_need(sec, "t_grid", "sweep."), dtype=float), run_cfg,
         n_steps=int(sec.get("n_steps", 512)), c_bound=sec.get("c_bound"))
     metrics = {"slope": fit.slope, "slope_ci": fit.slope_ci,
                "theoretical_exponent": float(fit.theoretical_exponent),
@@ -308,9 +336,7 @@ def _exp_kalman(spec, cfg, run_cfg):
 
 def _exp_harnack(spec, cfg, run_cfg):
     sec = cfg.get("harnack", {})
-    x0 = _vec(cfg, "x0", spec)
-    v = _vec(cfg, "v", spec)
-    f = build_test_function(_need(cfg, "f"))
+    x0, v, f = _x0_v_f(cfg, spec)
     rep = _analysis.harnack_check(
         spec, f, x0, v, sec.get("p_grid", [2.0, 4.0]),
         float(sec.get("t_final", 1.0)), run_cfg,
@@ -328,9 +354,7 @@ def _exp_harnack(spec, cfg, run_cfg):
 
 def _exp_entropy(spec, cfg, run_cfg):
     sec = cfg.get("entropy", {})
-    x0 = _vec(cfg, "x0", spec)
-    v = _vec(cfg, "v", spec)
-    f = build_test_function(_need(cfg, "f"))
+    x0, v, f = _x0_v_f(cfg, spec)
     rows, a_fit, stats = _analysis.entropy_gradient_check(
         spec, x0, v, f, float(sec.get("t_final", 1.0)),
         np.asarray(sec.get("lambda_grid", [0.5, 1.0, 2.0, 4.0]), dtype=float),
@@ -360,10 +384,8 @@ def _exp_duality(spec, cfg, run_cfg):
         else:
             raise ConfigurationError(f"duality function {name!r} not supported")
         gap, se, lhs, rhs = _est.duality_gap(spec, x0, v, f, grid, run_cfg)
-        metrics[f"gap_{name}"] = gap
-        metrics[f"se_{name}"] = se
-        metrics[f"lhs_{name}"] = lhs
-        metrics[f"rhs_{name}"] = rhs
+        metrics.update({f"gap_{name}": gap, f"se_{name}": se,
+                        f"lhs_{name}": lhs, f"rhs_{name}": rhs})
         ok = abs(gap) <= 4.0 * se
         print(f"duality[{name}] gap={gap:.5g} se={se:.3g} {'OK' if ok else 'FAIL'}")
         if not ok:
@@ -416,6 +438,14 @@ def write_results(out_dir, records, plotdata):
                 writer.writerow([_fmt(float(x)) for x in row])
 
 
+def _scipy_version():
+    """The Version line of scipy's package metadata: importing scipy is
+    slow, and ``importlib.metadata.version`` runs the email header parser."""
+    meta = importlib.metadata.distribution("scipy").read_text("METADATA")
+    return next(line[8:].strip() for line in meta.splitlines()
+                if line.startswith("Version:"))
+
+
 def run(config_path, seed_override=None, threads=None, out_override=None):
     """Execute one experiment config; returns the process exit status."""
     cfg = load_config(config_path)
@@ -458,9 +488,8 @@ def run(config_path, seed_override=None, threads=None, out_override=None):
         with open(out_dir / "run_meta.json", "w", encoding="utf-8") as fh:
             json.dump({"wall_time_s": time.time() - t0, "run_id": chash[:12],
                        "threads": threads, "python": platform.python_version(),
-                       "numpy": np.__version__,
-                       # from the package metadata: importing scipy is slow
-                       "scipy": importlib.metadata.version("scipy")},
+                       "numpy": np.__version__, "scipy": _scipy_version(),
+                       "noise_streams": f"philox-block{_est.NOISE_BLOCK}"},
                       fh, indent=2)
         return status
     finally:

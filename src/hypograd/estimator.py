@@ -24,12 +24,13 @@ Three independent oracles round out the module: the pathwise estimator
 E<grad f(X_T), dX_T/dx0 v>, common-random-number central differences, and
 the Gaussian closed form for affine models.
 
-Randomness: each path has its own counter-based stream keyed by
-(master_seed, path_index), so results do not depend on chunking or thread
+Randomness: each block of ``NOISE_BLOCK`` = 64 paths has its own
+counter-based stream keyed by (master_seed, block), and a chunk draws the
+blocks it touches whole, so results do not depend on chunking or thread
 count; reductions run over per-path arrays assembled in path order.  One
 Philox bit generator per ``path_increments`` call is reset to a fresh state
-(zero counter, empty buffer, the path's key) before each path, which draws
-exactly what a newly built generator would.
+(zero counter, empty buffer, the block's key) before each block, which
+draws exactly what a newly built generator would.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ __all__ = [
 
 MAX_REJECT_FRACTION = 1e-3
 MOMENT_P = 4.0       # order of the weight moment whose convergence is flagged
+NOISE_BLOCK = 64     # paths per noise stream; divides the default chunk sizes
 
 
 @dataclass(frozen=True)
@@ -185,19 +187,24 @@ def indicator_f(index=0, threshold=0.0):
 
 
 # ---------------------------------------------------------------------------
-# counter-based per-path noise
+# counter-based block noise
 # ---------------------------------------------------------------------------
 
 def path_increments(grid, d, master_seed, start, count, antithetic=False):
-    """Increments for paths [start, start+count), one Philox stream per path.
+    """Increments for paths [start, start+count): block b of ``NOISE_BLOCK``
+    paths draws from the Philox stream keyed by (master_seed, b), and a call
+    draws every block its range touches, whole.
 
-    With antithetic pairing, paths 2r and 2r+1 share the stream keyed by
-    (master_seed, r) with opposite signs.  One bit generator serves the
-    call: it is reset per path to the state a fresh ``Philox(key=...)``
-    starts from (building one per path also draws OS entropy), and it is
-    local to the call, so threaded chunks stay independent.
+    With antithetic pairing a block draws NOISE_BLOCK/2 pairs, which paths
+    2r and 2r+1 take with opposite signs.  One bit generator serves the
+    call: it is reset per block to the state a fresh ``Philox(key=...)``
+    starts from (building one also draws OS entropy), and it is local to
+    the call, so threaded chunks stay independent.
     """
-    out = np.empty((count, grid.n_steps, d))
+    first = start // NOISE_BLOCK
+    n_blocks = -(-(start + count) // NOISE_BLOCK) - first
+    out = np.empty((n_blocks * NOISE_BLOCK, grid.n_steps, d))
+    half = np.empty((NOISE_BLOCK // 2, grid.n_steps, d)) if antithetic else None
     bg = Philox(key=np.zeros(2, dtype=np.uint64))
     gen = Generator(bg)
     # Python lists: the setter reads them item by item, much faster than
@@ -206,15 +213,20 @@ def path_increments(grid, d, master_seed, start, count, antithetic=False):
     zero = [0, 0, 0, 0]
     fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
              "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, idx in enumerate(range(start, start + count)):
-        key[1] = idx // 2 if antithetic else idx
+    root = np.sqrt(grid.dt)
+    for i in range(n_blocks):
+        key[1] = first + i
         bg.state = fresh                      # the setter copies the values
-        gen.standard_normal(out=out[row])
-    if antithetic:
-        odd = out[1 - start % 2::2]
-        np.negative(odd, out=odd)
-    out *= np.sqrt(grid.dt)
-    return out
+        block = out[i * NOISE_BLOCK:(i + 1) * NOISE_BLOCK]
+        if antithetic:
+            gen.standard_normal(out=half)     # the output must be contiguous
+            half *= root
+            block[0::2] = half
+            np.negative(half, out=block[1::2])
+        else:
+            gen.standard_normal(out=block)
+            block *= root                     # scaled while the block is in cache
+    return out[start - first * NOISE_BLOCK:][:count]
 
 
 def default_weights(spec, grid, c_bound=None, probe_x0=None, probe_seed=0):
@@ -556,14 +568,15 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, chunk=16384, seed_offset=0):
 
     Paths [0, n_paths) run in chunks of ``cfg.chunk_size`` (default
     ``chunk``) on ``cfg.n_threads`` threads.  A chunk's increments come
-    from ``path_increments`` keyed by (master_seed + seed_offset, path) with
-    the configured antithetic pairing, so no result depends on chunking or
-    thread count.  ``per_chunk(start, inc)`` returns ``(cols, good,
-    payload)``: ``n_cols`` per-path value arrays, the mask of the paths it
-    kept and a diagnostics payload.  A path is accepted when it was kept and
-    all its values are finite.  Chunks write disjoint slices of the output,
-    and the payload list is in path order, so diagnostics are deterministic
-    under any thread count.
+    from ``path_increments``, one stream per 64-path block keyed by
+    (master_seed + seed_offset, block), with the configured antithetic
+    pairing, so no result depends on chunking or thread count.
+    ``per_chunk(start, inc)`` returns ``(cols, good, payload)``: ``n_cols``
+    per-path value arrays, the mask of the paths it kept and a diagnostics
+    payload.  A path is accepted when it was kept and all its values are
+    finite.  Chunks write disjoint slices of the output, and the payload
+    list is in path order, so diagnostics are deterministic under any
+    thread count.
 
     Returns the (n_cols, n_paths) values, the accepted mask and the
     payloads; raises ``RunDegenerateError`` past ``MAX_REJECT_FRACTION``

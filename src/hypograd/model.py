@@ -234,9 +234,7 @@ def _jacobian_check(spec, x, rel_tol=1e-5):
     worst = 0.0
     witness = None
     an = spec.dz(x)
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = 1.0
+    for c, e in enumerate(np.eye(n)):
         xp = x + h[:, None] * e
         xm = x - h[:, None] * e
         fd = (spec.drift(xp) - spec.drift(xm)) / (2.0 * h[:, None])
@@ -284,9 +282,7 @@ def _hypothesis_checks(spec, x):
     m = spec.m
     h = 1e-4 * (1.0 + np.linalg.norm(x, axis=-1))
     grad = np.empty_like(x)
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = 1.0
+    for c, e in enumerate(np.eye(n)):
         grad[:, c] = (hyp.w(x + h[:, None] * e) - hyp.w(x - h[:, None] * e)) / (2 * h)
     a_mat = spec.sigma @ spec.sigma.T
     lw = np.einsum("pc,pc->p", grad, spec.drift(x))
@@ -294,10 +290,7 @@ def _hypothesis_checks(spec, x):
         for j in range(spec.d):
             if a_mat[i, j] == 0.0:
                 continue
-            ei = np.zeros(n)
-            ei[m + i] = 1.0
-            ej = np.zeros(n)
-            ej[m + j] = 1.0
+            ei, ej = np.eye(n)[m + i], np.eye(n)[m + j]
             if i == j:
                 second = (hyp.w(x + h[:, None] * ei) - 2 * w + hyp.w(x - h[:, None] * ei)) / h**2
             else:
@@ -351,15 +344,8 @@ _BUILTIN_SCHEMAS = {
 
 def builtin_schemas():
     """Stable listing of built-in model names and parameter keys."""
-    out = {}
-    for name in sorted(_BUILTIN_SCHEMAS):
-        sch = _BUILTIN_SCHEMAS[name]
-        out[name] = {
-            "required": list(sch["required"]),
-            "optional": dict(sch["optional"]),
-            "doc": sch["doc"],
-        }
-    return out
+    return {name: {"required": list(sch["required"]), "optional": dict(sch["optional"]),
+                   "doc": sch["doc"]} for name, sch in sorted(_BUILTIN_SCHEMAS.items())}
 
 
 def _as_matrix(val, rows, cols, what):
@@ -397,16 +383,14 @@ def builtin_model(name, params=None):
     if name not in _BUILTIN_SCHEMAS:
         raise ConfigurationError(
             f"unknown builtin model {name!r}; available: {sorted(_BUILTIN_SCHEMAS)}")
-    p = _check_params(name, params)
-    if name == "kinetic_ou":
-        return _build_kinetic_ou(p, params)
-    if name == "hamiltonian":
-        return _build_hamiltonian(p, params)
-    return _build_integrator_chain(p, params)
+    build = {"kinetic_ou": _build_kinetic_ou, "hamiltonian": _build_hamiltonian,
+             "integrator_chain": _build_integrator_chain}[name]
+    return build(_check_params(name, params), params)
 
 
-def _quadratic_hypothesis(g_norm, sigma):
-    """W = 1 + |x|^2 + |y|^2 for a linear model with drift matrix norm g_norm."""
+def _quadratic_hypothesis(gfull, sigma, m):
+    """W = 1 + |x|^2 + |y|^2 for a linear model with drift matrix gfull."""
+    g_norm = np.linalg.norm(gfull, 2)
     tr = float(np.trace(sigma @ sigma.T))
     c = max(4.0, tr + 2.0 * (1.0 + g_norm), g_norm + 1.0)
 
@@ -414,13 +398,10 @@ def _quadratic_hypothesis(g_norm, sigma):
         x = np.asarray(x, dtype=float)
         return 1.0 + np.sum(x * x, axis=-1)
 
-    def make_grad2(m):
-        def grad2_w(x):
-            x = np.asarray(x, dtype=float)
-            return 2.0 * x[..., m:]
-        return grad2_w
+    def grad2_w(x):
+        return 2.0 * np.asarray(x, dtype=float)[..., m:]
 
-    return w, make_grad2, c
+    return HypothesisData(w=w, grad2_w=grad2_w, c_const=c, l1=0.0, l2=0.0)
 
 
 def _build_kinetic_ou(p, raw):
@@ -439,8 +420,7 @@ def _build_kinetic_ou(p, raw):
         return np.concatenate([x[..., m:], -x[..., :m] @ k_mat.T - x[..., m:] @ g_mat.T],
                               axis=-1)
 
-    w, make_grad2, c = _quadratic_hypothesis(np.linalg.norm(gfull, 2), sigma)
-    hyp = HypothesisData(w=w, grad2_w=make_grad2(m), c_const=c, l1=0.0, l2=0.0)
+    hyp = _quadratic_hypothesis(gfull, sigma, m)
     return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
                      sigma=sigma, b0=eye_md.copy(), epsilon=0.0, hypothesis=hyp,
                      hess_z1=_zero_hess(m, d), constant_jac_z1=True, drift_matrix=gfull,
@@ -578,8 +558,7 @@ def _build_integrator_chain(p, raw):
         x = np.asarray(x, dtype=float)
         return np.concatenate([x @ z1_lin.T, x @ z2_lin.T + z2_off], axis=-1)
 
-    w, make_grad2, c = _quadratic_hypothesis(np.linalg.norm(gfull, 2), sigma)
-    hyp = HypothesisData(w=w, grad2_w=make_grad2(m), c_const=c, l1=0.0, l2=0.0)
+    hyp = _quadratic_hypothesis(gfull, sigma, m)
     return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
                      sigma=sigma, b0=b0, epsilon=0.0, hypothesis=hyp,
                      hess_z1=_zero_hess(m, d), constant_jac_z1=True, drift_matrix=gfull,

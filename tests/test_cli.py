@@ -106,6 +106,7 @@ def test_estimate_rerun_byte_identical(tmp_path):
     assert meta["python"] == platform.python_version()
     assert meta["numpy"] == np.__version__
     assert meta["scipy"] == scipy.__version__
+    assert meta["noise_streams"] == "philox-block64"
     # run_meta.json records the thread count; results.json does not change
     assert run(path, threads=2) == 0
     assert (tmp_path / "out" / "results.json").read_bytes() == first
@@ -324,7 +325,8 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"schema_version\": 1}")
     assert main(["run", str(bad)]) == 2
-    # missing sections and out-of-range settings are config errors (exit 2)
+    # missing sections, out-of-range settings, values of the wrong type and
+    # observables of the wrong dimension are config errors (exit 2)
     base = _base_estimate_cfg(tmp_path)
     est = base["estimator"]
     broken = [{k: v for k, v in base.items() if k != "f"},
@@ -332,7 +334,18 @@ def test_main_exit_codes(tmp_path, capsys):
               dict(base, grid={"t_final": 1.0}),
               dict(base, f={"tag": "linear", "params": {}}),
               dict(base, estimator=dict(est, chunk_size=-5)),
-              dict(base, estimator=dict(est, chunk_size=0))]
+              dict(base, estimator=dict(est, chunk_size=0)),
+              dict(base, f=5),
+              dict(base, estimator=dict(est, n_paths="many")),
+              dict(base, estimator=dict(est, chunk_size=2.5)),
+              dict(base, f={"tag": "linear", "params": {"a": [1.0]}}),
+              dict(base, f={"tag": "quadratic", "params": {"s": [[1.0]]}}),
+              dict(base, f={"tag": "gaussian_bump", "params": {"center": [0.0] * 3}}),
+              dict(base, f={"tag": "indicator", "params": {"index": 2}}),
+              dict(base, f={"tag": "linear", "params": {"a": "ab"}}),
+              dict(base, grid={"t_final": "x", "n_steps": 8}),
+              dict(base, x0="abc"),
+              dict(base, estimator=dict(est, antithetic="yes"))]
     for i, cfg in enumerate(broken):
         capsys.readouterr()
         assert main(["run", _write(tmp_path, f"broken{i}.json", cfg)]) == 2, i

@@ -85,7 +85,8 @@ for group in ("numpy_only", "deferred"):
         status = cli.run(f"{name}.json")
         metrics = json.loads(Path(f"out_{name}/results.json").read_text())[0]["metrics"]
         out[group][name] = {"status": status, "scipy": scipy_modules(),
-                            "n_metrics": len(metrics)}
+                            "n_metrics": len(metrics),
+                            "email_parser": "email.parser" in sys.modules}
 cov = estimator.covariance_flow(hypograd.builtin_model("kinetic_ou", {"m": 1}), 0.5)
 out["covariance_flow"] = cov.tolist()
 out["xi_case2_k"] = hypograd.default_weights(
@@ -112,6 +113,8 @@ def test_scipy_loads_only_at_its_call_sites(tmp_path):
     for name, rec in out["numpy_only"].items():
         assert rec["status"] == 0, name
         assert rec["scipy"] == [], name
+        # run_meta.json reads scipy's version without the email header parser
+        assert not rec["email_parser"], name
     for name, rec in out["deferred"].items():
         assert rec["status"] == 0, name
         assert rec["n_metrics"] > 0, name

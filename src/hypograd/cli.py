@@ -3,14 +3,14 @@
 One JSON config file describes a model and one experiment; ``run`` executes
 it reproducibly and writes ``results.json`` (list of result records),
 ``results.csv`` (flat projection of the same records) and, for sweeps,
-``plotdata.csv``.  Unknown config keys are hard errors and the schema is
-versioned: silent config drift is the main reproducibility killer.
+``plotdata.csv``.  The versioned schema rejects unknown keys and values of
+the wrong kind: silent config drift is the main reproducibility killer.
 
 Result records exclude wall-clock time so that identical (config, seed)
 reruns are byte-identical; timing goes to the ``run_meta.json`` sidecar.
 
-Exit codes: 0 success, 2 validation failure (bad config or failed model
-validation), 3 degenerate run.
+Exit codes: 0 success, 2 bad config (a wrong-kind value in any section, a
+malformed drift expression) or failed model validation, 3 degenerate run.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import csv
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import sys
@@ -39,36 +40,65 @@ SCHEMA_VERSION = 1
 
 _F_TAGS = ("linear", "quadratic", "gaussian_bump", "indicator")
 
+# The kind of each config leaf, as error messages name it.  A key is nullable
+# only where the default it stands for is None; a None leaf is checked by the
+# builder it is passed to.
+_INT, _NUM, _BOOL, _STR, _OBJ, _NUMS, _STRS = (
+    "an integer", "a number", "true or false", "a string", "an object",
+    "a list of numbers", "a list of strings")
 _SCHEMA = {
-    "schema_version": None,
-    "experiment": None,
-    "output": None,
-    "model": {"builtin": None, "params": None, "custom": {
-        "m": None, "d": None, "z1": None, "z2": None, "sigma": None,
-        "b0": None, "epsilon": None}},
-    "x0": None,
-    "v": None,
-    "f": {"tag": None, "params": None},
-    "grid": {"t_final": None, "n_steps": None},
-    "estimator": {"n_paths": None, "master_seed": None, "method": None,
-                  "fd_bump": None, "antithetic": None, "chunk_size": None,
-                  "c_bound": None},
-    "validate": {"box_lo": None, "box_hi": None, "n_samples": None, "seed": None},
-    "sweep": {"t_grid": None, "n_steps": None, "c_bound": None},
-    "gramian": {"t_grid": None},
-    "harnack": {"p_grid": None, "t_final": None, "n_steps": None,
-                "use_oracle": None, "scales": None, "holdout_scales": None},
-    "entropy": {"t_final": None, "lambda_grid": None, "n_steps": None},
-    "duality": {"functions": None},
+    "schema_version": _INT,
+    "experiment": _STR,
+    "output": _STR,
+    "model": {"builtin": _STR, "params": _OBJ, "custom": {
+        "m": _INT, "d": _INT, "z1": _STRS, "z2": _STRS, "sigma": None,
+        "b0": None, "epsilon": _NUM}},
+    "x0": _NUMS,
+    "v": _NUMS,
+    "f": {"tag": _STR, "params": _OBJ},
+    "grid": {"t_final": _NUM, "n_steps": _INT},
+    "estimator": {"n_paths": _INT, "master_seed": _INT, "method": _STR,
+                  "fd_bump": _NUM, "antithetic": _BOOL,
+                  "chunk_size": _INT + " or null", "c_bound": _NUM + " or null"},
+    "validate": {"box_lo": _NUMS, "box_hi": _NUMS, "n_samples": _INT, "seed": _INT},
+    "sweep": {"t_grid": _NUMS, "n_steps": _INT, "c_bound": _NUM + " or null"},
+    "gramian": {"t_grid": _NUMS},
+    "harnack": {"p_grid": _NUMS, "t_final": _NUM, "n_steps": _INT,
+                "use_oracle": _BOOL, "scales": _NUMS, "holdout_scales": _NUMS},
+    "entropy": {"t_final": _NUM, "lambda_grid": _NUMS, "n_steps": _INT},
+    "duality": {"functions": _STRS},
 }
 
-_EXPERIMENTS = ("validate", "estimate", "sweep_T", "gramian", "kalman",
-                "harnack", "entropy_gradient", "duality_test")
+
+def _is_num(x):
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, float) and math.isfinite(x))
+
+
+_KINDS = {  # kind: (test, cast to a keyword argument)
+    _INT: (lambda x: _is_num(x) and (isinstance(x, int) or x.is_integer()), int),
+    _NUM: (_is_num, float),
+    _BOOL: (lambda x: isinstance(x, bool), bool),
+    _STR: (lambda x: isinstance(x, str), str),
+    _OBJ: (lambda x: isinstance(x, dict), dict),
+    _NUMS: (lambda x: isinstance(x, list) and all(map(_is_num, x)),
+            lambda x: [float(e) for e in x]),
+    _STRS: (lambda x: isinstance(x, list) and all(isinstance(e, str) for e in x), list),
+}
+
+
+def _value(val, kind, key):
+    """Config value ``val`` of ``kind``, integers as int and numbers as
+    float; a value of another kind is a config error naming ``key``."""
+    if val is None and kind.endswith(" or null"):
+        return None
+    test, cast = _KINDS[kind.removesuffix(" or null")]
+    if not test(val):
+        raise ConfigurationError(f"config key {key!r} must be {kind}, got {val!r}")
+    return cast(val)
 
 
 def _check_keys(obj, schema, path=""):
-    if schema is None:
-        return
     if not isinstance(obj, dict):
         raise ConfigurationError(f"config key {path[:-1]!r} must be an object")
     for key, val in obj.items():
@@ -76,10 +106,13 @@ def _check_keys(obj, schema, path=""):
             raise ConfigurationError(f"unknown config key {path + key!r}")
         if isinstance(schema[key], dict):
             _check_keys(val, schema[key], path + key + ".")
+        elif schema[key] is not None:
+            _value(val, schema[key], path + key)
 
 
 def load_config(path):
-    """Parse and schema-check a config file."""
+    """Parse a config file and check each key and the kind of its value
+    against the schema; the parsed object is returned unchanged."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -91,13 +124,11 @@ def load_config(path):
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigurationError(
             f"schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')}")
-    if cfg.get("experiment") not in _EXPERIMENTS:
+    if cfg.get("experiment") not in _DRIVERS:
         raise ConfigurationError(
-            f"experiment must be one of {_EXPERIMENTS}, got {cfg.get('experiment')!r}")
-    if "model" not in cfg:
-        raise ConfigurationError("config needs a model section")
-    if "output" not in cfg:
-        raise ConfigurationError("config needs an output directory")
+            f"experiment must be one of {tuple(_DRIVERS)}, got {cfg.get('experiment')!r}")
+    for key in ("model", "output"):
+        _need(cfg, key)
     return cfg
 
 
@@ -110,21 +141,26 @@ def config_hash(cfg):
 
 
 def build_model(model_cfg):
+    """The model of a config's model section; a malformed declaration, such
+    as a drift expression that does not parse, is a config error."""
     if ("builtin" in model_cfg) == ("custom" in model_cfg):
         raise ConfigurationError("model must have exactly one of builtin/custom")
-    if "builtin" in model_cfg:
-        return builtin_model(model_cfg["builtin"], model_cfg.get("params", {}))
-    return _custom_model(model_cfg["custom"])
+    try:
+        if "builtin" in model_cfg:
+            return builtin_model(model_cfg["builtin"], model_cfg.get("params", {}))
+        return _custom_model(model_cfg["custom"])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        where = "params" if "builtin" in model_cfg else "custom"
+        raise ConfigurationError(f"model.{where}: {exc}") from exc
 
 
 def _custom_model(c):
     for key in ("m", "d", "z1", "z2", "sigma", "b0"):
-        if key not in c:
-            raise ConfigurationError(f"custom model needs key {key!r}")
+        _need(c, key, "model.custom.")
     m, d = int(c["m"]), int(c["d"])
     n = m + d
-    z1 = DriftExpr(list(c["z1"]), n)
-    z2 = DriftExpr(list(c["z2"]), n)
+    z1 = DriftExpr(c["z1"], n)
+    z2 = DriftExpr(c["z2"], n)
     if z1.n_out != m or z2.n_out != d:
         raise ConfigurationError("custom drift component counts do not match (m, d)")
     zfull = DriftExpr(z1.components + z2.components, n)
@@ -132,20 +168,14 @@ def _custom_model(c):
     const_j2 = z2.is_constant_jacobian()
     drift_matrix = zfull.jacobian(np.zeros(n)) if const_j1 and const_j2 else None
     return ModelSpec(
-        m=m, d=d, z=zfull.value, dz=zfull.jacobian,
-        sigma=np.asarray(c["sigma"], dtype=float),
-        b0=np.asarray(c["b0"], dtype=float),
-        epsilon=float(c.get("epsilon", 0.0)),
-        hess_z1=z1.hessian,
-        constant_jac_z1=const_j1,
-        drift_matrix=drift_matrix, name="custom", params=dict(c))
+        m=m, d=d, z=zfull.value, dz=zfull.jacobian, sigma=c["sigma"], b0=c["b0"],
+        epsilon=float(c.get("epsilon", 0.0)), hess_z1=z1.hessian,
+        constant_jac_z1=const_j1, drift_matrix=drift_matrix, name="custom", params=dict(c))
 
 
 def build_test_function(f_cfg):
     tag = f_cfg.get("tag")
     params = f_cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigurationError("config key 'f.params' must be an object")
     try:
         if tag == "linear":
             return _est.linear_f(_need(params, "a", "f.params."), params.get("b", 0.0))
@@ -162,27 +192,18 @@ def build_test_function(f_cfg):
     raise ConfigurationError(f"f tag must be one of {_F_TAGS}, got {tag!r}")
 
 
-def _num(value, path, integer=False):
-    """A config number, integral if ``integer``; else a config error."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or integer and not float(value).is_integer()):
-        raise ConfigurationError(
-            f"{path} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return int(value) if integer else float(value)
+def _section(cfg, name, *required, **defaults):
+    """Section ``name`` of a checked config as keyword arguments over the
+    ``defaults`` only the CLI has; the function it is passed to owns the rest."""
+    kinds, sec = _SCHEMA[name], cfg.get(name, {})
+    for key in required:
+        _need(sec, key, name + ".")
+    return {**defaults, **{key: _value(val, kinds[key], f"{name}.{key}")
+                           for key, val in sec.items()}}
 
 
-def build_estimator_config(cfg, seed_override=None, threads=1):
-    e = dict(cfg.get("estimator", {}))
-    if seed_override is not None:
-        e["master_seed"] = seed_override
-    if not isinstance(e.get("antithetic", False), bool):
-        raise ConfigurationError("estimator.antithetic must be true or false")
-    nums = {key: _num(e[key], "estimator." + key, key != "fd_bump" and key != "c_bound")
-            for key in ("n_paths", "master_seed", "fd_bump", "chunk_size", "c_bound")
-            if e.get(key) is not None}
-    return _est.EstimatorConfig(**{"n_paths": 10000, **nums},
-                                method=e.get("method", "bismut_ito"),
-                                antithetic=e.get("antithetic", False),
+def build_estimator_config(cfg, threads=1):
+    return _est.EstimatorConfig(**_section(cfg, "estimator", n_paths=10000),
                                 n_threads=int(threads))
 
 
@@ -191,11 +212,8 @@ def build_estimator_config(cfg, seed_override=None, threads=1):
 # ---------------------------------------------------------------------------
 
 def _exp_validate(spec, cfg, run_cfg):
-    sec = cfg.get("validate", {})
-    lo = np.asarray(sec.get("box_lo", [-1.0] * spec.dim), dtype=float)
-    hi = np.asarray(sec.get("box_hi", [1.0] * spec.dim), dtype=float)
-    report = validate_model(spec, (lo, hi), int(sec.get("n_samples", 256)),
-                            int(sec.get("seed", 0)))
+    kw = _section(cfg, "validate", box_lo=[-1.0] * spec.dim, box_hi=[1.0] * spec.dim)
+    report = validate_model(spec, (kw.pop("box_lo"), kw.pop("box_hi")), **kw)
     metrics = {f"margin_{c.name}": c.margin for c in report.checks}
     metrics.update({f"pass_{c.name}": float(c.passed) for c in report.checks})
     metrics["overall"] = float(report.overall)
@@ -210,20 +228,10 @@ def _need(section, key, path=""):
     return section[key]
 
 
-def _grid(cfg):
-    sec = _need(cfg, "grid")
-    return TimeGrid(_num(_need(sec, "t_final", "grid."), "grid.t_final"),
-                    _num(_need(sec, "n_steps", "grid."), "grid.n_steps", integer=True))
-
-
 def _vec(cfg, key, spec):
-    try:
-        arr = np.asarray(_need(cfg, key), dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{key} must be a list of numbers") from exc
+    arr = np.asarray(_need(cfg, key), dtype=float)
     if arr.shape != (spec.dim,):
-        raise ConfigurationError(
-            f"{key} has dimension {arr.size}, model needs {spec.dim}")
+        raise ConfigurationError(f"{key} has dimension {arr.size}, model needs {spec.dim}")
     return arr
 
 
@@ -244,7 +252,7 @@ def _x0_v_f(cfg, spec):
 
 def _exp_estimate(spec, cfg, run_cfg):
     x0, v, f = _x0_v_f(cfg, spec)
-    grid = _grid(cfg)
+    grid = TimeGrid(**_section(cfg, "grid", "t_final", "n_steps"))
     method = run_cfg.method
     if method == "closed_form":
         value = _est.closed_form_gradient(spec, x0, v, f, grid.t_final)
@@ -288,11 +296,9 @@ def _exp_estimate(spec, cfg, run_cfg):
 
 
 def _exp_sweep(spec, cfg, run_cfg):
-    sec = cfg.get("sweep", {})
     x0, v, f = _x0_v_f(cfg, spec)
-    fit = _analysis.gradient_rate_sweep(
-        spec, x0, v, f, np.asarray(_need(sec, "t_grid", "sweep."), dtype=float), run_cfg,
-        n_steps=int(sec.get("n_steps", 512)), c_bound=sec.get("c_bound"))
+    fit = _analysis.gradient_rate_sweep(spec, x0, v, f, cfg=run_cfg,
+                                        **_section(cfg, "sweep", "t_grid"))
     metrics = {"slope": fit.slope, "slope_ci": fit.slope_ci,
                "theoretical_exponent": float(fit.theoretical_exponent),
                "passed": float(bool(fit.passed)),
@@ -306,12 +312,11 @@ def _exp_sweep(spec, cfg, run_cfg):
 
 
 def _exp_gramian(spec, cfg, run_cfg):
-    sec = cfg.get("gramian", {})
-    t_grid = np.asarray(sec.get("t_grid", np.geomspace(1e-3, 1e-1, 9)), dtype=float)
     if not spec.constant_jac_z1:
         raise ConfigurationError("gramian experiment needs constant jac_z1")
     a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
-    fit = _analysis.gramian_scaling(a0, spec.b0, t_grid)
+    fit = _analysis.gramian_scaling(
+        a0, spec.b0, **_section(cfg, "gramian", t_grid=np.geomspace(1e-3, 1e-1, 9)))
     metrics = {"slope": fit.slope, "slope_ci": fit.slope_ci,
                "theoretical_exponent": float(fit.theoretical_exponent),
                "kalman_k": float(fit.extras["kalman_k"])}
@@ -335,15 +340,9 @@ def _exp_kalman(spec, cfg, run_cfg):
 
 
 def _exp_harnack(spec, cfg, run_cfg):
-    sec = cfg.get("harnack", {})
     x0, v, f = _x0_v_f(cfg, spec)
-    rep = _analysis.harnack_check(
-        spec, f, x0, v, sec.get("p_grid", [2.0, 4.0]),
-        float(sec.get("t_final", 1.0)), run_cfg,
-        n_steps=int(sec.get("n_steps", 256)),
-        scales=tuple(sec.get("scales", (0.4, 0.7, 1.0, 1.3))),
-        holdout_scales=tuple(sec.get("holdout_scales", (0.55, 0.85, 1.15))),
-        use_oracle=bool(sec.get("use_oracle", False)))
+    rep = _analysis.harnack_check(spec, f, x0, v, cfg=run_cfg, **_section(
+        cfg, "harnack", p_grid=[2.0, 4.0], t_final=1.0))
     metrics = {"fitted_c": rep.fitted_c, "margin": rep.margin,
                "n_train": float(len(rep.points)),
                "n_holdout": float(len(rep.holdout_points)),
@@ -353,12 +352,10 @@ def _exp_harnack(spec, cfg, run_cfg):
 
 
 def _exp_entropy(spec, cfg, run_cfg):
-    sec = cfg.get("entropy", {})
     x0, v, f = _x0_v_f(cfg, spec)
     rows, a_fit, stats = _analysis.entropy_gradient_check(
-        spec, x0, v, f, float(sec.get("t_final", 1.0)),
-        np.asarray(sec.get("lambda_grid", [0.5, 1.0, 2.0, 4.0]), dtype=float),
-        run_cfg, n_steps=int(sec.get("n_steps", 256)))
+        spec, x0, v, f, cfg=run_cfg,
+        **_section(cfg, "entropy", t_final=1.0, lambda_grid=[0.5, 1.0, 2.0, 4.0]))
     metrics = {"a_fit": a_fit, "grad_abs": rows[0]["lhs"],
                "entropy_term": rows[0]["entropy_term"], "p_t_f": rows[0]["p_t_f"]}
     plot = [("lambda", "gamma_hat", "std_error")] + [
@@ -368,15 +365,14 @@ def _exp_entropy(spec, cfg, run_cfg):
 
 
 def _exp_duality(spec, cfg, run_cfg):
-    sec = cfg.get("duality", {})
     x0 = _vec(cfg, "x0", spec)
     v = _vec(cfg, "v", spec)
-    grid = _grid(cfg)
+    grid = TimeGrid(**_section(cfg, "grid", "t_final", "n_steps"))
     if grid.n_steps > 16:
         raise ConfigurationError("duality_test is a small-N mode (n_steps <= 16)")
     metrics = {}
     status = 0
-    for name in sec.get("functions", ["linear", "quadratic"]):
+    for name in _section(cfg, "duality", functions=["linear", "quadratic"])["functions"]:
         if name == "linear":
             f = _est.linear_f(np.arange(1, spec.dim + 1, dtype=float))
         elif name == "quadratic":

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import platform
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 import scipy
 
-from hypograd import estimator
-from hypograd.cli import (build_model, build_test_function, canonical_json,
-                          config_hash, list_builtins, load_config, main, run)
+from hypograd import analysis, estimator
+from hypograd.cli import (_SCHEMA, build_estimator_config, build_model,
+                          build_test_function, canonical_json, config_hash,
+                          list_builtins, load_config, main, run)
 from hypograd.errors import ConfigurationError
-from hypograd.model import builtin_model
+from hypograd.flow import TimeGrid
+from hypograd.model import builtin_model, validate_model
 
 
 def _write(tmp_path, name, cfg):
@@ -52,9 +55,35 @@ def test_repo_example_configs_round_trip(tmp_path):
     assert len(repo_configs) >= 5
     for cfg_path in repo_configs:
         cfg = load_config(str(cfg_path))
+        # the parsed file itself, kinds and key order intact: the config
+        # echo and config_hash read it as written
+        assert json.dumps(cfg) == json.dumps(json.loads(cfg_path.read_text()))
         rewritten = _write(tmp_path, "rt_" + cfg_path.name, cfg)
         assert load_config(rewritten) == cfg
         build_model(cfg["model"])  # model section constructs
+
+
+@pytest.mark.parametrize("section, receiver, unpassed", [
+    ("grid", TimeGrid, ()),
+    ("estimator", estimator.EstimatorConfig, ()),
+    ("validate", validate_model, ("box_lo", "box_hi")),   # the sample_box pair
+    ("sweep", analysis.gradient_rate_sweep, ()),
+    ("gramian", analysis.gramian_scaling, ()),
+    ("harnack", analysis.harnack_check, ()),
+    ("entropy", analysis.entropy_gradient_check, ()),
+])
+def test_section_keys_are_receiver_parameters(section, receiver, unpassed):
+    # the CLI passes these sections as keyword arguments, so a renamed
+    # parameter must fail here rather than in a user's run
+    params = inspect.signature(receiver).parameters
+    assert set(_SCHEMA[section]) - set(unpassed) <= set(params)
+
+
+def test_build_estimator_config_casts_and_defaults():
+    cfg = build_estimator_config({"estimator": {"master_seed": 3.0, "c_bound": 2,
+                                                "chunk_size": None}})
+    assert cfg == estimator.EstimatorConfig(n_paths=10000, master_seed=3, c_bound=2.0)
+    assert type(cfg.master_seed) is int and type(cfg.c_bound) is float
 
 
 def test_config_hash_key_order_invariant(tmp_path):
@@ -350,6 +379,31 @@ def test_main_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["run", _write(tmp_path, f"broken{i}.json", cfg)]) == 2, i
         assert capsys.readouterr().err.startswith("config error:"), i
+    # a value of the wrong kind in any section, and a malformed model
+    # declaration, is a config error that names its key
+    custom = {"m": 1, "d": 1, "z1": ["x2"], "z2": ["-x1 - x2"],
+              "sigma": [[1.0]], "b0": [[1.0]]}
+    named = [(dict(base, sweep={"t_grid": [0.1, 0.2], "n_steps": "x"}), "sweep.n_steps"),
+             (dict(base, gramian={"t_grid": ["a"]}), "gramian.t_grid"),
+             (dict(base, validate={"n_samples": 2.5}), "validate.n_samples"),
+             (dict(base, harnack={"use_oracle": "no"}), "harnack.use_oracle"),
+             (dict(base, entropy={"t_final": "1"}), "entropy.t_final"),
+             (dict(base, duality={"functions": "linear"}), "duality.functions"),
+             (dict(base, grid={"t_final": float("nan"), "n_steps": 8}), "grid.t_final"),
+             (dict(base, sweep={"t_grid": [0.1], "c_bound": None, "n_steps": None}),
+              "sweep.n_steps"),
+             (dict(base, model={"custom": dict(custom, z1=["x2 +* x1"])}), "model.custom"),
+             (dict(base, model={"custom": dict(custom, z1="x2")}), "model.custom.z1"),
+             (dict(base, model={"custom": dict(custom, m="one")}), "model.custom.m"),
+             (dict(base, model={"custom": dict(custom, z1=["x3"])}), "model.custom"),
+             (dict(base, model={"custom": dict(custom, z1=["x2/0"])}), "model.custom"),
+             (dict(base, model={"builtin": "hamiltonian",
+                                "params": {"v_expr": "0.5*x1^"}}), "model.params")]
+    for i, (cfg, key) in enumerate(named):
+        capsys.readouterr()
+        assert main(["run", _write(tmp_path, f"named{i}.json", cfg)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err, (key, err)
     assert main(["list-builtins"]) == 0
 
 

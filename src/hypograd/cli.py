@@ -121,6 +121,10 @@ def load_config(path):
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
     _check_keys(cfg, _SCHEMA)
+    if cfg.get("validate", {}).get("seed", 0) < 0:
+        raise ConfigurationError("config key 'validate.seed' must be >= 0")
+    if cfg.get("harnack", {}).get("p_grid") == []:
+        raise ConfigurationError("config key 'harnack.p_grid' must not be empty")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigurationError(
             f"schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')}")
@@ -450,7 +454,11 @@ def run(config_path, seed_override=None, threads=None, out_override=None):
     if out_override is not None:
         cfg["output"] = str(out_override)
     if threads is None:
-        threads = int(os.environ.get("HYPOGRAD_THREADS", "1"))
+        env = os.environ.get("HYPOGRAD_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ConfigurationError(f"HYPOGRAD_THREADS must be an integer, got {env!r}") from None
     chash = config_hash(cfg)
     spec = build_model(cfg["model"])
     run_cfg = build_estimator_config(cfg, threads=threads)

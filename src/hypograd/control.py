@@ -17,10 +17,11 @@ shifted path derivative matches the directional derivative up to the g_N
 defect exactly (see tests).  The analytic rate, which uses
 d/dt K(T,t) = -K(T,t) d1Z1(X_t), is also computed and the gap is reported.
 
-All operations take a batch of paths: flows K(T, t_i) are (B, N+1, m, m),
-and in place of the states each function takes the node Jacobian
-``jac`` = DZ(X) of shape (B, N+1, n, n), which the caller evaluates once
-for the whole chain.  One path is a batch of one.
+All operations take a batch of paths, component-major as in
+:mod:`hypograd.flow`: flows K(T, t_i) and Gramians (m, m, B, N+1), alpha
+(d, B, N+1), and in place of the states the node Jacobian ``jac`` = DZ(X),
+(n, n, B, N+1), which the caller evaluates once for the whole chain.  At
+m = d = 1 each small matrix product and solve is one element-wise operation.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def _discrete_gramian_floor(a_mat, b0, phi, grid):
     p_step = np.eye(m) + grid.dt * a_mat
     for i in range(n - 1, -1, -1):
         k[i] = k[i + 1] @ p_step
-    return np.linalg.eigvalsh(gramian_M(k[None], b0, phi, grid)[0])[:, 0]
+    gram = gramian_M(np.moveaxis(k, 0, -1)[:, :, None], b0, phi, grid)[:, :, 0]
+    return np.linalg.eigvalsh(np.moveaxis(gram, -1, 0))[:, 0]
 
 
 def gramian_M(k_flow, b0, phi, grid):
@@ -129,28 +131,39 @@ def gramian_M(k_flow, b0, phi, grid):
 
     Left-endpoint sum M_{t_i} = sum_{j<i} phi(t_j) K(T,t_j) B0 B0^T
     K(T,t_j)^* dt at every node, symmetrized against round-off.  Flows
-    (B, N+1, m, m) give (B, N+1, m, m).
+    (m, m, B, N+1) give (m, m, B, N+1).
     """
     b0 = np.atleast_2d(np.asarray(b0, dtype=float))
-    kb = k_flow @ b0
-    integ = phi(grid.nodes)[:, None, None] * (kb @ np.swapaxes(kb, -1, -2)) * grid.dt
-    m = b0.shape[0]
-    gram = np.concatenate([np.zeros(k_flow.shape[:1] + (1, m, m)),
-                           np.cumsum(integ[:, :-1], axis=1)], axis=1)
-    return 0.5 * (gram + np.swapaxes(gram, -1, -2))
+    kb = np.einsum("akpj,kd->adpj", k_flow, b0)
+    gram = _prefix_sums(phi(grid.nodes) * np.einsum("adpj,bdpj->abpj", kb, kb) * grid.dt)
+    return 0.5 * (gram + np.swapaxes(gram, 0, 1))
+
+
+def _prefix_sums(x):
+    """out_j = sum_{s<j} x_s along the node axis, out_0 = 0."""
+    out = np.empty_like(x)
+    out[..., 0] = 0.0
+    np.cumsum(x[..., :-1], axis=-1, out=out[..., 1:])
+    return out
+
+
+def _suffix_sums(x):
+    """out_j = sum_{s>=j} x_s along the node axis, one node longer, out_N = 0."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., -1] = 0.0
+    np.cumsum(x[..., ::-1], axis=-1, out=out[..., -2::-1])
+    return out
 
 
 def gramian_Q(spec, jac, k_flow, phi, grid):
     """Gramian with the full cross Jacobian d2Z1(X_s) in place of B0.
 
-    Not symmetrized: Q_t is not symmetric in general.  Shape (B, N+1, m, m).
+    Not symmetrized: Q_t is not symmetric in general.  Shape (m, m, B, N+1).
     """
     m = spec.m
-    kc = k_flow @ jac[..., :m, m:]                     # K C
-    kb = k_flow @ spec.b0                              # K B0
-    integ = phi(grid.nodes)[:, None, None] * (kc @ np.swapaxes(kb, -1, -2)) * grid.dt
-    return np.concatenate([np.zeros(jac.shape[:1] + (1, m, m)),
-                           np.cumsum(integ[:, :-1], axis=1)], axis=1)
+    kc = np.einsum("akpj,kdpj->adpj", k_flow, jac[:m, m:])     # K C
+    kb = np.einsum("akpj,kd->adpj", k_flow, spec.b0)            # K B0
+    return _prefix_sums(phi(grid.nodes) * np.einsum("adpj,bdpj->abpj", kc, kb) * grid.dt)
 
 
 def xi_case1(b0, phi, c_bound, t_final):
@@ -248,70 +261,74 @@ def xi_case2(a_matrix, b0, phi, t_final):
 class AlphaData:
     """Control process alpha with its rates and solver by-products."""
 
-    alpha: np.ndarray            # (B, N+1, d)
-    alpha_dot: np.ndarray        # (B, N, d) divided difference, feeds hdot
+    alpha: np.ndarray            # (d, B, N+1)
+    alpha_dot: np.ndarray        # (d, B, N) divided difference, feeds hdot
     alpha_dot_gap: float         # max |analytic rate - alpha_dot|
-    q_path: np.ndarray           # (B, N+1, m, m)
+    q_path: np.ndarray           # (m, m, B, N+1)
     xi_vals: np.ndarray          # (N+1,) grid profile before per-path drops
     xi_eff: np.ndarray           # (B, N+1) after drops
     nu: np.ndarray               # (B,) normalizer
-    u_nodes: np.ndarray          # (B, N+1, m) guarded Q^{-1} K(T,0) v1
-    rho: np.ndarray              # (B, N+1, m) backward xi^2-weighted sum of u
-    p_vec: np.ndarray            # (B, m) Q_T^{-1} c2
+    u_nodes: np.ndarray          # (m, B, N+1) guarded Q^{-1} K(T,0) v1
+    rho: np.ndarray              # (m, B, N+1) backward xi^2-weighted sum of u
+    p_vec: np.ndarray            # (m, B) Q_T^{-1} c2
     dropped_nodes: np.ndarray    # (B,) count of dropped quadrature nodes
     degenerate: np.ndarray       # (B,) bool, Q_T solve failed
 
 
-def _solve(mats, rhs_col):
-    """``np.linalg.solve`` of a stack, NaN for exactly singular members.
+def _solve(mats, rhs):
+    """``np.linalg.solve`` of mats (m, m, ...) and rhs (m, ...), NaN for
+    exactly singular members.
 
-    LAPACK's solve of a 1x1 system is the one correctly rounded division
-    b/a, so 1x1 stacks divide element-wise: same bits, no per-member
-    dispatch, and a == 0 gives a non-finite member instead of an error.
-    For m > 1 one singular member fails LAPACK's whole batch; the LU sign
-    of ``slogdet`` is 0 exactly for the members whose pivot was zero, and
-    the others are solved as they would be alone.
+    A 1x1 system divides element-wise: LAPACK's solve is that one correctly
+    rounded division, and a == 0 gives a non-finite member, not an error.
+    For m > 1 the axes move to LAPACK's layout; one singular member fails
+    its whole batch, so the members whose ``slogdet`` sign is 0 (zero
+    pivot) are set aside and the others solved as they would be alone.
     """
-    if mats.shape[-1] == 1:
-        return rhs_col / mats
+    if len(mats) == 1:
+        return rhs / mats[0]
+    mats = np.moveaxis(mats, (0, 1), (-2, -1))
+    rhs_col = np.moveaxis(rhs, 0, -1)[..., None]
     try:
-        return np.linalg.solve(mats, rhs_col)
+        sol = np.linalg.solve(mats, rhs_col)
     except np.linalg.LinAlgError:
         sing = (np.linalg.slogdet(mats)[0] == 0.0)[..., None, None]
         sol = np.linalg.solve(np.where(sing, np.eye(mats.shape[-1]), mats), rhs_col)
-        return np.where(sing, np.nan, sol)
+        sol = np.where(sing, np.nan, sol)
+    return np.moveaxis(sol[..., 0], -1, 0)
 
 
 def _guarded_solve(mats, rhs):
     """Solve stacked systems with the residual-guarded regularized retry.
 
-    Returns (solution, ok_mask).  ``mats``: (..., m, m); ``rhs``: (..., m).
-    Each member is judged on its own: an exactly singular member fails
-    alone, with a zero solution.  1x1 systems are divided element-wise,
-    which is exact: LAPACK's 1x1 solve is the same division (``_solve``).
+    Returns (solution, ok_mask).  ``mats``: (m, m, ...); ``rhs``: (m, ...),
+    broadcast against the stack.  Each member is judged on its own: an
+    exactly singular member fails alone, with a zero solution.
     """
-    m = mats.shape[-1]
-    rhs_col = rhs[..., None]
-    with np.errstate(all="ignore"):
-        sol = _solve(mats, rhs_col)[..., 0]
-    scale = np.linalg.norm(rhs, axis=-1) + 1e-300
-    resid = np.linalg.norm(np.einsum("...ab,...b->...a", mats, np.nan_to_num(sol))
-                           - rhs, axis=-1) / scale
-    bad = ~np.isfinite(sol).all(axis=-1) | (resid > _SOLVE_RESIDUAL_TOL)
-    if np.any(bad):
-        tr = np.einsum("...aa->...", mats)
-        reg = mats + (_REG_SCALE * tr / m)[..., None, None] * np.eye(m)
+    scale = _norm(rhs) + 1e-300
+
+    def solve(a):
+        # a member with a non-finite solution fails whatever its residual
         with np.errstate(all="ignore"):
-            sol2 = _solve(reg, rhs_col)[..., 0]
-        resid2 = np.linalg.norm(np.einsum("...ab,...b->...a", mats,
-                                          np.nan_to_num(sol2)) - rhs,
-                                axis=-1) / scale
-        ok2 = np.isfinite(sol2).all(axis=-1) & (resid2 <= _SOLVE_RESIDUAL_TOL)
-        take = bad & ok2
-        sol = np.where(take[..., None], sol2, sol)
-        bad = bad & ~ok2
-    sol = np.where(bad[..., None], 0.0, np.nan_to_num(sol))
-    return sol, ~bad
+            sol = _solve(a, rhs)
+            resid = _norm(np.einsum("ab...,b...->a...", mats, sol) - rhs) / scale
+        return sol, np.isfinite(sol).all(axis=0), resid
+
+    # a NaN residual (overflowing norms) passes the first solve, not the retry
+    sol, finite, resid = solve(mats)
+    ok = finite & ~(resid > _SOLVE_RESIDUAL_TOL)
+    if not np.all(ok):
+        tr, m = np.einsum("aa...->...", mats), len(mats)
+        sol2, finite, resid = solve(mats + (_REG_SCALE * tr / m)
+                                    * np.eye(m).reshape((m, m) + (1,) * tr.ndim))
+        sol = np.where(ok, sol, sol2)
+        ok |= finite & (resid <= _SOLVE_RESIDUAL_TOL)
+    return np.where(ok, sol, 0.0), ok
+
+
+def _norm(x):
+    """``np.linalg.norm(x, axis=0)``, same bits, without its overhead."""
+    return np.sqrt(np.einsum("a...,a...->...", x, x))
 
 
 def build_alpha(spec, jac, k_flow, grid, v, profile):
@@ -327,7 +344,7 @@ def build_alpha(spec, jac, k_flow, grid, v, profile):
     phi(0) = 0); drops are counted.
     """
     k = k_flow
-    n_paths = jac.shape[0]
+    n_paths = jac.shape[2]
     n = grid.n_steps
     dt = grid.dt
     m = spec.m
@@ -347,58 +364,54 @@ def build_alpha(spec, jac, k_flow, grid, v, profile):
     degenerate = np.zeros(n_paths, dtype=bool)
     dropped = np.zeros(n_paths, dtype=int)
 
-    a_nodes, c_nodes = jac[..., :m, :m], jac[..., :m, m:]
+    a_nodes, c_nodes = jac[:m, :m], jac[:m, m:]
 
-    # second term: p = Q_T^{-1} c2
-    kc_v2 = np.einsum("pjik,pjkl,l->pji", k, c_nodes, v2)
-    c2_vec = np.einsum("j,pji->pi", w0[:-1] * dt, kc_v2[:, :-1])
+    # second term: p = Q_T^{-1} c2, the node sum over a path-major view
+    kc_v2 = np.einsum("ikpj,klpj,l->ipj", k, c_nodes, v2)
+    c2_vec = np.einsum("j,pji->pi", w0[:-1] * dt, np.moveaxis(kc_v2, 0, -1)[:, :-1]).T
     if np.linalg.norm(v2) > 0:
-        p_vec, ok = _guarded_solve(q_path[:, n], c2_vec)
+        p_vec, ok = _guarded_solve(q_path[..., n], c2_vec)
         degenerate |= ~ok
     else:
-        p_vec = np.zeros((n_paths, m))
+        p_vec = np.zeros((m, n_paths))
 
     # third term: u_l = Q_l^{-1} K(T,0) v1 on nodes with xi > 0
-    u_nodes = np.zeros((n_paths, n + 1, m))
+    u_nodes = np.zeros((m, n_paths, n + 1))
     has_v1 = np.linalg.norm(v1) > 0
     if has_v1:
-        rhs = np.einsum("pik,k->pi", k[:, 0], v1)
+        rhs = np.einsum("ikp,k->ip", k[..., 0], v1)
         active = (xi_vals > 0) & (np.arange(n + 1) >= 1) & (np.arange(n + 1) <= n - 1)
         idx = np.nonzero(active)[0]
         if idx.size:
-            sol, ok = _guarded_solve(q_path[:, idx], rhs[:, None, :].repeat(len(idx), 1))
-            u_nodes[:, idx] = sol
+            sol, ok = _guarded_solve(q_path[..., idx], rhs[..., None])
+            u_nodes[..., idx] = sol
             drop = ~ok
             xi_eff[:, idx] = np.where(drop, 0.0, xi_eff[:, idx])
             dropped += drop.sum(axis=1)
     nu = np.sum(xi_eff[:, :-1] ** 2, axis=1) * dt
-    rho = np.zeros((n_paths, n + 1, m))
+    rho = _suffix_sums(xi_eff[:, :-1] ** 2 * u_nodes[..., :-1] * dt)
     if has_v1:
-        wgt = (xi_eff[:, :-1, None] ** 2) * u_nodes[:, :-1] * dt
-        rho[:, :-1] = np.cumsum(wgt[:, ::-1], axis=1)[:, ::-1]
         bad_nu = nu <= 0
         degenerate |= bad_nu
         nu = np.where(bad_nu, 1.0, nu)
-        vec = p_vec[:, None, :] + rho / nu[:, None, None]
+        vec = p_vec[..., None] + rho / nu[:, None]
     else:
-        vec = np.broadcast_to(p_vec[:, None, :], (n_paths, n + 1, m))
+        vec = np.broadcast_to(p_vec[..., None], (m, n_paths, n + 1))
 
-    kt_vec = np.einsum("pjra,pjr->pja", k, vec)         # K(T,t)^* vec
-    corr = kt_vec @ spec.b0                             # B0^T K^* vec, (p, j, d)
-    alpha = w0[None, :, None] * v2[None, None, :] - phi_vals[None, :, None] * corr
+    kt_vec = np.einsum("rapj,rpj->apj", k, vec)          # K(T,t)^* vec
+    corr = np.einsum("ae,apj->epj", spec.b0, kt_vec)     # B0^T K^* vec, (d, p, j)
+    alpha = w0 * v2[:, None, None] - phi_vals * corr
 
-    alpha_dot = (alpha[:, 1:] - alpha[:, :-1]) / dt
+    alpha_dot = (alpha[..., 1:] - alpha[..., :-1]) / dt
 
     # analytic rate: -v2/T - B0^T (phi' I - phi A^T) K^* vec + phi xi^2/nu B0^T K^* u
-    at_kt_vec = np.einsum("pjra,pjr->pja", a_nodes[:, :-1],
-                          kt_vec[:, :-1])
-    z = (phi_dot_vals[None, :-1, None] * kt_vec[:, :-1]
-         - phi_vals[None, :-1, None] * at_kt_vec)
-    alpha_dot_an = -v2[None, None, :] / T - z @ spec.b0
+    at_kt_vec = np.einsum("rapj,rpj->apj", a_nodes[..., :-1], kt_vec[..., :-1])
+    z = phi_dot_vals[:-1] * kt_vec[..., :-1] - phi_vals[:-1] * at_kt_vec
+    alpha_dot_an = -v2[:, None, None] / T - np.einsum("ae,apj->epj", spec.b0, z)
     if has_v1:
-        kt_u = np.einsum("pjra,pjr->pja", k[:, :-1], u_nodes[:, :-1])
-        alpha_dot_an = alpha_dot_an + ((phi_vals[None, :-1] * xi_eff[:, :-1] ** 2
-                                        / nu[:, None])[..., None] * kt_u) @ spec.b0
+        kt_u = np.einsum("rapj,rpj->apj", k[..., :-1], u_nodes[..., :-1])
+        alpha_dot_an = alpha_dot_an + np.einsum(
+            "ae,apj->epj", spec.b0, (phi_vals[:-1] * xi_eff[:, :-1] ** 2 / nu[:, None]) * kt_u)
     gap = float(np.max(np.abs(alpha_dot_an - alpha_dot))) if alpha.size else 0.0
 
     return AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_gap=gap, q_path=q_path,
@@ -411,55 +424,58 @@ def build_bridge(spec, jac, alpha_data, grid, v):
 
     g follows the forward linear ODE g' = d1Z1(X) g + d2Z1(X) alpha with
     g_0 = v1 (Euler, shared grid); hdot_t = sigma^{-1}(dZ2(X_t)(g_t, alpha_t)
-    - alpha_dot_t) pointwise on steps.
+    - alpha_dot_t) pointwise on steps.  Returns g, hdot (d, B, N) and the
+    residuals |alpha_0 - v2|, |alpha_N|, |g_N| (B, 3).
     """
     alpha, alpha_dot = alpha_data.alpha, alpha_data.alpha_dot
-    n_paths = jac.shape[0]
+    n_paths = jac.shape[2]
     n = grid.n_steps
     dt = grid.dt
     m = spec.m
     v = np.asarray(v, dtype=float).ravel()
     v1, v2 = v[:m], v[m:]
 
-    a_nodes, c_nodes = jac[..., :m, :m], jac[..., :m, m:]
-    g = np.empty((n + 1, n_paths, m))                  # time-major, as the Euler loop
-    g[0] = v1
+    a_nodes, c_nodes = jac[:m, :m], jac[:m, m:]
+    g = np.empty((n + 1, m, n_paths))                  # time-major, as the Euler loop
+    g[0] = v1[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
+        c_alpha = np.einsum("adpj,dpj->apj", c_nodes[..., :-1], alpha[..., :-1])
         for i in range(n):
-            g[i + 1] = g[i] + dt * (np.einsum("pab,pb->pa", a_nodes[:, i], g[i])
-                                    + np.einsum("pad,pd->pa", c_nodes[:, i], alpha[:, i]))
-    g = np.swapaxes(g, 0, 1)
-
-    j21, j22 = jac[..., m:, :m], jac[..., m:, m:]
-    drive = (np.einsum("pjda,pja->pjd", j21[:, :-1], g[:, :-1])
-             + np.einsum("pjde,pje->pjd", j22[:, :-1], alpha[:, :-1])
-             - alpha_dot)
-    h_dot = drive @ spec.sigma_inv().T
-
-    res = np.stack([
-        np.linalg.norm(alpha[:, 0] - v2, axis=-1),
-        np.linalg.norm(alpha[:, n], axis=-1),
-        np.linalg.norm(g[:, n], axis=-1),
-    ], axis=-1)
+            g[i + 1] = g[i] + dt * (np.einsum("abp,bp->ap", a_nodes[..., i], g[i])
+                                    + c_alpha[..., i])
+    g = np.moveaxis(g, 0, -1)
+    h_dot = _assemble_hdot(spec, jac[..., :-1], g[..., :-1], alpha[..., :-1], alpha_dot)
+    res = np.stack([_norm(alpha[..., 0] - v2[:, None]), _norm(alpha[..., n]),
+                    _norm(g[..., n])], axis=-1)
     return g, h_dot, res
+
+
+def _assemble_hdot(spec, jac, g, alpha, alpha_dot):
+    """hdot = sigma^{-1} (dZ2(X)(g, alpha) - alpha_dot), (d, B, N), from the
+    node Jacobian and g, alpha on the N step nodes; a batch of one in g,
+    alpha and alpha_dot is shared by every path of ``jac``."""
+    m = spec.m
+    drive = (np.einsum("dapj,apj->dpj", jac[m:, :m], g)
+             + np.einsum("depj,epj->dpj", jac[m:, m:], alpha) - alpha_dot)
+    return np.einsum("fd,dpj->fpj", spec.sigma_inv(), drive)
 
 
 def q_inverse_bound_ratio(q_path, xi_grid_vals, epsilon):
     """Worst ratio ||Q_t^{-1}|| * (1 - eps) xi(t) over nodes with xi > 0.
 
     The bound ||Q_t^{-1}|| <= 1/((1-eps) xi(t)) holds when the ratio is
-    <= 1 (up to round-off).  ``q_path``: (B, N+1, m, m); an empty batch
+    <= 1 (up to round-off).  ``q_path``: (m, m, B, N+1); an empty batch
     gives 0.  For m = 1 the smallest singular value is |Q|, LAPACK's bits.
     """
     xi = np.asarray(xi_grid_vals, dtype=float)
     active = xi > 0
-    if not np.any(active) or len(q_path) == 0:
+    if not np.any(active) or q_path.shape[2] == 0:
         return 0.0
-    q = q_path[:, active]
-    if q.shape[-1] == 1:
-        smin = np.abs(q[..., 0, 0])
+    q = q_path[..., active]
+    if len(q) == 1:
+        smin = np.abs(q[0, 0])
     else:
-        smin = np.linalg.svd(q, compute_uv=False)[..., -1]
+        smin = np.linalg.svd(np.moveaxis(q, (0, 1), (-2, -1)), compute_uv=False)[..., -1]
     with np.errstate(divide="ignore"):
-        ratio = (1.0 - epsilon) * xi[active][None, :] / smin
+        ratio = (1.0 - epsilon) * xi[active] / smin
     return float(np.max(ratio))

@@ -36,6 +36,7 @@ draws exactly what a newly built generator would.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -44,8 +45,9 @@ import numpy as np
 # cost out of the first Monte Carlo run
 from numpy.random import Generator, Philox
 
-from .control import (build_alpha, build_bridge, numerical_rank, phi_parabolic,
-                      q_inverse_bound_ratio, xi_case1, xi_case2)
+from .control import (_assemble_hdot, _prefix_sums, _suffix_sums, build_alpha,
+                      build_bridge, numerical_rank, phi_parabolic, q_inverse_bound_ratio,
+                      xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
 from .flow import (directional_jacobian, full_jacobian_flow, simulate_path,
@@ -273,7 +275,7 @@ def _sampled_jac_bound(spec, grid, x0, seed, n_probe=32):
     states = states[valid_mask(states)]
     if states.size == 0:
         raise RunDegenerateError("all probe paths for the Jacobian bound blew up")
-    return 1.25 * _norm2_max(spec.dz(states)[..., :spec.m, :spec.m])
+    return 1.25 * _norm2_max(spec.dz(np.moveaxis(states, -1, 0))[:spec.m, :spec.m])
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +292,29 @@ def skorokhod_delta(spec, x0, grid, inc, v, weights):
     inc = np.asarray(inc, dtype=float)
     states = simulate_path(spec, x0, grid, inc)
     _, _, _, h_dot, _, corr = _bridge_chain(spec, states, grid, v, weights)
-    return np.sum(h_dot * inc, axis=(-2, -1)) - corr
+    return _hdot_sum(h_dot, inc) - corr
+
+
+def _hdot_sum(h_dot, inc):
+    """Per-path sum_i <hdot_i, dW_i> of hdot (d, P, N) and increments (P, N, d)."""
+    return np.sum(inc * np.moveaxis(h_dot, 0, -1), axis=(-2, -1))
 
 
 def _bridge_chain(spec, states, grid, v, weights):
-    """The control chain of a batch of paths, from one bulk evaluation of
-    the node Jacobian.
+    """The control chain of a batch of (P, N+1, n) states, from one bulk
+    evaluation of the node Jacobian.
 
-    Returns ``(jac, alpha_data, g, h_dot, bridge_residuals, trace)``; the
-    Skorokhod trace is zero when jac_z1 is constant (the control is then
-    deterministic and the trace vanishes).
+    Returns ``(jac, alpha_data, g, h_dot, bridge_residuals, trace)``, all
+    component-major; the Skorokhod trace is zero when jac_z1 is constant
+    (the control is then deterministic and the trace vanishes).
     """
-    states = np.ascontiguousarray(states)   # the derivative tapes run faster on it
+    states = np.moveaxis(states, -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         jac = spec.full_jacobian(states)
     k = terminal_flow(spec, jac, grid)
     ad = build_alpha(spec, jac, k, grid, v, weights)
     g, h_dot, res = build_bridge(spec, jac, ad, grid, v)
-    trace = (np.zeros(len(states)) if spec.constant_jac_z1
+    trace = (np.zeros(states.shape[1]) if spec.constant_jac_z1
              else _skorokhod_trace(spec, states, grid, v, weights, ad, k, jac))
     return jac, ad, g, h_dot, res, trace
 
@@ -327,58 +334,48 @@ def _svd_pinv(mats, rcond):
 
 
 def _norm1(mats):
-    """Matrix 1-norm (largest absolute column sum) of stacked matrices.
-
-    Up to 8 rows, adding the rows in order and comparing the column sums
-    with ``np.maximum`` gives the bits of ``np.abs(mats).sum(axis=-2)
-    .max(axis=-1)``, NaN included, several times faster; larger matrices
-    keep that reduction, whose summation order could differ.
-    """
-    rows, cols = mats.shape[-2:]
-    if rows > 8:
-        return np.abs(mats).sum(axis=-2).max(axis=-1)
+    """Matrix 1-norm (largest absolute column sum) of a component-major
+    (rows, cols, ...) stack: rows added in order and column sums compared
+    with ``np.maximum``, the bits of ``np.abs(mats).sum(axis=0).max(axis=0)``
+    (NaN included) without its reduction set-up, 3x faster on 1x1 stacks."""
     a = np.abs(mats)
-    col = a[..., 0, :]
-    for r in range(1, rows):
-        col = col + a[..., r, :]
-    out = col[..., 0]
-    for c in range(1, cols):
-        out = np.maximum(out, col[..., c])
-    return out
+    col = sum(a[1:], a[0])
+    return functools.reduce(np.maximum, col[1:], col[0])
 
 
 def _inv(mats):
-    """Inverse of a finite stack and the mask of members it could not invert.
+    """Inverse of a finite (n, n, ...) stack and the mask of members it could
+    not invert.
 
     1x1 and 2x2 stacks: the adjugate over the determinant, element-wise (the
-    1x1 case 1/a has LAPACK's bits), in the memory layout of ``mats``; a
-    computed determinant of 0 or non-finite flags the member.  Larger stacks:
-    LAPACK, retried with the members whose LU determinant is 0 replaced by I
-    when one of them fails the batch.
+    1x1 case 1/a has LAPACK's bits); a computed determinant of 0 or
+    non-finite flags the member.  Larger stacks: LAPACK, retried with the
+    members whose LU determinant is 0 replaced by I when one fails the batch.
     """
-    n = mats.shape[-1]
+    n = len(mats)
     if n > 2:
+        lapack = np.moveaxis(mats, (0, 1), (-2, -1))
         try:
-            return np.linalg.inv(mats), np.zeros(mats.shape[:-2], dtype=bool)
+            inv, sing = np.linalg.inv(lapack), np.zeros(mats.shape[2:], dtype=bool)
         except np.linalg.LinAlgError:
-            det = np.linalg.det(mats)
+            det = np.linalg.det(lapack)
             sing = ~np.isfinite(det) | (det == 0.0)
-            return np.linalg.inv(np.where(sing[..., None, None], np.eye(n), mats)), sing
+            inv = np.linalg.inv(np.where(sing[..., None, None], np.eye(n), lapack))
+        return np.moveaxis(inv, (-2, -1), (0, 1)), sing
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if n == 1:
-            det, inv = mats[..., 0, 0], 1.0 / mats
+            det, inv = mats[0, 0], 1.0 / mats
         else:
-            a, b = mats[..., 0, 0], mats[..., 0, 1]
-            c, d = mats[..., 1, 0], mats[..., 1, 1]
+            (a, b), (c, d) = mats
             det = a * d - b * c
             inv = np.empty_like(mats)                 # keeps the stack's layout
-            inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 0], inv[..., 1, 1] = d, -b, -c, a
-            inv /= det[..., None, None]
+            inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1] = d, -b, -c, a
+            inv /= det
         return inv, ~np.isfinite(det) | (det == 0.0)
 
 
 def _pinv_stack(mats, rcond=1e-13):
-    """Pseudo-inverse of stacked square matrices; never raises on singularity.
+    """Pseudo-inverse of an (n, n, ...) stack; never raises on singularity.
 
     A batched inverse (``_inv``) serves every member it can be trusted on.
     A member falls back to the SVD pseudo-inverse (``_svd_pinv``, same
@@ -389,44 +386,19 @@ def _pinv_stack(mats, rcond=1e-13):
     times the condition number).  Non-finite members give NaN.
     """
     mats = np.asarray(mats, dtype=float)
-    n = mats.shape[-1]
-    finite = np.isfinite(mats).all(axis=(-2, -1))
+    n = len(mats)
+    finite = np.isfinite(mats).all(axis=(0, 1))
     bad = ~finite
-    safe = np.where(bad[..., None, None], np.eye(n), mats) if bad.any() else mats
+    safe = np.where(bad, np.eye(n).reshape((n, n) + (1,) * bad.ndim), mats) if bad.any() else mats
     inv, singular = _inv(safe)
     bad |= singular
     with np.errstate(over="ignore", invalid="ignore"):
         bad |= ~(n * _norm1(safe) * _norm1(inv) < 1.0 / rcond)
     if bad.any():
-        inv[bad] = np.nan
+        inv[..., bad] = np.nan
         redo = bad & finite
-        inv[redo] = _svd_pinv(mats[redo], rcond)
+        inv[..., redo] = _svd_pinv(np.moveaxis(mats[..., redo], -1, 0), rcond).transpose(1, 2, 0)
     return inv
-
-
-def _cm(a):
-    """Contiguous (components..., P, N+1) copy of a (P, N+1, components...) array."""
-    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
-
-
-def _pinv_cm(mats):
-    """``_pinv_stack`` of an (n, n, P, N) stack; n <= 2 keeps the layout, no copy."""
-    view = np.moveaxis(mats, (0, 1), (-2, -1))
-    return np.ascontiguousarray(np.moveaxis(_pinv_stack(view), (-2, -1), (0, 1)))
-
-
-def _prefix_sums(x):
-    """out_j = sum_{s<j} x_s along the node axis, out_0 = 0."""
-    out = np.zeros_like(x)
-    out[..., 1:] = np.cumsum(x[..., :-1], axis=-1)
-    return out
-
-
-def _suffix_sums(x):
-    """out_j = sum_{s>=j} x_s along the node axis, one node longer, out_N = 0."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    out[..., :-1] = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-    return out
 
 
 def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
@@ -443,8 +415,8 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     giving the diagonal derivatives of alpha, its divided-difference rate,
     and g.  ``jac`` is the node Jacobian DZ at ``states``.
 
-    Per-node tensors are component-major, (components..., P, N+1), converted
-    once on entry, so each contraction runs one long contiguous loop over
+    Per-node tensors are component-major, (components..., P, N+1), as the
+    chain builds them, so each contraction runs one long contiguous loop over
     paths and nodes; operand order, contracted indices and the sequential
     node sums are the path-major form's, whose bits m = d = 1 keeps.
     """
@@ -458,16 +430,15 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     w0 = (grid.t_final - nodes) / grid.t_final
     w0[-1] = 0.0
 
-    phi_full = _cm(full_jacobian_flow(jac, grid))                  # (n, n, p, N+1)
+    phi_full = full_jacobian_flow(jac, grid)                       # (n, n, p, N+1)
     # Y_i = Phi_{i+1}^{-1} E sigma, (n, d, p, N): the inverse's last d columns
-    y_seed = np.einsum("akpj,kc->acpj", _pinv_cm(phi_full[..., 1:])[:, m:], spec.sigma)
-    hess = _cm(spec.hess_z1(states))                               # (m, n, n, p, N+1)
+    y_seed = np.einsum("akpj,kc->acpj", _pinv_stack(phi_full[..., 1:])[:, m:], spec.sigma)
+    hess = spec.hess_z1(states)                                    # (m, n, n, p, N+1)
     theta1 = np.einsum("abepj,ecpj->abcpj", hess[:, :m], phi_full)  # dA/dx . Phi
     theta2 = np.einsum("abepj,ecpj->abcpj", hess[:, m:], phi_full)  # dC/dx . Phi
     del hess, phi_full
 
-    jac, k = _cm(jac), _cm(k)                                      # (n, n, ...), (m, m, ...)
-    kinv = _pinv_cm(k)
+    kinv = _pinv_stack(k)
     c_nodes = jac[:m, m:]
     kc = np.einsum("akpj,kdpj->adpj", k, c_nodes)                  # K C
     kb = np.einsum("akpj,kd->adpj", k, spec.b0)                    # K B0
@@ -493,8 +464,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
         "ikpj,klpj,blpj->ibpj", k[..., 1:], c_nodes[..., :-1], kb[..., :-1]))
     del psi, lam, theta1, theta2, qcore, kc, kb, kcv2
 
-    q_path = _cm(ad.q_path)
-    p_vec = ad.p_vec.T                                             # (m, p)
+    q_path, p_vec = ad.q_path, ad.p_vec                            # (m, m, p, N+1), (m, p)
 
     # Omega_i and the forward-tangent aggregates
     q_next = q_path[..., 1:]                                       # Q_{i+1}
@@ -507,7 +477,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
         rhs = (np.einsum("actpi,cpi->atpi", g_tensor, c2low[..., 1:])      # D c2
                + np.einsum("acpi,ctpi->atpi", etacum[..., -1:] - etacum[..., 1:], y_seed)
                - np.einsum("abtpi,bp->atpi", dq_t, p_vec))
-        q_t_inv = np.moveaxis(_pinv_stack(ad.q_path[:, -1]), 0, -1)       # (m, m, p)
+        q_t_inv = _pinv_stack(q_path[..., -1])                             # (m, m, p)
         dp = np.einsum("abp,btpi->atpi", q_t_inv, rhs)
         del dq_t, rhs
     else:
@@ -516,10 +486,10 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
 
     if np.linalg.norm(v1) > 0.0:
         wgt = (ad.xi_eff[:, :n_steps] ** 2) * dt                   # (p, N)
-        u_nodes = _cm(ad.u_nodes)[..., :n_steps]                   # (m, p, N)
+        u_nodes = ad.u_nodes[..., :n_steps]                        # (m, p, N)
         qinv = np.zeros_like(q_path)
         active = np.nonzero(ad.xi_vals[1:n_steps] > 0)[0] + 1
-        qinv[..., active] = _pinv_cm(q_path[..., active])
+        qinv[..., active] = _pinv_stack(q_path[..., active])
         qinv = qinv[..., :n_steps]
         w1 = _suffix_sums(np.einsum("pj,abpj,cpj->abcpj", wgt, qinv, u_nodes))
         w2 = _suffix_sums(np.einsum("pj,abpj,becpj,epj->acpj", wgt, qinv,
@@ -534,7 +504,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
               - np.einsum("abcpi,bctpi->atpi", w1[..., 1:], omega_mat)
               - np.einsum("acpi,ctpi->atpi", w2[..., 1:], y_seed)
               + np.einsum("abpi,btpi->atpi", w3[..., 1:], g_k0))
-        gt_rho = np.einsum("batpi,bpi->atpi", g_tensor, _cm(ad.rho)[..., :n_steps])
+        gt_rho = np.einsum("batpi,bpi->atpi", g_tensor, ad.rho[..., :n_steps])
         ratio_part = (dr + gt_rho) / ad.nu[:, None]
     else:
         ratio_part = 0.0
@@ -610,15 +580,13 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, chunk=16384, seed_offset=0):
 
 
 def _simulate(spec, x0, grid, inc):
-    """Euler paths from x0 and the mask of the finite ones; a non-finite
-    path is replaced by the constant x0 path (its results are masked)."""
+    """Euler paths (P, N+1, n) from x0, a contiguous copy of their terminal
+    states and the mask of the finite paths; a non-finite path is replaced
+    by the constant x0 path (its results are masked)."""
     states = simulate_path(spec, x0, grid, inc)
     ok = valid_mask(states)
-    if np.all(ok):
-        return states, ok
-    states = states.copy()
     states[~ok] = x0
-    return states, ok
+    return states, states[:, -1].copy(), ok
 
 
 class _AffineTerminal:
@@ -648,8 +616,8 @@ class _AffineTerminal:
             shift += flow @ z0_dt
             flow = step @ flow
         self.weights = rows.reshape(n_steps * d, n)
-        if h_dot is not None:
-            self.weights = np.concatenate([self.weights, h_dot.reshape(-1, 1)], axis=1)
+        if h_dot is not None:                        # (d, N) component-major
+            self.weights = np.concatenate([self.weights, h_dot.T.reshape(-1, 1)], axis=1)
         self.dim, self.flow, self.shift = n, flow, shift    # flow = F^N
 
     def contract(self, inc):
@@ -767,14 +735,15 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             noise = affine.contract(inc)
             x_n, good = affine.terminal(x0, noise)
             return (f.f(x_n), noise[:, -1]), good, None
-        states, good = _simulate(spec, x0, grid, inc)
+        states, x_n, good = _simulate(spec, x0, grid, inc)
         if det_control is not None:
-            dl = np.sum(_assemble_hdot(spec, states, det_control) * inc, axis=(-2, -1))
-            return (f.f(states[:, -1]), dl), good, None
+            jac = spec.dz(np.moveaxis(states[:, :-1], -1, 0))
+            dl = _hdot_sum(_assemble_hdot(spec, jac, *det_control["bridge"]), inc)
+            return (f.f(x_n), dl), good, None
         jac, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
-        dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
+        dl = _hdot_sum(h_dot, inc) - trace
         good = good & ~ad.degenerate
-        return (f.f(states[:, -1]), dl), good, _hypothesis_checks(spec, jac, ad, res, good)
+        return (f.f(x_n), dl), good, _hypothesis_checks(spec, jac, ad, res, good)
 
     (fvals, delta), ok, payloads = _mc_run(
         spec, grid, cfg, per_chunk, 2, chunk=16384 if spec.constant_jac_z1 else 1024)
@@ -792,15 +761,15 @@ def _deterministic_control(spec, x0, grid, v, weights):
 
     The carrier path only supplies Jacobian evaluation points, all constant
     here, so a constant-x0 path serves.  For an affine model DZ is constant
-    too, and the carrier's ``h_dot`` is every path's.
+    too, and the carrier's ``h_dot`` (d, N) is every path's; otherwise each
+    path's hdot is assembled from the carrier's g, alpha and alpha_dot.
     """
     states = np.tile(x0, (1, grid.n_steps + 1, 1))
     jac, ad, g, h_dot, res, _ = _bridge_chain(spec, states, grid, v, weights)
     if bool(ad.degenerate[0]):
         raise RunDegenerateError("deterministic control chain is degenerate "
                                  "(singular terminal Gramian)")
-    return {"alpha": ad.alpha[0], "alpha_dot": ad.alpha_dot[0], "g": g[0],
-            "h_dot": h_dot[0],
+    return {"bridge": (g[..., :-1], ad.alpha[..., :-1], ad.alpha_dot), "h_dot": h_dot[:, 0],
             "checks": _hypothesis_checks(spec, jac, ad, res, ~ad.degenerate)}
 
 
@@ -812,36 +781,26 @@ def _hypothesis_checks(spec, jac, ad, res, good):
     return {"bridge_residuals_max": got.max(axis=0) if got.size else np.zeros(3),
             "alpha_dot_gap": ad.alpha_dot_gap,
             "dropped_nodes_max": int(ad.dropped_nodes.max()),
-            "q_bound_ratio": q_inverse_bound_ratio(ad.q_path[good], ad.xi_vals,
+            "q_bound_ratio": q_inverse_bound_ratio(ad.q_path[:, :, good], ad.xi_vals,
                                                    spec.epsilon),
-            "c_bound_realized": _norm2_max(jac[..., :spec.m, :spec.m], good)}
+            "c_bound_realized": _norm2_max(jac[:spec.m, :spec.m], good)}
 
 
 def _norm2_max(blocks, keep=slice(None)):
-    """Largest spectral norm over the square blocks (P, ..., m, m) of the
+    """Largest spectral norm over the square blocks (m, m, P, ...) of the
     paths ``keep`` selects; 0 when it selects none, inf when a block is not
     finite (LAPACK's SVD fails on those).  A 1x1 block's norm is its
     absolute value."""
-    finite = np.isfinite(blocks).all(axis=(-2, -1))
-    if blocks.shape[-1] == 1:
-        norms = np.abs(blocks[..., 0, 0])
+    finite = np.isfinite(blocks).all(axis=(0, 1))
+    if len(blocks) == 1:
+        norms = np.abs(blocks[0, 0])
     else:
         norms = np.full(finite.shape, np.inf)
-        norms[finite] = np.linalg.norm(blocks[finite], ord=2, axis=(-2, -1))
+        norms[finite] = np.linalg.norm(np.moveaxis(blocks, (0, 1), (-2, -1))[finite],
+                                       ord=2, axis=(-2, -1))
     norms[~finite] = np.inf
     per_path = norms.max(axis=tuple(range(1, norms.ndim)))[keep]
     return float(per_path.max()) if per_path.size else 0.0
-
-
-def _assemble_hdot(spec, states, det):
-    """hdot for per-path states with a shared deterministic (alpha, g)."""
-    n_steps = det["alpha_dot"].shape[0]
-    m = spec.m
-    jac = spec.dz(states[:, :n_steps])
-    drive = (np.einsum("pjda,ja->pjd", jac[..., m:, :m], det["g"][:n_steps])
-             + np.einsum("pjde,je->pjd", jac[..., m:, m:], det["alpha"][:n_steps])
-             - det["alpha_dot"][None])
-    return drive @ spec.sigma_inv().T
 
 
 def pathwise_gradient(spec, x0, v, f, grid, cfg):
@@ -857,8 +816,7 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
             x_n, good = affine.terminal(x0, affine.contract(inc))
             jac = np.broadcast_to(affine.flow @ v, x_n.shape)
         else:
-            states, good = _simulate(spec, x0, grid, inc)
-            x_n = states[:, -1]
+            states, x_n, good = _simulate(spec, x0, grid, inc)
             jac = directional_jacobian(spec, states, grid, v)
         return (np.einsum("pa,pa->p", f.grad_f(x_n), jac),), good, None
 
@@ -879,9 +837,8 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
             xp, good_p = affine.terminal(x0 + eta * v, noise)
             xm, good_m = affine.terminal(x0 - eta * v, noise)
         else:
-            xp, good_p = _simulate(spec, x0 + eta * v, grid, inc)
-            xm, good_m = _simulate(spec, x0 - eta * v, grid, inc)
-            xp, xm = xp[:, -1], xm[:, -1]
+            _, xp, good_p = _simulate(spec, x0 + eta * v, grid, inc)
+            _, xm, good_m = _simulate(spec, x0 - eta * v, grid, inc)
         diff = (f.f(xp) - f.f(xm)) / (2.0 * eta)
         return (diff,), good_p & good_m, None
 
@@ -898,8 +855,7 @@ def expectation(spec, x0, f, grid, cfg, seed_offset=0):
         if affine is not None:
             x_n, good = affine.terminal(x0, affine.contract(inc))
         else:
-            states, good = _simulate(spec, x0, grid, inc)
-            x_n = states[:, -1]
+            _, x_n, good = _simulate(spec, x0, grid, inc)
         return (f.f(x_n),), good, None
 
     (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, seed_offset=seed_offset)
@@ -994,20 +950,20 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
     v = np.asarray(v, dtype=float).ravel()
 
     def per_chunk(start, inc):
-        states, good = _simulate(spec, x0, grid, inc)
+        states, x_n, good = _simulate(spec, x0, grid, inc)
         jac, ad, _, h_dot, _, trace = _bridge_chain(spec, states, grid, v, weights)
-        dl = np.sum(h_dot * inc, axis=(-2, -1)) - trace
+        dl = _hdot_sum(h_dot, inc) - trace
         good = good & ~ad.degenerate
-        lhs = f.f(states[:, -1]) * dl
+        lhs = f.f(x_n) * dl
 
         # adjoint sweep: a_i = (I + dt dZ(X_i))^T a_{i+1}, a_N = grad f(X_T)
-        adj = f.grad_f(states[:, -1])
+        adj = f.grad_f(x_n).T                                 # (n, P)
         rhs = np.zeros(len(inc))
         dt = grid.dt
         for i in range(grid.n_steps - 1, -1, -1):
-            dfdw = (adj[:, spec.m:] @ spec.sigma)            # (P, d)
-            rhs += np.einsum("pd,pd->p", dfdw, h_dot[:, i]) * dt
-            adj = adj + dt * np.einsum("pba,pb->pa", jac[:, i], adj)
+            dfdw = np.einsum("cp,cd->dp", adj[spec.m:], spec.sigma)      # (d, P)
+            rhs += np.einsum("dp,dp->p", dfdw, h_dot[..., i]) * dt
+            adj = adj + dt * np.einsum("bap,bp->ap", jac[..., i], adj)
         return (lhs - rhs, lhs, rhs), good, None
 
     (gaps, lhs, rhs), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 3, chunk=1024)

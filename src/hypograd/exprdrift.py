@@ -21,10 +21,10 @@ a subtree shared by several entries of one tape (a state-dependent mass in
 several Jacobian entries, the two equal mixed entries of a Hessian) runs
 once per call.  Constants are held as Python floats, and each intermediate
 array is released after its last use.  Every node keeps its operation and
-operand order, and a variable is the strided view ``x[..., i]`` (numpy may
-send strided and contiguous ``power`` to different kernels), so the tape
-gives the same bits as evaluating each tree on its own.  ``Expr.__call__``
-runs a one-output tape.
+operand order, so the tape gives the same bits as evaluating each tree on
+its own.  States are component-first, (k, ...): a variable is the slab
+``x[i]`` and an entry is ``out[a, i]``, each one contiguous (P, N+1) slab
+of a contiguous (k, P, N+1) batch.  ``Expr.__call__`` runs a one-output tape.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ class Expr:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate on states ``x`` of shape (..., k); returns shape (...)."""
+        """Evaluate on states ``x`` of shape (k, ...); returns shape (...)."""
         x = np.asarray(x, dtype=float)
-        return _run(_compile([(self, ())]), x, np.empty(x.shape[:-1]))
+        return _run(_compile([(self, ())]), x, np.empty(x.shape[1:]))
 
     # -- symbolic derivative ------------------------------------------------
 
@@ -204,7 +204,7 @@ _BINARY = {"+": operator.add, "*": operator.mul, "/": operator.truediv}
 
 def _compile(entries):
     """Compile ``(expr, index)`` pairs into a tape that writes each
-    expression to ``out[..., *index]``.
+    expression to ``out[index]``.
 
     The tape is ``(registers, ops, fills)``: the initial registers (0 takes
     the states; constants and exponents are preloaded), the operations
@@ -238,7 +238,7 @@ def _compile(entries):
         if e.kind == "const":
             return preload(key, e.value)
         if e.kind == "var":
-            return emit(key, operator.itemgetter((Ellipsis, e.value)), 0)
+            return emit(key, operator.itemgetter(e.value), 0)
         if e.kind in _BINARY:
             a = visit(e.args[0])
             return emit(key, _BINARY[e.kind], a, visit(e.args[1]))
@@ -252,7 +252,7 @@ def _compile(entries):
     fills = []
     for expr, index in entries:
         reg = visit(expr)
-        index = (Ellipsis,) + tuple(index)
+        index = tuple(index)
         if reg in producer:
             ops[producer[reg]][4].append(index)
         else:
@@ -397,9 +397,9 @@ class DriftExpr:
     """A vector field R^k -> R^n given by expression strings, with exact
     first and second derivatives.
 
-    Evaluation is vectorized: ``value(x)`` accepts x of shape (..., k).
-    Each of ``value``, ``jacobian`` and ``hessian`` runs one tape compiled
-    at construction.
+    Evaluation is vectorized and component-first: ``value(x)`` accepts x of
+    shape (k, ...).  Each of ``value``, ``jacobian`` and ``hessian`` runs one
+    tape compiled at construction.
     """
 
     def __init__(self, exprs, n_vars):
@@ -421,19 +421,19 @@ class DriftExpr:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return _run(self._value_tape, x, np.empty(x.shape[:-1] + (self.n_out,)))
+        return _run(self._value_tape, x, np.empty((self.n_out,) + x.shape[1:]))
 
     def jacobian(self, x):
-        """Shape (..., n_out, n_vars)."""
+        """Shape (n_out, n_vars, ...)."""
         x = np.asarray(x, dtype=float)
         return _run(self._jac_tape, x,
-                    np.empty(x.shape[:-1] + (self.n_out, self.n_vars)))
+                    np.empty((self.n_out, self.n_vars) + x.shape[1:]))
 
     def hessian(self, x):
-        """Shape (..., n_out, n_vars, n_vars)."""
+        """Shape (n_out, n_vars, n_vars, ...)."""
         x = np.asarray(x, dtype=float)
         return _run(self._hess_tape, x,
-                    np.empty(x.shape[:-1] + (self.n_out, self.n_vars, self.n_vars)))
+                    np.empty((self.n_out, self.n_vars, self.n_vars) + x.shape[1:]))
 
     def is_constant_jacobian(self):
         return all(h.is_zero() for mat in self._hess for row in mat for h in row)

@@ -6,12 +6,15 @@ X1-dynamics, accumulated backward from T), the full state-transition
 matrices Phi_i = dX_i/dX_0, and the terminal directional derivative
 J_N = dX_N/dx0 . v.
 
-Everything is batched over paths: Brownian increments are (B, N, d) with
-increments[:, i, :] ~ N(0, dt I_d), states are (B, N+1, n), and one path
-is a batch of one.  The flows take the node Jacobian ``jac`` = DZ(X) of
-shape (B, N+1, n, n), evaluated once by the caller, in place of the
-states.  Non-finite states are propagated, not clamped; use
-``valid_mask`` to detect and reject such paths.
+Everything is batched over paths (one path is a batch of one), with
+increments (B, N, d), increments[:, i, :] ~ N(0, dt I_d), and per-node
+arrays component-major, (components..., B, N+1): each component is one
+contiguous (B, N+1) slab.  States are (n, B, N+1), viewed (B, N+1, n); the
+flows take the node Jacobian ``jac`` = DZ(X), (n, n, B, N+1), evaluated
+once by the caller, step time-major scratch buffers and return K(T, t_i)
+as (m, m, B, N+1) and Phi_i as (n, n, B, N+1).  Non-finite states are
+propagated, not clamped; use ``valid_mask`` to detect and reject such
+paths.
 """
 
 from __future__ import annotations
@@ -58,10 +61,10 @@ def simulate_path(spec, x0, grid, inc):
     """Euler path X_{i+1} = X_i + Z(X_i) dt + (0, sigma dB_i).
 
     Deterministic given (x0, inc).  Increments (B, N, d) give states
-    (B, N+1, m+d), stepped in a time-major (N+1, B, m+d) buffer, so each
-    step reads and writes one contiguous slab; the result is a path-major
-    view of that buffer (not C-contiguous; callers that need contiguous
-    paths copy it).
+    (B, N+1, m+d), stepped in a time-major (N+1, m+d, B) buffer, so the
+    drift reads and writes contiguous slabs.  The result is a path-major
+    view of a contiguous component-major (m+d, B, N+1) array, which
+    ``np.moveaxis(states, -1, 0)`` recovers without a copy.
     """
     inc = np.asarray(inc, dtype=float)
     if inc.ndim != 3:
@@ -75,8 +78,8 @@ def simulate_path(spec, x0, grid, inc):
     if x0.shape != (spec.dim,):
         raise ConfigurationError(f"x0 must have dimension {spec.dim}")
     dt = grid.dt
-    x = np.empty((n_steps + 1, n_paths, spec.dim))
-    x[0] = x0
+    x = np.empty((n_steps + 1, spec.dim, n_paths))
+    x[0] = x0[:, None]
     # path-major product, read strided per step: BLAS rounds a time-major
     # (N, B, d) @ (d, d) product differently when B or N is 1
     kicks = inc @ spec.sigma.T
@@ -84,8 +87,8 @@ def simulate_path(spec, x0, grid, inc):
         for i in range(n_steps):
             xi = x[i]
             np.add(xi, spec.drift(xi) * dt, out=x[i + 1])
-            x[i + 1, :, spec.m:] += kicks[:, i]
-    return np.swapaxes(x, 0, 1)
+            x[i + 1, spec.m:] += kicks[:, i].T
+    return np.moveaxis(_nodes_last(x, (1, 2, 0)), 0, -1)
 
 
 def valid_mask(states):
@@ -99,19 +102,19 @@ def terminal_flow(spec, jac, grid):
     Built from per-step propagators P_i = I + dt d1Z1(X_i) by backward
     accumulation K(T, t_i) = K(T, t_{i+1}) P_i, K(T, T) = I, with d1Z1 read
     from the node Jacobian ``jac``.  Stepped in a time-major buffer and
-    returned as a contiguous (B, N+1, m, m) array.
+    returned as a contiguous (m, m, B, N+1) array.
     """
-    n_paths, n_nodes = jac.shape[:2]
+    n_paths, n_nodes = jac.shape[2:]
     if n_nodes != grid.n_steps + 1:
         raise ConfigurationError("node Jacobian does not match the grid")
-    m, dt = spec.m, grid.dt
-    eye = np.eye(m)
+    m = spec.m
     k = np.empty((n_nodes, n_paths, m, m))
-    k[-1] = eye
+    k[-1] = np.eye(m)
     with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.eye(m) + grid.dt * np.ascontiguousarray(np.transpose(jac[:m, :m], (3, 2, 0, 1)))
         for i in range(grid.n_steps - 1, -1, -1):
-            k[i] = k[i + 1] @ (eye + dt * jac[:, i, :m, :m])
-    return np.ascontiguousarray(np.swapaxes(k, 0, 1))  # Gramian products run faster
+            k[i] = k[i + 1] @ steps[i]
+    return _nodes_last(k, (2, 3, 1, 0))
 
 
 def directional_jacobian(spec, states, grid, v):
@@ -123,32 +126,45 @@ def directional_jacobian(spec, states, grid, v):
     v = np.asarray(v, dtype=float).ravel()
     if v.shape != (spec.dim,):
         raise ConfigurationError(f"v must have dimension {spec.dim}")
-    x = np.asarray(states, dtype=float)
-    jac = np.broadcast_to(v, x.shape[:1] + v.shape).copy()
+    x = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
+    jac = np.repeat(v[:, None], x.shape[1], axis=1)
     dt = grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(x.shape[1] - 1):
-            g = spec.full_jacobian(x[:, i])
-            jac = jac + dt * np.einsum("pab,pb->pa", g, jac)
-    return jac
+        for i in range(x.shape[-1] - 1):
+            g = spec.full_jacobian(x[..., i])
+            jac = jac + dt * np.einsum("abp,bp->ap", g, jac)
+    return jac.T
 
 
 def full_jacobian_flow(jac, grid):
     """State-transition matrices Phi_i = dX_i/dX_0 of the discrete chain.
 
     Phi_0 = I, Phi_{i+1} = (I + dt dZ(X_i)) Phi_i from the node Jacobian
-    ``jac``, stepped in a time-major buffer; returns its path-major
-    (B, N+1, n, n) view.  ``np.matmul``: an element-wise product would not
-    have the bits of its per-member BLAS product.
+    ``jac``; returns a contiguous (n, n, B, N+1) array.  Stepped 32 nodes
+    at a time in a time-major scratch block, which is copied out while in
+    cache.  ``np.matmul``: an element-wise product would not have the bits
+    of its per-member BLAS product.
     """
-    n_paths, n_nodes, n = jac.shape[:3]
-    dt, eye = grid.dt, np.eye(n)
-    phi = np.empty((n_nodes, n_paths, n, n))
-    phi[0] = eye
-    step = np.empty((n_paths, n, n))                       # I + dt dZ(X_i), reused
+    n, _, n_paths, n_nodes = jac.shape
+    phi = np.empty(jac.shape)
+    blk = np.empty((min(n_nodes, 32) + 1, n_paths, n, n))   # Phi at a block's nodes
+    blk[0] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_nodes - 1):
-            np.multiply(jac[:, i], dt, out=step)
-            step += eye
-            np.matmul(step, phi[i], out=phi[i + 1])
-    return np.swapaxes(phi, 0, 1)
+        for j in range(0, n_nodes, 32):
+            steps = np.ascontiguousarray(np.transpose(jac[..., j:j + 32], (3, 2, 0, 1)))
+            steps = steps * grid.dt + np.eye(n)                 # I + dt dZ(X_i)
+            for t in range(min(len(steps), n_nodes - 1 - j)):
+                np.matmul(steps[t], blk[t], out=blk[t + 1])
+            phi[..., j:j + len(steps)] = np.transpose(blk[:len(steps)], (2, 3, 1, 0))
+            blk[0] = blk[len(steps)]
+    return phi
+
+
+def _nodes_last(x, perm):
+    """Contiguous ``np.transpose(x, perm)`` of a time-major x with ``perm``
+    ending in the node axis 0, copied 32 nodes at a time: a block stays in
+    cache, several times faster than one transposing copy."""
+    out = np.empty([x.shape[a] for a in perm])
+    for j in range(0, len(x), 32):
+        out[..., j:j + 32] = np.transpose(x[j:j + 32], perm)
+    return out

@@ -11,7 +11,8 @@ part B0 and a remainder B that B0 dominates:
 
     <B(x) B0^T a, a> >= -epsilon |B0^T a|^2   for all a,  epsilon in [0, 1).
 
-All model callables are vectorized: they accept states of shape (..., m+d).
+The drift callables are vectorized and component-first, states (m+d, ...);
+the Lyapunov data of ``HypothesisData`` takes points (..., m+d).
 A model supplies the whole drift Z = (Z1, Z2) and its whole Jacobian DZ;
 code that needs a block, such as the cross Jacobian d(Z1)/d(x2), slices it.
 """
@@ -67,9 +68,9 @@ class HypothesisData:
 class ModelSpec:
     """Immutable model declaration.
 
-    ``z`` is the drift Z, shape (..., m+d), and ``dz`` its Jacobian DZ,
-    shape (..., m+d, m+d); blocks are slices of these.  ``hess_z1`` returns
-    the second-derivative stack of Z1, shape (..., m, m+d, m+d); the
+    ``z`` is the drift Z, shape (m+d, ...), and ``dz`` its Jacobian DZ,
+    shape (m+d, m+d, ...); blocks are slices of these.  ``hess_z1`` returns
+    the second-derivative stack of Z1, shape (m, m+d, m+d, ...); the
     anticipative Skorokhod trace needs it.  All callables must be pure so
     the model object can be shared across concurrent path workers.
     The Euler loop and the flows call Z and DZ through the ``drift`` and
@@ -122,17 +123,17 @@ class ModelSpec:
         return np.linalg.inv(self.sigma)
 
     def drift(self, x):
-        """Full drift Z(x) of shape (..., m+d)."""
+        """Full drift Z(x) of shape (m+d, ...)."""
         return self.z(x)
 
     def full_jacobian(self, x):
-        """Full (m+d) x (m+d) Jacobian of Z, shape (..., m+d, m+d)."""
+        """Full (m+d) x (m+d) Jacobian of Z, shape (m+d, m+d, ...)."""
         return self.dz(x)
 
 
 def drift_split(spec, x):
-    """Remainder B(x) = d(Z1)/d(x2) - B0 of the drift splitting."""
-    return spec.dz(x)[..., :spec.m, spec.m:] - spec.b0
+    """Remainder B(x) = d(Z1)/d(x2) - B0 of the drift splitting, (m, d, ...)."""
+    return spec.dz(x)[:spec.m, spec.m:] - spec.b0.reshape(spec.b0.shape + (1,) * (np.ndim(x) - 1))
 
 
 @dataclass
@@ -219,12 +220,12 @@ def validate_model(spec, sample_box, n_samples=256, seed=0, cond_cap=1e8):
 
 
 def _check_shapes(spec, x0):
-    x = np.asarray(x0, dtype=float)[None, :]
+    x = np.asarray(x0, dtype=float)[:, None]
     n = spec.dim
     z = np.asarray(spec.z(x))
-    if z.shape[-1] != n:
-        raise ConfigurationError(f"z returns dimension {z.shape[-1]}, expected m+d={n}")
-    if np.asarray(spec.dz(x)).shape[-2:] != (n, n):
+    if z.shape[0] != n:
+        raise ConfigurationError(f"z returns dimension {z.shape[0]}, expected m+d={n}")
+    if np.asarray(spec.dz(x)).shape[:2] != (n, n):
         raise ConfigurationError(f"dz must return {n}x{n} Jacobians")
 
 
@@ -233,11 +234,11 @@ def _jacobian_check(spec, x, rel_tol=1e-5):
     h = 1e-5 * (1.0 + np.linalg.norm(x, axis=-1))
     worst = 0.0
     witness = None
-    an = spec.dz(x)
+    an = np.moveaxis(spec.dz(x.T), (0, 1), (-2, -1))
     for c, e in enumerate(np.eye(n)):
         xp = x + h[:, None] * e
         xm = x - h[:, None] * e
-        fd = (spec.drift(xp) - spec.drift(xm)) / (2.0 * h[:, None])
+        fd = (spec.drift(xp.T) - spec.drift(xm.T)).T / (2.0 * h[:, None])
         err = np.abs(fd - an[..., c]) / (1.0 + np.abs(an[..., c]))
         idx = np.argmax(err)
         if err.flat[idx] > worst:
@@ -254,13 +255,13 @@ def _domination_check(spec, x, seed, slack=1e-12):
     extra = rng.standard_normal((m, m))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     dirs.extend(extra)
-    b = drift_split(spec, x)                       # (n_pts, m, d)
+    b = drift_split(spec, x.T)                     # (m, d, n_pts)
     b0t = spec.b0.T                                # (d, m)
     worst = np.inf
     witness = None
     for a in dirs:
         b0a = b0t @ a                              # (d,)
-        lhs = np.einsum("pmd,d,m->p", b, b0a, a)   # <B(x) B0^T a, a>
+        lhs = np.einsum("mdp,d,m->p", b, b0a, a)   # <B(x) B0^T a, a>
         margin = lhs + spec.epsilon * float(b0a @ b0a)
         idx = int(np.argmin(margin))
         if margin[idx] < worst:
@@ -285,7 +286,7 @@ def _hypothesis_checks(spec, x):
     for c, e in enumerate(np.eye(n)):
         grad[:, c] = (hyp.w(x + h[:, None] * e) - hyp.w(x - h[:, None] * e)) / (2 * h)
     a_mat = spec.sigma @ spec.sigma.T
-    lw = np.einsum("pc,pc->p", grad, spec.drift(x))
+    lw = np.einsum("pc,cp->p", grad, spec.drift(x.T))
     for i in range(spec.d):
         for j in range(spec.d):
             if a_mat[i, j] == 0.0:
@@ -308,7 +309,7 @@ def _hypothesis_checks(spec, x):
     out.append(CheckResult("grad2w_bound", margin_g >= -1e-8, float(margin_g),
                            detail="|grad2 W|^2 <= C W"))
 
-    jac = spec.full_jacobian(x)
+    jac = np.moveaxis(spec.full_jacobian(x.T), (0, 1), (-2, -1))
     opnorm = np.linalg.norm(jac, ord=2, axis=(-2, -1))
     margin_j = np.min(hyp.c_const * w**hyp.l1 - opnorm)
     out.append(CheckResult("jacobian_growth", margin_j >= -1e-8, float(margin_j),
@@ -417,8 +418,8 @@ def _build_kinetic_ou(p, raw):
 
     def z(x):
         x = np.asarray(x, dtype=float)
-        return np.concatenate([x[..., m:], -x[..., :m] @ k_mat.T - x[..., m:] @ g_mat.T],
-                              axis=-1)
+        return np.concatenate([x[m:], -np.tensordot(k_mat, x[:m], 1)
+                               - np.tensordot(g_mat, x[m:], 1)])
 
     hyp = _quadratic_hypothesis(gfull, sigma, m)
     return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
@@ -431,7 +432,9 @@ def _constant_jacobian(gfull):
     """DZ of an affine drift: a fresh copy of ``gfull`` per state."""
 
     def dz(x):
-        return np.broadcast_to(gfull, np.shape(x)[:-1] + gfull.shape).copy()
+        shp = np.shape(x)[1:]
+        return np.broadcast_to(gfull.reshape(gfull.shape + (1,) * len(shp)),
+                               gfull.shape + shp).copy()
 
     return dz
 
@@ -440,8 +443,7 @@ def _zero_hess(m, d):
     n = m + d
 
     def hess_z1(x):
-        shp = np.asarray(x).shape[:-1]
-        return np.zeros(shp + (m, n, n))
+        return np.zeros((m, n, n) + np.shape(x)[1:])
 
     return hess_z1
 
@@ -509,9 +511,9 @@ def _build_hamiltonian(p, raw):
     # W = H + 1; Example-style growth exponents for polynomial potentials
     def w(x):
         x = np.asarray(x, dtype=float)
-        v = v_field.value(x[..., :m])[..., 0]
+        v = v_field.value(np.moveaxis(x[..., :m], -1, 0))[0]
         if p["mass_expr"] is not None:
-            mass_val = mu(x[..., :1])
+            mass_val = mu(np.moveaxis(x[..., :1], -1, 0))
             kin = 0.5 * mass_val * x[..., m] ** 2
         else:
             kin = 0.5 * np.einsum("...a,ab,...b->...", x[..., m:], mass, x[..., m:])
@@ -520,7 +522,7 @@ def _build_hamiltonian(p, raw):
     def grad2_w(x):
         x = np.asarray(x, dtype=float)
         if p["mass_expr"] is not None:
-            return (mu(x[..., :1]) * x[..., m])[..., None]
+            return (mu(np.moveaxis(x[..., :1], -1, 0)) * x[..., m])[..., None]
         return x[..., m:] @ mass.T
 
     hyp = HypothesisData(w=w, grad2_w=grad2_w, c_const=64.0, l1=1.0, l2=1.0)
@@ -556,7 +558,8 @@ def _build_integrator_chain(p, raw):
 
     def z(x):
         x = np.asarray(x, dtype=float)
-        return np.concatenate([x @ z1_lin.T, x @ z2_lin.T + z2_off], axis=-1)
+        off = z2_off.reshape((d,) + (1,) * (x.ndim - 1))
+        return np.concatenate([np.tensordot(z1_lin, x, 1), np.tensordot(z2_lin, x, 1) + off])
 
     hyp = _quadratic_hypothesis(gfull, sigma, m)
     return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),

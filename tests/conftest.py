@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hypograd import control, estimator
-from hypograd.control import build_alpha, build_bridge, phi_parabolic, xi_case1
-from hypograd.errors import MethodMisuseError
+from hypograd.control import AlphaData, build_alpha, build_bridge, phi_parabolic, xi_case1
+from hypograd.errors import ConfigurationError, MethodMisuseError
 from hypograd.exprdrift import DriftExpr
 from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import builtin_model
@@ -35,6 +35,23 @@ def anticipative_spec():
                                          "c_mass": 1.0})
 
 
+def states_cm(x):
+    """Component-first (n, B, N+1) view of (B, N+1, n) states, the layout the
+    model callables and the control chain take."""
+    return np.moveaxis(x, -1, 0)
+
+
+def path_major(a, k=2):
+    """(B, N+1, components...) view of a component-major array whose first
+    ``k`` axes are components."""
+    return np.moveaxis(a, tuple(range(k)), tuple(range(-k, 0)))
+
+
+def comp_major(a, k=2):
+    """Component-major view of an array whose last ``k`` axes are components."""
+    return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
+
+
 def sample_noise(grid, d, rng, n_paths):
     """Draw (n_paths, N, d) Brownian increments from a numpy Generator."""
     return rng.standard_normal((n_paths, grid.n_steps, d)) * np.sqrt(grid.dt)
@@ -56,13 +73,13 @@ def refine_noise(inc, grid, rng):
 
 
 def control_chain_hdot(spec, x0, grid, increments, v, profile):
-    """Full deterministic chain increments -> hdot for a batch of paths."""
+    """Full deterministic chain increments -> hdot (B, N, d) for a batch of paths."""
     states = simulate_path(spec, x0, grid, increments)
-    jac = spec.dz(states)
+    jac = spec.dz(states_cm(states))
     k = terminal_flow(spec, jac, grid)
     ad = build_alpha(spec, jac, k, grid, v, profile)
     _, h_dot, _ = build_bridge(spec, jac, ad, grid, v)
-    return h_dot
+    return path_major(h_dot, 1)
 
 
 def brute_force_divergence(spec, x0, grid, increments, v, profile, eta=1e-6):
@@ -108,8 +125,8 @@ def wide_values(n, seed):
 
 
 def pinv_stack_lapack(mats, rcond=1e-13):
-    """Guarded inverse with LAPACK's batched LU for 1x1 and larger stacks
-    (reference).
+    """Guarded inverse of a path-major (..., n, n) stack with LAPACK's
+    batched LU for 1x1 and larger stacks (reference).
 
     2x2 stacks go through ``estimator._inv``'s closed form, which has no
     LAPACK counterpart bit for bit; a 1x1 stack is LAPACK's own, so the
@@ -121,7 +138,8 @@ def pinv_stack_lapack(mats, rcond=1e-13):
     bad = ~finite
     safe = np.where(bad[..., None, None], np.eye(n), mats) if bad.any() else mats
     if n == 2:
-        inv, singular = estimator._inv(safe)
+        inv, singular = estimator._inv(comp_major(safe))
+        inv = np.ascontiguousarray(path_major(inv))
         bad |= singular
     else:
         try:
@@ -132,7 +150,8 @@ def pinv_stack_lapack(mats, rcond=1e-13):
             safe = np.where(bad[..., None, None], np.eye(n), mats)
             inv = np.linalg.inv(safe)
     with np.errstate(over="ignore", invalid="ignore"):
-        bad |= ~(n * estimator._norm1(safe) * estimator._norm1(inv) < 1.0 / rcond)
+        bad |= ~(n * estimator._norm1(comp_major(safe))
+                 * estimator._norm1(comp_major(inv)) < 1.0 / rcond)
     if bad.any():
         inv[bad] = np.nan
         redo = bad & finite
@@ -141,7 +160,8 @@ def pinv_stack_lapack(mats, rcond=1e-13):
 
 
 def guarded_solve_lapack(mats, rhs):
-    """Guarded solve with LAPACK for every size (reference).
+    """Guarded solve of a path-major stack, mats (..., m, m) and rhs
+    (..., m), with LAPACK for every size (reference).
 
     An exactly singular member fails the whole stack here.
     """
@@ -201,15 +221,16 @@ def reference_blocks(spec):
     comps = spec.z.__self__.components
     e1, e2 = DriftExpr(comps[:m], n), DriftExpr(comps[m:], n)
 
-    def jac_z1(x):
-        j = e1.jacobian(x)
-        return j[..., :m], j[..., m:]
+    def value(e):           # path-major states (..., n) through the component-first tape
+        return lambda x: np.moveaxis(e.value(np.moveaxis(x, -1, 0)), 0, -1)
 
-    def jac_z2(x):
-        j = e2.jacobian(x)
-        return j[..., :m], j[..., m:]
+    def jac(e):
+        def blocks(x):
+            j = np.moveaxis(e.jacobian(np.moveaxis(x, -1, 0)), (0, 1), (-2, -1))
+            return j[..., :m], j[..., m:]
+        return blocks
 
-    return e1.value, e2.value, jac_z1, jac_z2
+    return value(e1), value(e2), jac(e1), jac(e2)
 
 
 def reference_drift(spec, x):
@@ -244,9 +265,240 @@ def reference_full_jacobian_flow(jac, grid):
     return phi
 
 
+# ---------------------------------------------------------------------------
+# frozen path-major references of the control chain, as it stood before
+# the chain went component-major; never regenerate these from the package
+# ---------------------------------------------------------------------------
+
+def reference_terminal_flow(spec, jac, grid):
+    """Terminal flow family K(T, t_i), i = 0..N, of the noise-free block.
+
+    Built from per-step propagators P_i = I + dt d1Z1(X_i) by backward
+    accumulation K(T, t_i) = K(T, t_{i+1}) P_i, K(T, T) = I, with d1Z1 read
+    from the node Jacobian ``jac``.  Stepped in a time-major buffer and
+    returned as a contiguous (B, N+1, m, m) array.  (Frozen path-major
+    reference for ``flow.terminal_flow``: ``jac`` is (B, N+1, n, n).)
+    """
+    n_paths, n_nodes = jac.shape[:2]
+    if n_nodes != grid.n_steps + 1:
+        raise ConfigurationError("node Jacobian does not match the grid")
+    m, dt = spec.m, grid.dt
+    eye = np.eye(m)
+    k = np.empty((n_nodes, n_paths, m, m))
+    k[-1] = eye
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_steps - 1, -1, -1):
+            k[i] = k[i + 1] @ (eye + dt * jac[:, i, :m, :m])
+    return np.ascontiguousarray(np.swapaxes(k, 0, 1))  # Gramian products run faster
+
+
+def reference_gramian_Q(spec, jac, k_flow, phi, grid):
+    """Gramian with the full cross Jacobian d2Z1(X_s) in place of B0.
+
+    Not symmetrized: Q_t is not symmetric in general.  Shape (B, N+1, m, m).
+    (Frozen path-major reference for ``control.gramian_Q``.)
+    """
+    m = spec.m
+    kc = k_flow @ jac[..., :m, m:]                     # K C
+    kb = k_flow @ spec.b0                              # K B0
+    integ = phi(grid.nodes)[:, None, None] * (kc @ np.swapaxes(kb, -1, -2)) * grid.dt
+    return np.concatenate([np.zeros(jac.shape[:1] + (1, m, m)),
+                           np.cumsum(integ[:, :-1], axis=1)], axis=1)
+
+
+def reference_build_alpha(spec, jac, k_flow, grid, v, profile):
+    """Assemble the control alpha on the grid (left-endpoint quadrature).
+
+    alpha_t = (T-t)/T v2
+              - phi(t) B0^T K(T,t)^* Q_T^{-1} int_0^T (T-s)/T K(T,s) d2Z1 v2 ds
+              - phi(t) B0^T K(T,t)^* [int_t^T xi^2 Q_s^{-1} K(T,0) v1 ds] / int_0^T xi^2 ds
+
+    Boundary values alpha_0 = v2 and alpha_N = 0 hold exactly by
+    construction.  Nodes whose discrete Q is numerically singular are
+    dropped from the backward sum (their weight is a quadrature artifact of
+    phi(0) = 0); drops are counted.
+
+    Frozen path-major reference for ``control.build_alpha``: ``jac`` is
+    (B, N+1, n, n), ``k_flow`` (B, N+1, m, m), and the returned fields are
+    path-major.  Its solves are ``guarded_solve_lapack``'s, which have the
+    bits of the element-wise 1x1 solve.
+    """
+    k = k_flow
+    n_paths = jac.shape[0]
+    n = grid.n_steps
+    dt = grid.dt
+    m = spec.m
+    T = grid.t_final
+    v = np.asarray(v, dtype=float).ravel()
+    v1, v2 = v[:m], v[m:]
+    nodes = grid.nodes
+    phi_vals = profile.phi(nodes)
+    phi_dot_vals = profile.phi_dot(nodes)
+    w0 = (T - nodes) / T
+    w0[-1] = 0.0
+
+    q_path = reference_gramian_Q(spec, jac, k, profile.phi, grid)
+
+    xi_vals = profile.xi_grid(grid)
+    xi_eff = np.broadcast_to(xi_vals, (n_paths, n + 1)).copy()
+    degenerate = np.zeros(n_paths, dtype=bool)
+    dropped = np.zeros(n_paths, dtype=int)
+
+    a_nodes, c_nodes = jac[..., :m, :m], jac[..., :m, m:]
+
+    # second term: p = Q_T^{-1} c2
+    kc_v2 = np.einsum("pjik,pjkl,l->pji", k, c_nodes, v2)
+    c2_vec = np.einsum("j,pji->pi", w0[:-1] * dt, kc_v2[:, :-1])
+    if np.linalg.norm(v2) > 0:
+        p_vec, ok = guarded_solve_lapack(q_path[:, n], c2_vec)
+        degenerate |= ~ok
+    else:
+        p_vec = np.zeros((n_paths, m))
+
+    # third term: u_l = Q_l^{-1} K(T,0) v1 on nodes with xi > 0
+    u_nodes = np.zeros((n_paths, n + 1, m))
+    has_v1 = np.linalg.norm(v1) > 0
+    if has_v1:
+        rhs = np.einsum("pik,k->pi", k[:, 0], v1)
+        active = (xi_vals > 0) & (np.arange(n + 1) >= 1) & (np.arange(n + 1) <= n - 1)
+        idx = np.nonzero(active)[0]
+        if idx.size:
+            sol, ok = guarded_solve_lapack(q_path[:, idx], rhs[:, None, :].repeat(len(idx), 1))
+            u_nodes[:, idx] = sol
+            drop = ~ok
+            xi_eff[:, idx] = np.where(drop, 0.0, xi_eff[:, idx])
+            dropped += drop.sum(axis=1)
+    nu = np.sum(xi_eff[:, :-1] ** 2, axis=1) * dt
+    rho = np.zeros((n_paths, n + 1, m))
+    if has_v1:
+        wgt = (xi_eff[:, :-1, None] ** 2) * u_nodes[:, :-1] * dt
+        rho[:, :-1] = np.cumsum(wgt[:, ::-1], axis=1)[:, ::-1]
+        bad_nu = nu <= 0
+        degenerate |= bad_nu
+        nu = np.where(bad_nu, 1.0, nu)
+        vec = p_vec[:, None, :] + rho / nu[:, None, None]
+    else:
+        vec = np.broadcast_to(p_vec[:, None, :], (n_paths, n + 1, m))
+
+    kt_vec = np.einsum("pjra,pjr->pja", k, vec)         # K(T,t)^* vec
+    corr = kt_vec @ spec.b0                             # B0^T K^* vec, (p, j, d)
+    alpha = w0[None, :, None] * v2[None, None, :] - phi_vals[None, :, None] * corr
+
+    alpha_dot = (alpha[:, 1:] - alpha[:, :-1]) / dt
+
+    # analytic rate: -v2/T - B0^T (phi' I - phi A^T) K^* vec + phi xi^2/nu B0^T K^* u
+    at_kt_vec = np.einsum("pjra,pjr->pja", a_nodes[:, :-1],
+                          kt_vec[:, :-1])
+    z = (phi_dot_vals[None, :-1, None] * kt_vec[:, :-1]
+         - phi_vals[None, :-1, None] * at_kt_vec)
+    alpha_dot_an = -v2[None, None, :] / T - z @ spec.b0
+    if has_v1:
+        kt_u = np.einsum("pjra,pjr->pja", k[:, :-1], u_nodes[:, :-1])
+        alpha_dot_an = alpha_dot_an + ((phi_vals[None, :-1] * xi_eff[:, :-1] ** 2
+                                        / nu[:, None])[..., None] * kt_u) @ spec.b0
+    gap = float(np.max(np.abs(alpha_dot_an - alpha_dot))) if alpha.size else 0.0
+
+    return AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_gap=gap, q_path=q_path,
+                     xi_vals=xi_vals, xi_eff=xi_eff, nu=nu, u_nodes=u_nodes, rho=rho,
+                     p_vec=p_vec, dropped_nodes=dropped, degenerate=degenerate)
+
+
+def reference_build_bridge(spec, jac, alpha_data, grid, v):
+    """Propagate g and assemble hdot from a built alpha.
+
+    g follows the forward linear ODE g' = d1Z1(X) g + d2Z1(X) alpha with
+    g_0 = v1 (Euler, shared grid); hdot_t = sigma^{-1}(dZ2(X_t)(g_t, alpha_t)
+    - alpha_dot_t) pointwise on steps.  (Frozen path-major reference for
+    ``control.build_bridge``.)
+    """
+    alpha, alpha_dot = alpha_data.alpha, alpha_data.alpha_dot
+    n_paths = jac.shape[0]
+    n = grid.n_steps
+    dt = grid.dt
+    m = spec.m
+    v = np.asarray(v, dtype=float).ravel()
+    v1, v2 = v[:m], v[m:]
+
+    a_nodes, c_nodes = jac[..., :m, :m], jac[..., :m, m:]
+    g = np.empty((n + 1, n_paths, m))                  # time-major, as the Euler loop
+    g[0] = v1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            g[i + 1] = g[i] + dt * (np.einsum("pab,pb->pa", a_nodes[:, i], g[i])
+                                    + np.einsum("pad,pd->pa", c_nodes[:, i], alpha[:, i]))
+    g = np.swapaxes(g, 0, 1)
+
+    j21, j22 = jac[..., m:, :m], jac[..., m:, m:]
+    drive = (np.einsum("pjda,pja->pjd", j21[:, :-1], g[:, :-1])
+             + np.einsum("pjde,pje->pjd", j22[:, :-1], alpha[:, :-1])
+             - alpha_dot)
+    h_dot = drive @ spec.sigma_inv().T
+
+    res = np.stack([
+        np.linalg.norm(alpha[:, 0] - v2, axis=-1),
+        np.linalg.norm(alpha[:, n], axis=-1),
+        np.linalg.norm(g[:, n], axis=-1),
+    ], axis=-1)
+    return g, h_dot, res
+
+
+def reference_q_bound_ratio(q_path, xi_grid_vals, epsilon):
+    """Worst ratio ||Q_t^{-1}|| * (1 - eps) xi(t) over nodes with xi > 0.
+
+    The bound ||Q_t^{-1}|| <= 1/((1-eps) xi(t)) holds when the ratio is
+    <= 1 (up to round-off).  ``q_path``: (B, N+1, m, m); an empty batch
+    gives 0.  For m = 1 the smallest singular value is |Q|, LAPACK's bits.
+    (Frozen path-major reference for ``control.q_inverse_bound_ratio``.)
+    """
+    xi = np.asarray(xi_grid_vals, dtype=float)
+    active = xi > 0
+    if not np.any(active) or len(q_path) == 0:
+        return 0.0
+    q = q_path[:, active]
+    if q.shape[-1] == 1:
+        smin = np.abs(q[..., 0, 0])
+    else:
+        smin = np.linalg.svd(q, compute_uv=False)[..., -1]
+    with np.errstate(divide="ignore"):
+        ratio = (1.0 - epsilon) * xi[active][None, :] / smin
+    return float(np.max(ratio))
+
+
+def reference_norm2_max(blocks, keep=slice(None)):
+    """Largest spectral norm over the square blocks (P, ..., m, m) of the
+    paths ``keep`` selects; 0 when it selects none, inf when a block is not
+    finite (LAPACK's SVD fails on those).  A 1x1 block's norm is its
+    absolute value.  (Frozen path-major reference for
+    ``estimator._norm2_max``.)"""
+    finite = np.isfinite(blocks).all(axis=(-2, -1))
+    if blocks.shape[-1] == 1:
+        norms = np.abs(blocks[..., 0, 0])
+    else:
+        norms = np.full(finite.shape, np.inf)
+        norms[finite] = np.linalg.norm(blocks[finite], ord=2, axis=(-2, -1))
+    norms[~finite] = np.inf
+    per_path = norms.max(axis=tuple(range(1, norms.ndim)))[keep]
+    return float(per_path.max()) if per_path.size else 0.0
+
+
+def reference_hypothesis_checks(spec, jac, ad, res, good):
+    """Hypothesis checks on one control chain: bridge residuals,
+    ``q_bound_ratio`` and ``c_bound_realized`` over the paths ``good`` keeps;
+    ``alpha_dot_gap`` and the dropped-node count over the whole chain.
+    (Frozen path-major reference for ``estimator._hypothesis_checks``.)"""
+    got = res[good]
+    return {"bridge_residuals_max": got.max(axis=0) if got.size else np.zeros(3),
+            "alpha_dot_gap": ad.alpha_dot_gap,
+            "dropped_nodes_max": int(ad.dropped_nodes.max()),
+            "q_bound_ratio": reference_q_bound_ratio(ad.q_path[good], ad.xi_vals,
+                                                   spec.epsilon),
+            "c_bound_realized": reference_norm2_max(jac[..., :spec.m, :spec.m], good)}
+
+
 def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     """The path-major Skorokhod trace, every per-node tensor (P, N+1, ...)
-    (reference for ``estimator._skorokhod_trace``).
+    (reference for ``estimator._skorokhod_trace``); its pseudo-inverses are
+    ``pinv_stack_lapack``'s.
 
     dt * sum_i tr(d hdot_i / d W_i), exact, via factored sensitivities.
 
@@ -282,15 +534,15 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     e_sigma[m:, :] = spec.sigma
 
     phi_full = reference_full_jacobian_flow(jac, grid)                 # (p, N+1, n, n)
-    y_seed = estimator._pinv_stack(phi_full[:, 1:]) @ e_sigma          # (p, N, n, d)
+    y_seed = pinv_stack_lapack(phi_full[:, 1:]) @ e_sigma              # (p, N, n, d)
 
-    hess = spec.hess_z1(x)                                   # (p, N+1, m, n, n)
+    hess = path_major(spec.hess_z1(states_cm(x)), 3)         # (p, N+1, m, n, n)
     t1 = hess[..., :m, :]                                    # dA/dx
     t2 = hess[..., m:, :]                                    # dC/dx
     theta1 = np.einsum("pjabe,pjec->pjabc", t1, phi_full)    # (p, N+1, m, m, n)
     theta2 = np.einsum("pjabe,pjec->pjabc", t2, phi_full)    # (p, N+1, m, d, n)
 
-    kinv = estimator._pinv_stack(k)
+    kinv = pinv_stack_lapack(k)
     c_nodes = jac[..., :m, m:]
     kc = k @ c_nodes                                         # K C
     kb = k @ spec.b0                                         # K B0
@@ -348,7 +600,7 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
                + np.einsum("piac,pict->piat", etacum[:, -1][:, None] - etacum[:, 1:],
                            y_seed))
         rhs = dc2 - np.einsum("piabt,pb->piat", dq_t, p_vec)
-        dp = np.einsum("pab,pibt->piat", estimator._pinv_stack(q_path[:, -1]), rhs)
+        dp = np.einsum("pab,pibt->piat", pinv_stack_lapack(q_path[:, -1]), rhs)
     else:
         dp = np.zeros((p_paths, n_steps, m, d))
 
@@ -358,7 +610,7 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
         base_active = np.nonzero(ad.xi_vals[:n_steps] > 0)[0]
         base_active = base_active[base_active >= 1]
         if base_active.size:
-            qinv[:, base_active] = estimator._pinv_stack(q_path[:, base_active])
+            qinv[:, base_active] = pinv_stack_lapack(q_path[:, base_active])
         w1_step = np.einsum("pj,pjab,pjc->pjabc", wgt, qinv[:, :n_steps],
                             u_nodes[:, :n_steps])
         w2_step = np.einsum("pj,pjab,pjbec,pje->pjac", wgt, qinv[:, :n_steps],

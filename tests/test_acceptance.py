@@ -156,7 +156,7 @@ def test_criterion_5_bridge_conditions(criterion3_run, hamiltonian):
         if cur.n_steps != n_steps:
             g, cur = refine_noise(g, cur, rng)
         x = simulate_path(hamiltonian, criterion3_run["x0"], cur, g)
-        jac = hamiltonian.dz(x)
+        jac = hamiltonian.dz(np.moveaxis(x, -1, 0))        # component-major
         k = terminal_flow(hamiltonian, jac, cur)
         prof = case1_profile(hamiltonian, 0.5, c_bound=0.0)
         ad = build_alpha(hamiltonian, jac, k, cur, v, prof)
@@ -177,7 +177,7 @@ def test_criterion_6_gramian_bounds(criterion3_run, hamiltonian):
     rng = np.random.default_rng(16)
     x = simulate_path(hamiltonian, criterion3_run["x0"], grid,
                       sample_noise(grid, 1, rng, n_paths=8))
-    jac = hamiltonian.dz(x)
+    jac = hamiltonian.dz(np.moveaxis(x, -1, 0))            # component-major
     k = terminal_flow(hamiltonian, jac, grid)
     phi, _ = phi_parabolic(grid.t_final)
     q = gramian_Q(hamiltonian, jac, k, phi, grid)
@@ -186,8 +186,8 @@ def test_criterion_6_gramian_bounds(criterion3_run, hamiltonian):
     for _ in range(16):
         a = rng.standard_normal(hamiltonian.m)
         a /= np.linalg.norm(a)
-        qa = np.einsum("pjab,a,b->pj", q, a, a)
-        ma = np.einsum("pjab,a,b->pj", m, a, a)
+        qa = np.einsum("abpj,a,b->pj", q, a, a)
+        ma = np.einsum("abpj,a,b->pj", m, a, a)
         worst = min(worst, float(np.min(qa - (1 - hamiltonian.epsilon) * ma)))
     ok_ord = worst >= -1e-9
     _report(6, ok_q and ok_ord,

@@ -350,7 +350,7 @@ def test_list_builtins_golden():
     assert "required" in text and "optional" in text
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"schema_version\": 1}")
     assert main(["run", str(bad)]) == 2
@@ -399,11 +399,23 @@ def test_main_exit_codes(tmp_path, capsys):
              (dict(base, model={"custom": dict(custom, z1=["x2/0"])}), "model.custom"),
              (dict(base, model={"builtin": "hamiltonian",
                                 "params": {"v_expr": "0.5*x1^"}}), "model.params")]
+    named += [(dict(base, experiment="validate", validate={"seed": -1}), "validate.seed"),
+              (dict(base, experiment="harnack", harnack={"p_grid": []}), "harnack.p_grid")]
     for i, (cfg, key) in enumerate(named):
         capsys.readouterr()
         assert main(["run", _write(tmp_path, f"named{i}.json", cfg)]) == 2, key
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err, (key, err)
+    # a thread count from the environment that is not an integer is a config
+    # error naming the variable
+    good = _write(tmp_path, "threads.json", base)
+    for env in ("x", "2.5", ""):
+        monkeypatch.setenv("HYPOGRAD_THREADS", env)
+        capsys.readouterr()
+        assert main(["run", good]) == 2, env
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "HYPOGRAD_THREADS" in err, (env, err)
+    monkeypatch.delenv("HYPOGRAD_THREADS")
     assert main(["list-builtins"]) == 0
 
 

@@ -9,18 +9,19 @@ from hypograd.control import (build_alpha, build_bridge, gramian_M, gramian_Q,
 from hypograd.errors import NotApplicableError
 from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import builtin_model
-from tests.conftest import (case1_profile, guarded_solve_lapack, refine_noise,
-                            same_bytes, sample_noise, wide_values)
+from tests.conftest import (case1_profile, comp_major, guarded_solve_lapack, path_major,
+                            refine_noise, same_bytes, sample_noise, states_cm,
+                            wide_values)
 
 
 def _flat_flow(grid, m):
-    return np.broadcast_to(np.eye(m), (1, grid.n_steps + 1, m, m)).copy()
+    return np.broadcast_to(np.eye(m)[:, :, None, None], (m, m, 1, grid.n_steps + 1)).copy()
 
 
 def test_gramian_m_zero_at_origin():
     grid = TimeGrid(1.0, 32)
     phi, _ = phi_parabolic(1.0)
-    m = gramian_M(_flat_flow(grid, 2), np.eye(2), phi, grid)[0, 0]
+    m = path_major(gramian_M(_flat_flow(grid, 2), np.eye(2), phi, grid))[0, 0]
     assert np.array_equal(m, np.zeros((2, 2)))
 
 
@@ -29,7 +30,7 @@ def test_gramian_m_parabolic_weight_closed_form():
     T = 2.0
     grid = TimeGrid(T, 8192)
     phi, _ = phi_parabolic(T)
-    m = gramian_M(_flat_flow(grid, 2), np.eye(2), phi, grid)[0, 8192]
+    m = path_major(gramian_M(_flat_flow(grid, 2), np.eye(2), phi, grid))[0, 8192]
     assert np.allclose(m, (T / 6.0) * np.eye(2), atol=2e-4)
 
 
@@ -39,8 +40,8 @@ def test_gramian_m_chain_flat_weight():
     grid = TimeGrid(1.0, 8192)
     a_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
     b0 = np.array([[0.0], [1.0]])
-    k = np.stack([expm((1.0 - t) * a_mat) for t in grid.nodes])[None]
-    m = gramian_M(k, b0, lambda t: np.ones_like(t), grid)[0, 8192]
+    k = comp_major(np.stack([expm((1.0 - t) * a_mat) for t in grid.nodes])[None])
+    m = path_major(gramian_M(k, b0, lambda t: np.ones_like(t), grid))[0, 8192]
     assert np.allclose(m, [[1 / 3, 1 / 2], [1 / 2, 1.0]], atol=2e-4)
 
 
@@ -49,13 +50,13 @@ def test_gramian_q_equals_m_when_c_is_b0(kinetic_spec):
     rng = np.random.default_rng(0)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
                       sample_noise(grid, 1, rng, 1))
-    jac = kinetic_spec.dz(x)
+    jac = kinetic_spec.dz(states_cm(x))
     k = terminal_flow(kinetic_spec, jac, grid)
     phi, _ = phi_parabolic(1.0)
     q = gramian_Q(kinetic_spec, jac, k, phi, grid)
     m = gramian_M(k, kinetic_spec.b0, phi, grid)
-    assert np.allclose(q, m, atol=1e-12)
-    assert np.array_equal(q[0, 0], np.zeros((1, 1)))
+    assert q.shape == (1, 1, 1, 257) and np.allclose(q, m, atol=1e-12)
+    assert np.array_equal(q[..., 0, 0], np.zeros((1, 1)))
 
 
 def test_gramian_ordering_on_nonlinear_paths(anticipative_spec):
@@ -65,7 +66,7 @@ def test_gramian_ordering_on_nonlinear_paths(anticipative_spec):
     rng = np.random.default_rng(1)
     x = simulate_path(spec, np.array([0.3, -0.2]), grid,
                       sample_noise(grid, 1, rng, n_paths=8))
-    jac = spec.dz(x)
+    jac = spec.dz(states_cm(x))
     k = terminal_flow(spec, jac, grid)
     phi, _ = phi_parabolic(0.5)
     q = gramian_Q(spec, jac, k, phi, grid)
@@ -73,8 +74,8 @@ def test_gramian_ordering_on_nonlinear_paths(anticipative_spec):
     for _ in range(16):
         a = rng.standard_normal(spec.m)
         a /= np.linalg.norm(a)
-        qa = np.einsum("pjab,a,b->pj", q, a, a)
-        ma = np.einsum("pjab,a,b->pj", m, a, a)
+        qa = np.einsum("abpj,a,b->pj", q, a, a)
+        ma = np.einsum("abpj,a,b->pj", m, a, a)
         assert np.all(qa >= (1 - spec.epsilon) * ma - 1e-9)
 
 
@@ -106,7 +107,7 @@ def test_xi_case1_scalar_quadrature_oracle():
     assert abs(prof.xi(1.0) - oracle) < 1e-6
     # on the constant flow K = I the Gramian dominates xi everywhere
     grid = TimeGrid(1.0, 1024)
-    m_t = gramian_M(_flat_flow(grid, 1), [[2.0]], phi, grid)[0]
+    m_t = path_major(gramian_M(_flat_flow(grid, 1), [[2.0]], phi, grid))[0]
     assert np.all(np.linalg.eigvalsh(m_t)[:, 0] + 1e-15 >= prof.xi_grid(grid))
 
 
@@ -131,9 +132,9 @@ def test_xi_case2_chain_small_time_exponent():
     a_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
     b0 = np.array([[0.0], [1.0]])
     grid = TimeGrid(1.0, 16384)
-    k_flow = np.stack([expm((1.0 - t) * a_mat) for t in grid.nodes])[None]
+    k_flow = comp_major(np.stack([expm((1.0 - t) * a_mat) for t in grid.nodes])[None])
     phi, _ = phi_parabolic(1.0)
-    m_t = gramian_M(k_flow, b0, phi, grid)[0]
+    m_t = path_major(gramian_M(k_flow, b0, phi, grid))[0]
     lam = np.linalg.eigvalsh(m_t)[:, 0]
     ts = np.geomspace(1e-3, 1e-1, 9)
     idx = np.rint(ts / grid.dt).astype(int)
@@ -155,20 +156,21 @@ def test_alpha_boundary_values_exact(kinetic_spec):
     rng = np.random.default_rng(2)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
                       sample_noise(grid, 1, rng, n_paths=4))
-    jac = kinetic_spec.dz(x)
+    jac = kinetic_spec.dz(states_cm(x))
     k = terminal_flow(kinetic_spec, jac, grid)
     v = np.array([0.6, -0.8])
     prof = case1_profile(kinetic_spec, 1.0)
     ad = build_alpha(kinetic_spec, jac, k, grid, v, prof)
-    assert np.max(np.abs(ad.alpha[:, 0] - v[1:])) <= 1e-14
-    assert np.max(np.abs(ad.alpha[:, -1])) <= 1e-14
+    assert ad.alpha.shape == (1, 4, 257)          # (d, P, N+1)
+    assert np.max(np.abs(ad.alpha[..., 0] - v[1:, None])) <= 1e-14
+    assert np.max(np.abs(ad.alpha[..., -1])) <= 1e-14
 
 
 def test_alpha_zero_direction_gives_zero_control(kinetic_spec):
     grid = TimeGrid(1.0, 64)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
                       np.zeros((1, 64, 1)))
-    jac = kinetic_spec.dz(x)
+    jac = kinetic_spec.dz(states_cm(x))
     k = terminal_flow(kinetic_spec, jac, grid)
     prof = case1_profile(kinetic_spec, 1.0)
     ad = build_alpha(kinetic_spec, jac, k, grid, np.zeros(2), prof)
@@ -184,7 +186,7 @@ def test_bridge_g_residual_kinetic(kinetic_spec):
     rng = np.random.default_rng(3)
     x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
                       sample_noise(grid, 1, rng, 1))
-    jac = kinetic_spec.dz(x)
+    jac = kinetic_spec.dz(states_cm(x))
     k = terminal_flow(kinetic_spec, jac, grid)
     prof = case1_profile(kinetic_spec, 1.0)
     v = np.array([1.0, 0.0])
@@ -199,18 +201,20 @@ def test_bridge_g_matches_path_major_loop(anticipative_spec, v):
     spec, grid = anticipative_spec, TimeGrid(0.5, 24)
     rng = np.random.default_rng(6)
     x = simulate_path(spec, np.array([0.3, -0.2]), grid, sample_noise(grid, 1, rng, 9))
-    jac = spec.dz(x)
+    jac = spec.dz(states_cm(x))
     v = np.array(v)
     ad = build_alpha(spec, jac, terminal_flow(spec, jac, grid), grid, v,
                      case1_profile(spec, 0.5, c_bound=3.0))
     g, _, _ = build_bridge(spec, jac, ad, grid, v)
     ref = np.empty((9, 25, 1))
     ref[:, 0] = v[:1]
+    jac, alpha = path_major(jac), path_major(ad.alpha, 1)
     for i in range(grid.n_steps):
         ref[:, i + 1] = ref[:, i] + grid.dt * (
             np.einsum("pab,pb->pa", jac[:, i, :1, :1], ref[:, i])
-            + np.einsum("pad,pd->pa", jac[:, i, :1, 1:], ad.alpha[:, i]))
-    assert same_bytes(np.ascontiguousarray(g), ref)
+            + np.einsum("pad,pd->pa", jac[:, i, :1, 1:], alpha[:, i]))
+    assert g.shape == (1, 9, 25)                   # (m, P, N+1)
+    assert same_bytes(np.ascontiguousarray(path_major(g, 1)), ref)
 
 
 def test_bridge_telescoping_h_total():
@@ -220,13 +224,13 @@ def test_bridge_telescoping_h_total():
     grid = TimeGrid(1.0, 128)
     rng = np.random.default_rng(4)
     x = simulate_path(spec, np.array([0.2, 0.1]), grid, sample_noise(grid, 1, rng, 1))
-    jac = spec.dz(x)
+    jac = spec.dz(states_cm(x))
     k = terminal_flow(spec, jac, grid)
     prof = case1_profile(spec, 1.0)
     v = np.array([0.0, 0.7])
     ad = build_alpha(spec, jac, k, grid, v, prof)
     _, h_dot, _ = build_bridge(spec, jac, ad, grid, v)
-    h_total = np.sum(h_dot[0], axis=0) * grid.dt
+    h_total = np.sum(h_dot[:, 0], axis=-1) * grid.dt
     assert np.allclose(h_total, v[1:], atol=1e-12)
 
 
@@ -244,7 +248,7 @@ def test_bridge_residual_halves_with_refinement(anticipative_spec):
             if grid.n_steps != n_steps:
                 noise, grid = refine_noise(noise, grid, rng)
             x = simulate_path(spec, np.array([0.3, -0.2]), grid, noise)
-            jac = spec.dz(x)
+            jac = spec.dz(states_cm(x))
             k = terminal_flow(spec, jac, grid)
             ad = build_alpha(spec, jac, k, grid, v, prof_for(grid))
             _, _, res = build_bridge(spec, jac, ad, grid, v)
@@ -262,9 +266,9 @@ def test_q_inverse_bound_on_paths(anticipative_spec):
     rng = np.random.default_rng(6)
     x = simulate_path(spec, np.array([0.3, -0.2]), grid,
                       sample_noise(grid, 1, rng, n_paths=8))
-    jac = spec.dz(x)
+    jac = spec.dz(states_cm(x))
     k = terminal_flow(spec, jac, grid)
-    a_nodes = jac[..., :1, :1]
+    a_nodes = jac[:1, :1]
     cb = float(np.max(np.abs(a_nodes)))
     prof = case1_profile(spec, 0.5, c_bound=cb)
     phi, _ = phi_parabolic(0.5)
@@ -278,15 +282,15 @@ def test_linear_model_control_deterministic(chain_spec):
     rng = np.random.default_rng(7)
     x = simulate_path(chain_spec, np.array([0.4, -0.1, 0.3]), grid,
                       sample_noise(grid, 1, rng, n_paths=6))
-    jac = chain_spec.dz(x)
+    jac = chain_spec.dz(states_cm(x))
     k = terminal_flow(chain_spec, jac, grid)
     prof = xi_case2(chain_spec.dz(np.zeros(3))[:2, :2], chain_spec.b0,
                     phi_parabolic(1.0), 1.0)
     v = np.array([1.0, 0.2, -0.5])
     ad = build_alpha(chain_spec, jac, k, grid, v, prof)
     g, _, _ = build_bridge(chain_spec, jac, ad, grid, v)
-    for arr in (ad.alpha, g, ad.q_path):
-        assert np.max(np.abs(arr - arr[0])) <= 1e-12
+    for arr in (ad.alpha, g, ad.q_path):             # paths on axis -2
+        assert np.max(np.abs(arr - arr[..., :1, :])) <= 1e-12
 
 
 def test_alpha_dot_gap_shrinks_with_refinement(kinetic_spec):
@@ -295,7 +299,7 @@ def test_alpha_dot_gap_shrinks_with_refinement(kinetic_spec):
         grid = TimeGrid(1.0, n_steps)
         x = simulate_path(kinetic_spec, np.array([1.0, 1.0]), grid,
                           np.zeros((1, n_steps, 1)))
-        jac = kinetic_spec.dz(x)
+        jac = kinetic_spec.dz(states_cm(x))
         k = terminal_flow(kinetic_spec, jac, grid)
         ad = build_alpha(kinetic_spec, jac, k, grid, np.array([1.0, 1.0]),
                          case1_profile(kinetic_spec, 1.0))
@@ -310,7 +314,7 @@ def test_case2_q_inverse_bound_on_chain(chain_spec):
     rng = np.random.default_rng(12)
     x = simulate_path(chain_spec, np.zeros(3), grid,
                       sample_noise(grid, 1, rng, n_paths=4))
-    jac = chain_spec.dz(x)
+    jac = chain_spec.dz(states_cm(x))
     k = terminal_flow(chain_spec, jac, grid)
     prof = xi_case2(chain_spec.dz(np.zeros(3))[:2, :2], chain_spec.b0,
                     phi_parabolic(1.0), 1.0)
@@ -332,27 +336,28 @@ def test_weight_profile_shape_properties(kinetic_spec):
 
 
 def test_guarded_solve_1x1_matches_lapack_bitwise():
-    mats = wide_values(200_000, 31).reshape(400, 500, 1, 1)
-    rhs = wide_values(200_000, 32).reshape(400, 500, 1)
+    mats = wide_values(200_000, 31).reshape(1, 1, 400, 500)
+    rhs = wide_values(200_000, 32).reshape(1, 400, 500)
+    pm_mats, pm_rhs = path_major(mats), path_major(rhs, 1)
     with np.errstate(all="ignore"):
-        assert same_bytes(control._solve(mats, rhs[..., None]),
-                           np.linalg.solve(mats, rhs[..., None]))
+        assert same_bytes(control._solve(mats, rhs),
+                          np.linalg.solve(pm_mats, pm_rhs[..., None])[..., 0, 0][None])
         sol, ok = control._guarded_solve(mats, rhs)
-        ref_sol, ref_ok = guarded_solve_lapack(mats, rhs)
-    assert same_bytes(sol, ref_sol) and same_bytes(ok, ref_ok)
+        ref_sol, ref_ok = guarded_solve_lapack(pm_mats, pm_rhs)
+    assert same_bytes(sol, ref_sol[..., 0][None]) and same_bytes(ok, ref_ok)
     assert 0 < np.count_nonzero(~ok) < ok.size
 
 
 @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
 def test_guarded_solve_1x1_nonfinite_members_match_lapack_path(special):
     rng = np.random.default_rng(33)
-    mats = wide_values(20_000, 34).reshape(40, 500, 1, 1)
-    rhs = rng.standard_normal((40, 500, 1))
+    mats = wide_values(20_000, 34).reshape(1, 1, 40, 500)
+    rhs = rng.standard_normal((1, 40, 500))
     mats.reshape(-1)[::997] = special
     with np.errstate(all="ignore"):
         sol, ok = control._guarded_solve(mats, rhs)
-        ref_sol, ref_ok = guarded_solve_lapack(mats, rhs)
-    assert same_bytes(sol, ref_sol) and same_bytes(ok, ref_ok)
+        ref_sol, ref_ok = guarded_solve_lapack(path_major(mats), path_major(rhs, 1))
+    assert same_bytes(sol, ref_sol[..., 0][None]) and same_bytes(ok, ref_ok)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -362,9 +367,11 @@ def test_guarded_solve_singular_member_fails_alone(m):
     rhs = rng.standard_normal((6, m))
     mats[3] = 0.0
     keep = np.arange(6) != 3
-    sol, ok = control._guarded_solve(mats, rhs)
+    cm_mats, cm_rhs = comp_major(mats), comp_major(rhs, 1)
+    sol, ok = control._guarded_solve(cm_mats, cm_rhs)
     assert ok.tolist() == [True, True, True, False, True, True]
-    assert np.array_equal(sol[3], np.zeros(m))
-    alone, alone_ok = control._guarded_solve(mats[keep], rhs[keep])
-    assert alone_ok.all() and same_bytes(sol[keep], alone)
-    assert same_bytes(alone, np.linalg.solve(mats[keep], rhs[keep][..., None])[..., 0])
+    assert np.array_equal(sol[:, 3], np.zeros(m))
+    alone, alone_ok = control._guarded_solve(cm_mats[..., keep], cm_rhs[..., keep])
+    assert alone_ok.all() and same_bytes(sol[:, keep], alone)
+    lapack = np.linalg.solve(mats[keep], rhs[keep][..., None])[..., 0]
+    assert same_bytes(alone, np.ascontiguousarray(lapack.T))

@@ -16,9 +16,12 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 quadratic_f, skorokhod_delta)
 from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import ModelSpec, builtin_model
-from tests.conftest import (brute_force_divergence, case1_profile,
-                            guarded_solve_lapack, pinv_stack_lapack,
-                            reference_skorokhod_trace, same_bytes, wide_values)
+from tests.conftest import (brute_force_divergence, case1_profile, comp_major,
+                            guarded_solve_lapack, path_major, pinv_stack_lapack,
+                            reference_build_alpha, reference_build_bridge,
+                            reference_hypothesis_checks, reference_skorokhod_trace,
+                            reference_terminal_flow, same_bytes, states_cm,
+                            wide_values)
 
 KOU_TRUE_V1 = 0.6597001533917016   # (exp M)_11 for M = [[0,1],[-1,-1]]
 KOU_TRUE_V2 = 0.5335071951146929   # (exp M)_12
@@ -80,7 +83,7 @@ def test_skorokhod_trace_matches_brute_force(anticipative_spec, v):
 def test_pinv_stack_matches_pinv_when_well_conditioned(n):
     rng = np.random.default_rng(n)
     mats = rng.standard_normal((40, 3, n, n)) + 2.0 * n * np.eye(n)
-    got = estimator._pinv_stack(mats)
+    got = path_major(estimator._pinv_stack(comp_major(mats)))
     ref = np.linalg.pinv(mats, rcond=1e-13)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -117,7 +120,7 @@ def test_pinv_stack_falls_back_per_member(monkeypatch):
     mats[4] = rot @ np.diag([1.0, 3e-14]) @ rot.T            # cond > 1e13
     mats[6, 0, 1] = np.nan
     seen = _count_svd_members(monkeypatch)
-    got = estimator._pinv_stack(mats)
+    got = path_major(estimator._pinv_stack(comp_major(mats)), 2)
     assert seen == [2]
     for i in (1, 4):
         np.testing.assert_array_equal(got[i], estimator._svd_pinv(mats[i], 1e-13))
@@ -156,7 +159,7 @@ def test_pinv_stack_singular_member_does_not_reroute_stack(monkeypatch):
     mats = rng.standard_normal((16, 32, 1, 1))
     mats[3, 7] = 0.0
     seen = _count_svd_members(monkeypatch)
-    got = estimator._pinv_stack(mats)
+    got = path_major(estimator._pinv_stack(comp_major(mats)))
     assert seen == [1]
     assert got[3, 7, 0, 0] == 0.0
     keep = np.ones((16, 32), dtype=bool)
@@ -183,11 +186,12 @@ def test_pinv_stack_2x2_unusable_determinant_routed_per_member(special, kind,
         det = a * d - b * c
     assert {"zero": det == 0.0, "inf": np.isinf(det), "nan": np.isnan(det)}[kind]
     seen = _count_svd_members(monkeypatch)
-    got = estimator._pinv_stack(mats)
+    got = np.ascontiguousarray(path_major(estimator._pinv_stack(comp_major(mats))))
     assert seen == [1]
     assert same_bytes(got[2], estimator._svd_pinv(mats[2:3], 1e-13)[0])
     rest = [0, 1, 3, 4, 5]
-    assert same_bytes(got[rest], estimator._inv(mats[rest])[0])
+    closed = estimator._inv(comp_major(mats[rest]))[0]
+    assert same_bytes(got[rest], np.ascontiguousarray(path_major(closed)))
     if well_conditioned:                         # the SVD gives its true inverse
         exact = np.array(_exact_inverse_2x2(mats[2]), dtype=float)
         assert np.allclose(got[2], exact, rtol=1e-14, atol=0.0)
@@ -196,7 +200,7 @@ def test_pinv_stack_2x2_unusable_determinant_routed_per_member(special, kind,
 def test_pinv_stack_1x1_matches_lapack_bitwise(monkeypatch):
     mats = wide_values(200_000, 21).reshape(400, 500, 1, 1)
     seen = _count_svd_members(monkeypatch)
-    got = estimator._pinv_stack(mats)
+    got = path_major(estimator._pinv_stack(comp_major(mats)))
     n_fallback = sum(seen)
     with np.errstate(all="ignore"):
         lapack = np.linalg.inv(mats)
@@ -213,11 +217,12 @@ def test_pinv_stack_1x1_special_members_match_lapack_path(special, monkeypatch):
     small = np.array([2.0, special, -4.0]).reshape(3, 1, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")        # LAPACK meets a zero pivot silently
-        assert same_bytes(estimator._pinv_stack(small), pinv_stack_lapack(small))
+        got = path_major(estimator._pinv_stack(comp_major(small)))
+        assert same_bytes(got, pinv_stack_lapack(small))
     mats = wide_values(20_000, 22).reshape(40, 500, 1, 1)
     mats.reshape(-1)[::997] = special
     seen = _count_svd_members(monkeypatch)
-    got = estimator._pinv_stack(mats)
+    got = path_major(estimator._pinv_stack(comp_major(mats)))
     n_fallback = sum(seen)
     seen.clear()
     assert same_bytes(got, pinv_stack_lapack(mats))
@@ -253,11 +258,12 @@ def test_chain_bitwise_with_lapack_inverses_and_solves(which, anticipative_spec,
 
     def pinv(mats, rcond=1e-13):
         calls["pinv"] += 1
-        return pinv_stack_lapack(mats, rcond)
+        return np.ascontiguousarray(comp_major(pinv_stack_lapack(path_major(mats), rcond)))
 
     def solve(mats, rhs):
         calls["solve"] += 1
-        return guarded_solve_lapack(mats, rhs)
+        sol, ok = guarded_solve_lapack(path_major(mats), path_major(rhs, 1))
+        return np.ascontiguousarray(comp_major(sol, 1)), ok
 
     monkeypatch.setattr(estimator, "_pinv_stack", pinv)
     monkeypatch.setattr(control, "_guarded_solve", solve)
@@ -489,13 +495,14 @@ def test_hypothesis_diagnostics_cover_every_accepted_path(anticipative_spec):
                           c_bound=3.0, chunk_size=1)
     est = bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid, cfg)
     weights = default_weights(spec, grid, c_bound=3.0)
-    states, good = estimator._simulate(spec, x0, grid,
-                                       path_increments(grid, 1, 9, 0, 200))
+    states, _, good = estimator._simulate(spec, x0, grid,
+                                          path_increments(grid, 1, 9, 0, 200))
     jac, ad, *_ = estimator._bridge_chain(spec, states, grid, v, weights)
     good &= ~ad.degenerate
     assert good.all()
     active = ad.xi_vals > 0
-    smin = np.linalg.svd(ad.q_path[good][:, active], compute_uv=False)[..., -1]
+    q_path, jac = path_major(ad.q_path), path_major(jac)
+    smin = np.linalg.svd(q_path[good][:, active], compute_uv=False)[..., -1]
     q_ref = np.max((1.0 - spec.epsilon) * ad.xi_vals[active] / smin)
     c_path = np.max(np.linalg.norm(jac[good][..., :1, :1], ord=2, axis=(-2, -1)), axis=1)
     c_ref = np.max(c_path)
@@ -519,25 +526,27 @@ def test_q_inverse_bound_ratio_1x1_matches_svd():
     xi = np.linspace(0.0, 2.0, 9)
     smin = np.linalg.svd(q[:, 1:], compute_uv=False)[..., -1]
     ref = np.max((1.0 - 0.3) * xi[1:] / smin)
+    q = comp_major(q)                                  # (m, m, P, N+1)
     assert control.q_inverse_bound_ratio(q, xi, 0.3) == ref
     assert control.q_inverse_bound_ratio(-np.abs(q), xi, 0.3) == ref
-    assert control.q_inverse_bound_ratio(q[:0], xi, 0.3) == 0.0
+    assert control.q_inverse_bound_ratio(q[:, :, :0], xi, 0.3) == 0.0
 
 
 def test_norm2_max_of_blocks():
     rng = np.random.default_rng(5)
     blocks = rng.standard_normal((6, 4, 2, 2))
+    cm = comp_major(blocks)                            # (m, m, P, N+1)
     ref = np.max(np.linalg.norm(blocks, ord=2, axis=(-2, -1)))
-    assert estimator._norm2_max(blocks) == ref
-    assert estimator._norm2_max(blocks[..., :1, :1]) == np.max(np.abs(blocks[..., 0, 0]))
-    assert estimator._norm2_max(blocks[:0]) == 0.0
+    assert estimator._norm2_max(cm) == ref
+    assert estimator._norm2_max(cm[:1, :1]) == np.max(np.abs(blocks[..., 0, 0]))
+    assert estimator._norm2_max(cm[:, :, :0]) == 0.0
     keep = np.array([True, False, True, False, False, False])
-    assert estimator._norm2_max(blocks, keep) == np.max(
+    assert estimator._norm2_max(cm, keep) == np.max(
         np.linalg.norm(blocks[keep], ord=2, axis=(-2, -1)))
-    assert estimator._norm2_max(blocks, np.zeros(6, dtype=bool)) == 0.0
+    assert estimator._norm2_max(cm, np.zeros(6, dtype=bool)) == 0.0
     for m in (1, 2):
-        bad = blocks[..., :m, :m].copy()
-        bad[2, 1, 0, 0] = np.nan
+        bad = cm[:m, :m].copy()
+        bad[0, 0, 2, 1] = np.nan
         assert estimator._norm2_max(bad) == np.inf
 
 
@@ -887,7 +896,7 @@ def test_norm1_matches_reduction_formula():
         mats[3, 0] = np.nan
         mats[4, 0, 0, 0], mats[4, 0, -1, 0] = np.inf, np.nan
         ref = np.abs(mats).sum(axis=-2).max(axis=-1)
-        got = estimator._norm1(mats)
+        got = estimator._norm1(comp_major(mats))
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes(), n
 
@@ -923,7 +932,7 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
                           c_bound=3.0, chunk_size=25)
     x0, v = [0.3, -0.2], [0.7, -0.4]
     calls = _spy_drift_expr(monkeypatch)
-    chunks = [(25, 13, 2), (25, 13, 2), (10, 13, 2)]
+    chunks = [(2, 25, 13), (2, 25, 13), (2, 10, 13)]     # component-first states
     if driver == "bismut_ito":
         import dataclasses
         # constant mass: the control chain runs once, on the constant x0
@@ -932,7 +941,7 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
         spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4"})
         bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid,
                         dataclasses.replace(cfg, method="bismut_ito"))
-        assert calls["jacobian"] == [(1, 13, 2)] + [(c[0], 12, 2) for c in chunks]
+        assert calls["jacobian"] == [(2, 1, 13)] + [(2, c[1], 12) for c in chunks]
         assert calls["hessian"] == []
         return
     # built after the spy is in place: hess_z1 binds its DriftExpr method
@@ -947,7 +956,7 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
     assert calls["jacobian"] == chunks
     assert calls["hessian"] == chunks
     # Euler stepping: one drift evaluation per step
-    assert calls["value"] == [(c[0], 2) for c in chunks for _ in range(grid.n_steps)]
+    assert calls["value"] == [(2, c[1]) for c in chunks for _ in range(grid.n_steps)]
 
 
 @pytest.mark.parametrize("name,params,x0,v,f", [
@@ -1006,7 +1015,7 @@ def test_affine_terminal_matches_euler(case):
     noise = affine.contract(inc)
     x_n, ok = affine.terminal(x0, noise)
     euler = simulate_path(spec, x0, grid, inc)[:, -1]
-    euler_delta = np.sum(det["h_dot"] * inc, axis=(-2, -1))
+    euler_delta = np.sum(det["h_dot"].T * inc, axis=(-2, -1))       # hdot is (d, N)
     # each side rounds N sums of terms no larger than the result's scale
     tol = 4 * grid.n_steps * np.finfo(float).eps
     assert ok.all()
@@ -1088,18 +1097,39 @@ def test_closed_form_keeps_drift_offset():
 
 
 # ---------------------------------------------------------------------------
-# component-major Skorokhod trace against the path-major reference
+# component-major control chain against the frozen path-major reference
 # ---------------------------------------------------------------------------
 
-def _trace_case(spec, x0, grid, n_paths, v, weights):
-    """Chain inputs of one chunk, and the trace with its path-major reference."""
+def _chain_case(spec, x0, grid, n_paths, v, weights):
+    """One chunk's control chain, component-major, and its path-major
+    reference, as pairs of like arrays (the chain's moved to path-major).
+
+    Both start from the same node Jacobian; the reference chains the
+    frozen path-major ``terminal_flow``, ``build_alpha``, ``build_bridge``,
+    hypothesis checks and trace of tests/conftest.py.
+    """
     inc = path_increments(grid, spec.d, 3, 0, n_paths)
-    states, _ = estimator._simulate(spec, np.asarray(x0, dtype=float), grid, inc)
-    jac = spec.full_jacobian(states)
-    k = terminal_flow(spec, jac, grid)
-    ad = build_alpha(spec, jac, k, grid, v, weights)
-    args = (spec, states, grid, np.asarray(v, dtype=float), weights, ad, k, jac)
-    return estimator._skorokhod_trace(*args), reference_skorokhod_trace(*args)
+    states, _, good = estimator._simulate(spec, np.asarray(x0, dtype=float), grid, inc)
+    v = np.asarray(v, dtype=float)
+    jac, ad, g, h_dot, res, trace = estimator._bridge_chain(spec, states, grid, v, weights)
+    good = good & ~ad.degenerate
+    checks = estimator._hypothesis_checks(spec, jac, ad, res, good)
+
+    jac_pm = np.ascontiguousarray(path_major(jac))
+    k_ref = reference_terminal_flow(spec, jac_pm, grid)
+    ad_ref = reference_build_alpha(spec, jac_pm, k_ref, grid, v, weights)
+    g_ref, h_ref, res_ref = reference_build_bridge(spec, jac_pm, ad_ref, grid, v)
+    checks_ref = reference_hypothesis_checks(spec, jac_pm, ad_ref, res_ref, good)
+    trace_ref = reference_skorokhod_trace(spec, np.ascontiguousarray(states), grid, v,
+                                          weights, ad_ref, k_ref, jac_pm)
+    pm = lambda a: np.ascontiguousarray(path_major(a, 1))
+    pairs = {"alpha": (pm(ad.alpha), ad_ref.alpha),
+             "alpha_dot": (pm(ad.alpha_dot), ad_ref.alpha_dot),
+             "g": (pm(g), g_ref), "h_dot": (pm(h_dot), h_ref),
+             "bridge_residuals": (res, res_ref), "trace": (trace, trace_ref)}
+    for key in ("q_bound_ratio", "c_bound_realized"):
+        pairs[key] = (np.float64(checks[key]), np.float64(checks_ref[key]))
+    return pairs
 
 
 @pytest.mark.parametrize("v", [[0.7, -0.4], [0.0, -0.4], [0.7, 0.0]],
@@ -1108,16 +1138,20 @@ def _trace_case(spec, x0, grid, n_paths, v, weights):
 @pytest.mark.parametrize("which", ["mass", "custom"])
 def test_skorokhod_trace_matches_path_major_reference_bitwise(which, n_paths, v,
                                                               anticipative_spec):
+    # the whole chain, from the node Jacobian to the trace, has the bits of
+    # the path-major chain at m = d = 1
     if which == "mass":
         spec, x0, c_bound = anticipative_spec, [0.3, -0.2], 3.0
     else:
         spec, x0, c_bound = _estimate_custom_spec(), [0.5, 0.0], 1.0
     assert spec.m == spec.d == 1
     grid = TimeGrid(0.5, 24)                    # dt = 1/48: scaling by dt rounds
-    got, ref = _trace_case(spec, x0, grid, n_paths, v,
-                           default_weights(spec, grid, c_bound=c_bound))
-    assert np.isfinite(ref).all() and np.any(ref != 0.0)
-    assert same_bytes(got, ref)
+    pairs = _chain_case(spec, x0, grid, n_paths, v,
+                        default_weights(spec, grid, c_bound=c_bound))
+    ref_trace = pairs["trace"][1]
+    assert np.isfinite(ref_trace).all() and np.any(ref_trace != 0.0)
+    for key, (got, ref) in pairs.items():
+        assert same_bytes(got, ref), key
 
 
 @pytest.mark.parametrize("n_paths", [1, 7, 256])
@@ -1130,22 +1164,22 @@ def test_skorokhod_trace_multidimensional_matches_reference(model_cfg, x0, n_pat
     grid = TimeGrid(0.4, 64)
     prof = xi_case1(spec.b0, phi_parabolic(0.4), 2.0, 0.4)
     v = np.random.default_rng(5).standard_normal(spec.dim)
-    got, ref = _trace_case(spec, x0, grid, n_paths, v, prof)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for key, (got, ref) in _chain_case(spec, x0, grid, n_paths, v, prof).items():
+        assert got.shape == ref.shape, key
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), key
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pinv_stack_component_major_view_bitwise(n, monkeypatch):
-    # a component-major (n, n, P, N) stack, inverted through its (P, N, n, n)
-    # view, gives the bits of the contiguous copy, SVD fallbacks included
+    # a component-major (n, n, P, N) view of path-major (P, N, n, n) memory
+    # gives the bits of its contiguous copy, SVD fallbacks included
     rng = np.random.default_rng(10 + n)
     mats = rng.standard_normal((12, 9, n, n)) + 2.0 * n * np.eye(n)
     mats[1, 2] = 0.0                                         # exactly singular
     mats[3, 4] = 1e-15 * np.ones((n, n)) + np.diag([1.0] + [0.0] * (n - 1))
     mats[5, 6, 0, -1] = np.nan
     mats[7, 0] = np.diag(np.linspace(1.0, 1e-14, n))          # ill-conditioned
-    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, (0, 1), (-2, -1))),
-                       (-2, -1), (0, 1))
+    view = comp_major(mats)                  # component-major view of (P, N, n, n) memory
     assert view.flags.c_contiguous == (n == 1)
     seen = _count_svd_members(monkeypatch)
     got = estimator._pinv_stack(view)
@@ -1187,27 +1221,38 @@ def test_anticipative_m2_independent_of_chunks_and_threads():
 # traced peak of the former path-major trace on the chunk below (numpy 2.4):
 # 157,651,604 bytes; the component-major trace peaks near 58.9 MB there
 PATH_MAJOR_TRACE_PEAK = 157_650_000
+# traced peak of the whole ``_bridge_chain`` on the same chunk while the chain
+# upstream of the trace was path-major (numpy 2.4): 90,539,188 to 90,543,012
+# bytes over three calls; the component-major chain peaks near 77.8 MB there
+PATH_MAJOR_CHAIN_PEAK = 90_540_000
 
 
-def test_skorokhod_trace_traced_peak_below_path_major(anticipative_spec):
+def _traced_peak(fn):
     import tracemalloc
-    spec = anticipative_spec
-    grid = TimeGrid(0.5, 256)
-    weights = default_weights(spec, grid, c_bound=3.0)
-    inc = path_increments(grid, 1, 1, 0, 1024)
-    states, _ = estimator._simulate(spec, np.array([0.3, -0.2]), grid, inc)
-    jac = spec.full_jacobian(states)
-    k = terminal_flow(spec, jac, grid)
-    v = np.array([0.7, -0.4])
-    ad = build_alpha(spec, jac, k, grid, v, weights)
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        estimator._skorokhod_trace(spec, states, grid, v, weights, ad, k, jac)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak <= PATH_MAJOR_TRACE_PEAK
+
+
+def test_skorokhod_trace_traced_peak_below_path_major(anticipative_spec):
+    spec = anticipative_spec
+    grid = TimeGrid(0.5, 256)
+    weights = default_weights(spec, grid, c_bound=3.0)
+    inc = path_increments(grid, 1, 1, 0, 1024)
+    states, _, _ = estimator._simulate(spec, np.array([0.3, -0.2]), grid, inc)
+    x = states_cm(states)
+    jac = spec.full_jacobian(x)
+    k = terminal_flow(spec, jac, grid)
+    v = np.array([0.7, -0.4])
+    ad = build_alpha(spec, jac, k, grid, v, weights)
+    assert _traced_peak(lambda: estimator._skorokhod_trace(
+        spec, x, grid, v, weights, ad, k, jac)) <= PATH_MAJOR_TRACE_PEAK
+    assert _traced_peak(lambda: estimator._bridge_chain(
+        spec, states, grid, v, weights)) <= PATH_MAJOR_CHAIN_PEAK

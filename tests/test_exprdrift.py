@@ -6,18 +6,18 @@ from hypograd.exprdrift import _FUNCS, DriftExpr, Expr, parse_expr
 
 def test_parse_and_eval_polynomial():
     e = parse_expr("x1 + 0.4*x1^3 - 2*x2", 2)
-    x = np.array([[1.0, 2.0], [0.5, -1.0]])
-    expect = x[:, 0] + 0.4 * x[:, 0] ** 3 - 2 * x[:, 1]
+    x = np.array([[1.0, 0.5], [2.0, -1.0]])          # component-first: (2 vars, 2 points)
+    expect = x[0] + 0.4 * x[0] ** 3 - 2 * x[1]
     assert np.allclose(e(x), expect)
 
 
 def test_symbolic_derivative_matches_fd():
     e = parse_expr("sin(x1)*exp(x2) + x1^2/(1 + x2^2)", 2)
     rng = np.random.default_rng(0)
-    x = rng.uniform(-1, 1, size=(50, 2))
+    x = rng.uniform(-1, 1, size=(2, 50))
     h = 1e-6
     for i in range(2):
-        step = np.zeros(2)
+        step = np.zeros((2, 1))
         step[i] = h
         fd = (e(x + step) - e(x - step)) / (2 * h)
         assert np.allclose(e.diff(i)(x), fd, atol=1e-7)
@@ -25,8 +25,8 @@ def test_symbolic_derivative_matches_fd():
 
 def test_second_derivatives():
     field = DriftExpr(["x1^3 * x2"], 2)
-    x = np.array([[2.0, 3.0]])
-    hess = field.hessian(x)[0, 0]
+    x = np.array([[2.0], [3.0]])
+    hess = field.hessian(x)[0, :, :, 0]
     # d2/dx1dx1 = 6 x1 x2, d2/dx1dx2 = 3 x1^2, d2/dx2dx2 = 0
     assert np.allclose(hess, [[36.0, 12.0], [12.0, 0.0]])
 
@@ -58,9 +58,9 @@ def _recursive(e, x):
     """Reference evaluator: each node visit computes its operands afresh,
     with constants as full arrays."""
     if e.kind == "const":
-        return np.full(x.shape[:-1], e.value)
+        return np.full(x.shape[1:], e.value)
     if e.kind == "var":
-        return x[..., e.value]
+        return x[e.value]
     if e.kind == "+":
         return _recursive(e.args[0], x) + _recursive(e.args[1], x)
     if e.kind == "*":
@@ -84,9 +84,9 @@ def _reference(field, x, method):
                            for i, row in enumerate(mat) for j, h in enumerate(row)]}
     tail = {"value": (field.n_out,), "jacobian": (field.n_out, field.n_vars),
             "hessian": (field.n_out, field.n_vars, field.n_vars)}[method]
-    out = np.empty(x.shape[:-1] + tail)
+    out = np.empty(tail + x.shape[1:])
     for idx, e in entries[method]:
-        out[(Ellipsis,) + idx] = _recursive(e, x)
+        out[idx] = _recursive(e, x)
     return out
 
 
@@ -106,9 +106,9 @@ _TAPE_FIELDS = [
 def test_tape_matches_recursive_evaluation_bitwise(exprs):
     field = DriftExpr(exprs, 2)
     rng = np.random.default_rng(3)
-    batch = rng.uniform(0.3, 1.7, size=(7, 9, 2))
-    strided = rng.uniform(0.3, 1.7, size=(9, 7, 2)).swapaxes(0, 1)
-    for x in (batch[0, 0], batch[0], batch, strided, strided[:, 3]):
+    batch = rng.uniform(0.3, 1.7, size=(2, 7, 9))
+    strided = rng.uniform(0.3, 1.7, size=(9, 7, 2)).transpose(2, 1, 0)
+    for x in (batch[:, 0, 0], batch[:, 0], batch, strided, strided[:, 3]):
         for method in ("value", "jacobian", "hessian"):
             got = getattr(field, method)(x)
             ref = _reference(field, x, method)
@@ -128,5 +128,5 @@ def test_tape_runs_shared_subtrees_once(monkeypatch):
     monkeypatch.setitem(_FUNCS, "sin", (spy, "cos"))
     e = Expr.call("sin", parse_expr("x1^2 + x2", 2))
     field = DriftExpr([Expr.add(e, Expr.mul(e, e)), Expr.neg(e)], 2)
-    field.value(np.ones((4, 2)))
+    field.value(np.ones((2, 4)))
     assert len(calls) == 1

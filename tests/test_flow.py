@@ -8,8 +8,8 @@ from hypograd.flow import (TimeGrid, directional_jacobian, full_jacobian_flow,
                            simulate_path, terminal_flow, valid_mask)
 from hypograd.errors import ConfigurationError
 from hypograd.model import ModelSpec, builtin_model
-from tests.conftest import (reference_full_jacobian_flow, refine_noise, same_bytes,
-                            sample_noise)
+from tests.conftest import (path_major, reference_full_jacobian_flow, refine_noise,
+                            same_bytes, sample_noise, states_cm)
 
 # closed-form oracle for the kinetic model: drift matrix M = [[0,1],[-1,-1]],
 # exp(M) = e^{-1/2} (cos w I + sin(w)/w (M + I/2)) with w = sqrt(3)/2
@@ -27,10 +27,10 @@ def _zero_drift_spec(d=2):
     m = 1
 
     def z(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (m + d,))
+        return np.zeros((m + d,) + np.shape(x)[1:])
 
     def dz(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (m + d, m + d))
+        return np.zeros((m + d, m + d) + np.shape(x)[1:])
 
     return ModelSpec(m=m, d=d, z=z, dz=dz, sigma=2.0 * np.eye(d),
                      b0=np.ones((m, d)), epsilon=0.0)
@@ -66,8 +66,8 @@ def test_terminal_flow_identity_when_a_zero(kinetic_spec):
     rng = np.random.default_rng(0)
     x = simulate_path(kinetic_spec, np.zeros(2), grid,
                       sample_noise(grid, 1, rng, 1))
-    k = terminal_flow(kinetic_spec, kinetic_spec.dz(x), grid)
-    assert np.array_equal(k, np.ones((1, 65, 1, 1)))
+    k = terminal_flow(kinetic_spec, kinetic_spec.dz(states_cm(x)), grid)
+    assert np.array_equal(k, np.ones((1, 1, 1, 65)))
 
 
 def test_terminal_flow_nilpotent_constant_a(chain_spec):
@@ -75,7 +75,7 @@ def test_terminal_flow_nilpotent_constant_a(chain_spec):
     grid = TimeGrid(1.0, 4096)
     rng = np.random.default_rng(1)
     x = simulate_path(chain_spec, np.zeros(3), grid, sample_noise(grid, 1, rng, 1))
-    k = terminal_flow(chain_spec, chain_spec.dz(x), grid)[0]
+    k = path_major(terminal_flow(chain_spec, chain_spec.dz(states_cm(x)), grid))[0]
     assert np.allclose(k[0], [[1.0, 1.0], [0.0, 1.0]], atol=1e-3)
     assert np.array_equal(k[-1], np.eye(2))
 
@@ -85,8 +85,8 @@ def test_discrete_cocycle_reconstruction(chain_spec):
     rng = np.random.default_rng(2)
     x = simulate_path(chain_spec, np.array([0.2, -0.1, 0.4]), grid,
                       sample_noise(grid, 1, rng, 1))
-    k = terminal_flow(chain_spec, chain_spec.dz(x), grid)[0]
-    a_nodes = chain_spec.dz(x[0])[..., :2, :2]
+    k = path_major(terminal_flow(chain_spec, chain_spec.dz(states_cm(x)), grid))[0]
+    a_nodes = path_major(chain_spec.dz(x[0].T))[..., :2, :2]
     for i in [0, 13, 64, 127]:
         p_i = np.eye(2) + grid.dt * a_nodes[i]
         recon = k[i + 1] @ p_i
@@ -98,8 +98,8 @@ def test_cocycle_spot_products(chain_spec):
     grid = TimeGrid(1.0, 64)
     rng = np.random.default_rng(3)
     x = simulate_path(chain_spec, np.zeros(3), grid, sample_noise(grid, 1, rng, 1))
-    k = terminal_flow(chain_spec, chain_spec.dz(x), grid)[0]
-    a_nodes = chain_spec.dz(x[0])[..., :2, :2]
+    k = path_major(terminal_flow(chain_spec, chain_spec.dz(states_cm(x)), grid))[0]
+    a_nodes = path_major(chain_spec.dz(x[0].T))[..., :2, :2]
     i, j = 10, 40
     kji = np.eye(2)
     for r in range(j - 1, i - 1, -1):
@@ -195,7 +195,7 @@ def test_full_jacobian_flow_matches_directional(hamiltonian_spec):
     rng = np.random.default_rng(10)
     x = simulate_path(hamiltonian_spec, np.array([0.4, -0.3]), grid,
                       sample_noise(grid, 1, rng, 1))
-    phi = full_jacobian_flow(hamiltonian_spec.dz(x), grid)[0]
+    phi = path_major(full_jacobian_flow(hamiltonian_spec.dz(states_cm(x)), grid))[0]
     v = np.array([0.7, 0.2])
     jac = directional_jacobian(hamiltonian_spec, x, grid, v)[0]
     assert np.allclose(phi[-1] @ v, jac, rtol=1e-12)
@@ -206,13 +206,13 @@ def test_single_path_flow_shapes(kinetic_spec):
     rng = np.random.default_rng(11)
     noise = sample_noise(grid, 1, rng, 1)
     x = simulate_path(kinetic_spec, np.array([1.0, 0.0]), grid, noise)
-    k = terminal_flow(kinetic_spec, kinetic_spec.dz(x), grid)
+    k = terminal_flow(kinetic_spec, kinetic_spec.dz(states_cm(x)), grid)
     jac = directional_jacobian(kinetic_spec, x, grid, np.array([1.0, 0.0]))
     assert valid_mask(x).tolist() == [True]
     assert x.shape == (1, 33, 2)
-    assert k.shape == (1, 33, 1, 1)
+    assert k.shape == (1, 1, 1, 33)                # component-major (m, m, B, N+1)
     assert jac.shape == (1, 2)
-    assert np.array_equal(k[0, -1], np.eye(1))
+    assert np.array_equal(k[..., 0, -1], np.eye(1))
 
 
 def test_single_path_increments_rejected(kinetic_spec):
@@ -228,7 +228,7 @@ def _simulate_path_major(spec, x0, grid, inc):
     kicks = inc @ spec.sigma.T
     for i in range(grid.n_steps):
         xi = x[:, i]
-        x[:, i + 1] = xi + spec.drift(xi) * grid.dt
+        x[:, i + 1] = xi + spec.drift(xi.T).T * grid.dt
         x[:, i + 1, spec.m:] += kicks[:, i]
     return x
 
@@ -248,6 +248,7 @@ def test_simulate_path_matches_path_major_loop(params):
         ref = _simulate_path_major(spec, x0, grid, inc)
         got = simulate_path(spec, x0, grid, inc)
         assert got.shape == ref.shape
+        assert states_cm(got).flags.c_contiguous     # the chain reads it without a copy
         assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
         one = simulate_path(spec, x0, grid, inc[:1])
         assert one.shape == (1, 25, spec.dim)
@@ -266,6 +267,7 @@ def test_valid_mask_finds_nan_in_time_major_view():
 
 
 def _terminal_flow_path_major(spec, jac, grid):
+    # jac: path-major (B, N+1, n, n)
     # reference: K(T, t_i) = K(T, t_{i+1}) (I + dt d1Z1) on a (B, N+1, m, m) array
     m = spec.m
     k = np.empty(jac.shape[:2] + (m, m))
@@ -282,14 +284,20 @@ def _terminal_flow_path_major(spec, jac, grid):
      "sigma": [[1.0, 0.2], [0.3, 0.8]]},
 ])
 def test_flows_match_path_major_loops(params):
-    # both flows step a time-major buffer and return its path-major view
+    # both flows step time-major buffers and return component-major arrays
+    # with the bits of the path-major loops
     spec = builtin_model("hamiltonian", params)
     grid = TimeGrid(0.5, 24)
     rng = np.random.default_rng(13)
     for n_paths in (1, 7, 37):
         inc = rng.standard_normal((n_paths, 24, spec.d)) * np.sqrt(grid.dt)
-        jac = spec.dz(simulate_path(spec, rng.standard_normal(spec.dim), grid, inc))
+        x = simulate_path(spec, rng.standard_normal(spec.dim), grid, inc)
+        jac = spec.dz(states_cm(x))
         phi = full_jacobian_flow(jac, grid)
-        assert same_bytes(np.ascontiguousarray(phi), reference_full_jacobian_flow(jac, grid))
+        assert phi.shape == (spec.dim, spec.dim, n_paths, 25) and phi.flags.c_contiguous
+        ref = reference_full_jacobian_flow(path_major(jac), grid)
+        assert same_bytes(np.ascontiguousarray(path_major(phi)), ref)
         k = terminal_flow(spec, jac, grid)
-        assert same_bytes(np.ascontiguousarray(k), _terminal_flow_path_major(spec, jac, grid))
+        assert k.shape == (spec.m, spec.m, n_paths, 25) and k.flags.c_contiguous
+        ref = _terminal_flow_path_major(spec, path_major(jac), grid)
+        assert same_bytes(np.ascontiguousarray(path_major(k)), ref)

@@ -13,15 +13,15 @@ def test_kinetic_ou_drift_matrix():
     # m=d=1, K=Gamma=sigma=1: full drift matrix [[0,1],[-1,-1]]
     spec = builtin_model("kinetic_ou", {"m": 1})
     assert np.allclose(spec.drift_matrix, [[0.0, 1.0], [-1.0, -1.0]])
-    x = np.array([[0.7, -0.3]])
-    assert np.allclose(spec.drift(x), [[-0.3, -0.7 + 0.3]])
+    x = np.array([[0.7], [-0.3]])                 # component-first, one point
+    assert np.allclose(spec.drift(x), [[-0.3], [-0.7 + 0.3]])
 
 
 def test_hamiltonian_free_particle():
     # M = I, V = 0, F = 0: Z1 = y, Z2 = 0
     spec = builtin_model("hamiltonian", {"v_expr": "0", "m": 1})
-    x = np.array([[1.3, -2.1]])
-    assert np.allclose(spec.drift(x), [[-2.1, 0.0]])
+    x = np.array([[1.3], [-2.1]])
+    assert np.allclose(spec.drift(x), [[-2.1], [0.0]])
 
 
 def test_integrator_chain_kalman_rank():
@@ -72,11 +72,12 @@ def test_domination_failure_witnessed():
     # m=d=1, Z1(x,y) = -y so d2Z1 = -1; declared B0 = +1, eps = 0.5:
     # B = -2 and <B B0 a, a> = -2 a^2 < -0.5 a^2 -> check fails
     def z(x):
-        return -np.asarray(x)[..., ::-1]
+        return -np.asarray(x)[::-1]
 
     def dz(x):
         jac = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        return np.broadcast_to(jac, np.asarray(x).shape[:-1] + (2, 2))
+        shp = np.shape(x)[1:]
+        return np.broadcast_to(jac.reshape((2, 2) + (1,) * len(shp)), (2, 2) + shp)
 
     spec = ModelSpec(m=1, d=1, z=z, dz=dz, sigma=np.eye(1), b0=np.eye(1),
                      epsilon=0.5)
@@ -91,9 +92,10 @@ def test_drift_split_exact():
     spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2",
                                          "mass_expr": "1 + 0.3*x1^2",
                                          "c_mass": 1.0})
-    x = np.array([[0.5, 1.0], [-0.2, 0.1]])
+    x = np.array([[0.5, -0.2], [1.0, 0.1]])       # two points, component-first
     b = drift_split(spec, x)
-    assert np.array_equal(b + spec.b0, spec.dz(x)[..., :1, 1:])
+    assert b.shape == (1, 1, 2)
+    assert np.array_equal(b + spec.b0[..., None], spec.dz(x)[:1, 1:])
 
 
 def test_hypothesis_checks_run():
@@ -179,17 +181,19 @@ def test_drift_and_jacobian_match_block_reference(name, params):
         "strided": np.swapaxes(np.swapaxes(bulk, 0, 1).copy(), 0, 1)[:, ::2],
     }
     for label, x in inputs.items():
-        for got, ref in ((spec.drift(x), reference_drift(spec, x)),
-                         (spec.full_jacobian(x), reference_full_jacobian(spec, x))):
+        xc = np.moveaxis(x, -1, 0)                 # the model takes components first
+        for got, ref in ((spec.drift(xc), np.moveaxis(reference_drift(spec, x), -1, 0)),
+                         (spec.full_jacobian(xc),
+                          np.moveaxis(reference_full_jacobian(spec, x), (-2, -1), (0, 1)))):
             assert got.shape == ref.shape, label
-            assert got.tobytes() == ref.tobytes(), label
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), label
 
 
 def test_validate_rejects_wrong_shapes():
     spec = builtin_model("kinetic_ou", {"m": 1})
-    short_z = ModelSpec(m=1, d=1, z=lambda x: spec.z(x)[..., :1], dz=spec.dz,
+    short_z = ModelSpec(m=1, d=1, z=lambda x: spec.z(x)[:1], dz=spec.dz,
                         sigma=np.eye(1), b0=np.eye(1), epsilon=0.0)
-    flat_dz = ModelSpec(m=1, d=1, z=spec.z, dz=lambda x: spec.dz(x)[..., :1],
+    flat_dz = ModelSpec(m=1, d=1, z=spec.z, dz=lambda x: spec.dz(x)[:, :1],
                         sigma=np.eye(1), b0=np.eye(1), epsilon=0.0)
     for bad, what in ((short_z, "z returns dimension 1"), (flat_dz, "dz must return")):
         with pytest.raises(ConfigurationError, match=what):

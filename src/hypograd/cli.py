@@ -473,6 +473,8 @@ def run(config_path, seed_override=None, threads=None, out_override=None):
             f"output directory {out_dir} is locked by another run "
             f"(remove {lock} if stale)")
     t0 = time.time()
+    chunks = []
+    token = _est.CHUNK_LOG.set(chunks)
     try:
         metrics, plotdata, status = _DRIVERS[cfg["experiment"]](spec, cfg, run_cfg)
         record = {
@@ -493,10 +495,12 @@ def run(config_path, seed_override=None, threads=None, out_override=None):
             json.dump({"wall_time_s": time.time() - t0, "run_id": chash[:12],
                        "threads": threads, "python": platform.python_version(),
                        "numpy": np.__version__, "scipy": _scipy_version(),
-                       "noise_streams": f"philox-block{_est.NOISE_BLOCK}"},
+                       "noise_streams": f"philox-block{_est.NOISE_BLOCK}",
+                       "chunk_bytes": _est.CHUNK_BYTES, "chunk_paths": sorted(set(chunks))},
                       fh, indent=2)
         return status
     finally:
+        _est.CHUNK_LOG.reset(token)
         lock.unlink(missing_ok=True)
 
 

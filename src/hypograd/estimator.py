@@ -30,12 +30,15 @@ blocks it touches whole, so results do not depend on chunking or thread
 count; reductions run over per-path arrays assembled in path order.  One
 Philox bit generator per ``path_increments`` call is reset to a fresh state
 (zero counter, empty buffer, the block's key) before each block, which
-draws exactly what a newly built generator would.
+draws exactly what a newly built generator would.  With ``chunk_size`` null
+a chunk is the most whole blocks that fit ``CHUNK_BYTES``, so it discards no
+noise, and the working set is about ``n_threads * CHUNK_BYTES``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -50,8 +53,8 @@ from .control import (_assemble_hdot, _prefix_sums, _suffix_sums, build_alpha,
                       xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
-from .flow import (directional_jacobian, full_jacobian_flow, simulate_path,
-                   terminal_flow, valid_mask)
+from .flow import (_euler_nodes, directional_jacobian, full_jacobian_flow,
+                   simulate_path, terminal_flow, valid_mask)
 
 __all__ = [
     "EstimatorConfig",
@@ -74,7 +77,9 @@ __all__ = [
 
 MAX_REJECT_FRACTION = 1e-3
 MOMENT_P = 4.0       # order of the weight moment whose convergence is flagged
-NOISE_BLOCK = 64     # paths per noise stream; divides the default chunk sizes
+NOISE_BLOCK = 64     # paths per noise stream; divides the derived chunk sizes
+CHUNK_BYTES = 32 << 20   # bytes one chunk may hold when chunk_size is null
+CHUNK_LOG = contextvars.ContextVar("chunk_log")   # a list; _mc_run appends its chunk sizes
 
 
 @dataclass(frozen=True)
@@ -533,11 +538,13 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
 # estimator drivers
 # ---------------------------------------------------------------------------
 
-def _mc_run(spec, grid, cfg, per_chunk, n_cols, chunk=16384, seed_offset=0):
+def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node, seed_offset=0):
     """The Monte Carlo loop of every driver: chunks, threads, noise, masks.
 
-    Paths [0, n_paths) run in chunks of ``cfg.chunk_size`` (default
-    ``chunk``) on ``cfg.n_threads`` threads.  A chunk's increments come
+    Paths [0, n_paths) run on ``cfg.n_threads`` threads in chunks of
+    ``cfg.chunk_size``, or else of the most whole 64-path blocks (one at
+    least) whose footprint, the increments and the driver's ``per_node``
+    float64s per node, fits ``CHUNK_BYTES``.  A chunk's increments come
     from ``path_increments``, one stream per 64-path block keyed by
     (master_seed + seed_offset, block), with the configured antithetic
     pairing, so no result depends on chunking or thread count.
@@ -553,7 +560,9 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, chunk=16384, seed_offset=0):
     rejected paths.
     """
     n_paths = cfg.n_paths
-    chunk = cfg.chunk_size or chunk
+    floats = grid.n_steps * spec.d + (grid.n_steps + 1) * per_node
+    chunk = cfg.chunk_size or NOISE_BLOCK * max(1, CHUNK_BYTES // (8 * NOISE_BLOCK * floats))
+    CHUNK_LOG.get([]).append(chunk)
     vals = np.empty((n_cols, n_paths))
     ok = np.zeros(n_paths, dtype=bool)
 
@@ -577,6 +586,11 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, chunk=16384, seed_offset=0):
         raise RunDegenerateError(
             f"{rejected}/{n_paths} paths rejected (limit {MAX_REJECT_FRACTION:.1%})")
     return vals, ok, payloads
+
+
+def _euler_terminal(spec, x0, grid, inc):
+    """Euler X_N alone, as ``_finite``; past the increments it holds their kicks."""
+    return _finite(_euler_nodes(spec, x0, grid, inc)[0].T.copy(), x0)
 
 
 def _simulate(spec, x0, grid, inc):
@@ -625,13 +639,21 @@ class _AffineTerminal:
         return np.einsum("pk,kc->pc", inc.reshape(len(inc), -1), self.weights)
 
     def terminal(self, x0, noise):
-        """X_N from x0 and ``contract``'s output, and the mask of the finite
-        ones; a non-finite row is replaced by x0 (its results are masked)."""
-        x_n = noise[:, :self.dim] + (self.flow @ x0 + self.shift)
-        ok = valid_mask(x_n[:, None])
-        if not np.all(ok):
-            x_n[~ok] = x0
-        return x_n, ok
+        """X_N from x0 and ``contract``'s output, as ``_finite``."""
+        return _finite(noise[:, :self.dim] + (self.flow @ x0 + self.shift), x0)
+
+
+def _finite(x_n, x0):
+    """X_N (P, n), each non-finite row set to x0 (its results are masked), and the mask."""
+    ok = valid_mask(x_n[:, None])
+    x_n[~ok] = x0
+    return x_n, ok
+
+
+def _chain_floats(spec):
+    """Float64s per path and node past the increments of a ``_bridge_chain`` chunk: the
+    states and the chain's traced peak, 5 n (n + m^2) + 8, fitted within 8 % at m <= d <= 4."""
+    return 5 * spec.dim * (spec.dim + spec.m ** 2) + 8 + spec.dim
 
 
 def _moment_flag(delta):
@@ -745,8 +767,10 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
         good = good & ~ad.degenerate
         return (f.f(x_n), dl), good, _hypothesis_checks(spec, jac, ad, res, good)
 
-    (fvals, delta), ok, payloads = _mc_run(
-        spec, grid, cfg, per_chunk, 2, chunk=16384 if spec.constant_jac_z1 else 1024)
+    # past the increments: nothing, the states and node Jacobian, or the chain
+    per_node = (0 if affine is not None else _chain_floats(spec) if det_control is None
+                else spec.dim * (spec.dim + 2))
+    (fvals, delta), ok, payloads = _mc_run(spec, grid, cfg, per_chunk, 2, per_node)
     checks = payloads if det_control is None else [det_control["checks"]]
     diagnostics.update({key: np.max([c[key] for c in checks], axis=0).tolist()
                         for key in checks[0]})
@@ -820,7 +844,8 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
             jac = directional_jacobian(spec, states, grid, v)
         return (np.einsum("pa,pa->p", f.grad_f(x_n), jac),), good, None
 
-    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1)
+    # past the increments, ``_simulate`` holds two copies of the states
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, 0 if affine else 2 * spec.dim)
     return _plain_estimate(vals, ok, cfg, "pathwise")
 
 
@@ -837,12 +862,12 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
             xp, good_p = affine.terminal(x0 + eta * v, noise)
             xm, good_m = affine.terminal(x0 - eta * v, noise)
         else:
-            _, xp, good_p = _simulate(spec, x0 + eta * v, grid, inc)
-            _, xm, good_m = _simulate(spec, x0 - eta * v, grid, inc)
+            xp, good_p = _euler_terminal(spec, x0 + eta * v, grid, inc)
+            xm, good_m = _euler_terminal(spec, x0 - eta * v, grid, inc)
         diff = (f.f(xp) - f.f(xm)) / (2.0 * eta)
         return (diff,), good_p & good_m, None
 
-    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1)
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, 0 if affine else spec.d)
     return _plain_estimate(vals, ok, cfg, "finite_difference")
 
 
@@ -855,10 +880,11 @@ def expectation(spec, x0, f, grid, cfg, seed_offset=0):
         if affine is not None:
             x_n, good = affine.terminal(x0, affine.contract(inc))
         else:
-            _, x_n, good = _simulate(spec, x0, grid, inc)
+            x_n, good = _euler_terminal(spec, x0, grid, inc)
         return (f.f(x_n),), good, None
 
-    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, seed_offset=seed_offset)
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, 0 if affine else spec.d,
+                             seed_offset=seed_offset)
     return _mean_se(vals[ok], ok, cfg.antithetic)
 
 
@@ -966,6 +992,6 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
             adj = adj + dt * np.einsum("bap,bp->ap", jac[..., i], adj)
         return (lhs - rhs, lhs, rhs), good, None
 
-    (gaps, lhs, rhs), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 3, chunk=1024)
+    (gaps, lhs, rhs), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 3, _chain_floats(spec))
     return (*_mean_se(gaps[ok], ok, cfg.antithetic),
             float(np.mean(lhs[ok])), float(np.mean(rhs[ok])))

@@ -66,6 +66,14 @@ def simulate_path(spec, x0, grid, inc):
     view of a contiguous component-major (m+d, B, N+1) array, which
     ``np.moveaxis(states, -1, 0)`` recovers without a copy.
     """
+    x = _euler_nodes(spec, x0, grid, inc, grid.n_steps + 1)
+    return np.moveaxis(_nodes_last(x, (1, 2, 0)), 0, -1)
+
+
+def _euler_nodes(spec, x0, grid, inc, n_keep=1):
+    """The Euler nodes of ``simulate_path``, time-major (n_keep, m+d, B): all
+    N+1, or with ``n_keep`` 1 X_N alone, each step overwriting one slab with
+    the same bits.  A step adds to every entry, so a non-finite one stays so."""
     inc = np.asarray(inc, dtype=float)
     if inc.ndim != 3:
         raise ConfigurationError("increments must be shaped (B, N, d)")
@@ -78,17 +86,17 @@ def simulate_path(spec, x0, grid, inc):
     if x0.shape != (spec.dim,):
         raise ConfigurationError(f"x0 must have dimension {spec.dim}")
     dt = grid.dt
-    x = np.empty((n_steps + 1, spec.dim, n_paths))
+    x = np.empty((n_keep, spec.dim, n_paths))
     x[0] = x0[:, None]
     # path-major product, read strided per step: BLAS rounds a time-major
     # (N, B, d) @ (d, d) product differently when B or N is 1
     kicks = inc @ spec.sigma.T
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            xi = x[i]
-            np.add(xi, spec.drift(xi) * dt, out=x[i + 1])
-            x[i + 1, spec.m:] += kicks[:, i].T
-    return np.moveaxis(_nodes_last(x, (1, 2, 0)), 0, -1)
+            xi, nxt = x[i % n_keep], x[(i + 1) % n_keep]
+            np.add(xi, spec.drift(xi) * dt, out=nxt)
+            nxt[spec.m:] += kicks[:, i].T
+    return x
 
 
 def valid_mask(states):

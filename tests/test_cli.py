@@ -136,11 +136,21 @@ def test_estimate_rerun_byte_identical(tmp_path):
     assert meta["numpy"] == np.__version__
     assert meta["scipy"] == scipy.__version__
     assert meta["noise_streams"] == "philox-block64"
+    # the chunk derived from the byte budget: 32 MiB over 64 increments of 8 bytes
+    assert meta["chunk_bytes"] == 32 << 20
+    assert meta["chunk_paths"] == [65536]
     # run_meta.json records the thread count; results.json does not change
     assert run(path, threads=2) == 0
     assert (tmp_path / "out" / "results.json").read_bytes() == first
     assert (tmp_path / "out" / "results.csv").read_bytes() == first_csv
     assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["threads"] == 2
+    # an explicit chunk_size wins and is what run_meta.json records
+    cfg = _base_estimate_cfg(tmp_path)
+    cfg["estimator"]["chunk_size"] = 500
+    assert run(_write(tmp_path, "e500.json", cfg), threads=1) == 0
+    assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["chunk_paths"] == [500]
+    assert (json.loads((tmp_path / "out" / "results.json").read_text())[0]["metrics"]
+            == json.loads(first)[0]["metrics"])
 
 
 def test_threaded_rerun_identical_metrics(tmp_path):

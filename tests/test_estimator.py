@@ -1256,3 +1256,144 @@ def test_skorokhod_trace_traced_peak_below_path_major(anticipative_spec):
         spec, x, grid, v, weights, ad, k, jac)) <= PATH_MAJOR_TRACE_PEAK
     assert _traced_peak(lambda: estimator._bridge_chain(
         spec, states, grid, v, weights)) <= PATH_MAJOR_CHAIN_PEAK
+
+
+def _blow_up_at(index, orig=path_increments):
+    """``path_increments`` with one huge increment on path ``index``: its x2
+    jumps to 1e120 and the mass model's drift overflows a few steps later."""
+    def draw(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        if args[3] <= index < args[3] + len(out):
+            out[index - args[3], 3, 0] = 1e120
+        return out
+    return draw
+
+
+@pytest.mark.parametrize("driver", ["fd", "expectation"])
+def test_terminal_only_drivers_match_whole_path_euler(driver, anticipative_spec,
+                                                      monkeypatch):
+    # fd_gradient and expectation step X_N alone; their estimates have the
+    # bits of the whole-path ``_simulate`` reference, whose mask rejects the
+    # blown-up path as the X_N mask does
+    spec, grid = anticipative_spec, TimeGrid(0.5, 16)
+    x0, v = np.array([0.3, -0.2]), np.array([0.7, -0.4])
+    f = gaussian_bump_f([0.2, 0.0], 0.8)
+    draw = _blow_up_at(7)
+    monkeypatch.setattr(estimator, "path_increments", draw)
+    cfg = EstimatorConfig(n_paths=1500, master_seed=1, method="finite_difference",
+                          chunk_size=500)
+    inc = draw(grid, 1, 1, 0, 1500)
+    if driver == "fd":
+        got = fd_gradient(spec, x0, v, f, grid, cfg)
+        _, xp, ok_p = estimator._simulate(spec, x0 + cfg.fd_bump * v, grid, inc)
+        _, xm, ok_m = estimator._simulate(spec, x0 - cfg.fd_bump * v, grid, inc)
+        ok, vals = ok_p & ok_m, (f.f(xp) - f.f(xm)) / (2.0 * cfg.fd_bump)
+        assert (got.value, got.std_error) == estimator._mean_se(vals[ok], ok, False)
+        assert got.rejected == 1
+    else:
+        got = expectation(spec, x0, f, grid, cfg)
+        _, x_n, ok = estimator._simulate(spec, x0, grid, inc)
+        assert got == estimator._mean_se(f.f(x_n)[ok], ok, False)
+    assert np.flatnonzero(~ok).tolist() == [7]
+
+
+# m = d = 3, nonlinear first block: the chain's largest tensors, m^2 n per node
+M3_MODEL = ({"m": 3, "d": 3,
+             "z1": ["x4 + 0.2*x1*x5", "x5 + 0.1*x2^2 + 0.1*x4", "x6 + 0.1*x3*x4"],
+             "z2": ["-x1 - x4", "-x2 - 0.5*x5 + 0.1*x1^2", "-x3 - x6 + 0.1*x2*x3"],
+             "sigma": [[1.0, 0.2, 0.0], [0.0, 0.8, 0.1], [0.0, 0.0, 0.9]],
+             "b0": [[1.0, 0.1, 0.0], [0.0, 1.0, 0.1], [0.0, 0.0, 1.0]], "epsilon": 0.5},
+            [0.15, -0.1, 0.05, 0.2, 0.0, -0.1])
+
+
+def _chunk_case_model(name):
+    """(spec, x0) of an affine, a constant-jac_z1 Euler, or an anticipative
+    model at m = d = 1, 2 or 3."""
+    from hypograd.cli import build_model
+    if name == "affine":
+        return builtin_model("kinetic_ou", {"m": 1}), [1.0, 1.0]
+    if name == "euler":
+        return builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4"}), [0.3, -0.2]
+    if name == "mass":
+        return builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4",
+                                             "mass_expr": "1 + 0.2*x1^2",
+                                             "c_mass": 1.0}), [0.3, -0.2]
+    model_cfg, x0 = MULTIDIM_MODELS[0] if name == "m2" else M3_MODEL
+    return build_model({"custom": model_cfg}), x0
+
+
+def _derived_chunks(run):
+    """The result of ``run()`` and the chunk sizes ``_mc_run`` resolved in it."""
+    log = []
+    token = estimator.CHUNK_LOG.set(log)
+    try:
+        return run(), log
+    finally:
+        estimator.CHUNK_LOG.reset(token)
+
+
+@pytest.mark.parametrize("model", ["mass", "m2", "m3"])
+def test_default_chunk_memory_within_budget(model, monkeypatch):
+    # one default-sized chunk through Euler and the control chain: its traced
+    # peak stays near max(CHUNK_BYTES, one block's footprint), and the
+    # footprint the chunk was sized by is within 15 % of that peak
+    spec, x0 = _chunk_case_model(model)
+    budget = 16 << 20                           # small, so Tier-1 stays fast
+    monkeypatch.setattr(estimator, "CHUNK_BYTES", budget)
+    grid = TimeGrid(0.5, 64)
+    x0, v = np.array(x0), np.linspace(0.7, -0.4, spec.dim)
+    weights = xi_case1(spec.b0, phi_parabolic(0.5), 3.0, 0.5)
+    cfg = EstimatorConfig(n_paths=2, method="bismut_skorokhod")
+    _, (chunk,) = _derived_chunks(lambda: bismut_gradient(
+        spec, x0, v, gaussian_bump_f(np.zeros(spec.dim)), grid, cfg, weights=weights))
+    floats = grid.n_steps * spec.d + (grid.n_steps + 1) * estimator._chain_floats(spec)
+    assert chunk == 64 * max(1, budget // (8 * 64 * floats))
+    assert (chunk == 64) == (model == "m3")     # one block's footprint exceeds the budget
+
+    def one_chunk():
+        inc = path_increments(grid, spec.d, 1, 0, chunk)
+        states, _, _ = estimator._simulate(spec, x0, grid, inc)
+        estimator._bridge_chain(spec, states, grid, v, weights)
+
+    peak = _traced_peak(one_chunk)
+    assert peak <= 1.15 * max(budget, 8 * floats * 64)
+    assert abs(8 * floats * chunk - peak) <= 0.15 * peak
+
+
+def _derived_chunk_outputs(spec, x0, chunk_size):
+    x0, v = np.array(x0), np.linspace(0.7, -0.4, spec.dim)
+    grid = TimeGrid(0.4, 8 if spec.m == 2 else 16)
+    f = quadratic_f(np.eye(spec.dim), b=np.linspace(0.5, -0.5, spec.dim))
+    weights = xi_case1(spec.b0, phi_parabolic(0.4), 3.0, 0.4)
+
+    def cfg(method, antithetic):
+        return EstimatorConfig(n_paths=300, master_seed=4, method=method,
+                               chunk_size=chunk_size, antithetic=antithetic)
+
+    outs = []
+    for anti in (False, True):
+        if spec.constant_jac_z1:
+            outs += [bismut_gradient(spec, x0, v, f, grid, cfg("bismut_ito", anti)),
+                     pathwise_gradient(spec, x0, v, f, grid, cfg("pathwise", anti)),
+                     fd_gradient(spec, x0, v, f, grid, cfg("finite_difference", anti)),
+                     expectation(spec, x0, f, grid, cfg("pathwise", anti))]
+        else:
+            outs += [bismut_gradient(spec, x0, v, f, grid, cfg("bismut_skorokhod", anti),
+                                     weights=weights),
+                     duality_gap(spec, x0, v, f, grid, cfg("bismut_skorokhod", anti),
+                                 weights=weights)]
+    return pickle.dumps(outs)
+
+
+# each budget splits 300 paths into chunks of 64 or 128 for every driver
+@pytest.mark.parametrize("model,budget", [("affine", 20_000), ("euler", 40_000),
+                                          ("mass", 800_000), ("m2", 2 << 20)])
+def test_derived_chunks_match_one_chunk(model, budget, monkeypatch):
+    # chunk_size null: chunks derived from CHUNK_BYTES, the last one partial,
+    # give the bits of one explicit chunk of every path
+    spec, x0 = _chunk_case_model(model)
+    monkeypatch.setattr(estimator, "CHUNK_BYTES", budget)
+    derived, chunks = _derived_chunks(lambda: _derived_chunk_outputs(spec, x0, None))
+    assert all(c % 64 == 0 and -(-300 // c) >= 3 and 300 % c for c in chunks)
+    assert max(chunks) > 64                     # sized by the budget, not the floor
+    assert derived == _derived_chunk_outputs(spec, x0, 300)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hypograd.flow import (TimeGrid, directional_jacobian, full_jacobian_flow,
-                           simulate_path, terminal_flow, valid_mask)
+from hypograd.flow import (TimeGrid, _euler_nodes, directional_jacobian,
+                           full_jacobian_flow, simulate_path, terminal_flow, valid_mask)
 from hypograd.errors import ConfigurationError
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import (path_major, reference_full_jacobian_flow, refine_noise,
@@ -253,6 +253,25 @@ def test_simulate_path_matches_path_major_loop(params):
         one = simulate_path(spec, x0, grid, inc[:1])
         assert one.shape == (1, 25, spec.dim)
         assert np.ascontiguousarray(one).tobytes() == ref[:1].tobytes()
+        # X_N alone, stepped on one running slab, has the last node's bits
+        last = _euler_nodes(spec, x0, grid, inc)
+        assert last.shape == (1, spec.dim, n_paths)
+        assert np.ascontiguousarray(last[0].T).tobytes() == ref[:, -1].tobytes()
+
+
+def test_euler_terminal_mask_is_whole_path_mask(anticipative_spec):
+    # a step adds to every entry, so a path that blows up mid-way ends
+    # non-finite: the mask of X_N alone is the whole path's
+    spec, grid = anticipative_spec, TimeGrid(0.5, 32)
+    inc = np.random.default_rng(4).standard_normal((9, 32, 1)) * np.sqrt(grid.dt)
+    inc[5, 3, 0] = 1e120                # x2 jumps, then x1^3 in the drift overflows
+    x0 = np.array([0.3, -0.2])
+    states = simulate_path(spec, x0, grid, inc)
+    assert np.isfinite(states[5, :6]).all() and not np.isfinite(states[5, 6]).all()
+    last = _euler_nodes(spec, x0, grid, inc)[0].T
+    assert np.array_equal(valid_mask(last[:, None]), valid_mask(states))
+    assert np.flatnonzero(~valid_mask(states)).tolist() == [5]
+    assert same_bytes(np.ascontiguousarray(last), np.ascontiguousarray(states[:, -1]))
 
 
 def test_valid_mask_finds_nan_in_time_major_view():

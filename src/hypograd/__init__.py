@@ -20,7 +20,7 @@ from .estimator import (EstimatorConfig, GradientEstimate, TestFunction,
                         bismut_gradient, closed_form_gradient, default_weights,
                         duality_gap, fd_gradient, gaussian_bump_f, indicator_f,
                         linear_f, pathwise_gradient, quadratic_f, skorokhod_delta)
-from .flow import TimeGrid, directional_jacobian, simulate_path, terminal_flow
+from .flow import TimeGrid, simulate_path, terminal_flow
 from .model import (HypothesisData, ModelSpec, ValidationReport, builtin_model,
                     builtin_schemas, drift_split, validate_model)
 

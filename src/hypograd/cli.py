@@ -10,7 +10,8 @@ Result records exclude wall-clock time so that identical (config, seed)
 reruns are byte-identical; timing goes to the ``run_meta.json`` sidecar.
 
 Exit codes: 0 success, 2 bad config (a wrong-kind value in any section, a
-malformed drift expression) or failed model validation, 3 degenerate run.
+malformed drift expression), failed model validation or a failed
+``duality_test`` check, 3 degenerate run.
 """
 
 from __future__ import annotations

@@ -53,8 +53,8 @@ from .control import (_assemble_hdot, _prefix_sums, _suffix_sums, build_alpha,
                       xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
-from .flow import (_euler_nodes, directional_jacobian, full_jacobian_flow,
-                   simulate_path, terminal_flow, valid_mask)
+from .flow import (_euler_nodes, full_jacobian_flow, simulate_path, terminal_flow,
+                   valid_mask)
 
 __all__ = [
     "EstimatorConfig",
@@ -588,9 +588,10 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node, seed_offset=0):
     return vals, ok, payloads
 
 
-def _euler_terminal(spec, x0, grid, inc):
-    """Euler X_N alone, as ``_finite``; past the increments it holds their kicks."""
-    return _finite(_euler_nodes(spec, x0, grid, inc)[0].T.copy(), x0)
+def _euler_terminal(spec, x0, grid, inc, tangent=None):
+    """Euler X_N alone, as ``_finite``, and a ``tangent`` stepped with it; past the
+    increments it holds their kicks."""
+    return _finite(_euler_nodes(spec, x0, grid, inc, tangent=tangent)[0].T.copy(), x0)
 
 
 def _simulate(spec, x0, grid, inc):
@@ -832,6 +833,8 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
     if f.grad_f is None:
         raise MethodMisuseError("pathwise_gradient needs grad_f")
     v = np.asarray(v, dtype=float).ravel()
+    if v.shape != (spec.dim,):
+        raise ConfigurationError(f"v must have dimension {spec.dim}")
     x0 = np.asarray(x0, dtype=float).ravel()
     affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
@@ -840,12 +843,12 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
             x_n, good = affine.terminal(x0, affine.contract(inc))
             jac = np.broadcast_to(affine.flow @ v, x_n.shape)
         else:
-            states, x_n, good = _simulate(spec, x0, grid, inc)
-            jac = directional_jacobian(spec, states, grid, v)
+            jac = np.repeat(v[:, None], len(inc), axis=1)     # J_0 = v, stepped with X
+            x_n, good = _euler_terminal(spec, x0, grid, inc, jac)
+            jac = jac.T
         return (np.einsum("pa,pa->p", f.grad_f(x_n), jac),), good, None
 
-    # past the increments, ``_simulate`` holds two copies of the states
-    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, 0 if affine else 2 * spec.dim)
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, 0 if affine else spec.d)
     return _plain_estimate(vals, ok, cfg, "pathwise")
 
 

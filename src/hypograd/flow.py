@@ -1,10 +1,10 @@
 """Euler simulation of the degenerate SDE and its variational flows.
 
-The propagated objects are the state path X, the terminal flow family
-K(T, t_i) of the noise-free block (fundamental solution of the linearized
-X1-dynamics, accumulated backward from T), the full state-transition
-matrices Phi_i = dX_i/dX_0, and the terminal directional derivative
-J_N = dX_N/dx0 . v.
+The propagated objects are the state path X, the terminal directional
+derivative J_N = dX_N/dx0 . v (stepped with X in the same Euler loop), the
+terminal flow family K(T, t_i) of the noise-free block (fundamental solution
+of the linearized X1-dynamics, accumulated backward from T) and the full
+state-transition matrices Phi_i = dX_i/dX_0.
 
 Everything is batched over paths (one path is a batch of one), with
 increments (B, N, d), increments[:, i, :] ~ N(0, dt I_d), and per-node
@@ -29,7 +29,6 @@ __all__ = [
     "TimeGrid",
     "simulate_path",
     "terminal_flow",
-    "directional_jacobian",
     "full_jacobian_flow",
     "valid_mask",
 ]
@@ -70,10 +69,12 @@ def simulate_path(spec, x0, grid, inc):
     return np.moveaxis(_nodes_last(x, (1, 2, 0)), 0, -1)
 
 
-def _euler_nodes(spec, x0, grid, inc, n_keep=1):
+def _euler_nodes(spec, x0, grid, inc, n_keep=1, tangent=None):
     """The Euler nodes of ``simulate_path``, time-major (n_keep, m+d, B): all
     N+1, or with ``n_keep`` 1 X_N alone, each step overwriting one slab with
-    the same bits.  A step adds to every entry, so a non-finite one stays so."""
+    the same bits.  A step adds to every entry, so a non-finite one stays so.
+    A ``tangent`` (m+d, B), J_0 = v, is stepped in place with X to J_N = dX_N/dx0 . v
+    by J_{i+1} = (I + dt DZ(X_i)) J_i, the exact derivative of the Euler map."""
     inc = np.asarray(inc, dtype=float)
     if inc.ndim != 3:
         raise ConfigurationError("increments must be shaped (B, N, d)")
@@ -94,6 +95,8 @@ def _euler_nodes(spec, x0, grid, inc, n_keep=1):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             xi, nxt = x[i % n_keep], x[(i + 1) % n_keep]
+            if tangent is not None:
+                tangent += dt * np.einsum("abp,bp->ap", spec.full_jacobian(xi), tangent)
             np.add(xi, spec.drift(xi) * dt, out=nxt)
             nxt[spec.m:] += kicks[:, i].T
     return x
@@ -123,25 +126,6 @@ def terminal_flow(spec, jac, grid):
         for i in range(grid.n_steps - 1, -1, -1):
             k[i] = k[i + 1] @ steps[i]
     return _nodes_last(k, (2, 3, 1, 0))
-
-
-def directional_jacobian(spec, states, grid, v):
-    """Terminal directional derivative J_N = dX_N/dx0 . v by forward Euler.
-
-    J_{i+1} = (I + dt dZ(X_i)) J_i with J_0 = v; exact derivative of the
-    discrete Euler map.  Only the running node is kept.  Shape (B, m+d).
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (spec.dim,):
-        raise ConfigurationError(f"v must have dimension {spec.dim}")
-    x = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
-    jac = np.repeat(v[:, None], x.shape[1], axis=1)
-    dt = grid.dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(x.shape[-1] - 1):
-            g = spec.full_jacobian(x[..., i])
-            jac = jac + dt * np.einsum("abp,bp->ap", g, jac)
-    return jac.T
 
 
 def full_jacobian_flow(jac, grid):

@@ -57,6 +57,22 @@ def sample_noise(grid, d, rng, n_paths):
     return rng.standard_normal((n_paths, grid.n_steps, d)) * np.sqrt(grid.dt)
 
 
+def directional_jacobian(spec, states, grid, v):
+    """Terminal directional derivative J_N = dX_N/dx0 . v, (B, m+d), by a
+    second forward pass over stored states (B, N+1, m+d): J_{i+1} =
+    (I + dt dZ(X_i)) J_i with J_0 = v.  Reference for the tangent that
+    ``flow._euler_nodes`` steps with X in one pass."""
+    v = np.asarray(v, dtype=float).ravel()
+    x = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
+    jac = np.repeat(v[:, None], x.shape[1], axis=1)
+    dt = grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(x.shape[-1] - 1):
+            g = spec.full_jacobian(x[..., i])
+            jac = jac + dt * np.einsum("abp,bp->ap", g, jac)
+    return jac.T
+
+
 def refine_noise(inc, grid, rng):
     """Split each increment into two bridge-consistent halves.
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypograd import control, estimator
+from hypograd import control, estimator, flow
 from hypograd.control import build_alpha, phi_parabolic, xi_case1
-from hypograd.errors import MethodMisuseError, RunDegenerateError
+from hypograd.errors import ConfigurationError, MethodMisuseError, RunDegenerateError
 from hypograd.estimator import (EstimatorConfig, bismut_gradient,
                                 closed_form_gradient, covariance_flow,
                                 default_weights, duality_gap, expectation,
@@ -17,11 +17,11 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
 from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import (brute_force_divergence, case1_profile, comp_major,
-                            guarded_solve_lapack, path_major, pinv_stack_lapack,
-                            reference_build_alpha, reference_build_bridge,
-                            reference_hypothesis_checks, reference_skorokhod_trace,
-                            reference_terminal_flow, same_bytes, states_cm,
-                            wide_values)
+                            directional_jacobian, guarded_solve_lapack, path_major,
+                            pinv_stack_lapack, reference_build_alpha,
+                            reference_build_bridge, reference_hypothesis_checks,
+                            reference_skorokhod_trace, reference_terminal_flow,
+                            same_bytes, states_cm, wide_values)
 
 KOU_TRUE_V1 = 0.6597001533917016   # (exp M)_11 for M = [[0,1],[-1,-1]]
 KOU_TRUE_V2 = 0.5335071951146929   # (exp M)_12
@@ -633,11 +633,16 @@ def test_pathwise_constant_f_exactly_zero(kinetic_spec):
     assert est.value == 0.0 and est.std_error == 0.0
 
 
-def test_pathwise_needs_gradient(kinetic_spec):
+def test_pathwise_needs_gradient(kinetic_spec, hamiltonian_spec):
     cfg = EstimatorConfig(n_paths=10, master_seed=0, method="pathwise")
     with pytest.raises(MethodMisuseError):
         pathwise_gradient(kinetic_spec, [1.0, 1.0], [1.0, 0.0],
                           indicator_f(0, 0.0), TimeGrid(1.0, 8), cfg)
+    # a direction of the wrong length is a config error, affine model or not
+    for spec in (kinetic_spec, hamiltonian_spec):
+        with pytest.raises(ConfigurationError, match="v must have dimension 2"):
+            pathwise_gradient(spec, [1.0, 1.0], [1.0, 0.0, 0.0],
+                              linear_f([1.0, 0.0]), TimeGrid(1.0, 8), cfg)
 
 
 def test_fd_exact_for_linear_model_and_f(chain_spec):
@@ -923,6 +928,27 @@ def _spy_drift_expr(monkeypatch):
             return _orig(self, x)
         monkeypatch.setattr(DriftExpr, name, spy)
     return calls
+
+
+def test_pathwise_chunk_steps_euler_once(monkeypatch):
+    # the tangent is stepped with X in the one Euler loop: no path is
+    # stored, and each chunk evaluates Z and DZ once per step
+    def no_path(*args, **kwargs):
+        raise AssertionError("pathwise_gradient simulated a whole path")
+    monkeypatch.setattr(estimator, "simulate_path", no_path)
+    monkeypatch.setattr(flow, "simulate_path", no_path)
+    calls = _spy_drift_expr(monkeypatch)
+    spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4",
+                                         "mass_expr": "1 + 0.2*x1^2", "c_mass": 1.0})
+    grid = TimeGrid(0.5, 12)
+    cfg = EstimatorConfig(n_paths=60, master_seed=2, method="pathwise", chunk_size=25)
+    est = pathwise_gradient(spec, [0.3, -0.2], [0.7, -0.4],
+                            gaussian_bump_f([0.2, 0.0], 0.8), grid, cfg)
+    assert est.n_effective == 60
+    per_step = [(2, c) for c in (25, 25, 10) for _ in range(grid.n_steps)]
+    assert calls["jacobian"] == per_step
+    assert calls["value"] == per_step
+    assert calls["hessian"] == []
 
 
 @pytest.mark.parametrize("driver", ["bismut", "duality", "bismut_ito"])
@@ -1269,12 +1295,13 @@ def _blow_up_at(index, orig=path_increments):
     return draw
 
 
-@pytest.mark.parametrize("driver", ["fd", "expectation"])
+@pytest.mark.parametrize("driver", ["fd", "expectation", "pathwise"])
 def test_terminal_only_drivers_match_whole_path_euler(driver, anticipative_spec,
                                                       monkeypatch):
-    # fd_gradient and expectation step X_N alone; their estimates have the
-    # bits of the whole-path ``_simulate`` reference, whose mask rejects the
-    # blown-up path as the X_N mask does
+    # fd_gradient and expectation step X_N alone, pathwise_gradient X_N and
+    # its tangent; their estimates have the bits of the whole-path
+    # ``_simulate`` reference (and, for pathwise, a second pass over its
+    # states), whose mask rejects the blown-up path as the X_N mask does
     spec, grid = anticipative_spec, TimeGrid(0.5, 16)
     x0, v = np.array([0.3, -0.2]), np.array([0.7, -0.4])
     f = gaussian_bump_f([0.2, 0.0], 0.8)
@@ -1288,6 +1315,13 @@ def test_terminal_only_drivers_match_whole_path_euler(driver, anticipative_spec,
         _, xp, ok_p = estimator._simulate(spec, x0 + cfg.fd_bump * v, grid, inc)
         _, xm, ok_m = estimator._simulate(spec, x0 - cfg.fd_bump * v, grid, inc)
         ok, vals = ok_p & ok_m, (f.f(xp) - f.f(xm)) / (2.0 * cfg.fd_bump)
+        assert (got.value, got.std_error) == estimator._mean_se(vals[ok], ok, False)
+        assert got.rejected == 1
+    elif driver == "pathwise":
+        got = pathwise_gradient(spec, x0, v, f, grid, cfg)
+        states, x_n, ok = estimator._simulate(spec, x0, grid, inc)
+        jac = directional_jacobian(spec, states, grid, v)
+        vals = np.einsum("pa,pa->p", f.grad_f(x_n), jac)
         assert (got.value, got.std_error) == estimator._mean_se(vals[ok], ok, False)
         assert got.rejected == 1
     else:

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hypograd.flow import (TimeGrid, _euler_nodes, directional_jacobian,
-                           full_jacobian_flow, simulate_path, terminal_flow, valid_mask)
+from hypograd.flow import (TimeGrid, _euler_nodes, full_jacobian_flow, simulate_path,
+                           terminal_flow, valid_mask)
 from hypograd.errors import ConfigurationError
 from hypograd.model import ModelSpec, builtin_model
-from tests.conftest import (path_major, reference_full_jacobian_flow, refine_noise,
-                            same_bytes, sample_noise, states_cm)
+from tests.conftest import (directional_jacobian, path_major, reference_full_jacobian_flow,
+                            refine_noise, same_bytes, sample_noise, states_cm)
 
 # closed-form oracle for the kinetic model: drift matrix M = [[0,1],[-1,-1]],
 # exp(M) = e^{-1/2} (cos w I + sin(w)/w (M + I/2)) with w = sqrt(3)/2
@@ -107,12 +107,18 @@ def test_cocycle_spot_products(chain_spec):
     assert np.allclose(k[i], k[j] @ kji, rtol=1e-10)
 
 
+def _tangent(spec, x0, grid, inc, v):
+    """J_N = dX_N/dx0 . v, (B, m+d), as the Euler loop steps it with X."""
+    jac = np.repeat(np.asarray(v, dtype=float)[:, None], len(inc), axis=1)
+    _euler_nodes(spec, np.asarray(x0, dtype=float), grid, inc, tangent=jac)
+    return jac.T
+
+
 def test_directional_jacobian_linear_exponential(kinetic_spec):
     grid = TimeGrid(1.0, 4096)
     rng = np.random.default_rng(4)
-    x = simulate_path(kinetic_spec, np.array([1.0, 0.0]), grid,
-                      sample_noise(grid, 1, rng, 1))
-    jac = directional_jacobian(kinetic_spec, x, grid, np.array([1.0, 0.0]))[0]
+    jac = _tangent(kinetic_spec, [1.0, 0.0], grid, sample_noise(grid, 1, rng, 1),
+                   [1.0, 0.0])[0]
     assert np.linalg.norm(jac - KOU_EXP @ [1.0, 0.0]) <= 5e-3
 
 
@@ -120,9 +126,8 @@ def test_directional_jacobian_constant_for_zero_drift():
     spec = _zero_drift_spec()
     grid = TimeGrid(1.0, 32)
     rng = np.random.default_rng(5)
-    x = simulate_path(spec, np.zeros(3), grid, sample_noise(grid, 2, rng, 1))
     v = np.array([0.3, -1.0, 0.5])
-    jac = directional_jacobian(spec, x, grid, v)
+    jac = _tangent(spec, np.zeros(3), grid, sample_noise(grid, 2, rng, 1), v)
     assert np.array_equal(jac, v[None])
 
 
@@ -134,12 +139,12 @@ def test_directional_jacobian_linearity(a, b):
     spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4"})
     grid = TimeGrid(0.5, 32)
     rng = np.random.default_rng(6)
-    x = simulate_path(spec, np.array([0.4, -0.3]), grid, sample_noise(grid, 1, rng, 1))
+    x0, inc = np.array([0.4, -0.3]), sample_noise(grid, 1, rng, 1)
     v1 = np.array([1.0, 0.0])
     v2 = np.array([0.0, 1.0])
-    j1 = directional_jacobian(spec, x, grid, v1)
-    j2 = directional_jacobian(spec, x, grid, v2)
-    j = directional_jacobian(spec, x, grid, a * v1 + b * v2)
+    j1 = _tangent(spec, x0, grid, inc, v1)
+    j2 = _tangent(spec, x0, grid, inc, v2)
+    j = _tangent(spec, x0, grid, inc, a * v1 + b * v2)
     assert np.allclose(j, a * j1 + b * j2, rtol=1e-12, atol=1e-14)
 
 
@@ -147,8 +152,7 @@ def test_linear_model_jacobian_noise_independent(chain_spec):
     grid = TimeGrid(1.0, 64)
     rng = np.random.default_rng(7)
     noise = sample_noise(grid, 1, rng, n_paths=8)
-    x = simulate_path(chain_spec, np.zeros(3), grid, noise)
-    jac = directional_jacobian(chain_spec, x, grid, np.array([1.0, 0.5, -0.2]))
+    jac = _tangent(chain_spec, np.zeros(3), grid, noise, [1.0, 0.5, -0.2])
     spread = np.max(np.abs(jac - jac[0]))
     assert spread <= 1e-12
 
@@ -193,12 +197,14 @@ def test_invalid_path_detection():
 def test_full_jacobian_flow_matches_directional(hamiltonian_spec):
     grid = TimeGrid(0.5, 32)
     rng = np.random.default_rng(10)
-    x = simulate_path(hamiltonian_spec, np.array([0.4, -0.3]), grid,
-                      sample_noise(grid, 1, rng, 1))
+    x0, inc = np.array([0.4, -0.3]), sample_noise(grid, 1, rng, 1)
+    x = simulate_path(hamiltonian_spec, x0, grid, inc)
     phi = path_major(full_jacobian_flow(hamiltonian_spec.dz(states_cm(x)), grid))[0]
     v = np.array([0.7, 0.2])
-    jac = directional_jacobian(hamiltonian_spec, x, grid, v)[0]
-    assert np.allclose(phi[-1] @ v, jac, rtol=1e-12)
+    jac = _tangent(hamiltonian_spec, x0, grid, inc, v)
+    assert np.allclose(phi[-1] @ v, jac[0], rtol=1e-12)
+    # the one-pass tangent has the bits of a second pass over stored states
+    assert same_bytes(jac, directional_jacobian(hamiltonian_spec, x, grid, v))
 
 
 def test_single_path_flow_shapes(kinetic_spec):
@@ -207,7 +213,7 @@ def test_single_path_flow_shapes(kinetic_spec):
     noise = sample_noise(grid, 1, rng, 1)
     x = simulate_path(kinetic_spec, np.array([1.0, 0.0]), grid, noise)
     k = terminal_flow(kinetic_spec, kinetic_spec.dz(states_cm(x)), grid)
-    jac = directional_jacobian(kinetic_spec, x, grid, np.array([1.0, 0.0]))
+    jac = _tangent(kinetic_spec, [1.0, 0.0], grid, noise, [1.0, 0.0])
     assert valid_mask(x).tolist() == [True]
     assert x.shape == (1, 33, 2)
     assert k.shape == (1, 1, 1, 33)                # component-major (m, m, B, N+1)

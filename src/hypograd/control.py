@@ -305,18 +305,20 @@ def _guarded_solve(mats, rhs):
     broadcast against the stack.  Each member is judged on its own: an
     exactly singular member fails alone, with a zero solution.
     """
-    scale = _norm(rhs) + 1e-300
+    # where max|rhs| >= 1, both norms in units of 2^e ~ max|rhs|: an exact
+    # rescaling, so no square overflows (inf / inf) and in-range ratios keep their bits
+    e = np.maximum(np.frexp(np.max(np.abs(rhs), axis=0))[1], 0)
+    scale = _norm(np.ldexp(rhs, -e)) + np.ldexp(1e-300, -e)
 
     def solve(a):
         # a member with a non-finite solution fails whatever its residual
         with np.errstate(all="ignore"):
             sol = _solve(a, rhs)
-            resid = _norm(np.einsum("ab...,b...->a...", mats, sol) - rhs) / scale
+            resid = _norm(np.ldexp(np.einsum("ab...,b...->a...", mats, sol) - rhs, -e)) / scale
         return sol, np.isfinite(sol).all(axis=0), resid
 
-    # a NaN residual (overflowing norms) passes the first solve, not the retry
     sol, finite, resid = solve(mats)
-    ok = finite & ~(resid > _SOLVE_RESIDUAL_TOL)
+    ok = finite & (resid <= _SOLVE_RESIDUAL_TOL)
     if not np.all(ok):
         tr, m = np.einsum("aa...->...", mats), len(mats)
         sol2, finite, resid = solve(mats + (_REG_SCALE * tr / m)

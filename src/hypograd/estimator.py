@@ -610,8 +610,9 @@ class _AffineTerminal:
 
     With F = I + dt G, z0 = Z(0) and E sigma the noise injection, exactly
     X_N = F^N x0 + sum_i F^{N-1-i} (dt z0 + E sigma dW_i).  The weights
-    F^{N-1-i} E sigma are built once as an (N d, n) matrix; a path-independent
-    hdot (N, d) is one more column, giving delta = sum_i <hdot_i, dW_i>.
+    F^{N-1-i} E sigma are built once side by side, a C-contiguous (n, N d) matrix,
+    and a path-independent hdot (N, d) is one more row for delta = sum_i <hdot_i, dW_i>:
+    each output is a stride-1 dot of an increment row with a weight row.
     ``np.einsum`` contracts each row alone in a fixed order, so no result
     depends on chunking (BLAS rounds few-row products differently) and an
     antithetic partner gets the exact negative.  Only X_N is formed, so only
@@ -624,20 +625,20 @@ class _AffineTerminal:
         e_sigma = np.zeros((n, d))
         e_sigma[spec.m:] = spec.sigma
         z0_dt = grid.dt * spec.drift(np.zeros(n))
-        rows = np.empty((n_steps, d, n))             # rows[i] = (F^{N-1-i} E sigma)^T
+        rows = np.empty((n + (h_dot is not None), n_steps, d))   # rows[:n, i] = F^{N-1-i} E sigma
         flow, shift = np.eye(n), np.zeros(n)
         for i in range(n_steps - 1, -1, -1):
-            rows[i] = (flow @ e_sigma).T
+            rows[:n, i] = flow @ e_sigma
             shift += flow @ z0_dt
             flow = step @ flow
-        self.weights = rows.reshape(n_steps * d, n)
         if h_dot is not None:                        # (d, N) component-major
-            self.weights = np.concatenate([self.weights, h_dot.T.reshape(-1, 1)], axis=1)
+            rows[n] = h_dot.T
+        self.weights = rows.reshape(len(rows), -1)   # (n [+1], N d), C-contiguous
         self.dim, self.flow, self.shift = n, flow, shift    # flow = F^N
 
     def contract(self, inc):
         """(B, n [+1]) noise part of X_N [and delta] for increments (B, N, d)."""
-        return np.einsum("pk,kc->pc", inc.reshape(len(inc), -1), self.weights)
+        return np.einsum("pk,ck->pc", inc.reshape(len(inc), -1), self.weights)
 
     def terminal(self, x0, noise):
         """X_N from x0 and ``contract``'s output, as ``_finite``."""

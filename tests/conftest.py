@@ -188,10 +188,19 @@ def guarded_solve_lapack(mats, rhs):
             sol = np.linalg.solve(mats, rhs_col)[..., 0]
         except np.linalg.LinAlgError:
             sol = np.full(rhs.shape, np.nan)
-    scale = np.linalg.norm(rhs, axis=-1) + 1e-300
-    resid = np.linalg.norm(np.einsum("...ab,...b->...a", mats, np.nan_to_num(sol))
-                           - rhs, axis=-1) / scale
-    bad = ~np.isfinite(sol).all(axis=-1) | (resid > control._SOLVE_RESIDUAL_TOL)
+    # |mats sol - rhs| / (|rhs| + 1e-300), every term divided by max|rhs| where
+    # that exceeds 1, so no norm overflows
+    big = np.max(np.abs(rhs), axis=-1, keepdims=True)
+    big = np.where((big > 1.0) & np.isfinite(big), big, 1.0)
+    scale = np.linalg.norm(rhs / big, axis=-1) + 1e-300 / big[..., 0]
+
+    def residual(x):
+        with np.errstate(all="ignore"):
+            r = np.einsum("...ab,...b->...a", mats, np.nan_to_num(x)) - rhs
+            return np.linalg.norm(r / big, axis=-1) / scale
+
+    resid = residual(sol)
+    bad = ~np.isfinite(sol).all(axis=-1) | ~(resid <= control._SOLVE_RESIDUAL_TOL)
     if np.any(bad):
         tr = np.einsum("...aa->...", mats)
         reg = mats + (control._REG_SCALE * tr / m)[..., None, None] * np.eye(m)
@@ -200,9 +209,7 @@ def guarded_solve_lapack(mats, rhs):
                 sol2 = np.linalg.solve(reg, rhs_col)[..., 0]
             except np.linalg.LinAlgError:
                 sol2 = np.full(rhs.shape, np.nan)
-        resid2 = np.linalg.norm(np.einsum("...ab,...b->...a", mats,
-                                          np.nan_to_num(sol2)) - rhs,
-                                axis=-1) / scale
+        resid2 = residual(sol2)
         ok2 = np.isfinite(sol2).all(axis=-1) & (resid2 <= control._SOLVE_RESIDUAL_TOL)
         sol = np.where((bad & ok2)[..., None], sol2, sol)
         bad = bad & ~ok2

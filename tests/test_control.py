@@ -348,6 +348,37 @@ def test_guarded_solve_1x1_matches_lapack_bitwise():
     assert 0 < np.count_nonzero(~ok) < ok.size
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_guarded_solve_verdict_does_not_depend_on_scale(m):
+    # scaled by 2^660, every nonzero residual's square overflows; the verdict
+    # and the solution must still be the unscaled ones.  Member 0 is exactly
+    # singular and fails.  At m = 1 the others are one rounding from exact
+    # and pass; at m = 2 members 1-4 have condition number 1e14, so their LU
+    # residual and the regularized retry's are far above the tolerance and
+    # they fail, and members 5-8 are well conditioned and pass
+    rng = np.random.default_rng(38 + m)
+    if m == 1:
+        mats = np.linspace(1.1, 9.9, 9).reshape(9, 1, 1)
+        expected_ok = np.arange(9) > 0
+    else:
+        u = np.linalg.qr(rng.standard_normal((9, 2, 2)))[0]
+        v = np.linalg.qr(rng.standard_normal((9, 2, 2)))[0]
+        sv = np.where(np.arange(9)[:, None] < 5, [1.0, 1e-14], [1.0, 0.5])
+        mats = u @ (sv[..., None] * v)
+        expected_ok = np.arange(9) >= 5
+    mats[0] = 0.0
+    mats, rhs = comp_major(mats), comp_major(rng.standard_normal((9, m)), 1)
+    with np.errstate(all="ignore"):
+        sol, ok = control._guarded_solve(mats, rhs)
+        big = 2.0 ** 660
+        big_sol, big_ok = control._guarded_solve(mats * big, rhs * big)
+        residual = np.einsum("ab...,b...->a...", mats * big, sol) - rhs * big
+        overflowed = residual ** 2 == np.inf
+    assert np.any(overflowed[:, ok])
+    assert ok.tolist() == big_ok.tolist() == expected_ok.tolist()
+    assert not sol[:, ~ok].any() and same_bytes(big_sol, sol)
+
+
 @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
 def test_guarded_solve_1x1_nonfinite_members_match_lapack_path(special):
     rng = np.random.default_rng(33)

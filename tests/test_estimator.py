@@ -1049,6 +1049,35 @@ def test_affine_terminal_matches_euler(case):
     assert np.max(np.abs(noise[:, -1] - euler_delta)) <= tol * np.max(np.abs(euler_delta))
 
 
+@pytest.mark.parametrize("with_hdot", [False, True], ids=["x_n", "x_n_delta"])
+@pytest.mark.parametrize("case,n_steps", [("kinetic_m1", 1), ("kinetic_m1", 2),
+                                          ("kinetic_m2", 1), ("kinetic_m1", 48),
+                                          ("kinetic_m2", 24), ("kinetic_m1", 1024),
+                                          ("kinetic_m2", 512)])
+def test_affine_contract_rows_stand_alone(case, n_steps, with_hdot):
+    # N d in {1, 2, 48, 1024} at d = 1 and d = 2
+    spec, _, _ = _affine_case(case)
+    grid = TimeGrid(1.0, n_steps)
+    rng = np.random.default_rng(n_steps)
+    h_dot = rng.standard_normal((spec.d, n_steps)) if with_hdot else None
+    affine = estimator._AffineTerminal(spec, grid, h_dot)
+    width = n_steps * spec.d
+    assert affine.weights.shape == (spec.dim + with_hdot, width)
+    assert affine.weights.flags.c_contiguous
+    assert np.any(affine.weights == 0.0)          # the last step leaves x1 alone
+    inc = rng.standard_normal((37, n_steps, spec.d))
+    got = affine.contract(inc)
+    assert got.shape == (37, spec.dim + with_hdot)
+    for i in range(len(inc)):
+        assert same_bytes(got[i], affine.contract(inc[i:i + 1])[0]), i
+    # the exact negative; an all-zero-weight output may come back as +0 for -0
+    assert np.array_equal(affine.contract(-inc), -got)
+    # a NaN in any slot, zero-weight ones included, poisons its whole row
+    poisoned = rng.standard_normal((width, n_steps, spec.d))
+    poisoned.reshape(width, width)[np.arange(width), np.arange(width)] = np.nan
+    assert np.isnan(affine.contract(poisoned)).all()
+
+
 def _affine_driver_outputs(spec, x0, v, grid, chunk_size, n_threads):
     f = quadratic_f(np.eye(spec.dim), b=np.linspace(0.5, -0.5, spec.dim))
 
@@ -1082,7 +1111,7 @@ def test_affine_drivers_reject_nan_increment(driver, kinetic_spec, monkeypatch):
     # there a NaN increment makes the terminal state non-finite
     grid = TimeGrid(1.0, 16)
     x0, v = np.array([1.0, 1.0]), np.array([1.0, 0.0])
-    assert estimator._AffineTerminal(kinetic_spec, grid).weights[-1, 0] == 0.0
+    assert estimator._AffineTerminal(kinetic_spec, grid).weights[0, -1] == 0.0
     f = quadratic_f(np.eye(2))
     runs = {
         "bismut": lambda cfg: bismut_gradient(kinetic_spec, x0, v, f, grid, cfg),

@@ -1,9 +1,9 @@
 """Structural condition checks and consequence verification.
 
-Covers the Kalman rank condition and its small-time Gramian scaling
-lambda_min(U_t) ~ t^{2k+1}, one-sided empirical checks of the gradient decay
-rates carried by the divergence weight, the entropy-gradient inequality, and
-the power-Harnack inequality with its fitted cost constant.
+Covers the small-time Gramian scaling lambda_min(U_t) ~ t^{2k+1} under the
+Kalman condition (``control.kalman_index``), one-sided empirical checks of the
+gradient decay rates carried by the divergence weight, the entropy-gradient
+inequality, and the power-Harnack inequality with its fitted cost constant.
 
 All paper constants here are existential, so every verifier is a
 fit-then-validate procedure: fit the single free constant on one sample,
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control import numerical_rank
+from .control import KalmanResult, kalman_index
 from .errors import ConfigurationError, MethodMisuseError, NotApplicableError
 from .estimator import (TestFunction, affine_mean, bismut_gradient,
                         covariance_flow, default_weights, expectation)
@@ -35,40 +35,6 @@ __all__ = [
     "gaussian_expectation",
     "gaussian_terminal_law",
 ]
-
-
-@dataclass
-class KalmanResult:
-    """Ranks of the controllability blocks [B0, AB0, ..., A^jB0]."""
-
-    k: Optional[int]
-    ranks: list
-    singular_values: list
-
-
-def kalman_index(a_matrix, b0):
-    """Minimal k with Rank[B0, AB0, ..., A^kB0] = m, if any.
-
-    Ranks are ``control.numerical_rank``'s (SVD cutoff m * ||block|| * eps *
-    2^6); k is absent when even the full block falls short of rank m.
-    """
-    a_mat = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-    b0 = np.atleast_2d(np.asarray(b0, dtype=float))
-    m = a_mat.shape[0]
-    if a_mat.shape != (m, m) or b0.shape[0] != m:
-        raise ConfigurationError("kalman_index: incompatible shapes")
-    blocks = [b0]
-    ranks, smallest = [], []
-    k = None
-    for j in range(m):
-        if j > 0:
-            blocks.append(a_mat @ blocks[-1])
-        r, sv = numerical_rank(np.concatenate(blocks, axis=1))
-        ranks.append(r)
-        smallest.append(float(sv[r - 1]) if r > 0 else 0.0)
-        if r == m and k is None:
-            k = j
-    return KalmanResult(k=k, ranks=ranks, singular_values=smallest)
 
 
 @dataclass
@@ -171,25 +137,17 @@ def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512, c_bound=None):
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     t_grid = np.asarray(t_grid, dtype=float)
-    if numerical_rank(spec.b0)[0] == spec.m:
-        expo = -1.5
-        k_idx = 0
-    else:
-        if not spec.constant_jac_z1:
-            raise NotApplicableError("rate sweep needs constant d1Z1 for Case II")
-        a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
-        kal = kalman_index(a0, spec.b0)
-        if kal.k is None:
-            raise NotApplicableError("no Kalman index: rate exponent undefined")
-        k_idx = kal.k
-        expo = -(max(4 * k_idx - 1, 0) + 1.5)
+    if t_grid.size == 0:
+        raise ConfigurationError("rate sweep needs at least one horizon")
+    grids = [TimeGrid(float(t_final), n_steps) for t_final in t_grid]
+    profiles = [default_weights(spec, grid, c_bound=c_bound) for grid in grids]
+    k_idx = profiles[0].meta.get("k", 0)
+    expo = -1.5 if profiles[0].xi_case == "case1" else -(max(4 * k_idx - 1, 0) + 1.5)
 
     constant_f = _is_constant_f(f, x0)
     method = "bismut_ito" if spec.constant_jac_z1 else "bismut_skorokhod"
     values, ses, used, excluded, zero_ok = [], [], [], [], []
-    for t_final in t_grid:
-        grid = TimeGrid(float(t_final), n_steps)
-        weights = default_weights(spec, grid, c_bound=c_bound)
+    for grid, weights in zip(grids, profiles):
         est = bismut_gradient(spec, x0, v, f, grid, replace(cfg, method=method),
                               weights=weights)
         if constant_f:
@@ -200,9 +158,9 @@ def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512, c_bound=None):
         se_wl2 = est.diagnostics.get("wl2_se", np.inf)
         rel = se_wl2 / wl2 if wl2 > 0 else np.inf
         if rel > 0.1:
-            excluded.append(float(t_final))
+            excluded.append(grid.t_final)
             continue
-        used.append(float(t_final))
+        used.append(grid.t_final)
         values.append(wl2)
         ses.append(se_wl2)
     if constant_f:

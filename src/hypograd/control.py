@@ -1,7 +1,7 @@
 """Explicit bridge control for the degenerate block.
 
 Given a simulated path and its terminal flow K(T, t_i), this module builds
-the time weights (phi, xi), the Gramians
+the time weights (phi, xi; the case-2 floor uses the Kalman index), the Gramians
 
     M_t = int_0^t phi(s) K(T,s) B0 B0^T K(T,s)^* ds,
     Q_t = int_0^t phi(s) K(T,s) d2Z1(X_s) B0^T K(T,s)^* ds,
@@ -27,13 +27,16 @@ m = d = 1 each small matrix product and solve is one element-wise operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, NotApplicableError
+from .flow import TimeGrid
 
 __all__ = [
+    "KalmanResult",
+    "kalman_index",
     "WeightProfile",
     "phi_parabolic",
     "gramian_M",
@@ -57,6 +60,40 @@ def numerical_rank(mat):
     sv = np.linalg.svd(mat, compute_uv=False)
     tau = mat.shape[0] * (sv[0] if sv.size else 0.0) * np.finfo(float).eps * 64
     return int(np.sum(sv > tau)), sv
+
+
+@dataclass
+class KalmanResult:
+    """Ranks of the controllability blocks [B0, AB0, ..., A^jB0]."""
+
+    k: Optional[int]
+    ranks: list
+    singular_values: list
+
+
+def kalman_index(a_matrix, b0):
+    """Minimal k with Rank[B0, AB0, ..., A^kB0] = m, if any.
+
+    Ranks are ``numerical_rank``'s (SVD cutoff m * ||block|| * eps * 2^6);
+    k is absent when even the full block falls short of rank m.
+    """
+    a_mat = np.atleast_2d(np.asarray(a_matrix, dtype=float))
+    b0 = np.atleast_2d(np.asarray(b0, dtype=float))
+    m = a_mat.shape[0]
+    if a_mat.shape != (m, m) or b0.shape[0] != m:
+        raise ConfigurationError("kalman_index: incompatible shapes")
+    blocks = [b0]
+    ranks, smallest = [], []
+    k = None
+    for j in range(m):
+        if j > 0:
+            blocks.append(a_mat @ blocks[-1])
+        r, sv = numerical_rank(np.concatenate(blocks, axis=1))
+        ranks.append(r)
+        smallest.append(float(sv[r - 1]) if r > 0 else 0.0)
+        if r == m and k is None:
+            k = j
+    return KalmanResult(k=k, ranks=ranks, singular_values=smallest)
 
 
 def phi_parabolic(t_final):
@@ -211,8 +248,6 @@ def xi_case2(a_matrix, b0, phi, t_final):
     m = a_mat.shape[0]
     from scipy.linalg import expm  # deferred: slow to import
 
-    from .analysis import kalman_index  # deferred: analysis also uses this module
-
     kal = kalman_index(a_mat, b0)
     if kal.k is None:
         raise NotApplicableError("xi_case2 requires the Kalman rank condition")
@@ -221,27 +256,19 @@ def xi_case2(a_matrix, b0, phi, t_final):
     phi_fn, phi_dot_fn = phi
     c2 = 2.0 * float(np.linalg.norm(a_mat, 2))
 
-    # lambda_min(M_t) on the calibration grid, with M_t accumulated by a
-    # high-resolution left sum and the flow advanced by repeated exp(-da A).
-    n_fine = 8192
-    ds = T / n_fine
-    e_step = expm(-ds * a_mat)
-    flow = expm(T * a_mat)                      # exp((T - s) A) at s = 0
-    s_nodes = np.arange(n_fine) * ds
+    # lambda_min(M_t) on the calibration grid: gramian_M on a fine grid, with
+    # the exact flow exp((T - s) A) advanced by repeated exp(-ds A)
+    fine = TimeGrid(T, 128 * _XI_N_CALIB)
+    e_step = expm(-fine.dt * a_mat)
+    flow = np.empty((fine.n_steps + 1, m, m))
+    flow[0] = expm(T * a_mat)
+    for j in range(fine.n_steps):
+        flow[j + 1] = flow[j] @ e_step
+    gram = gramian_M(np.moveaxis(flow, 0, -1)[:, :, None], b0, phi_fn, fine)[:, :, 0]
+    lam_min = np.linalg.eigvalsh(np.moveaxis(gram[..., 128::128], -1, 0))[:, 0]
     calib_t = T * np.arange(1, _XI_N_CALIB + 1) / _XI_N_CALIB
-    acc = np.zeros((m, m))
-    lam_min = np.empty(_XI_N_CALIB)
-    next_idx = 0
-    for j in range(n_fine):
-        fb = flow @ b0
-        acc = acc + phi_fn(s_nodes[j]) * (fb @ fb.T) * ds
-        flow = flow @ e_step
-        while next_idx < _XI_N_CALIB and (j + 1) * ds >= calib_t[next_idx] - 1e-12:
-            lam_min[next_idx] = np.linalg.eigvalsh(0.5 * (acc + acc.T))[0]
-            next_idx += 1
     shape = np.minimum(calib_t, 1.0) ** (2 * (k_idx + 1)) / (T * np.exp(c2 * T))
-    ratios = lam_min / shape
-    c1 = (1.0 - _XI_HAIRCUT) * float(np.min(ratios))
+    c1 = (1.0 - _XI_HAIRCUT) * float(np.min(lam_min / shape))
     if not c1 > 0:
         raise NotApplicableError("xi_case2 calibration produced a nonpositive constant")
 

@@ -246,10 +246,12 @@ def default_weights(spec, grid, c_bound=None, probe_x0=None, probe_seed=0):
     does not depend on chunking) with a 25% safety factor.
     """
     phi_pair = phi_parabolic(grid.t_final)
-    if numerical_rank(spec.b0)[0] == spec.m:
+    full_rank = numerical_rank(spec.b0)[0] == spec.m
+    a0 = (spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
+          if spec.constant_jac_z1 and (c_bound is None or not full_rank) else None)
+    if full_rank:
         if c_bound is None:
-            if spec.constant_jac_z1:
-                a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
+            if a0 is not None:
                 c_bound = float(np.linalg.norm(a0, 2))
             elif probe_x0 is not None:
                 c_bound = _sampled_jac_bound(spec, grid, probe_x0, probe_seed)
@@ -259,9 +261,8 @@ def default_weights(spec, grid, c_bound=None, probe_x0=None, probe_seed=0):
                     "probe_x0 to sample one for a state-dependent first "
                     "Jacobian block")
         return xi_case1(spec.b0, phi_pair, c_bound, grid.t_final)
-    if not spec.constant_jac_z1:
+    if a0 is None:
         raise NotApplicableError("rank-deficient B0 with non-constant d1Z1: no profile")
-    a0 = spec.dz(np.zeros(spec.dim))[:spec.m, :spec.m]
     return xi_case2(a0, spec.b0, phi_pair, grid.t_final)
 
 
@@ -548,7 +549,7 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node, seed_offset=0):
     from ``path_increments``, one stream per 64-path block keyed by
     (master_seed + seed_offset, block), with the configured antithetic
     pairing, so no result depends on chunking or thread count.
-    ``per_chunk(start, inc)`` returns ``(cols, good, payload)``: ``n_cols``
+    ``per_chunk(inc)`` returns ``(cols, good, payload)``: ``n_cols``
     per-path value arrays, the mask of the paths it kept and a diagnostics
     payload.  A path is accepted when it was kept and all its values are
     finite.  Chunks write disjoint slices of the output, and the payload
@@ -570,7 +571,7 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node, seed_offset=0):
         stop = min(start + chunk, n_paths)
         inc = path_increments(grid, spec.d, cfg.master_seed + seed_offset, start,
                               stop - start, cfg.antithetic)
-        cols, good, payload = per_chunk(start, inc)
+        cols, good, payload = per_chunk(inc)
         vals[:, start:stop] = cols
         ok[start:stop] = good & np.isfinite(vals[:, start:stop]).all(axis=0)
         return payload
@@ -754,7 +755,7 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
         if spec.is_linear:
             affine = _AffineTerminal(spec, grid, det_control["h_dot"])
 
-    def per_chunk(start, inc):
+    def per_chunk(inc):
         if affine is not None:
             noise = affine.contract(inc)
             x_n, good = affine.terminal(x0, noise)
@@ -839,7 +840,7 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
     x0 = np.asarray(x0, dtype=float).ravel()
     affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
-    def per_chunk(start, inc):
+    def per_chunk(inc):
         if affine is not None:
             x_n, good = affine.terminal(x0, affine.contract(inc))
             jac = np.broadcast_to(affine.flow @ v, x_n.shape)
@@ -860,7 +861,7 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
     eta = cfg.fd_bump
     affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
-    def per_chunk(start, inc):
+    def per_chunk(inc):
         if affine is not None:
             noise = affine.contract(inc)
             xp, good_p = affine.terminal(x0 + eta * v, noise)
@@ -880,7 +881,7 @@ def expectation(spec, x0, f, grid, cfg, seed_offset=0):
     x0 = np.asarray(x0, dtype=float).ravel()
     affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
-    def per_chunk(start, inc):
+    def per_chunk(inc):
         if affine is not None:
             x_n, good = affine.terminal(x0, affine.contract(inc))
         else:
@@ -979,7 +980,7 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
                                   probe_seed=cfg.master_seed)
     v = np.asarray(v, dtype=float).ravel()
 
-    def per_chunk(start, inc):
+    def per_chunk(inc):
         states, x_n, good = _simulate(spec, x0, grid, inc)
         jac, ad, _, h_dot, _, trace = _bridge_chain(spec, states, grid, v, weights)
         dl = _hdot_sum(h_dot, inc) - trace

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hypograd import control, estimator
 from hypograd.control import AlphaData, build_alpha, build_bridge, phi_parabolic, xi_case1
@@ -679,3 +680,44 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     d_hdot = np.einsum("df,pift->pidt", spec.sigma_inv(), d_hdot)
     trace = np.trace(d_hdot, axis1=-2, axis2=-1)
     return dt * np.sum(trace, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# frozen reference of the case-2 calibration, as it stood with its own
+# accumulation loop before it went through gramian_M; never regenerate from
+# the package
+# ---------------------------------------------------------------------------
+
+def reference_xi_case2_calibration(a_mat, b0, k_idx, t_final, n_calib=64, haircut=0.05):
+    """(calib_lambda_min, c1, margin, lambda_max) of the case-2 floor: the
+    left-sum Gramian accumulated over 8192 steps of the exact flow, advanced
+    by repeated exp(-ds A), with lambda_min (and lambda_max, the round-off
+    scale) read at the first step past each calibration node."""
+    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
+    b0 = np.atleast_2d(np.asarray(b0, dtype=float))
+    m = a_mat.shape[0]
+    T = float(t_final)
+    phi_fn, _ = phi_parabolic(T)
+    c2 = 2.0 * float(np.linalg.norm(a_mat, 2))
+    n_fine = 8192
+    ds = T / n_fine
+    e_step = expm(-ds * a_mat)
+    flow = expm(T * a_mat)
+    s_nodes = np.arange(n_fine) * ds
+    calib_t = T * np.arange(1, n_calib + 1) / n_calib
+    acc = np.zeros((m, m))
+    lam_min, lam_max = np.empty(n_calib), np.empty(n_calib)
+    next_idx = 0
+    for j in range(n_fine):
+        fb = flow @ b0
+        acc = acc + phi_fn(s_nodes[j]) * (fb @ fb.T) * ds
+        flow = flow @ e_step
+        while next_idx < n_calib and (j + 1) * ds >= calib_t[next_idx] - 1e-12:
+            eig = np.linalg.eigvalsh(0.5 * (acc + acc.T))
+            lam_min[next_idx], lam_max[next_idx] = eig[0], eig[-1]
+            next_idx += 1
+    shape = np.minimum(calib_t, 1.0) ** (2 * (k_idx + 1)) / (T * np.exp(c2 * T))
+    c1 = (1.0 - haircut) * float(np.min(lam_min / shape))
+    xi = c1 * np.minimum(calib_t, 1.0) ** (2 * (k_idx + 1)) / (T * np.exp(c2 * T))
+    margin = float(np.min(lam_min - xi))
+    return lam_min, c1, margin, lam_max

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hypograd import estimator
 from hypograd.analysis import (entropy_gradient_check, gaussian_expectation,
                                gaussian_terminal_law, gradient_rate_sweep,
                                gramian_scaling, harnack_check, kalman_index)
-from hypograd.errors import MethodMisuseError, NotApplicableError
+from hypograd.cli import build_model
+from hypograd.errors import ConfigurationError, MethodMisuseError, NotApplicableError
 from hypograd.estimator import (EstimatorConfig, gaussian_bump_f, linear_f,
                                 quadratic_f)
 from hypograd.model import builtin_model
@@ -114,6 +116,53 @@ def test_rate_sweep_constant_f_sanity_branch(kinetic_spec):
     assert fit.extras["sanity_branch"]
     assert fit.passed
     assert np.isnan(fit.slope)
+
+
+@pytest.mark.parametrize("params, x0, expo", [
+    ({"a": CHAIN_A.tolist(), "b0": CHAIN_B0.tolist()}, [0.5, 0.5, 0.0], -4.5),
+    ({"a": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], "b0": [[0.0], [0.0], [1.0]]},
+     [0.5, 0.5, 0.5, 0.0], -8.5)], ids=["chain2", "chain3"])
+@pytest.mark.parametrize("constant", [True, False], ids=["constant_f", "linear_f"])
+def test_rate_sweep_exponent_matches_kalman_index(params, x0, expo, constant):
+    # -((4k - 1) v 0 + 3/2) with k read from the horizon profiles
+    spec = builtin_model("integrator_chain", params)
+    m = spec.m
+    k_idx = kalman_index(spec.dz(np.zeros(spec.dim))[:m, :m], spec.b0).k
+    a = np.zeros(len(x0)) if constant else np.eye(len(x0))[0]
+    cfg = EstimatorConfig(n_paths=2000, master_seed=9, method="bismut_ito")
+    fit = gradient_rate_sweep(spec, x0, np.eye(len(x0))[0], linear_f(a, b=1.0),
+                              [0.1, 0.2, 0.4], cfg, n_steps=32)
+    assert fit.extras["kalman_k"] == k_idx == m - 1
+    assert fit.theoretical_exponent == -(max(4 * k_idx - 1, 0) + 1.5) == expo
+    assert fit.extras.get("sanity_branch", False) == constant
+
+
+@pytest.mark.parametrize("which", ["nonconstant_jac", "no_kalman"])
+def test_rate_sweep_not_applicable_before_any_noise(monkeypatch, which):
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise drawn before the applicability check")
+
+    monkeypatch.setattr(estimator, "path_increments", no_noise)
+    if which == "nonconstant_jac":
+        # rank-deficient B0, and d1Z1 = [[0.2 x1, 1], [0, 0]] varies
+        spec = build_model({"custom": {"m": 2, "d": 1, "z1": ["x2 + 0.1*x1^2", "x3"],
+                                       "z2": ["-x3"], "sigma": [[1.0]],
+                                       "b0": [[0.0], [1.0]]}})
+    else:
+        # A = 0 never reaches x1: Rank[B0, A B0] = 1 < 2
+        spec = builtin_model("integrator_chain", {"a": [[0.0, 0.0], [0.0, 0.0]],
+                                                  "b0": CHAIN_B0.tolist()})
+    cfg = EstimatorConfig(n_paths=1000, master_seed=5, method="bismut_ito")
+    with pytest.raises(NotApplicableError):
+        gradient_rate_sweep(spec, [0.5, 0.5, 0.0], [1.0, 0.0, 0.0],
+                            linear_f([1.0, 0.0, 0.0]), [0.1, 0.2], cfg, n_steps=32)
+
+
+def test_rate_sweep_needs_a_horizon(chain_spec):
+    cfg = EstimatorConfig(n_paths=1000, master_seed=5, method="bismut_ito")
+    with pytest.raises(ConfigurationError):
+        gradient_rate_sweep(chain_spec, [0.5, 0.5, 0.0], [1.0, 0.0, 0.0],
+                            linear_f([0.0, 0.0, 0.0], b=1.0), [], cfg)
 
 
 def test_entropy_constant_f_zero_residual(kinetic_spec):

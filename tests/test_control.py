@@ -10,8 +10,8 @@ from hypograd.errors import NotApplicableError
 from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import builtin_model
 from tests.conftest import (case1_profile, comp_major, guarded_solve_lapack, path_major,
-                            refine_noise, same_bytes, sample_noise, states_cm,
-                            wide_values)
+                            reference_xi_case2_calibration, refine_noise, same_bytes,
+                            sample_noise, states_cm, wide_values)
 
 
 def _flat_flow(grid, m):
@@ -149,6 +149,39 @@ def test_xi_case2_validity_at_calibration_nodes():
     lam = prof.meta["calib_lambda_min"]
     assert np.all(prof.xi(calib_t) <= lam + 1e-12)
     assert prof.meta["margin"] >= 0.0
+
+
+CHAIN2 = ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
+CHAIN3 = ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [[0.0], [0.0], [1.0]])
+
+
+@pytest.mark.parametrize("a_mat, b0, k_idx, t_final", [
+    (*CHAIN2, 1, 0.05), (*CHAIN2, 1, 0.5), (*CHAIN3, 2, 0.7), ([[0.5]], [[1.0]], 0, 1.0)],
+    ids=["chain2-T0.05", "chain2-T0.5", "chain3", "scalar"])
+def test_xi_case2_calibration_matches_frozen_loop(a_mat, b0, k_idx, t_final):
+    # one nonzero entry per column of B0: every Gramian term is one product,
+    # so gramian_M's left sum gives the frozen loop's bits
+    prof = xi_case2(a_mat, b0, phi_parabolic(t_final), t_final)
+    lam, c1, margin, _ = reference_xi_case2_calibration(a_mat, b0, k_idx, t_final)
+    assert prof.meta["k"] == k_idx
+    assert same_bytes(prof.meta["calib_lambda_min"], lam)
+    assert prof.meta["c1"] == c1
+    assert prof.meta["margin"] == margin
+
+
+@pytest.mark.parametrize("a_mat, b0, k_idx, t_final", [
+    ([[-0.3, 1.2], [0.4, -0.1]], [[0.3, -0.7], [1.1, 0.2]], 0, 0.8),
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -0.5]],
+     [[0.0, 0.0], [1.0, 0.0], [0.3, 1.0]], 1, 2.0)], ids=["2x2", "3x2"])
+def test_xi_case2_calibration_dense_b0_within_roundoff(a_mat, b0, k_idx, t_final):
+    # several nonzero entries per column: each Gramian term is a sum of
+    # products, which einsum adds in another order than the loop's BLAS
+    # product, so lambda_min moves by round-off of the Gramian's scale
+    prof = xi_case2(a_mat, b0, phi_parabolic(t_final), t_final)
+    lam, _, _, lam_max = reference_xi_case2_calibration(a_mat, b0, k_idx, t_final)
+    assert prof.meta["k"] == k_idx
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(prof.meta["calib_lambda_min"] - lam) <= 8 * eps * lam_max)
 
 
 def test_alpha_boundary_values_exact(kinetic_spec):

@@ -137,3 +137,32 @@ def test_exported_names_resolve():
                 if isinstance(node, ast.ImportFrom):
                     for alias in node.names:
                         assert hasattr(module, alias.asname or alias.name), alias.name
+
+
+def test_package_import_graph_is_acyclic():
+    # module-level and function-level relative imports between package
+    # modules; a function-level one hides a cycle from import time
+    graph, nested = {}, []
+    for path in sorted((SRC / "hypograd").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        at_top = {id(node) for node in tree.body}
+        edges = graph.setdefault(path.stem, set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                edges.update(t.split(".")[0] for t in targets)
+                if id(node) not in at_top:
+                    nested.append((path.name, node.lineno))
+    assert nested == []
+    state = {}
+
+    def visit(mod, trail):
+        assert state.get(mod) != "open", " -> ".join(trail + [mod])
+        if mod not in state:
+            state[mod] = "open"
+            for dep in sorted(graph.get(mod, ())):
+                visit(dep, trail + [mod])
+            state[mod] = "done"
+
+    for mod in sorted(graph):
+        visit(mod, [])

@@ -496,7 +496,7 @@ def run(config_path, seed_override=None, threads=None, out_override=None):
             json.dump({"wall_time_s": time.time() - t0, "run_id": chash[:12],
                        "threads": threads, "python": platform.python_version(),
                        "numpy": np.__version__, "scipy": _scipy_version(),
-                       "noise_streams": f"philox-block{_est.NOISE_BLOCK}",
+                       "noise_streams": f"sfc64-philoxkey-block{_est.NOISE_BLOCK}",
                        "chunk_bytes": _est.CHUNK_BYTES, "chunk_paths": sorted(set(chunks))},
                       fh, indent=2)
         return status

@@ -24,15 +24,15 @@ Three independent oracles round out the module: the pathwise estimator
 E<grad f(X_T), dX_T/dx0 v>, common-random-number central differences, and
 the Gaussian closed form for affine models.
 
-Randomness: each block of ``NOISE_BLOCK`` = 64 paths has its own
-counter-based stream keyed by (master_seed, block), and a chunk draws the
-blocks it touches whole, so results do not depend on chunking or thread
-count; reductions run over per-path arrays assembled in path order.  One
-Philox bit generator per ``path_increments`` call is reset to a fresh state
-(zero counter, empty buffer, the block's key) before each block, which
-draws exactly what a newly built generator would.  With ``chunk_size`` null
-a chunk is the most whole blocks that fit ``CHUNK_BYTES``, so it discards no
-noise, and the working set is about ``n_threads * CHUNK_BYTES``.
+Randomness: each block of ``NOISE_BLOCK`` = 64 paths has its own SFC64
+stream, seeded by Philox's output under key (master_seed, 0) at counter
+block, so results do not depend on chunking or thread count; reductions
+run over per-path arrays assembled in path order.  One vectorised Philox
+draw per ``path_increments`` call seeds every block it touches, with no
+SeedSequence, and a block stops at the last row the call returns.  With
+``chunk_size`` null a chunk is the most whole blocks that fit
+``CHUNK_BYTES``, so it draws no unused noise, and the working set is about
+``n_threads * CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from typing import Callable, Optional
 import numpy as np
 # numpy loads numpy.random on first use; importing it here keeps that
 # cost out of the first Monte Carlo run
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from .control import (_assemble_hdot, _prefix_sums, _suffix_sums, build_alpha,
                       build_bridge, numerical_rank, phi_parabolic, q_inverse_bound_ratio,
@@ -159,7 +160,8 @@ def quadratic_f(s_mat, b=None, c=0.0):
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return (np.einsum("...a,ab,...b->...", x, s_mat, x)
+        # two einsums: a three-operand one reorders its loops for 1-2 rows
+        return (np.einsum("...a,...a->...", np.einsum("...b,ab->...a", x, s_mat), x)
                 + np.einsum("...a,a->...", x, b) + c)
 
     def grad(x):
@@ -197,43 +199,46 @@ def indicator_f(index=0, threshold=0.0):
 # counter-based block noise
 # ---------------------------------------------------------------------------
 
+class _Words(ISeedSequence):
+    """Seed words handed to a bit generator as they are: no SeedSequence, no OS entropy."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def path_increments(grid, d, master_seed, start, count, antithetic=False):
     """Increments for paths [start, start+count): block b of ``NOISE_BLOCK``
-    paths draws from the Philox stream keyed by (master_seed, b), and a call
-    draws every block its range touches, whole.
-
-    With antithetic pairing a block draws NOISE_BLOCK/2 pairs, which paths
-    2r and 2r+1 take with opposite signs.  One bit generator serves the
-    call: it is reset per block to the state a fresh ``Philox(key=...)``
-    starts from (building one also draws OS entropy), and it is local to
-    the call, so threaded chunks stay independent.
+    paths draws from an SFC64 seeded as numpy seeds one, by the first three
+    words Philox(key=(master_seed, 0), counter=b) outputs; one Philox draw
+    keys every block of a call.  A block is drawn from its first row, the
+    last only as far as the range goes (normals fill in C order, so no row
+    depends on where a call stops).  With antithetic pairing a block draws
+    NOISE_BLOCK/2 pairs, which paths 2r and 2r+1 take with opposite signs.
+    Every generator is local to the call, so threaded chunks stay independent.
     """
     first = start // NOISE_BLOCK
-    n_blocks = -(-(start + count) // NOISE_BLOCK) - first
-    out = np.empty((n_blocks * NOISE_BLOCK, grid.n_steps, d))
+    rows = start + count - first * NOISE_BLOCK
+    out = np.empty((rows, grid.n_steps, d))
     half = np.empty((NOISE_BLOCK // 2, grid.n_steps, d)) if antithetic else None
-    bg = Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = Generator(bg)
-    # Python lists: the setter reads them item by item, much faster than
-    # uint64 arrays, and a Python int above 2^63 converts exactly
-    key = [master_seed & 0xFFFFFFFFFFFFFFFF, 0]
-    zero = [0, 0, 0, 0]
-    fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    words = Philox(_Words(key), counter=first).random_raw((-(-rows // NOISE_BLOCK), 4))
     root = np.sqrt(grid.dt)
-    for i in range(n_blocks):
-        key[1] = first + i
-        bg.state = fresh                      # the setter copies the values
-        block = out[i * NOISE_BLOCK:(i + 1) * NOISE_BLOCK]
+    for i, seed in zip(range(0, rows, NOISE_BLOCK), words):
+        gen = Generator(SFC64(_Words(seed[:3])))
+        block = out[i:i + NOISE_BLOCK]
         if antithetic:
-            gen.standard_normal(out=half)     # the output must be contiguous
-            half *= root
-            block[0::2] = half
-            np.negative(half, out=block[1::2])
+            pairs = half[:-(-len(block) // 2)]
+            gen.standard_normal(out=pairs)    # the output must be contiguous
+            pairs *= root
+            block[0::2] = pairs
+            np.negative(pairs[:len(block) // 2], out=block[1::2])
         else:
             gen.standard_normal(out=block)
             block *= root                     # scaled while the block is in cache
-    return out[start - first * NOISE_BLOCK:][:count]
+    return out[start - first * NOISE_BLOCK:]
 
 
 def default_weights(spec, grid, c_bound=None, probe_x0=None, probe_seed=0):

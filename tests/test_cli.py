@@ -135,7 +135,7 @@ def test_estimate_rerun_byte_identical(tmp_path):
     assert meta["python"] == platform.python_version()
     assert meta["numpy"] == np.__version__
     assert meta["scipy"] == scipy.__version__
-    assert meta["noise_streams"] == "philox-block64"
+    assert meta["noise_streams"] == "sfc64-philoxkey-block64"
     # the chunk derived from the byte budget: 32 MiB over 64 increments of 8 bytes
     assert meta["chunk_bytes"] == 32 << 20
     assert meta["chunk_paths"] == [65536]

@@ -1,6 +1,8 @@
+import hashlib
 import pickle
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -551,12 +553,19 @@ def test_norm2_max_of_blocks():
 
 
 def _path_increments_per_block(grid, d, master_seed, start, count, antithetic):
-    # reference: a freshly constructed Philox generator for every 64-path
-    # block the range touches, its rows concatenated and sliced
-    seed64 = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
+    # reference: for every 64-path block b the range touches, a freshly built
+    # Philox keyer at (master_seed, 0) with counter b gives three seed words,
+    # and a freshly built SFC64 is set to (w0, w1, w2, 1) and discards 12
+    # outputs, as numpy's own SFC64 seeding does; the blocks are drawn whole,
+    # concatenated and sliced
+    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     blocks = []
     for b in range(start // 64, (start + count - 1) // 64 + 1):
-        bg = np.random.Philox(key=np.array([seed64, np.uint64(b)], dtype=np.uint64))
+        words = np.random.Philox(key=key, counter=b).random_raw(4)[:3]
+        bg = np.random.SFC64()
+        bg.state = {"bit_generator": "SFC64", "state": {"state": [*map(int, words), 1]},
+                    "has_uint32": 0, "uinteger": 0}
+        bg.random_raw(12)
         gen = np.random.Generator(bg)
         if antithetic:
             z = gen.standard_normal((32, grid.n_steps, d))
@@ -594,6 +603,66 @@ def test_path_increments_split_anywhere(antithetic):
         parts = [path_increments(grid, 2, 11, lo, hi - lo, antithetic)
                  for lo, hi in zip(edges, edges[1:])]
         assert np.concatenate(parts).tobytes() == whole.tobytes(), cuts
+
+
+@pytest.mark.parametrize("antithetic,digest", [
+    (False, "f22d61e213880e5cb82eb813f9f90cc0e8e6b0926505dc9c4f3cc5eaae5d32c5"),
+    (True, "7a6f52919e5d9e2825fcb6bff0271ef44d528d79d40f4998e9e85ba957d44c9f"),
+])
+def test_path_increments_stream_pinned(antithetic, digest):
+    # every Monte Carlo result is drawn from this stream: a change to it is a
+    # rebaseline, and must be declared by updating these digests
+    inc = path_increments(TimeGrid(1.0, 8), 2, 1, 0, 130, antithetic)
+    assert hashlib.sha256(inc.tobytes()).hexdigest() == digest
+
+
+def test_path_increments_stream_statistics():
+    # dt = 1, so the increments are standard normals: 2048 paths x 512 steps
+    grid = TimeGrid(512.0, 512)
+    z = path_increments(grid, 1, 3, 0, 2048).reshape(32, -1)   # one row per block
+    n, per_block = z.size, z.shape[1]
+    bound = 4 / np.sqrt(per_block)
+    adjacent = [np.corrcoef(z[b], z[b + 1])[0, 1] for b in range(31)]
+    assert max(map(abs, adjacent)) < bound
+    # block 0 of neighbouring seeds
+    first = [path_increments(grid, 1, s, 0, 64).ravel() for s in range(3, 11)]
+    assert first[0].tobytes() == z[0].tobytes()
+    neighbours = [np.corrcoef(u, w)[0, 1] for u, w in zip(first, first[1:])]
+    assert max(map(abs, neighbours)) < bound
+    assert abs(z.mean()) < 4 * np.sqrt(1 / n)
+    assert abs(np.mean(z**2) - 1) < 4 * np.sqrt(2 / n)      # Var z^2 = 2
+    assert abs(np.mean(z**4) - 3) < 4 * np.sqrt(96 / n)     # Var z^4 = 105 - 9
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_path_increments_draw_only_rows_returned(monkeypatch, antithetic):
+    # the first block of a call is drawn from its first row, the last only up
+    # to the last row (antithetic: pair) the call returns; no block's bit
+    # generator is seeded through a SeedSequence, which reads OS entropy
+    drawn = []
+
+    def counting(bg, _generator=np.random.Generator):
+        assert type(bg) is np.random.SFC64 and type(bg.seed_seq) is estimator._Words
+        gen = _generator(bg)
+
+        def standard_normal(out):
+            drawn.append(out.shape[0])
+            return gen.standard_normal(out=out)
+        return SimpleNamespace(standard_normal=standard_normal)
+
+    grid = TimeGrid(0.7, 9)
+    ref = {(s, c): path_increments(grid, 2, 11, s, c, antithetic)
+           for s, c in ((70, 70), (0, 32), (5, 1), (64, 64), (3, 126))}
+    monkeypatch.setattr(estimator, "Generator", counting)
+    # rows drawn per block, plain and paired
+    expected = {(70, 70): ([64, 12], [32, 6]), (0, 32): ([32], [16]),
+                (5, 1): ([6], [3]), (64, 64): ([64], [32]),
+                (3, 126): ([64, 64, 1], [32, 32, 1])}
+    for (start, count), rows in expected.items():
+        drawn.clear()
+        inc = path_increments(grid, 2, 11, start, count, antithetic)
+        assert drawn == rows[antithetic]
+        assert inc.tobytes() == ref[start, count].tobytes()
 
 
 def test_seed_changes_estimate_but_not_structure(kinetic_spec):
@@ -831,6 +900,19 @@ def test_default_weights_selects_case(kinetic_spec, chain_spec):
     grid = TimeGrid(1.0, 32)
     assert default_weights(kinetic_spec, grid).xi_case == "case1"
     assert default_weights(chain_spec, grid).xi_case == "case2"
+
+
+def test_test_functions_independent_of_batch_rows():
+    # a chunk of one path must see the bits it sees inside a larger chunk; at
+    # n = 2 a three-operand einsum reorders its loops for a batch of 1-2 rows
+    x = np.random.default_rng(0).normal(size=(300, 2)) * 5
+    for f in (linear_f([1.0, 2.0]), quadratic_f([[1.1, 0.7], [0.1, 1.1]], b=[1.0, 1.0], c=0.4),
+              gaussian_bump_f([0.3, 0.3], width=4.0)):
+        whole, grad = f.f(x), f.grad_f(x)
+        for rows in (1, 2, 7):
+            parts = [x[i:i + rows] for i in range(0, len(x), rows)]
+            assert np.concatenate([f.f(p) for p in parts]).tobytes() == whole.tobytes()
+            assert np.concatenate([f.grad_f(p) for p in parts]).tobytes() == grad.tobytes()
 
 
 def test_builder_gradients_consistent():

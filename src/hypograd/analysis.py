@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control import KalmanResult, kalman_index
+from .control import KalmanResult, gramian_integral, kalman_index
 from .errors import ConfigurationError, MethodMisuseError, NotApplicableError
 from .estimator import (TestFunction, affine_mean, bismut_gradient,
                         covariance_flow, default_weights, expectation)
@@ -35,6 +35,9 @@ __all__ = [
     "gaussian_expectation",
     "gaussian_terminal_law",
 ]
+
+# seed offset of the Harnack hold-out sample, apart from the training one
+_HOLDOUT_SEED_OFFSET = 10_000
 
 
 @dataclass
@@ -69,11 +72,11 @@ def _loglog_fit(xs, ys):
     return slope, half
 
 
-def gramian_scaling(a_matrix, b0, t_grid, rel_tol=1e-8):
+def gramian_scaling(a_matrix, b0, t_grid):
     """Small-time scaling of U_t = int_0^t exp(sA) B0 B0^T exp(sA^T) ds.
 
-    The integral is composite-Simpson, refined until the relative change is
-    below ``rel_tol``; the fit is log lambda_min(U_t) against log t.
+    U_t is exact (``control.gramian_integral``) at every t of the grid, which
+    must be finite and positive; the fit is log lambda_min(U_t) against log t.
     """
     a_mat = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     b0 = np.atleast_2d(np.asarray(b0, dtype=float))
@@ -81,41 +84,14 @@ def gramian_scaling(a_matrix, b0, t_grid, rel_tol=1e-8):
     if kal.k is None:
         raise NotApplicableError("gramian_scaling needs the Kalman condition")
     t_grid = np.asarray(t_grid, dtype=float)
-    lam = np.array([_u_lambda_min(a_mat, b0, t, rel_tol) for t in t_grid])
+    if not np.all(np.isfinite(t_grid) & (t_grid > 0)):
+        raise ConfigurationError("gramian_scaling needs finite t > 0")
+    lam = np.array([np.linalg.eigvalsh(gramian_integral(a_mat, b0 @ b0.T, t))[0]
+                    for t in t_grid])
     slope, ci = _loglog_fit(t_grid, lam)
     return RateFit(grid=t_grid, values=lam, slope=slope, slope_ci=ci,
                    theoretical_exponent=2 * kal.k + 1,
                    extras={"kalman_k": kal.k})
-
-
-def _u_lambda_min(a_mat, b0, t, rel_tol):
-    from scipy.linalg import expm  # deferred: slow to import
-
-    def simpson(n_iv):
-        s = np.linspace(0.0, t, n_iv + 1)
-        e_step = expm((s[1] - s[0]) * a_mat)
-        flow = np.eye(a_mat.shape[0])
-        terms = []
-        for _ in range(n_iv + 1):
-            fb = flow @ b0
-            terms.append(fb @ fb.T)
-            flow = e_step @ flow
-        terms = np.array(terms)
-        w = np.ones(n_iv + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return np.tensordot(w, terms, axes=1) * (s[1] - s[0]) / 3.0
-
-    n_iv = 64
-    prev = simpson(n_iv)
-    for _ in range(8):
-        n_iv *= 2
-        cur = simpson(n_iv)
-        if np.linalg.norm(cur - prev) <= rel_tol * max(np.linalg.norm(cur), 1e-300):
-            prev = cur
-            break
-        prev = cur
-    return float(np.linalg.eigvalsh(0.5 * (prev + prev.T))[0])
 
 
 def _is_constant_f(f, x_probe):
@@ -187,6 +163,10 @@ def entropy_gradient_check(spec, x0, v, f_positive, t_final, lambda_grid, cfg,
     """
     if not spec.constant_jac_z1:
         raise MethodMisuseError("entropy_gradient_check needs constant jac_z1")
+    lams = np.asarray(lambda_grid, dtype=float)
+    if lams.size == 0 or not np.all(np.isfinite(lams) & (lams > 0)):
+        raise ConfigurationError("entropy_gradient_check needs a non-empty grid of "
+                                 "finite lambda > 0")
     x0 = np.asarray(x0, dtype=float).ravel()
     grid = TimeGrid(float(t_final), n_steps)
     # sampled positivity probe on a box around x0 of radius 2 + |x0| + 2 sqrt(T)
@@ -209,12 +189,11 @@ def entropy_gradient_check(spec, x0, v, f_positive, t_final, lambda_grid, cfg,
     entropy = pt_flogf - ptf * np.log(ptf)
 
     rows = []
-    for lam in np.asarray(lambda_grid, dtype=float):
+    for lam in lams:
         gamma = (grad_abs - lam * entropy) / ptf
         rows.append({"lambda": float(lam), "lhs": grad_abs,
                      "entropy_term": float(entropy), "gamma_hat": float(gamma),
                      "p_t_f": float(ptf)})
-    lams = np.array([r["lambda"] for r in rows])
     gammas = np.array([r["gamma_hat"] for r in rows])
     a_fit = float(np.sum(gammas / lams) / np.sum(1.0 / lams**2))
     stats = {"grad_se": grad_se, "ptf_se": ptf_se, "pt_flogf_se": pt_flogf_se}
@@ -261,8 +240,8 @@ def gaussian_terminal_law(spec, x0, t_final):
     return mu, cov
 
 
-def gaussian_expectation(mu, cov, center, lam, scale=1.0):
-    """E[scale * exp(-(z-center)^T lam (z-center)/2)] for z ~ N(mu, cov).
+def gaussian_expectation(mu, cov, center, lam):
+    """E[exp(-(z-center)^T lam (z-center)/2)] for z ~ N(mu, cov).
 
     Gaussian convolution: the value is |I + cov lam|^{-1/2}
     exp(-(mu-center)^T (cov + lam^{-1})^{-1} (mu-center)/2) with
@@ -276,7 +255,7 @@ def gaussian_expectation(mu, cov, center, lam, scale=1.0):
     det = np.linalg.det(a_mat)
     diff = mu - center
     quad = diff @ (lam @ np.linalg.solve(a_mat, diff))
-    return float(scale) * det**-0.5 * np.exp(-0.5 * quad)
+    return det**-0.5 * np.exp(-0.5 * quad)
 
 
 def _bump_lam(f):
@@ -290,7 +269,7 @@ def _bump_lam(f):
 def harnack_check(spec, f_positive, x, v, p_grid, t_final, cfg, n_steps=256,
                   scales=(0.4, 0.7, 1.0, 1.3),
                   holdout_scales=(0.55, 0.85, 1.15),
-                  use_oracle=False, seed_offset=10_000):
+                  use_oracle=False):
     """Fit the Harnack cost constant and validate on held-out points.
 
     Points are (x, s v, p, T) over scale and exponent grids.  The fitted
@@ -353,7 +332,7 @@ def harnack_check(spec, f_positive, x, v, p_grid, t_final, cfg, n_steps=256,
         return rows, dropped
 
     train, dropped_a = eval_points(scales, 0)
-    holdout, dropped_b = eval_points(holdout_scales, seed_offset)
+    holdout, dropped_b = eval_points(holdout_scales, _HOLDOUT_SEED_OFFSET)
     if not train or not holdout:
         raise NotApplicableError("harnack_check: all points dropped")
     # a zero bracket (v = 0) carries no free constant; the gap there is

@@ -41,6 +41,7 @@ __all__ = [
     "phi_parabolic",
     "gramian_M",
     "gramian_Q",
+    "gramian_integral",
     "xi_case1",
     "xi_case2",
     "build_alpha",
@@ -174,6 +175,22 @@ def gramian_M(k_flow, b0, phi, grid):
     kb = np.einsum("akpj,kd->adpj", k_flow, b0)
     gram = _prefix_sums(phi(grid.nodes) * np.einsum("adpj,bdpj->abpj", kb, kb) * grid.dt)
     return 0.5 * (gram + np.swapaxes(gram, 0, 1))
+
+
+def gramian_integral(g, d_mat, t):
+    """int_0^t exp(sG) D exp(sG)^T ds by Van Loan's block exponential:
+    expm(t [[-G, D], [0, G^T]]) has lower-right block exp(tG)^T and
+    upper-right block exp(-tG) times the integral."""
+    from scipy.linalg import expm  # deferred: slow to import
+
+    n = g.shape[0]
+    blocks = np.zeros((2 * n, 2 * n))
+    blocks[:n, :n] = -g
+    blocks[:n, n:] = d_mat
+    blocks[n:, n:] = g.T
+    e_blocks = expm(t * blocks)
+    gram = e_blocks[n:, n:].T @ e_blocks[:n, n:]
+    return 0.5 * (gram + gram.T)
 
 
 def _prefix_sums(x):

@@ -50,8 +50,8 @@ from numpy.random import SFC64, Generator, Philox
 from numpy.random.bit_generator import ISeedSequence
 
 from .control import (_assemble_hdot, _prefix_sums, _suffix_sums, build_alpha,
-                      build_bridge, numerical_rank, phi_parabolic, q_inverse_bound_ratio,
-                      xi_case1, xi_case2)
+                      build_bridge, gramian_integral, numerical_rank, phi_parabolic,
+                      q_inverse_bound_ratio, xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
 from .flow import (_euler_nodes, full_jacobian_flow, simulate_path, terminal_flow,
@@ -172,8 +172,11 @@ def quadratic_f(s_mat, b=None, c=0.0):
 
 
 def gaussian_bump_f(center, width=1.0):
+    width = float(width)
+    if not (np.isfinite(width) and width > 0):
+        raise ConfigurationError(f"gaussian_bump width must be finite and > 0, got {width}")
     center = np.asarray(center, dtype=float).ravel()
-    w2 = float(width) ** 2
+    w2 = width**2
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -184,7 +187,7 @@ def gaussian_bump_f(center, width=1.0):
         return -(x - center) / w2 * f(x)[..., None]
 
     return TestFunction(f=f, grad_f=grad, tag="gaussian_bump",
-                        params={"center": center.tolist(), "width": float(width)})
+                        params={"center": center.tolist(), "width": width})
 
 
 def indicator_f(index=0, threshold=0.0):
@@ -949,21 +952,13 @@ def closed_form_gradient(spec, x0, v, f, t_final):
 
 def covariance_flow(spec, t_final):
     """Sigma_T = int_0^T exp(sG) D exp(sG)^T ds, D = diag(0, sigma sigma^T),
-    for an affine model, by Van Loan's block exponential: expm(T [[-G, D],
-    [0, G^T]]) has lower-right block exp(TG)^T and upper-right block
-    exp(-TG) Sigma_T."""
+    for an affine model (``control.gramian_integral``)."""
     if not spec.is_linear:
         raise MethodMisuseError("covariance_flow needs an affine model")
-    from scipy.linalg import expm  # deferred: slow to import
-
-    n, m = spec.dim, spec.m
-    blocks = np.zeros((2 * n, 2 * n))
-    blocks[:n, :n] = -spec.drift_matrix
-    blocks[m:n, n + m:] = spec.sigma @ spec.sigma.T
-    blocks[n:, n:] = spec.drift_matrix.T
-    e_blocks = expm(t_final * blocks)
-    cov = e_blocks[n:, n:].T @ e_blocks[:n, n:]
-    return 0.5 * (cov + cov.T)
+    m = spec.m
+    d_mat = np.zeros((spec.dim, spec.dim))
+    d_mat[m:, m:] = spec.sigma @ spec.sigma.T
+    return gramian_integral(spec.drift_matrix, d_mat, t_final)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,15 @@ import numpy as np
 
 __all__ = ["Expr", "parse_expr", "DriftExpr"]
 
+# name -> (numpy function, derivative at the argument as an Expr)
 _FUNCS = {
-    "sin": (np.sin, "cos"),
-    "cos": (np.cos, "-sin"),
-    "exp": (np.exp, "exp"),
-    "tanh": (np.tanh, "dtanh"),
-    "sqrt": (np.sqrt, "dsqrt"),
-    "log": (np.log, "dlog"),
+    "sin": (np.sin, lambda a: Expr.call("cos", a)),
+    "cos": (np.cos, lambda a: Expr.neg(Expr.call("sin", a))),
+    "exp": (np.exp, lambda a: Expr.call("exp", a)),
+    "tanh": (np.tanh, lambda a: Expr.add(Expr.const(1.0),
+                                         Expr.neg(Expr.pow(Expr.call("tanh", a), 2)))),
+    "sqrt": (np.sqrt, lambda a: Expr.div(Expr.const(0.5), Expr.call("sqrt", a))),
+    "log": (np.log, lambda a: Expr.div(Expr.const(1.0), a)),
 }
 
 _TOKEN_RE = re.compile(
@@ -161,24 +163,7 @@ class Expr:
                             a.diff(i))
         if self.kind == "call":
             a = self.args[0]
-            inner = a.diff(i)
-            name = self.value
-            rule = _FUNCS[name][1]
-            if rule == "cos":
-                outer = Expr.call("cos", a)
-            elif rule == "-sin":
-                outer = Expr.neg(Expr.call("sin", a))
-            elif rule == "exp":
-                outer = Expr.call("exp", a)
-            elif rule == "dtanh":
-                outer = Expr.add(Expr.const(1.0), Expr.neg(Expr.pow(Expr.call("tanh", a), 2)))
-            elif rule == "dsqrt":
-                outer = Expr.div(Expr.const(0.5), Expr.call("sqrt", a))
-            elif rule == "dlog":
-                outer = Expr.div(Expr.const(1.0), a)
-            else:  # pragma: no cover
-                raise AssertionError(rule)
-            return Expr.mul(outer, inner)
+            return Expr.mul(_FUNCS[self.value][1](a), a.diff(i))
         raise AssertionError(self.kind)
 
     def is_zero(self):

@@ -39,6 +39,8 @@ __all__ = [
     "drift_split",
 ]
 
+_SIGMA_COND_CAP = 1e8    # cond(sigma) at or above this counts as singular
+
 
 @dataclass(frozen=True)
 class HypothesisData:
@@ -172,7 +174,7 @@ def _sobol_points(box_lo, box_hi, n, seed):
     return box_lo + pts * (box_hi - box_lo)
 
 
-def validate_model(spec, sample_box, n_samples=256, seed=0, cond_cap=1e8):
+def validate_model(spec, sample_box, n_samples=256, seed=0):
     """Sampled verification of the model's structural hypotheses.
 
     ``sample_box`` is a pair (lo, hi) of vectors in R^{m+d}.  Checks:
@@ -196,8 +198,8 @@ def validate_model(spec, sample_box, n_samples=256, seed=0, cond_cap=1e8):
     # (i) sigma invertibility -- hard requirement, the bridge needs sigma^{-1}
     svals = np.linalg.svd(spec.sigma, compute_uv=False)
     cond = svals[0] / svals[-1] if svals[-1] > 0 else np.inf
-    sigma_ok = np.isfinite(cond) and cond < cond_cap
-    checks.append(CheckResult("sigma_invertible", bool(sigma_ok), float(cond_cap - cond),
+    sigma_ok = np.isfinite(cond) and cond < _SIGMA_COND_CAP
+    checks.append(CheckResult("sigma_invertible", bool(sigma_ok), float(_SIGMA_COND_CAP - cond),
                               detail=f"cond(sigma)={cond:.3e}"))
     if not sigma_ok:
         raise ConfigurationError(f"sigma is numerically singular (cond={cond:.3e})")

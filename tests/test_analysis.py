@@ -7,6 +7,7 @@ from hypograd.analysis import (entropy_gradient_check, gaussian_expectation,
                                gaussian_terminal_law, gradient_rate_sweep,
                                gramian_scaling, harnack_check, kalman_index)
 from hypograd.cli import build_model
+from hypograd.control import gramian_integral
 from hypograd.errors import ConfigurationError, MethodMisuseError, NotApplicableError
 from hypograd.estimator import (EstimatorConfig, gaussian_bump_f, linear_f,
                                 quadratic_f)
@@ -81,6 +82,28 @@ def test_gramian_scaling_van_loan_cross_check():
     u_vl = eb[n:, n:].T @ eb[:n, n:]
     fit = gramian_scaling(CHAIN_A, CHAIN_B0, np.array([t, 2 * t]))
     assert np.isclose(fit.values[0], np.linalg.eigvalsh(u_vl)[0], rtol=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gramian_integral_chain_closed_forms(n):
+    # U_t = int_0^t e^{sA} B0 B0^T e^{sA^T} ds of the n-chain, entry by entry
+    a_mat = np.diag(np.ones(n - 1), 1)
+    b0 = np.eye(n)[:, -1:]
+    for t in np.geomspace(1e-3, 1e-1, 9):
+        if n == 2:
+            u = [[t**3 / 3, t**2 / 2], [t**2 / 2, t]]
+        else:
+            u = [[t**5 / 20, t**4 / 8, t**3 / 6],
+                 [t**4 / 8, t**3 / 3, t**2 / 2],
+                 [t**3 / 6, t**2 / 2, t]]
+        got = gramian_integral(a_mat, b0 @ b0.T, t)
+        assert np.all(np.abs(got - u) <= 1e-14 * np.abs(u)), (n, t)
+
+
+def test_gramian_scaling_rejects_nonpositive_t():
+    for bad in ([0.0, 0.01, 0.1], [-0.01, 0.01, 0.1], [np.nan, 0.01], [np.inf, 0.1]):
+        with pytest.raises(ConfigurationError):
+            gramian_scaling(CHAIN_A, CHAIN_B0, bad)
 
 
 def test_gramian_scaling_requires_kalman():

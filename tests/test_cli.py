@@ -212,6 +212,28 @@ def test_gramian_experiment_seed_independent(tmp_path):
     assert 2.85 <= am["slope"] <= 3.15
 
 
+_CHAIN = {"builtin": "integrator_chain", "params": {"a": [[0, 1], [0, 0]], "b0": [[0], [1]]}}
+_BUMP = {"tag": "gaussian_bump", "params": {"center": [1.0, 0.0], "width": 0.8}}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"experiment": "gramian", "model": _CHAIN, "gramian": {"t_grid": [0.0, 0.01, 0.1]}},
+    {"experiment": "gramian", "model": _CHAIN, "gramian": {"t_grid": [-0.01, 0.01, 0.1]}},
+    {"experiment": "entropy_gradient", "f": _BUMP,
+     "entropy": {"t_final": 1.0, "n_steps": 16, "lambda_grid": []}},
+    {"experiment": "entropy_gradient", "f": _BUMP,
+     "entropy": {"t_final": 1.0, "n_steps": 16, "lambda_grid": [0.0, 1.0]}},
+    {"f": {"tag": "gaussian_bump", "params": {"center": [1.0, 0.0], "width": 0.0}}},
+], ids=["gramian_t0", "gramian_t_negative", "entropy_empty", "entropy_lambda0",
+        "bump_width0"])
+def test_bad_grid_or_width_exits_2(tmp_path, capsys, overrides):
+    # unchecked, each reaches a log of t <= 0, a division by 0 or an empty table
+    cfg = _base_estimate_cfg(tmp_path, estimator={"n_paths": 200, "master_seed": 1,
+                                                  "method": "bismut_ito"}, **overrides)
+    assert main(["run", _write(tmp_path, "bad.json", cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_sweep_plotdata_slope_recomputable(tmp_path):
     cfg = {
         "schema_version": 1,

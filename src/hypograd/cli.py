@@ -191,7 +191,8 @@ def build_test_function(f_cfg):
             return _est.gaussian_bump_f(_need(params, "center", "f.params."),
                                         params.get("width", 1.0))
         if tag == "indicator":
-            return _est.indicator_f(params.get("index", 0), params.get("threshold", 0.0))
+            return _est.indicator_f(_value(params.get("index", 0), _INT, "f.params.index"),
+                                    params.get("threshold", 0.0))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"f.params of {tag!r}: {exc}") from exc
     raise ConfigurationError(f"f tag must be one of {_F_TAGS}, got {tag!r}")
@@ -241,8 +242,12 @@ def _vec(cfg, key, spec):
 
 
 def _x0_v_f(cfg, spec):
-    """x0, v and f of a config, checked against the model's dimension."""
+    """x0, v and f of a config, f's parameters finite and checked against
+    the model's dimension."""
     f = build_test_function(_need(cfg, "f"))
+    for key, val in f.params.items():
+        if not np.isfinite(val).all():
+            raise ConfigurationError(f"f.params.{key} must be finite, got {val!r}")
     n = spec.dim
     shapes = {"a": (n,), "s": (n, n), "center": (n,),
               "b": (n,) if f.tag == "quadratic" else ()}     # linear's b is a scalar

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextvars
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -49,9 +48,9 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox
 from numpy.random.bit_generator import ISeedSequence
 
-from .control import (_assemble_hdot, _prefix_sums, _suffix_sums, build_alpha,
-                      build_bridge, gramian_integral, numerical_rank, phi_parabolic,
-                      q_inverse_bound_ratio, xi_case1, xi_case2)
+from .control import (_assemble_hdot, _pinv_stack, _prefix_sums, _suffix_sums,
+                      build_alpha, build_bridge, gramian_integral, numerical_rank,
+                      phi_parabolic, q_inverse_bound_ratio, xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
 from .flow import (_euler_nodes, full_jacobian_flow, simulate_path, terminal_flow,
@@ -333,88 +332,6 @@ def _bridge_chain(spec, states, grid, v, weights):
     return jac, ad, g, h_dot, res, trace
 
 
-def _svd_pinv(mats, rcond):
-    """SVD pseudo-inverse of stacked matrices, singular values below
-    rcond * s_max dropped.
-
-    Only kept values are inverted; a kept subnormal one gives inf silently,
-    as in ``_inv``.
-    """
-    u, s, vt = np.linalg.svd(mats)
-    keep = s > rcond * s[..., :1]
-    with np.errstate(over="ignore"):
-        sinv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    return np.einsum("...ab,...b,...cb->...ac", np.swapaxes(vt, -1, -2), sinv, u)
-
-
-def _norm1(mats):
-    """Matrix 1-norm (largest absolute column sum) of a component-major
-    (rows, cols, ...) stack: rows added in order and column sums compared
-    with ``np.maximum``, the bits of ``np.abs(mats).sum(axis=0).max(axis=0)``
-    (NaN included) without its reduction set-up, 3x faster on 1x1 stacks."""
-    a = np.abs(mats)
-    col = sum(a[1:], a[0])
-    return functools.reduce(np.maximum, col[1:], col[0])
-
-
-def _inv(mats):
-    """Inverse of a finite (n, n, ...) stack and the mask of members it could
-    not invert.
-
-    1x1 and 2x2 stacks: the adjugate over the determinant, element-wise (the
-    1x1 case 1/a has LAPACK's bits); a computed determinant of 0 or
-    non-finite flags the member.  Larger stacks: LAPACK, retried with the
-    members whose LU determinant is 0 replaced by I when one fails the batch.
-    """
-    n = len(mats)
-    if n > 2:
-        lapack = np.moveaxis(mats, (0, 1), (-2, -1))
-        try:
-            inv, sing = np.linalg.inv(lapack), np.zeros(mats.shape[2:], dtype=bool)
-        except np.linalg.LinAlgError:
-            det = np.linalg.det(lapack)
-            sing = ~np.isfinite(det) | (det == 0.0)
-            inv = np.linalg.inv(np.where(sing[..., None, None], np.eye(n), lapack))
-        return np.moveaxis(inv, (-2, -1), (0, 1)), sing
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if n == 1:
-            det, inv = mats[0, 0], 1.0 / mats
-        else:
-            (a, b), (c, d) = mats
-            det = a * d - b * c
-            inv = np.empty_like(mats)                 # keeps the stack's layout
-            inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1] = d, -b, -c, a
-            inv /= det
-        return inv, ~np.isfinite(det) | (det == 0.0)
-
-
-def _pinv_stack(mats, rcond=1e-13):
-    """Pseudo-inverse of an (n, n, ...) stack; never raises on singularity.
-
-    A batched inverse (``_inv``) serves every member it can be trusted on.
-    A member falls back to the SVD pseudo-inverse (``_svd_pinv``, same
-    ``rcond``) when ``_inv`` flags it, or when its 1-norm condition estimate
-    n ||A||_1 ||A^-1||_1 reaches 1/rcond.  Since cond_2 <= n cond_1, every
-    member kept on the fast path is one the SVD would not have truncated, so
-    the result equals the pseudo-inverse up to round-off (for 2x2, a few ulp
-    times the condition number).  Non-finite members give NaN.
-    """
-    mats = np.asarray(mats, dtype=float)
-    n = len(mats)
-    finite = np.isfinite(mats).all(axis=(0, 1))
-    bad = ~finite
-    safe = np.where(bad, np.eye(n).reshape((n, n) + (1,) * bad.ndim), mats) if bad.any() else mats
-    inv, singular = _inv(safe)
-    bad |= singular
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad |= ~(n * _norm1(safe) * _norm1(inv) < 1.0 / rcond)
-    if bad.any():
-        inv[..., bad] = np.nan
-        redo = bad & finite
-        inv[..., redo] = _svd_pinv(np.moveaxis(mats[..., redo], -1, 0), rcond).transpose(1, 2, 0)
-    return inv
-
-
 def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     """dt * sum_i tr(d hdot_i / d W_i), exact, via factored sensitivities.
 
@@ -446,13 +363,13 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
 
     phi_full = full_jacobian_flow(jac, grid)                       # (n, n, p, N+1)
     # Y_i = Phi_{i+1}^{-1} E sigma, (n, d, p, N): the inverse's last d columns
-    y_seed = np.einsum("akpj,kc->acpj", _pinv_stack(phi_full[..., 1:])[:, m:], spec.sigma)
+    y_seed = np.einsum("akpj,kc->acpj", _pinv_stack(phi_full[..., 1:])[0][:, m:], spec.sigma)
     hess = spec.hess_z1(states)                                    # (m, n, n, p, N+1)
     theta1 = np.einsum("abepj,ecpj->abcpj", hess[:, :m], phi_full)  # dA/dx . Phi
     theta2 = np.einsum("abepj,ecpj->abcpj", hess[:, m:], phi_full)  # dC/dx . Phi
     del hess, phi_full
 
-    kinv = _pinv_stack(k)
+    kinv = _pinv_stack(k)[0]
     c_nodes = jac[:m, m:]
     kc = np.einsum("akpj,kdpj->adpj", k, c_nodes)                  # K C
     kb = np.einsum("akpj,kd->adpj", k, spec.b0)                    # K B0
@@ -491,8 +408,7 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
         rhs = (np.einsum("actpi,cpi->atpi", g_tensor, c2low[..., 1:])      # D c2
                + np.einsum("acpi,ctpi->atpi", etacum[..., -1:] - etacum[..., 1:], y_seed)
                - np.einsum("abtpi,bp->atpi", dq_t, p_vec))
-        q_t_inv = _pinv_stack(q_path[..., -1])                             # (m, m, p)
-        dp = np.einsum("abp,btpi->atpi", q_t_inv, rhs)
+        dp = np.einsum("abp,btpi->atpi", ad.q_inv[..., -1], rhs)
         del dq_t, rhs
     else:
         dp = np.zeros((m, d) + y_seed.shape[-2:])
@@ -500,19 +416,16 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
 
     if np.linalg.norm(v1) > 0.0:
         wgt = (ad.xi_eff[:, :n_steps] ** 2) * dt                   # (p, N)
-        u_nodes = ad.u_nodes[..., :n_steps]                        # (m, p, N)
-        qinv = np.zeros_like(q_path)
-        active = np.nonzero(ad.xi_vals[1:n_steps] > 0)[0] + 1
-        qinv[..., active] = _pinv_stack(q_path[..., active])
-        qinv = qinv[..., :n_steps]
-        w1 = _suffix_sums(np.einsum("pj,abpj,cpj->abcpj", wgt, qinv, u_nodes))
-        w2 = _suffix_sums(np.einsum("pj,abpj,becpj,epj->acpj", wgt, qinv,
-                                    psicum[..., :n_steps], u_nodes))
-        w3 = _suffix_sums(np.einsum("pj,abpj->abpj", wgt, qinv))
-        del qinv
-
+        qinv = ad.q_inv[..., :n_steps]                             # (m, m, p, N)
         k0v1 = np.einsum("ikp,k->ip", k[..., 0], v1)
-        gt_u = np.einsum("batpi,bpi->atpi", g_tensor, u_nodes)
+        u = np.einsum("abpj,bp->apj", qinv, k0v1)                  # build_alpha's u
+        w1 = _suffix_sums(np.einsum("pj,abpj,cpj->abcpj", wgt, qinv, u))
+        w2 = _suffix_sums(np.einsum("pj,abpj,becpj,epj->acpj", wgt, qinv,
+                                    psicum[..., :n_steps], u))
+        w3 = _suffix_sums(np.einsum("pj,abpj->abpj", wgt, qinv))
+        gt_u = np.einsum("batpi,bpi->atpi", g_tensor, u)
+        del u
+
         g_k0 = np.einsum("actpi,cp->atpi", g_tensor, k0v1)
         dr = (-(wgt * gt_u)
               - np.einsum("abcpi,bctpi->atpi", w1[..., 1:], omega_mat)

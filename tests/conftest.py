@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hypograd import control, estimator
+from hypograd import control
 from hypograd.control import AlphaData, build_alpha, build_bridge, phi_parabolic, xi_case1
 from hypograd.errors import ConfigurationError, MethodMisuseError
 from hypograd.exprdrift import DriftExpr
@@ -141,21 +141,22 @@ def wide_values(n, seed):
     return vals
 
 
-def pinv_stack_lapack(mats, rcond=1e-13):
-    """Guarded inverse of a path-major (..., n, n) stack with LAPACK's
-    batched LU for 1x1 and larger stacks (reference).
+def pinv_stack_lapack(mats):
+    """Inverse of a path-major (..., n, n) stack and the mask of the members
+    it flags, with LAPACK's batched LU for 1x1 and larger stacks (reference).
 
-    2x2 stacks go through ``estimator._inv``'s closed form, which has no
+    2x2 stacks go through ``control._inv``'s closed form, which has no
     LAPACK counterpart bit for bit; a 1x1 stack is LAPACK's own, so the
-    element-wise 1x1 inverse is checked against LAPACK's bits.
+    element-wise 1x1 inverse is checked against LAPACK's bits.  Flagged
+    members (not finite, determinant 0 or not finite, n cond_1 >= 1e13) are
+    NaN.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    bad = ~finite
+    bad = ~np.isfinite(mats).all(axis=(-2, -1))
     safe = np.where(bad[..., None, None], np.eye(n), mats) if bad.any() else mats
     if n == 2:
-        inv, singular = estimator._inv(comp_major(safe))
+        inv, singular = control._inv(comp_major(safe))
         inv = np.ascontiguousarray(path_major(inv))
         bad |= singular
     else:
@@ -167,55 +168,10 @@ def pinv_stack_lapack(mats, rcond=1e-13):
             safe = np.where(bad[..., None, None], np.eye(n), mats)
             inv = np.linalg.inv(safe)
     with np.errstate(over="ignore", invalid="ignore"):
-        bad |= ~(n * estimator._norm1(comp_major(safe))
-                 * estimator._norm1(comp_major(inv)) < 1.0 / rcond)
-    if bad.any():
-        inv[bad] = np.nan
-        redo = bad & finite
-        inv[redo] = estimator._svd_pinv(mats[redo], rcond)
-    return inv
-
-
-def guarded_solve_lapack(mats, rhs):
-    """Guarded solve of a path-major stack, mats (..., m, m) and rhs
-    (..., m), with LAPACK for every size (reference).
-
-    An exactly singular member fails the whole stack here.
-    """
-    m = mats.shape[-1]
-    rhs_col = rhs[..., None]
-    with np.errstate(all="ignore"):
-        try:
-            sol = np.linalg.solve(mats, rhs_col)[..., 0]
-        except np.linalg.LinAlgError:
-            sol = np.full(rhs.shape, np.nan)
-    # |mats sol - rhs| / (|rhs| + 1e-300), every term divided by max|rhs| where
-    # that exceeds 1, so no norm overflows
-    big = np.max(np.abs(rhs), axis=-1, keepdims=True)
-    big = np.where((big > 1.0) & np.isfinite(big), big, 1.0)
-    scale = np.linalg.norm(rhs / big, axis=-1) + 1e-300 / big[..., 0]
-
-    def residual(x):
-        with np.errstate(all="ignore"):
-            r = np.einsum("...ab,...b->...a", mats, np.nan_to_num(x)) - rhs
-            return np.linalg.norm(r / big, axis=-1) / scale
-
-    resid = residual(sol)
-    bad = ~np.isfinite(sol).all(axis=-1) | ~(resid <= control._SOLVE_RESIDUAL_TOL)
-    if np.any(bad):
-        tr = np.einsum("...aa->...", mats)
-        reg = mats + (control._REG_SCALE * tr / m)[..., None, None] * np.eye(m)
-        with np.errstate(all="ignore"):
-            try:
-                sol2 = np.linalg.solve(reg, rhs_col)[..., 0]
-            except np.linalg.LinAlgError:
-                sol2 = np.full(rhs.shape, np.nan)
-        resid2 = residual(sol2)
-        ok2 = np.isfinite(sol2).all(axis=-1) & (resid2 <= control._SOLVE_RESIDUAL_TOL)
-        sol = np.where((bad & ok2)[..., None], sol2, sol)
-        bad = bad & ~ok2
-    sol = np.where(bad[..., None], 0.0, np.nan_to_num(sol))
-    return sol, ~bad
+        bad |= ~(n * control._norm1(comp_major(safe))
+                 * control._norm1(comp_major(inv)) < 1e13)
+    inv[bad] = np.nan
+    return inv, bad
 
 
 def reference_blocks(spec):
@@ -344,8 +300,8 @@ def reference_build_alpha(spec, jac, k_flow, grid, v, profile):
 
     Frozen path-major reference for ``control.build_alpha``: ``jac`` is
     (B, N+1, n, n), ``k_flow`` (B, N+1, m, m), and the returned fields are
-    path-major.  Its solves are ``guarded_solve_lapack``'s, which have the
-    bits of the element-wise 1x1 solve.
+    path-major.  It multiplies by ``pinv_stack_lapack``'s inverses, which
+    have the bits of the element-wise 1x1 inverse.
     """
     k = k_flow
     n_paths = jac.shape[0]
@@ -373,29 +329,29 @@ def reference_build_alpha(spec, jac, k_flow, grid, v, profile):
     # second term: p = Q_T^{-1} c2
     kc_v2 = np.einsum("pjik,pjkl,l->pji", k, c_nodes, v2)
     c2_vec = np.einsum("j,pji->pi", w0[:-1] * dt, kc_v2[:, :-1])
+    q_inv = np.zeros_like(q_path)
     if np.linalg.norm(v2) > 0:
-        p_vec, ok = guarded_solve_lapack(q_path[:, n], c2_vec)
-        degenerate |= ~ok
+        inv, degenerate = pinv_stack_lapack(q_path[:, n])
+        q_inv[:, n] = np.where(degenerate[:, None, None], 0.0, inv)
+        p_vec = np.einsum("pab,pb->pa", q_inv[:, n], c2_vec)
     else:
         p_vec = np.zeros((n_paths, m))
 
     # third term: u_l = Q_l^{-1} K(T,0) v1 on nodes with xi > 0
-    u_nodes = np.zeros((n_paths, n + 1, m))
     has_v1 = np.linalg.norm(v1) > 0
     if has_v1:
-        rhs = np.einsum("pik,k->pi", k[:, 0], v1)
         active = (xi_vals > 0) & (np.arange(n + 1) >= 1) & (np.arange(n + 1) <= n - 1)
         idx = np.nonzero(active)[0]
         if idx.size:
-            sol, ok = guarded_solve_lapack(q_path[:, idx], rhs[:, None, :].repeat(len(idx), 1))
-            u_nodes[:, idx] = sol
-            drop = ~ok
+            inv, drop = pinv_stack_lapack(q_path[:, idx])
+            q_inv[:, idx] = np.where(drop[..., None, None], 0.0, inv)
             xi_eff[:, idx] = np.where(drop, 0.0, xi_eff[:, idx])
             dropped += drop.sum(axis=1)
+    u_nodes = np.einsum("pjab,pb->pja", q_inv[:, :n], np.einsum("pik,k->pi", k[:, 0], v1))
     nu = np.sum(xi_eff[:, :-1] ** 2, axis=1) * dt
     rho = np.zeros((n_paths, n + 1, m))
     if has_v1:
-        wgt = (xi_eff[:, :-1, None] ** 2) * u_nodes[:, :-1] * dt
+        wgt = (xi_eff[:, :-1, None] ** 2) * u_nodes * dt
         rho[:, :-1] = np.cumsum(wgt[:, ::-1], axis=1)[:, ::-1]
         bad_nu = nu <= 0
         degenerate |= bad_nu
@@ -417,13 +373,13 @@ def reference_build_alpha(spec, jac, k_flow, grid, v, profile):
          - phi_vals[None, :-1, None] * at_kt_vec)
     alpha_dot_an = -v2[None, None, :] / T - z @ spec.b0
     if has_v1:
-        kt_u = np.einsum("pjra,pjr->pja", k[:, :-1], u_nodes[:, :-1])
+        kt_u = np.einsum("pjra,pjr->pja", k[:, :-1], u_nodes)
         alpha_dot_an = alpha_dot_an + ((phi_vals[None, :-1] * xi_eff[:, :-1] ** 2
                                         / nu[:, None])[..., None] * kt_u) @ spec.b0
     gap = float(np.max(np.abs(alpha_dot_an - alpha_dot))) if alpha.size else 0.0
 
     return AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_gap=gap, q_path=q_path,
-                     xi_vals=xi_vals, xi_eff=xi_eff, nu=nu, u_nodes=u_nodes, rho=rho,
+                     xi_vals=xi_vals, xi_eff=xi_eff, nu=nu, q_inv=q_inv, rho=rho,
                      p_vec=p_vec, dropped_nodes=dropped, degenerate=degenerate)
 
 
@@ -521,8 +477,8 @@ def reference_hypothesis_checks(spec, jac, ad, res, good):
 
 def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     """The path-major Skorokhod trace, every per-node tensor (P, N+1, ...)
-    (reference for ``estimator._skorokhod_trace``); its pseudo-inverses are
-    ``pinv_stack_lapack``'s.
+    (reference for ``estimator._skorokhod_trace``); its Phi and K inverses
+    are ``pinv_stack_lapack``'s, and its Q inverses are ``ad.q_inv``.
 
     dt * sum_i tr(d hdot_i / d W_i), exact, via factored sensitivities.
 
@@ -558,7 +514,7 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     e_sigma[m:, :] = spec.sigma
 
     phi_full = reference_full_jacobian_flow(jac, grid)                 # (p, N+1, n, n)
-    y_seed = pinv_stack_lapack(phi_full[:, 1:]) @ e_sigma              # (p, N, n, d)
+    y_seed = pinv_stack_lapack(phi_full[:, 1:])[0] @ e_sigma             # (p, N, n, d)
 
     hess = path_major(spec.hess_z1(states_cm(x)), 3)         # (p, N+1, m, n, n)
     t1 = hess[..., :m, :]                                    # dA/dx
@@ -566,7 +522,7 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     theta1 = np.einsum("pjabe,pjec->pjabc", t1, phi_full)    # (p, N+1, m, m, n)
     theta2 = np.einsum("pjabe,pjec->pjabc", t2, phi_full)    # (p, N+1, m, d, n)
 
-    kinv = pinv_stack_lapack(k)
+    kinv = pinv_stack_lapack(k)[0]
     c_nodes = jac[..., :m, m:]
     kc = k @ c_nodes                                         # K C
     kb = k @ spec.b0                                         # K B0
@@ -606,7 +562,6 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
 
     q_path = ad.q_path
     xi_eff = ad.xi_eff
-    u_nodes = ad.u_nodes
     rho = ad.rho
     nu = ad.nu
     p_vec = ad.p_vec
@@ -624,22 +579,19 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
                + np.einsum("piac,pict->piat", etacum[:, -1][:, None] - etacum[:, 1:],
                            y_seed))
         rhs = dc2 - np.einsum("piabt,pb->piat", dq_t, p_vec)
-        dp = np.einsum("pab,pibt->piat", pinv_stack_lapack(q_path[:, -1]), rhs)
+        dp = np.einsum("pab,pibt->piat", ad.q_inv[:, -1], rhs)
     else:
         dp = np.zeros((p_paths, n_steps, m, d))
 
     if has_v1:
         wgt = (xi_eff[:, :n_steps] ** 2) * dt                 # (p, N)
-        qinv = np.zeros_like(q_path)
-        base_active = np.nonzero(ad.xi_vals[:n_steps] > 0)[0]
-        base_active = base_active[base_active >= 1]
-        if base_active.size:
-            qinv[:, base_active] = pinv_stack_lapack(q_path[:, base_active])
-        w1_step = np.einsum("pj,pjab,pjc->pjabc", wgt, qinv[:, :n_steps],
-                            u_nodes[:, :n_steps])
-        w2_step = np.einsum("pj,pjab,pjbec,pje->pjac", wgt, qinv[:, :n_steps],
-                            psicum[:, :n_steps], u_nodes[:, :n_steps])
-        w3_step = np.einsum("pj,pjab->pjab", wgt, qinv[:, :n_steps])
+        qinv = ad.q_inv[:, :n_steps]
+        k0v1 = np.einsum("pik,k->pi", k[:, 0], v1)
+        u_nodes = np.einsum("pjab,pb->pja", qinv, k0v1)
+        w1_step = np.einsum("pj,pjab,pjc->pjabc", wgt, qinv, u_nodes)
+        w2_step = np.einsum("pj,pjab,pjbec,pje->pjac", wgt, qinv,
+                            psicum[:, :n_steps], u_nodes)
+        w3_step = np.einsum("pj,pjab->pjab", wgt, qinv)
         w1 = np.zeros((p_paths, n_nodes, m, m, m))
         w2 = np.zeros((p_paths, n_nodes, m, n))
         w3 = np.zeros((p_paths, n_nodes, m, m))
@@ -647,8 +599,7 @@ def reference_skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
         w2[:, :-1] = np.cumsum(w2_step[:, ::-1], axis=1)[:, ::-1]
         w3[:, :-1] = np.cumsum(w3_step[:, ::-1], axis=1)[:, ::-1]
 
-        k0v1 = np.einsum("pik,k->pi", k[:, 0], v1)
-        gt_u = np.einsum("pibat,pib->piat", g_tensor, u_nodes[:, :n_steps])
+        gt_u = np.einsum("pibat,pib->piat", g_tensor, u_nodes)
         g_k0 = np.einsum("piact,pc->piat", g_tensor, k0v1)
         dr = (-(wgt[..., None, None] * gt_u)
               - np.einsum("piabc,pibct->piat", w1[:, 1:], omega_mat)

@@ -234,6 +234,23 @@ def test_bad_grid_or_width_exits_2(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("f,key", [
+    ({"tag": "indicator", "params": {"threshold": float("nan")}}, "threshold"),
+    ({"tag": "linear", "params": {"a": [float("nan"), 0.0]}}, "a"),
+    ({"tag": "quadratic", "params": {"s": [[1.0, 0.0], [0.0, 1.0]], "c": float("inf")}}, "c"),
+    ({"tag": "gaussian_bump", "params": {"center": [float("nan"), 0.0]}}, "center"),
+    ({"tag": "indicator", "params": {"index": 0.5}}, "index"),
+], ids=["indicator_threshold_nan", "linear_a_nan", "quadratic_c_inf",
+        "bump_center_nan", "indicator_index_fractional"])
+def test_nonfinite_or_fractional_f_params_exit_2(tmp_path, capsys, f, key):
+    # unchecked, these ran to a value of 0 +- 0, a degenerate run or an IndexError
+    cfg = _base_estimate_cfg(tmp_path, f=f, estimator={"n_paths": 512, "master_seed": 42,
+                                                       "method": "bismut_ito"})
+    assert main(["run", _write(tmp_path, "bad.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"f.params.{key}" in err, err
+
+
 def test_sweep_plotdata_slope_recomputable(tmp_path):
     cfg = {
         "schema_version": 1,

@@ -9,9 +9,9 @@ from hypograd.control import (build_alpha, build_bridge, gramian_M, gramian_Q,
 from hypograd.errors import NotApplicableError
 from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import builtin_model
-from tests.conftest import (case1_profile, comp_major, guarded_solve_lapack, path_major,
+from tests.conftest import (case1_profile, comp_major, path_major,
                             reference_xi_case2_calibration, refine_noise, same_bytes,
-                            sample_noise, states_cm, wide_values)
+                            sample_noise, states_cm)
 
 
 def _flat_flow(grid, m):
@@ -368,74 +368,71 @@ def test_weight_profile_shape_properties(kinetic_spec):
     assert np.all(xi_vals[1:] > 0)
 
 
-def test_guarded_solve_1x1_matches_lapack_bitwise():
-    mats = wide_values(200_000, 31).reshape(1, 1, 400, 500)
-    rhs = wide_values(200_000, 32).reshape(1, 400, 500)
-    pm_mats, pm_rhs = path_major(mats), path_major(rhs, 1)
-    with np.errstate(all="ignore"):
-        assert same_bytes(control._solve(mats, rhs),
-                          np.linalg.solve(pm_mats, pm_rhs[..., None])[..., 0, 0][None])
-        sol, ok = control._guarded_solve(mats, rhs)
-        ref_sol, ref_ok = guarded_solve_lapack(pm_mats, pm_rhs)
-    assert same_bytes(sol, ref_sol[..., 0][None]) and same_bytes(ok, ref_ok)
-    assert 0 < np.count_nonzero(~ok) < ok.size
-
-
 @pytest.mark.parametrize("m", [1, 2])
-def test_guarded_solve_verdict_does_not_depend_on_scale(m):
-    # scaled by 2^660, every nonzero residual's square overflows; the verdict
-    # and the solution must still be the unscaled ones.  Member 0 is exactly
-    # singular and fails.  At m = 1 the others are one rounding from exact
-    # and pass; at m = 2 members 1-4 have condition number 1e14, so their LU
-    # residual and the regularized retry's are far above the tolerance and
-    # they fail, and members 5-8 are well conditioned and pass
+def test_pinv_stack_verdict_does_not_depend_on_scale(m):
+    """Scaled by 2^500, each inverse is the unscaled one times 2^-500, bit
+    for bit, with the same flags: the condition estimate is scale-free.
+    Member 0 is exactly singular and is flagged.  At m = 1 the others pass;
+    at m = 2 members 1-4 have condition number 1e14 and are flagged, and
+    members 5-8 pass.  The limit is the determinant's range: 2^500 keeps
+    every 2x2 determinant here finite, and a scale whose determinant
+    overflows or underflows flags the member."""
     rng = np.random.default_rng(38 + m)
     if m == 1:
         mats = np.linspace(1.1, 9.9, 9).reshape(9, 1, 1)
-        expected_ok = np.arange(9) > 0
+        expected = np.arange(9) == 0
     else:
         u = np.linalg.qr(rng.standard_normal((9, 2, 2)))[0]
         v = np.linalg.qr(rng.standard_normal((9, 2, 2)))[0]
         sv = np.where(np.arange(9)[:, None] < 5, [1.0, 1e-14], [1.0, 0.5])
         mats = u @ (sv[..., None] * v)
-        expected_ok = np.arange(9) >= 5
+        expected = np.arange(9) < 5
     mats[0] = 0.0
-    mats, rhs = comp_major(mats), comp_major(rng.standard_normal((9, m)), 1)
-    with np.errstate(all="ignore"):
-        sol, ok = control._guarded_solve(mats, rhs)
-        big = 2.0 ** 660
-        big_sol, big_ok = control._guarded_solve(mats * big, rhs * big)
-        residual = np.einsum("ab...,b...->a...", mats * big, sol) - rhs * big
-        overflowed = residual ** 2 == np.inf
-    assert np.any(overflowed[:, ok])
-    assert ok.tolist() == big_ok.tolist() == expected_ok.tolist()
-    assert not sol[:, ~ok].any() and same_bytes(big_sol, sol)
+    mats = comp_major(mats)
+    inv, flagged = control._pinv_stack(mats)
+    big_inv, big_flagged = control._pinv_stack(mats * 2.0 ** 500)
+    assert flagged.tolist() == big_flagged.tolist() == expected.tolist()
+    assert np.isnan(inv[..., flagged]).all() and np.isnan(big_inv[..., flagged]).all()
+    assert same_bytes(big_inv[..., ~flagged], inv[..., ~flagged] * 2.0 ** -500)
 
 
-@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
-def test_guarded_solve_1x1_nonfinite_members_match_lapack_path(special):
-    rng = np.random.default_rng(33)
-    mats = wide_values(20_000, 34).reshape(1, 1, 40, 500)
-    rhs = rng.standard_normal((1, 40, 500))
-    mats.reshape(-1)[::997] = special
-    with np.errstate(all="ignore"):
-        sol, ok = control._guarded_solve(mats, rhs)
-        ref_sol, ref_ok = guarded_solve_lapack(path_major(mats), path_major(rhs, 1))
-    assert same_bytes(sol, ref_sol[..., 0][None]) and same_bytes(ok, ref_ok)
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_guarded_solve_singular_member_fails_alone(m):
-    rng = np.random.default_rng(35 + m)
-    mats = rng.standard_normal((6, m, m)) + 2.0 * m * np.eye(m)
-    rhs = rng.standard_normal((6, m))
-    mats[3] = 0.0
-    keep = np.arange(6) != 3
-    cm_mats, cm_rhs = comp_major(mats), comp_major(rhs, 1)
-    sol, ok = control._guarded_solve(cm_mats, cm_rhs)
-    assert ok.tolist() == [True, True, True, False, True, True]
-    assert np.array_equal(sol[:, 3], np.zeros(m))
-    alone, alone_ok = control._guarded_solve(cm_mats[..., keep], cm_rhs[..., keep])
-    assert alone_ok.all() and same_bytes(sol[:, keep], alone)
-    lapack = np.linalg.solve(mats[keep], rhs[keep][..., None])[..., 0]
-    assert same_bytes(alone, np.ascontiguousarray(lapack.T))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_build_alpha_masks_are_the_inverse_flags(m, monkeypatch):
+    # one inverse, one rule: Q_T's flags are the degenerate paths, Q_l's are
+    # the dropped nodes and the xi_eff zeros, and the stored inverse is the
+    # inverse with 0 at flagged members.  Each stack has an exactly singular
+    # member, one with cond_1 > 1e13 (at m = 1, a subnormal one whose
+    # reciprocal overflows) and a NaN one
+    spec = builtin_model("kinetic_ou", {"m": m})
+    grid = TimeGrid(1.0, 8)
+    n_paths, n = 5, grid.n_steps
+    prof = case1_profile(spec, 1.0, c_bound=1.0)
+    idx = np.nonzero(prof.xi_grid(grid)[:n] > 0)[0]
+    assert idx.tolist() == list(range(2, n))
+    rng = np.random.default_rng(60 + m)
+    rot = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    bad = [np.zeros((m, m)), np.full((m, m), np.nan),
+           rot @ np.diag([1.0] * (m - 1) + [1e-15]) @ rot.T if m > 1 else [[1e-310]]]
+    q = rng.standard_normal((n_paths, n + 1, m, m)) + 2.0 * m * np.eye(m)
+    for (path, node), member in zip([(0, n), (3, n), (4, n), (1, 3), (2, 5), (0, 4)],
+                                    bad + bad):
+        q[path, node] = member
+    q = np.ascontiguousarray(comp_major(q))
+    monkeypatch.setattr(control, "gramian_Q", lambda *args: q)
+    jac = np.broadcast_to(spec.dz(np.zeros(spec.dim))[..., None, None],
+                          (spec.dim, spec.dim, n_paths, n + 1))
+    v = np.concatenate([np.linspace(0.5, 1.0, m), np.linspace(-0.4, 0.3, m)])
+    ad = build_alpha(spec, jac, terminal_flow(spec, jac, grid), grid, v, prof)
+    inv_t, flag_t = control._pinv_stack(q[..., n])
+    inv_l, flag_l = control._pinv_stack(q[..., idx])
+    assert flag_t.tolist() == [True, False, False, True, True]
+    assert np.argwhere(flag_l).tolist() == [[0, 2], [1, 1], [2, 3]]
+    assert ad.degenerate.tolist() == flag_t.tolist()
+    assert ad.dropped_nodes.tolist() == flag_l.sum(axis=1).tolist()
+    assert same_bytes(ad.xi_eff[:, idx] == 0.0, flag_l)
+    assert same_bytes(ad.q_inv[..., n], np.where(flag_t, 0.0, inv_t))
+    assert same_bytes(ad.q_inv[..., idx], np.where(flag_l, 0.0, inv_l))
+    assert not ad.q_inv[..., :2].any() and np.isfinite(ad.alpha).all()
+    # the others have the bits they have without the flagged members
+    alone = control._pinv_stack(np.ascontiguousarray(q[..., n][..., ~flag_t]))
+    assert not alone[1].any() and same_bytes(alone[0], inv_t[..., ~flag_t])

@@ -19,7 +19,7 @@ from hypograd.estimator import (EstimatorConfig, bismut_gradient,
 from hypograd.flow import TimeGrid, simulate_path, terminal_flow
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import (brute_force_divergence, case1_profile, comp_major,
-                            directional_jacobian, guarded_solve_lapack, path_major,
+                            directional_jacobian, path_major,
                             pinv_stack_lapack, reference_build_alpha,
                             reference_build_bridge, reference_hypothesis_checks,
                             reference_skorokhod_trace, reference_terminal_flow,
@@ -85,49 +85,25 @@ def test_skorokhod_trace_matches_brute_force(anticipative_spec, v):
 def test_pinv_stack_matches_pinv_when_well_conditioned(n):
     rng = np.random.default_rng(n)
     mats = rng.standard_normal((40, 3, n, n)) + 2.0 * n * np.eye(n)
-    got = path_major(estimator._pinv_stack(comp_major(mats)))
+    inv, flagged = control._pinv_stack(comp_major(mats))
     ref = np.linalg.pinv(mats, rcond=1e-13)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert not flagged.any()
+    assert np.max(np.abs(path_major(inv) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_svd_pinv_drops_subnormal_singular_value_silently():
-    # 1/s used to be taken before the cut, so a dropped subnormal s overflowed
-    mats = np.diag([1.0, 1e-310])[None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = estimator._svd_pinv(mats, 1e-13)
-        lone = estimator._svd_pinv(np.full((1, 1, 1), 1e-310), 1e-13)
-    assert same_bytes(got, np.diag([1.0, 0.0])[None])
-    assert lone[0, 0, 0] == np.inf          # kept: its reciprocal overflows
-
-
-def _count_svd_members(monkeypatch):
-    """Spy on the SVD fallback; returns the list of member counts it got."""
-    seen = []
-    svd_pinv = estimator._svd_pinv
-
-    def spy(mats, rcond):
-        seen.append(len(mats))
-        return svd_pinv(mats, rcond)
-
-    monkeypatch.setattr(estimator, "_svd_pinv", spy)
-    return seen
-
-
-def test_pinv_stack_falls_back_per_member(monkeypatch):
+def test_pinv_stack_falls_back_per_member():
+    # each unusable member is flagged with a NaN inverse on its own; the
+    # others keep the closed form
     rng = np.random.default_rng(4)
     mats = rng.standard_normal((8, 2, 2)) + 3.0 * np.eye(2)
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])
     mats[1] = [[1.0, 2.0], [2.0, 4.0]]                       # exactly singular
     mats[4] = rot @ np.diag([1.0, 3e-14]) @ rot.T            # cond > 1e13
     mats[6, 0, 1] = np.nan
-    seen = _count_svd_members(monkeypatch)
-    got = path_major(estimator._pinv_stack(comp_major(mats)), 2)
-    assert seen == [2]
-    for i in (1, 4):
-        np.testing.assert_array_equal(got[i], estimator._svd_pinv(mats[i], 1e-13))
-    assert np.max(np.abs(got[4])) <= 1.0 + 1e-12             # 3e-14 dropped, not inverted
-    assert np.all(np.isnan(got[6]))
+    inv, flagged = control._pinv_stack(comp_major(mats))
+    got = path_major(inv, 2)
+    assert np.nonzero(flagged)[0].tolist() == [1, 4, 6]
+    assert np.all(np.isnan(got[[1, 4, 6]]))
     for i in (0, 2, 3, 5, 7):
         assert_close_to_exact_inverse(mats[i], got[i])
 
@@ -156,79 +132,71 @@ def assert_close_to_exact_inverse(mat, got):
             assert abs(Fraction(float(got[r, c])) - exact[r][c]) <= tol * abs(exact[r][c])
 
 
-def test_pinv_stack_singular_member_does_not_reroute_stack(monkeypatch):
+def test_pinv_stack_singular_member_does_not_reroute_stack():
     rng = np.random.default_rng(5)
     mats = rng.standard_normal((16, 32, 1, 1))
     mats[3, 7] = 0.0
-    seen = _count_svd_members(monkeypatch)
-    got = path_major(estimator._pinv_stack(comp_major(mats)))
-    assert seen == [1]
-    assert got[3, 7, 0, 0] == 0.0
-    keep = np.ones((16, 32), dtype=bool)
-    keep[3, 7] = False
-    np.testing.assert_array_equal(got[keep], 1.0 / mats[keep])
+    inv, flagged = control._pinv_stack(comp_major(mats))
+    got = path_major(inv)
+    assert np.argwhere(flagged).tolist() == [[3, 7]]
+    assert np.isnan(got[3, 7, 0, 0])
+    np.testing.assert_array_equal(got[~flagged], 1.0 / mats[~flagged])
 
 
-@pytest.mark.parametrize("special,kind,well_conditioned", [
-    ([[1.0, 2.0], [2.0, 4.0]], "zero", False),              # exactly singular
-    ([[1e-200, 0.0], [0.0, 1e-200]], "zero", True),         # det underflows
-    ([[1.0 + 2.0**-30, 1.0 + 2.0**-29], [1.0, 1.0 + 2.0**-30]], "zero", False),  # cancels
-    ([[1e200, 0.0], [0.0, 1e200]], "inf", True),            # det overflows
-    ([[1e200, 1e200], [1e200, 2e200]], "nan", True),        # inf - inf
+@pytest.mark.parametrize("special,kind", [
+    ([[1.0, 2.0], [2.0, 4.0]], "zero"),              # exactly singular
+    ([[1e-200, 0.0], [0.0, 1e-200]], "zero"),        # det underflows
+    ([[1.0 + 2.0**-30, 1.0 + 2.0**-29], [1.0, 1.0 + 2.0**-30]], "zero"),  # cancels
+    ([[1e200, 0.0], [0.0, 1e200]], "inf"),           # det overflows
+    ([[1e200, 1e200], [1e200, 2e200]], "nan"),       # inf - inf
 ], ids=["singular", "underflow", "cancels", "overflow", "nan"])
-def test_pinv_stack_2x2_unusable_determinant_routed_per_member(special, kind,
-                                                                well_conditioned,
-                                                                monkeypatch):
-    # a member whose computed ad - bc is 0 or non-finite goes to the SVD on
-    # its own; the others keep the closed form, and nothing raises or warns
+def test_pinv_stack_2x2_unusable_determinant_routed_per_member(special, kind):
+    # a member whose computed ad - bc is 0 or non-finite is flagged on its
+    # own, well conditioned or not, with a NaN inverse; the others keep the
+    # closed form, and nothing raises or warns
     mats = np.random.default_rng(9).standard_normal((6, 2, 2)) + 3.0 * np.eye(2)
     mats[2] = special
     (a, b), (c, d) = mats[2]
     with np.errstate(over="ignore", invalid="ignore"):
         det = a * d - b * c
     assert {"zero": det == 0.0, "inf": np.isinf(det), "nan": np.isnan(det)}[kind]
-    seen = _count_svd_members(monkeypatch)
-    got = np.ascontiguousarray(path_major(estimator._pinv_stack(comp_major(mats))))
-    assert seen == [1]
-    assert same_bytes(got[2], estimator._svd_pinv(mats[2:3], 1e-13)[0])
+    inv, flagged = control._pinv_stack(comp_major(mats))
+    got = np.ascontiguousarray(path_major(inv))
+    assert np.nonzero(flagged)[0].tolist() == [2]
+    assert np.all(np.isnan(got[2]))
     rest = [0, 1, 3, 4, 5]
-    closed = estimator._inv(comp_major(mats[rest]))[0]
+    closed = control._inv(comp_major(mats[rest]))[0]
     assert same_bytes(got[rest], np.ascontiguousarray(path_major(closed)))
-    if well_conditioned:                         # the SVD gives its true inverse
-        exact = np.array(_exact_inverse_2x2(mats[2]), dtype=float)
-        assert np.allclose(got[2], exact, rtol=1e-14, atol=0.0)
 
 
-def test_pinv_stack_1x1_matches_lapack_bitwise(monkeypatch):
+def test_pinv_stack_1x1_matches_lapack_bitwise():
     mats = wide_values(200_000, 21).reshape(400, 500, 1, 1)
-    seen = _count_svd_members(monkeypatch)
-    got = path_major(estimator._pinv_stack(comp_major(mats)))
-    n_fallback = sum(seen)
+    inv, flagged = control._pinv_stack(comp_major(mats))
+    got = path_major(inv)
     with np.errstate(all="ignore"):
         lapack = np.linalg.inv(mats)
         kept = np.abs(mats * lapack)[..., 0, 0] < 1e13
-    assert 0 < n_fallback == np.count_nonzero(~kept)   # reciprocals that overflow
-    assert same_bytes(got[kept], lapack[kept])
-    seen.clear()
-    assert same_bytes(got, pinv_stack_lapack(mats))
-    assert sum(seen) == n_fallback
+    assert 0 < np.count_nonzero(flagged)                # reciprocals that overflow
+    assert same_bytes(flagged, ~kept)
+    assert same_bytes(got[kept], lapack[kept]) and np.isnan(got[~kept]).all()
+    ref_inv, ref_flagged = pinv_stack_lapack(mats)
+    assert same_bytes(got, ref_inv) and same_bytes(flagged, ref_flagged)
 
 
 @pytest.mark.parametrize("special", [0.0, -0.0, np.inf, -np.inf, np.nan])
-def test_pinv_stack_1x1_special_members_match_lapack_path(special, monkeypatch):
+def test_pinv_stack_1x1_special_members_match_lapack_path(special):
     small = np.array([2.0, special, -4.0]).reshape(3, 1, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")        # LAPACK meets a zero pivot silently
-        got = path_major(estimator._pinv_stack(comp_major(small)))
-        assert same_bytes(got, pinv_stack_lapack(small))
+        inv, flagged = control._pinv_stack(comp_major(small))
+        ref_inv, ref_flagged = pinv_stack_lapack(small)
+        assert same_bytes(path_major(inv), ref_inv) and same_bytes(flagged, ref_flagged)
+    assert flagged.tolist() == [False, True, False]
     mats = wide_values(20_000, 22).reshape(40, 500, 1, 1)
     mats.reshape(-1)[::997] = special
-    seen = _count_svd_members(monkeypatch)
-    got = path_major(estimator._pinv_stack(comp_major(mats)))
-    n_fallback = sum(seen)
-    seen.clear()
-    assert same_bytes(got, pinv_stack_lapack(mats))
-    assert sum(seen) == n_fallback
+    inv, flagged = control._pinv_stack(comp_major(mats))
+    ref_inv, ref_flagged = pinv_stack_lapack(mats)
+    assert same_bytes(path_major(inv), ref_inv) and same_bytes(flagged, ref_flagged)
 
 
 def _chain_outputs(spec):
@@ -253,24 +221,40 @@ def _chain_outputs(spec):
 @pytest.mark.parametrize("which", ["mass", "custom"])
 def test_chain_bitwise_with_lapack_inverses_and_solves(which, anticipative_spec,
                                                        monkeypatch):
+    # every inverse of the chain, Q's in build_alpha and Phi's and K's in the
+    # trace, through LAPACK: the same bits at m = 1
     spec = anticipative_spec if which == "mass" else _estimate_custom_spec()
     assert spec.m == 1
     fast = _chain_outputs(spec)
-    calls = {"pinv": 0, "solve": 0}
+    calls = []
 
-    def pinv(mats, rcond=1e-13):
-        calls["pinv"] += 1
-        return np.ascontiguousarray(comp_major(pinv_stack_lapack(path_major(mats), rcond)))
+    def pinv(mats):
+        calls.append(mats.shape)
+        inv, flagged = pinv_stack_lapack(path_major(mats))
+        return np.ascontiguousarray(comp_major(inv)), flagged
 
-    def solve(mats, rhs):
-        calls["solve"] += 1
-        sol, ok = guarded_solve_lapack(path_major(mats), path_major(rhs, 1))
-        return np.ascontiguousarray(comp_major(sol, 1)), ok
-
+    monkeypatch.setattr(control, "_pinv_stack", pinv)
     monkeypatch.setattr(estimator, "_pinv_stack", pinv)
-    monkeypatch.setattr(control, "_guarded_solve", solve)
     assert _chain_outputs(spec) == fast
-    assert calls["pinv"] > 0 and calls["solve"] > 0
+    assert len(calls) > 0
+
+
+def test_skorokhod_trace_singular_k_member_poisons_its_path_alone(anticipative_spec):
+    # a flagged K member has a NaN inverse, so its path's trace is NaN (and
+    # the driver's finite mask rejects it); the other paths keep their bits
+    spec, x0, v = anticipative_spec, [0.3, -0.2], np.array([0.7, -0.4])
+    grid = TimeGrid(0.5, 16)
+    weights = default_weights(spec, grid, c_bound=3.0)
+    states, _, _ = estimator._simulate(spec, np.asarray(x0), grid,
+                                       path_increments(grid, spec.d, 3, 0, 8))
+    jac, ad, _, _, _, trace = estimator._bridge_chain(spec, states, grid, v, weights)
+    k = terminal_flow(spec, jac, grid)
+    k[..., 3, 5] = 0.0
+    bad = estimator._skorokhod_trace(spec, np.moveaxis(states, -1, 0), grid, v, weights,
+                                     ad, k, jac)
+    keep = np.arange(8) != 3
+    assert np.isnan(bad[3]) and np.isfinite(trace).all()
+    assert same_bytes(bad[keep], trace[keep])
 
 
 def test_skorokhod_trace_needs_hess_z1(anticipative_spec):
@@ -983,7 +967,7 @@ def test_norm1_matches_reduction_formula():
         mats[3, 0] = np.nan
         mats[4, 0, 0, 0], mats[4, 0, -1, 0] = np.inf, np.nan
         ref = np.abs(mats).sum(axis=-2).max(axis=-1)
-        got = estimator._norm1(comp_major(mats))
+        got = control._norm1(comp_major(mats))
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes(), n
 
@@ -1307,9 +1291,9 @@ def test_skorokhod_trace_multidimensional_matches_reference(model_cfg, x0, n_pat
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_pinv_stack_component_major_view_bitwise(n, monkeypatch):
+def test_pinv_stack_component_major_view_bitwise(n):
     # a component-major (n, n, P, N) view of path-major (P, N, n, n) memory
-    # gives the bits of its contiguous copy, SVD fallbacks included
+    # gives the bits and flags of its contiguous copy
     rng = np.random.default_rng(10 + n)
     mats = rng.standard_normal((12, 9, n, n)) + 2.0 * n * np.eye(n)
     mats[1, 2] = 0.0                                         # exactly singular
@@ -1318,13 +1302,12 @@ def test_pinv_stack_component_major_view_bitwise(n, monkeypatch):
     mats[7, 0] = np.diag(np.linspace(1.0, 1e-14, n))          # ill-conditioned
     view = comp_major(mats)                  # component-major view of (P, N, n, n) memory
     assert view.flags.c_contiguous == (n == 1)
-    seen = _count_svd_members(monkeypatch)
-    got = estimator._pinv_stack(view)
-    n_view = list(seen)
-    seen.clear()
-    ref = estimator._pinv_stack(np.ascontiguousarray(view))
-    assert n_view == seen and sum(seen) >= (1 if n == 1 else 3)
-    assert same_bytes(np.ascontiguousarray(got), ref)
+    inv, flagged = control._pinv_stack(view)
+    ref_inv, ref_flagged = control._pinv_stack(np.ascontiguousarray(view))
+    expected = [[1, 2], [5, 6]] if n == 1 else [[1, 2], [3, 4], [5, 6], [7, 0]]
+    assert np.argwhere(flagged).tolist() == expected
+    assert same_bytes(flagged, ref_flagged)
+    assert same_bytes(np.ascontiguousarray(inv), ref_inv)
 
 
 def _anticipative_m2_outputs(spec, x0, grid, weights, chunk_size, n_threads):

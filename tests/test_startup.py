@@ -166,3 +166,34 @@ def test_package_import_graph_is_acyclic():
 
     for mod in sorted(graph):
         visit(mod, [])
+
+
+def test_every_helper_is_referenced_in_the_package():
+    # a function or module constant that nothing in src/ names, loaded,
+    # called, imported or listed in __all__, lives on only for the tests.
+    # Exempt: methods the interpreter or numpy calls by name
+    protocol = {"generate_state"}
+    defined, used = {}, set()
+    for path in sorted((SRC / "hypograd").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined.setdefault(name.id, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    dead = {name: where for name, where in defined.items()
+            if name not in used and name not in protocol
+            and not (name.startswith("__") and name.endswith("__"))}
+    assert dead == {}

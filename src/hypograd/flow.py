@@ -12,9 +12,12 @@ arrays component-major, (components..., B, N+1): each component is one
 contiguous (B, N+1) slab.  States are (n, B, N+1), viewed (B, N+1, n); the
 flows take the node Jacobian ``jac`` = DZ(X), (n, n, B, N+1), evaluated
 once by the caller, step time-major scratch buffers and return K(T, t_i)
-as (m, m, B, N+1) and Phi_i as (n, n, B, N+1).  Non-finite states are
-propagated, not clamped; use ``valid_mask`` to detect and reject such
-paths.
+as (m, m, B, N+1) and Phi_i as (n, n, B, N+1).  A product of two stacks of
+small per-path matrices goes through ``einsum`` on (k, k, B) slabs, never
+through a stacked ``@``, which makes one BLAS call per member: each flow
+step is one ``np.einsum("abp,bcp->acp", ...)``, which sums the inner index
+in order.  Non-finite states are propagated, not clamped; use
+``valid_mask`` to detect and reject such paths.
 """
 
 from __future__ import annotations
@@ -110,22 +113,23 @@ def valid_mask(states):
 def terminal_flow(spec, jac, grid):
     """Terminal flow family K(T, t_i), i = 0..N, of the noise-free block.
 
-    Built from per-step propagators P_i = I + dt d1Z1(X_i) by backward
-    accumulation K(T, t_i) = K(T, t_{i+1}) P_i, K(T, T) = I, with d1Z1 read
-    from the node Jacobian ``jac``.  Stepped in a time-major buffer and
-    returned as a contiguous (m, m, B, N+1) array.
+    Built from per-step propagators P_i = I + dt d1Z1(X_i), formed once on
+    the component-major d1Z1 block of the node Jacobian ``jac``, by backward
+    accumulation K(T, t_i) = K(T, t_{i+1}) P_i, K(T, T) = I, one ``einsum``
+    per node into a (m, m, B) slab of a time-major buffer.  Returned as a
+    contiguous (m, m, B, N+1) array.
     """
     n_paths, n_nodes = jac.shape[2:]
     if n_nodes != grid.n_steps + 1:
         raise ConfigurationError("node Jacobian does not match the grid")
     m = spec.m
-    k = np.empty((n_nodes, n_paths, m, m))
-    k[-1] = np.eye(m)
+    k = np.empty((n_nodes, m, m, n_paths))
+    k[-1] = np.eye(m)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.eye(m) + grid.dt * np.ascontiguousarray(np.transpose(jac[:m, :m], (3, 2, 0, 1)))
+        steps = np.eye(m)[..., None, None] + grid.dt * jac[:m, :m]
         for i in range(grid.n_steps - 1, -1, -1):
-            k[i] = k[i + 1] @ steps[i]
-    return _nodes_last(k, (2, 3, 1, 0))
+            np.einsum("abp,bcp->acp", k[i + 1], steps[..., i], out=k[i])
+    return _nodes_last(k, (1, 2, 3, 0))
 
 
 def full_jacobian_flow(jac, grid):
@@ -133,22 +137,24 @@ def full_jacobian_flow(jac, grid):
 
     Phi_0 = I, Phi_{i+1} = (I + dt dZ(X_i)) Phi_i from the node Jacobian
     ``jac``; returns a contiguous (n, n, B, N+1) array.  Stepped 32 nodes
-    at a time in a time-major scratch block, which is copied out while in
-    cache.  ``np.matmul``: an element-wise product would not have the bits
-    of its per-member BLAS product.
+    at a time: one multiply writes the block's propagators time-major, each
+    step is one ``einsum`` into a (n, n, B) slab of a (33, n, n, B) scratch
+    block, and the block is copied out while in cache.
     """
     n, _, n_paths, n_nodes = jac.shape
     phi = np.empty(jac.shape)
-    blk = np.empty((min(n_nodes, 32) + 1, n_paths, n, n))   # Phi at a block's nodes
-    blk[0] = np.eye(n)
+    steps = np.empty((min(n_nodes, 32), n, n, n_paths))   # I + dt dZ(X_i)
+    blk = np.empty((len(steps) + 1, n, n, n_paths))       # Phi at a block's nodes
+    blk[0] = np.eye(n)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, n_nodes, 32):
-            steps = np.ascontiguousarray(np.transpose(jac[..., j:j + 32], (3, 2, 0, 1)))
-            steps = steps * grid.dt + np.eye(n)                 # I + dt dZ(X_i)
-            for t in range(min(len(steps), n_nodes - 1 - j)):
-                np.matmul(steps[t], blk[t], out=blk[t + 1])
-            phi[..., j:j + len(steps)] = np.transpose(blk[:len(steps)], (2, 3, 1, 0))
-            blk[0] = blk[len(steps)]
+            width = min(32, n_nodes - j)
+            np.multiply(np.moveaxis(jac[..., j:j + width], -1, 0), grid.dt, out=steps[:width])
+            steps[:width] += np.eye(n)[..., None]
+            for t in range(min(width, n_nodes - 1 - j)):
+                np.einsum("abp,bcp->acp", steps[t], blk[t], out=blk[t + 1])
+            phi[..., j:j + width] = np.moveaxis(blk[:width], 0, -1)
+            blk[0] = blk[width]
     return phi
 
 

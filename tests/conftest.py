@@ -230,10 +230,21 @@ def reference_full_jacobian(spec, x):
     return np.concatenate([top, bot], axis=-2)
 
 
-def reference_full_jacobian_flow(jac, grid):
+def in_order_matmul(a, b):
+    """a @ b over stacks (..., k, k), each entry summed over the inner index
+    in order from 0.0, one rounded product and one rounded sum per term: the
+    arithmetic of ``np.einsum("abp,bcp->acp", ...)``."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for j in range(a.shape[-1]):
+        out = out + a[..., :, j:j + 1] * b[..., None, j, :]
+    return out
+
+
+def reference_full_jacobian_flow(jac, grid, product=in_order_matmul):
     """Phi_{i+1} = (I + dt dZ(X_i)) Phi_i stepped on a path-major (B, N+1, n, n)
     array, one fresh step matrix per step (reference for
-    ``flow.full_jacobian_flow``)."""
+    ``flow.full_jacobian_flow``).  ``product=np.matmul`` gives the per-member
+    BLAS stepping the package used before its flows went to ``einsum``."""
     n_paths, n_nodes, n = jac.shape[:3]
     phi = np.empty((n_paths, n_nodes, n, n))
     phi[:, 0] = np.eye(n)
@@ -241,7 +252,7 @@ def reference_full_jacobian_flow(jac, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_nodes - 1):
             f_i = np.eye(n) + dt * jac[:, i]
-            phi[:, i + 1] = f_i @ phi[:, i]
+            phi[:, i + 1] = product(f_i, phi[:, i])
     return phi
 
 
@@ -250,7 +261,7 @@ def reference_full_jacobian_flow(jac, grid):
 # the chain went component-major; never regenerate these from the package
 # ---------------------------------------------------------------------------
 
-def reference_terminal_flow(spec, jac, grid):
+def reference_terminal_flow(spec, jac, grid, product=in_order_matmul):
     """Terminal flow family K(T, t_i), i = 0..N, of the noise-free block.
 
     Built from per-step propagators P_i = I + dt d1Z1(X_i) by backward
@@ -258,6 +269,9 @@ def reference_terminal_flow(spec, jac, grid):
     from the node Jacobian ``jac``.  Stepped in a time-major buffer and
     returned as a contiguous (B, N+1, m, m) array.  (Frozen path-major
     reference for ``flow.terminal_flow``: ``jac`` is (B, N+1, n, n).)
+    ``product=np.matmul`` gives the per-member BLAS stepping, whose bits
+    the in-order product shares only where no entry sums two nonzero terms
+    (m = 1, or a diagonal d1Z1).
     """
     n_paths, n_nodes = jac.shape[:2]
     if n_nodes != grid.n_steps + 1:
@@ -268,7 +282,7 @@ def reference_terminal_flow(spec, jac, grid):
     k[-1] = eye
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_steps - 1, -1, -1):
-            k[i] = k[i + 1] @ (eye + dt * jac[:, i, :m, :m])
+            k[i] = product(k[i + 1], eye + dt * jac[:, i, :m, :m])
     return np.ascontiguousarray(np.swapaxes(k, 0, 1))  # Gramian products run faster
 
 

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from hypograd.cli import build_model
 from hypograd.flow import (TimeGrid, _euler_nodes, full_jacobian_flow, simulate_path,
                            terminal_flow, valid_mask)
 from hypograd.errors import ConfigurationError
 from hypograd.model import ModelSpec, builtin_model
 from tests.conftest import (directional_jacobian, path_major, reference_full_jacobian_flow,
-                            refine_noise, same_bytes, sample_noise, states_cm)
+                            reference_terminal_flow, refine_noise, same_bytes, sample_noise,
+                            states_cm)
 
 # closed-form oracle for the kinetic model: drift matrix M = [[0,1],[-1,-1]],
 # exp(M) = e^{-1/2} (cos w I + sin(w)/w (M + I/2)) with w = sqrt(3)/2
@@ -291,38 +293,78 @@ def test_valid_mask_finds_nan_in_time_major_view():
     assert not valid_mask(view[6]) and valid_mask(view[0])
 
 
-def _terminal_flow_path_major(spec, jac, grid):
-    # jac: path-major (B, N+1, n, n)
-    # reference: K(T, t_i) = K(T, t_{i+1}) (I + dt d1Z1) on a (B, N+1, m, m) array
-    m = spec.m
-    k = np.empty(jac.shape[:2] + (m, m))
-    k[:, -1] = np.eye(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.n_steps - 1, -1, -1):
-            k[:, i] = k[:, i + 1] @ (np.eye(m) + grid.dt * jac[:, i, :m, :m])
-    return k
+MASS_M1 = {"builtin": "hamiltonian",
+           "params": {"v_expr": "0.5*x1^2 + 0.1*x1^4", "mass_expr": "1 + 0.2*x1^2",
+                      "c_mass": 1.0}}
+# m = 2 with a full d1Z1: every entry of a K product is a rounded sum
+CUSTOM_M2 = {"custom": {"m": 2, "d": 2,
+                        "z1": ["x3 + 0.3*x1*x4 + 0.2*x2*x4", "x4 + 0.2*x2^2 + 0.1*x1*x3"],
+                        "z2": ["-x1 - x3", "-x2 - 0.5*x4 + 0.1*x1^2"],
+                        "sigma": [[1.0, 0.2], [0.0, 0.8]],
+                        "b0": [[1.0, 0.1], [0.0, 1.0]], "epsilon": 0.5}}
+
+
+def _flow_case(model_cfg, grid, n_paths, rng):
+    """The model of ``model_cfg`` and the node Jacobian of ``n_paths`` Euler paths."""
+    spec = build_model(model_cfg)
+    inc = rng.standard_normal((n_paths, grid.n_steps, spec.d)) * np.sqrt(grid.dt)
+    x = simulate_path(spec, rng.standard_normal(spec.dim), grid, inc)
+    return spec, spec.dz(states_cm(x))
 
 
 @pytest.mark.parametrize("params", [
-    {"v_expr": "0.5*x1^2 + 0.1*x1^4", "mass_expr": "1 + 0.2*x1^2", "c_mass": 1.0},
-    {"v_expr": "0.5*x1^2 + 0.3*x2^2 + 0.1*x1*x2^3", "m": 2, "friction": 0.4,
-     "sigma": [[1.0, 0.2], [0.3, 0.8]]},
+    MASS_M1,
+    {"builtin": "hamiltonian",
+     "params": {"v_expr": "0.5*x1^2 + 0.3*x2^2 + 0.1*x1*x2^3", "m": 2, "friction": 0.4,
+                "sigma": [[1.0, 0.2], [0.3, 0.8]]}},
+    CUSTOM_M2,
 ])
 def test_flows_match_path_major_loops(params):
     # both flows step time-major buffers and return component-major arrays
     # with the bits of the path-major loops
-    spec = builtin_model("hamiltonian", params)
     grid = TimeGrid(0.5, 24)
     rng = np.random.default_rng(13)
     for n_paths in (1, 7, 37):
-        inc = rng.standard_normal((n_paths, 24, spec.d)) * np.sqrt(grid.dt)
-        x = simulate_path(spec, rng.standard_normal(spec.dim), grid, inc)
-        jac = spec.dz(states_cm(x))
+        spec, jac = _flow_case(params, grid, n_paths, rng)
         phi = full_jacobian_flow(jac, grid)
         assert phi.shape == (spec.dim, spec.dim, n_paths, 25) and phi.flags.c_contiguous
         ref = reference_full_jacobian_flow(path_major(jac), grid)
         assert same_bytes(np.ascontiguousarray(path_major(phi)), ref)
         k = terminal_flow(spec, jac, grid)
         assert k.shape == (spec.m, spec.m, n_paths, 25) and k.flags.c_contiguous
-        ref = _terminal_flow_path_major(spec, path_major(jac), grid)
+        ref = reference_terminal_flow(spec, path_major(jac), grid)
         assert same_bytes(np.ascontiguousarray(path_major(k)), ref)
+
+
+@pytest.mark.parametrize("model", [MASS_M1, CUSTOM_M2], ids=["m1", "m2"])
+def test_flows_stay_within_round_off_of_matmul_stepping(model):
+    # the einsum steps sum each product in order, where the per-member BLAS
+    # products they replaced may not; over these N = 256 steps Phi moves by
+    # 10.5 eps max|Phi| (m = 1) and 10.4 (m = 2), K by 7.0 eps max|K| (m = 2)
+    grid = TimeGrid(0.5, 256)
+    spec, jac = _flow_case(model, grid, 64, np.random.default_rng(13))
+    eps = np.finfo(float).eps
+    phi = path_major(full_jacobian_flow(jac, grid))
+    ref = reference_full_jacobian_flow(path_major(jac), grid, np.matmul)
+    assert np.max(np.abs(phi - ref)) <= 64 * eps * np.max(np.abs(ref))
+    k = path_major(terminal_flow(spec, jac, grid))
+    ref = reference_terminal_flow(spec, path_major(jac), grid, np.matmul)
+    assert np.max(np.abs(k - ref)) <= 64 * eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_nodes", [2, 32, 33, 34, 64, 65])
+def test_full_jacobian_flow_block_edges(n_nodes):
+    # Phi is stepped 32 nodes at a time and the last node of a block carried
+    # to the next: around each block edge it keeps the bits of the unblocked
+    # sequential loop, and a path alone has the bits it has inside a batch
+    grid = TimeGrid(0.5, n_nodes - 1)
+    rng = np.random.default_rng(n_nodes)
+    for n in (2, 3):
+        jac = rng.standard_normal((n, n, 37, n_nodes))
+        for n_paths in (1, 7, 37):
+            phi = full_jacobian_flow(jac[:, :, :n_paths], grid)
+            ref = reference_full_jacobian_flow(path_major(jac[:, :, :n_paths]), grid)
+            assert same_bytes(np.ascontiguousarray(path_major(phi)), ref)
+            last = n_paths - 1
+            alone = full_jacobian_flow(np.ascontiguousarray(jac[:, :, last:last + 1]), grid)
+            assert same_bytes(alone, np.ascontiguousarray(phi[:, :, last:last + 1]))

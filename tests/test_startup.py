@@ -168,6 +168,13 @@ def test_package_import_graph_is_acyclic():
         visit(mod, [])
 
 
+def test_package_stays_within_its_line_budget():
+    # the package may shrink but not grow past the standing limit of
+    # ROADMAP.md: a change that adds code pays for it elsewhere
+    lines = sum(len(p.read_text().splitlines()) for p in (SRC / "hypograd").glob("*.py"))
+    assert lines <= 3646, lines
+
+
 def test_every_helper_is_referenced_in_the_package():
     # a function or module constant that nothing in src/ names, loaded,
     # called, imported or listed in __all__, lives on only for the tests.

@@ -33,9 +33,8 @@ import numpy as np
 from . import analysis as _analysis
 from . import estimator as _est
 from .errors import ConfigurationError, HypogradError, RunDegenerateError
-from .exprdrift import DriftExpr
 from .flow import TimeGrid
-from .model import ModelSpec, builtin_model, builtin_schemas, validate_model
+from .model import builtin_model, builtin_schemas, expression_model, validate_model
 
 SCHEMA_VERSION = 1
 
@@ -154,7 +153,7 @@ def build_model(model_cfg):
         if "builtin" in model_cfg:
             return builtin_model(model_cfg["builtin"], model_cfg.get("params", {}))
         return _custom_model(model_cfg["custom"])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         where = "params" if "builtin" in model_cfg else "custom"
         raise ConfigurationError(f"model.{where}: {exc}") from exc
 
@@ -162,20 +161,9 @@ def build_model(model_cfg):
 def _custom_model(c):
     for key in ("m", "d", "z1", "z2", "sigma", "b0"):
         _need(c, key, "model.custom.")
-    m, d = int(c["m"]), int(c["d"])
-    n = m + d
-    z1 = DriftExpr(c["z1"], n)
-    z2 = DriftExpr(c["z2"], n)
-    if z1.n_out != m or z2.n_out != d:
-        raise ConfigurationError("custom drift component counts do not match (m, d)")
-    zfull = DriftExpr(z1.components + z2.components, n)
-    const_j1 = z1.is_constant_jacobian()
-    const_j2 = z2.is_constant_jacobian()
-    drift_matrix = zfull.jacobian(np.zeros(n)) if const_j1 and const_j2 else None
-    return ModelSpec(
-        m=m, d=d, z=zfull.value, dz=zfull.jacobian, sigma=c["sigma"], b0=c["b0"],
-        epsilon=float(c.get("epsilon", 0.0)), hess_z1=z1.hessian,
-        constant_jac_z1=const_j1, drift_matrix=drift_matrix, name="custom", params=dict(c))
+    return expression_model(int(c["m"]), int(c["d"]), c["z1"], c["z2"], sigma=c["sigma"],
+                            b0=c["b0"], epsilon=float(c.get("epsilon", 0.0)),
+                            name="custom", params=dict(c))
 
 
 def build_test_function(f_cfg):
@@ -235,10 +223,7 @@ def _need(section, key, path=""):
 
 
 def _vec(cfg, key, spec):
-    arr = np.asarray(_need(cfg, key), dtype=float)
-    if arr.shape != (spec.dim,):
-        raise ConfigurationError(f"{key} has dimension {arr.size}, model needs {spec.dim}")
-    return arr
+    return _est.state_vector(spec, _need(cfg, key), key)
 
 
 def _x0_v_f(cfg, spec):

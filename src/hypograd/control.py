@@ -117,11 +117,12 @@ class WeightProfile:
     """Time weights for the control construction.
 
     ``phi`` vanishes at both endpoints; ``xi`` is the nondecreasing Gramian
-    floor, positive on (0, T].  ``xi`` is the continuous-limit profile used
-    by rate analysis; ``xi_grid`` returns the discretization-consistent node
-    values used inside the control build and the Q-inverse bound (for case 1
-    the per-step flow-decay product, for case 2 the closed form clipped by
-    the deterministic discrete Gramian floor).  ``xi_case`` is "case1" or
+    floor, positive on (0, T].  ``xi`` is the continuous-limit profile; only
+    the case-2 ``xi_grid`` reads it, as the closed form it clips.
+    ``xi_grid`` returns the discretization-consistent node values used
+    inside the control build and the Q-inverse bound (for case 1 the
+    per-step flow-decay product, for case 2 the closed form clipped by the
+    deterministic discrete Gramian floor).  ``xi_case`` is "case1" or
     "case2".
     """
 

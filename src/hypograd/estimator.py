@@ -73,6 +73,7 @@ __all__ = [
     "closed_form_gradient",
     "duality_gap",
     "expectation",
+    "state_vector",
 ]
 
 MAX_REJECT_FRACTION = 1e-3
@@ -638,6 +639,15 @@ def _summarize(fvals, delta, ok, method, cfg, diagnostics):
     return est
 
 
+def state_vector(spec, val, name):
+    """``val`` as a float vector of the model's dimension; another size is a
+    config error naming ``name``."""
+    arr = np.asarray(val, dtype=float).ravel()
+    if arr.shape != (spec.dim,):
+        raise ConfigurationError(f"{name} must have dimension {spec.dim}, got {arr.size}")
+    return arr
+
+
 def _plain_estimate(vals, ok, cfg, method):
     """GradientEstimate of the mean of accepted per-path values."""
     value, se = _mean_se(vals[ok], ok, cfg.antithetic)
@@ -656,7 +666,7 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
     the largest ||d1Z1|| over every node, flagged in ``c_bound_exceeded``
     when the profile assumed a smaller ``c_bound``.
     """
-    v = np.asarray(v, dtype=float).ravel()
+    x0, v = state_vector(spec, x0, "x0"), state_vector(spec, v, "v")
     if not np.linalg.norm(v) > 0:
         raise ConfigurationError("v must be nonzero")
     if cfg.method == "bismut_ito" and not spec.constant_jac_z1:
@@ -664,7 +674,6 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
                                 "use bismut_skorokhod")
     if cfg.method not in ("bismut_ito", "bismut_skorokhod"):
         raise ConfigurationError(f"bismut_gradient got method {cfg.method!r}")
-    x0 = np.asarray(x0, dtype=float).ravel()
     if weights is None:
         weights = default_weights(spec, grid, c_bound=cfg.c_bound, probe_x0=x0,
                                   probe_seed=cfg.master_seed)
@@ -755,10 +764,7 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
     """E <grad f(X_T), dX_T/dx0 . v> -- the smooth-f oracle."""
     if f.grad_f is None:
         raise MethodMisuseError("pathwise_gradient needs grad_f")
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (spec.dim,):
-        raise ConfigurationError(f"v must have dimension {spec.dim}")
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0, v = state_vector(spec, x0, "x0"), state_vector(spec, v, "v")
     affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
     def per_chunk(inc):
@@ -777,8 +783,7 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
 
 def fd_gradient(spec, x0, v, f, grid, cfg):
     """Common-random-number central difference along v with bump fd_bump."""
-    v = np.asarray(v, dtype=float).ravel()
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0, v = state_vector(spec, x0, "x0"), state_vector(spec, v, "v")
     eta = cfg.fd_bump
     affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
@@ -799,7 +804,7 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
 
 def expectation(spec, x0, f, grid, cfg, seed_offset=0):
     """Plain Monte Carlo P_T f(x0) with standard error."""
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = state_vector(spec, x0, "x0")
     affine = _AffineTerminal(spec, grid) if spec.is_linear else None
 
     def per_chunk(inc):
@@ -850,8 +855,7 @@ def closed_form_gradient(spec, x0, v, f, t_final):
         raise MethodMisuseError("closed_form_gradient needs an affine model")
     if f.tag not in ("linear", "quadratic"):
         raise MethodMisuseError("closed_form_gradient supports linear/quadratic f")
-    x0 = np.asarray(x0, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    x0, v = state_vector(spec, x0, "x0"), state_vector(spec, v, "v")
     etg, shift = affine_mean(spec, t_final)
     mu = etg @ x0 + shift
     ev = etg @ v
@@ -887,11 +891,10 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
     """
     if f.grad_f is None:
         raise MethodMisuseError("duality_gap needs grad_f")
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0, v = state_vector(spec, x0, "x0"), state_vector(spec, v, "v")
     if weights is None:
         weights = default_weights(spec, grid, c_bound=cfg.c_bound, probe_x0=x0,
                                   probe_seed=cfg.master_seed)
-    v = np.asarray(v, dtype=float).ravel()
 
     def per_chunk(inc):
         states, x_n, good = _simulate(spec, x0, grid, inc)

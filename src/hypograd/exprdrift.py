@@ -6,13 +6,15 @@ evaluate vectorized over batches of states and differentiate symbolically, so
 user-declared models get exact Jacobians (and Hessians, needed by the
 anticipative divergence) without dynamic code loading.
 
-Grammar:  expr   := term (('+'|'-') term)*
-          term   := factor (('*'|'/') factor)*
-          factor := unary ('^' integer)?
-          unary  := '-' unary | atom
-          atom   := number | variable | function '(' expr ')' | '(' expr ')'
-
-Supported functions: sin, cos, exp, tanh, sqrt, log.
+Grammar: Python arithmetic, read by Python's own parser and walked, never
+evaluated.  An expression is built from int and float literals, the
+variables ``x1..xk``, unary ``-``, ``+ - * /``, powers written ``^`` with an
+integer literal exponent (``x1^3``, ``x1^-2``), parentheses and one-argument
+calls of sin, cos, exp, tanh, sqrt and log.  Precedence is Python's: ``^``
+binds tighter than unary minus, so ``-x1^2`` is -(x1^2).  Anything else is a
+ValueError, among it ``**`` (write ``^``), integer literals with a leading
+zero such as ``01``, and a literal too large for a float.  Whitespace,
+newlines included, is insignificant.
 
 Evaluation runs a compiled tape.  ``DriftExpr`` compiles its components,
 their gradient entries and their Hessian entries, once at construction,
@@ -29,8 +31,10 @@ of a contiguous (k, P, N+1) batch.  ``Expr.__call__`` runs a one-output tape.
 
 from __future__ import annotations
 
+import ast
 import operator
 import re
+import sys
 
 import numpy as np
 
@@ -46,13 +50,6 @@ _FUNCS = {
     "sqrt": (np.sqrt, lambda a: Expr.div(Expr.const(0.5), Expr.call("sqrt", a))),
     "log": (np.log, lambda a: Expr.div(Expr.const(1.0), a)),
 }
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
 
 class Expr:
     """Expression tree node. Immutable; hashable by structure string."""
@@ -270,112 +267,56 @@ def _run(tape, x, out):
     return out
 
 
-def _tokenize(text):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ValueError(f"cannot tokenize drift expression at: {tail!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+# the constructor of each accepted binary operator of Python's syntax tree
+_AST_OPS = {ast.Add: Expr.add, ast.Sub: lambda a, b: Expr.add(a, Expr.neg(b)),
+            ast.Mult: Expr.mul, ast.Div: Expr.div}
 
 
-class _Parser:
-    def __init__(self, tokens, n_vars):
-        self.tokens = tokens
-        self.pos = 0
-        self.n_vars = n_vars
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ValueError(f"expected {op!r} in drift expression, got {val!r}")
-
-    def parse(self):
-        e = self.expr()
-        if self.pos != len(self.tokens):
-            raise ValueError(f"trailing input in drift expression: {self.tokens[self.pos:]}")
-        return e
-
-    def expr(self):
-        e = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            e = Expr.add(e, rhs if op == "+" else Expr.neg(rhs))
-        return e
-
-    def term(self):
-        e = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.factor()
-            e = Expr.mul(e, rhs) if op == "*" else Expr.div(e, rhs)
-        return e
-
-    def factor(self):
-        e = self.unary()
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, val = self.take()
-            if kind == "op" and val == "-":
-                kind, val = self.take()
-                val = -val
-            if kind != "num" or val != int(val):
-                raise ValueError("exponent must be an integer literal")
-            e = Expr.pow(e, int(val))
-        return e
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return Expr.neg(self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return Expr.const(val)
-        if kind == "name":
-            if val in _FUNCS:
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return Expr.call(val, inner)
-            m = re.fullmatch(r"x(\d+)", val)
-            if not m:
-                raise ValueError(f"unknown symbol {val!r}; variables are x1..x{self.n_vars}")
-            idx = int(m.group(1)) - 1
-            if not 0 <= idx < self.n_vars:
-                raise ValueError(f"variable {val} out of range for {self.n_vars} state variables")
-            return Expr.var(idx)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ValueError(f"unexpected token {val!r} in drift expression")
+def _walk(node, n_vars):
+    """The Expr of one node of a parsed expression and its subtree; a node
+    outside the grammar is a ValueError.  Nothing is evaluated."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        if not abs(node.value) <= sys.float_info.max:
+            raise ValueError("number literal too large for a float in drift expression")
+        return Expr.const(node.value)
+    if isinstance(node, ast.Name):
+        m = re.fullmatch(r"x(\d+)", node.id)
+        if not m:
+            raise ValueError(f"unknown symbol {node.id!r}; variables are x1..x{n_vars}")
+        if not 1 <= int(m.group(1)) <= n_vars:
+            raise ValueError(f"variable {node.id} out of range for {n_vars} state variables")
+        return Expr.var(int(m.group(1)) - 1)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Expr.neg(_walk(node.operand, n_vars))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        n, sign = node.right, 1
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
+            n, sign = n.operand, -1
+        if not (isinstance(n, ast.Constant) and type(n.value) is int):
+            raise ValueError("exponent must be an integer literal")
+        return Expr.pow(_walk(node.left, n_vars), sign * n.value)
+    if isinstance(node, ast.BinOp) and type(node.op) in _AST_OPS:
+        return _AST_OPS[type(node.op)](_walk(node.left, n_vars), _walk(node.right, n_vars))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+        return Expr.call(node.func.id, _walk(node.args[0], n_vars))
+    raise ValueError(f"{ast.unparse(node).replace('**', '^')!r} is not allowed "
+                     "in a drift expression")
 
 
 def parse_expr(text, n_vars):
-    """Parse one expression string over variables x1..x``n_vars``."""
-    return _Parser(_tokenize(text), n_vars).parse()
+    """Parse one expression string over variables x1..x``n_vars``: Python's
+    parser reads it, with ``^`` for ``**``, and ``_walk`` checks its tree."""
+    if not isinstance(text, str):
+        raise ValueError(f"a drift expression is a string, got {text!r}")
+    text = " ".join(text.split())
+    if "**" in text:
+        raise ValueError("powers are written '^' in drift expressions, not '**'")
+    try:
+        return _walk(ast.parse(text.replace("^", "**"), mode="eval").body, n_vars)
+    except (SyntaxError, RecursionError) as exc:
+        raise ValueError(f"malformed drift expression {text[:80]!r}: "
+                         f"{getattr(exc, 'msg', exc)}") from None
 
 
 class DriftExpr:
@@ -391,7 +332,7 @@ class DriftExpr:
         if isinstance(exprs, str):
             exprs = [exprs]
         self.n_vars = int(n_vars)
-        self.components = [parse_expr(e, self.n_vars) if isinstance(e, str) else e
+        self.components = [e if isinstance(e, Expr) else parse_expr(e, self.n_vars)
                            for e in exprs]
         self.n_out = len(self.components)
         self._grad = [[c.diff(i) for i in range(self.n_vars)] for c in self.components]

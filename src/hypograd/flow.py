@@ -45,10 +45,11 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ConfigurationError("t_final must be positive")
-        if self.n_steps < 1:
-            raise ConfigurationError("n_steps must be a positive integer")
+        if not (np.isfinite(self.t_final) and self.t_final > 0):
+            raise ConfigurationError(f"t_final must be finite and positive, got {self.t_final!r}")
+        if (isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer))
+                or self.n_steps < 1):
+            raise ConfigurationError(f"n_steps must be a positive integer, got {self.n_steps!r}")
 
     @property
     def dt(self):

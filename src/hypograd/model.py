@@ -37,6 +37,7 @@ __all__ = [
     "builtin_model",
     "builtin_schemas",
     "drift_split",
+    "expression_model",
 ]
 
 _SIGMA_COND_CAP = 1e8    # cond(sigma) at or above this counts as singular
@@ -407,11 +408,18 @@ def _quadratic_hypothesis(gfull, sigma, m):
     return HypothesisData(w=w, grad2_w=grad2_w, c_const=c, l1=0.0, l2=0.0)
 
 
+def _block_size(p, name):
+    """Parameter ``m`` of a built-in model: a positive integer, which an
+    integral float also gives; a bool, a string or a fraction is an error."""
+    m = p["m"]
+    if not (isinstance(m, (int, float, np.integer)) and not isinstance(m, bool)
+            and float(m).is_integer() and m >= 1):
+        raise ConfigurationError(f"{name}: m must be a positive integer, got {m!r}")
+    return int(m)
+
+
 def _build_kinetic_ou(p, raw):
-    m = int(p["m"])
-    if m < 1:
-        raise ConfigurationError("kinetic_ou: m must be a positive integer")
-    d = m
+    m = d = _block_size(p, "kinetic_ou")
     k_mat = _as_matrix(p["k"], d, m, "kinetic_ou k")
     g_mat = _as_matrix(p["gamma"], d, d, "kinetic_ou gamma")
     sigma = _as_matrix(p["sigma"], d, d, "kinetic_ou sigma")
@@ -450,10 +458,24 @@ def _zero_hess(m, d):
     return hess_z1
 
 
+def expression_model(m, d, z1, z2, **kw):
+    """ModelSpec with the drift Z1 = ``z1``, Z2 = ``z2``, lists of expressions
+    (strings or ``Expr`` trees) over x1..x(m+d); ``kw`` goes to ModelSpec.
+    Z is affine, with its constant Jacobian as ``drift_matrix``, exactly
+    when no second derivative of Z is nonzero."""
+    n = m + d
+    if len(z1) != m or len(z2) != d:
+        raise ConfigurationError("drift component counts do not match (m, d)")
+    zfull = DriftExpr(list(z1) + list(z2), n)
+    z1_field = DriftExpr(zfull.components[:m], n)
+    return ModelSpec(m=m, d=d, z=zfull.value, dz=zfull.jacobian, hess_z1=z1_field.hessian,
+                     constant_jac_z1=z1_field.is_constant_jacobian(),
+                     drift_matrix=(zfull.jacobian(np.zeros(n)) if zfull.is_constant_jacobian()
+                                   else None), **kw)
+
+
 def _build_hamiltonian(p, raw):
-    m = int(p["m"])
-    d = m
-    n = 2 * m
+    m = d = _block_size(p, "hamiltonian")
     v_field = DriftExpr([p["v_expr"]], m)  # scalar potential in x1..xm
     v_expr = v_field.components[0]
     friction = _as_matrix(p["friction"], d, d, "hamiltonian friction")
@@ -498,18 +520,6 @@ def _build_hamiltonian(p, raw):
                 acc = Expr.add(acc, Expr.neg(Expr.mul(Expr.const(fm[a, b]), Expr.var(m + b))))
             z2c.append(acc)
 
-    # lift V-expressions from m variables into the full 2m-variable space:
-    # they only reference x1..xm so the trees are already valid there.
-    zfull = DriftExpr(z1c + z2c, n)
-    z1_field = DriftExpr(z1c, n)
-    const_j1 = z1_field.is_constant_jacobian()
-
-    drift_matrix = None
-    if const_j1 and DriftExpr(z2c, n).is_constant_jacobian():
-        probe = np.zeros(n)
-        if np.allclose(zfull.value(probe), 0.0):
-            drift_matrix = zfull.jacobian(probe)
-
     # W = H + 1; Example-style growth exponents for polynomial potentials
     def w(x):
         x = np.asarray(x, dtype=float)
@@ -528,10 +538,9 @@ def _build_hamiltonian(p, raw):
         return x[..., m:] @ mass.T
 
     hyp = HypothesisData(w=w, grad2_w=grad2_w, c_const=64.0, l1=1.0, l2=1.0)
-    return ModelSpec(m=m, d=d, z=zfull.value, dz=zfull.jacobian,
-                     sigma=sigma, b0=float(c_mass) * np.eye(m, d), epsilon=0.0,
-                     hypothesis=hyp, hess_z1=z1_field.hessian, constant_jac_z1=const_j1,
-                     drift_matrix=drift_matrix, name="hamiltonian", params=raw)
+    # V-expressions only reference x1..xm, so the trees are valid in 2m variables
+    return expression_model(m, d, z1c, z2c, sigma=sigma, b0=float(c_mass) * np.eye(m, d),
+                            epsilon=0.0, hypothesis=hyp, name="hamiltonian", params=raw)
 
 
 def _build_integrator_chain(p, raw):

@@ -468,6 +468,57 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["list-builtins"]) == 0
 
 
+# drift expressions outside the grammar; the last was a silent inf constant
+BAD_EXPRESSIONS = ["x1**2", "x1 if x2 else 1", '__import__("os")', "x1.real",
+                   "sin(x1, x2)", "sin(x=x1)", "x1^0.5", "x1^(1+1)", "0.5*x1^", "x1 x2",
+                   "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("text", BAD_EXPRESSIONS,
+                         ids=lambda text: text if len(text) < 20 else text[:8] + "...")
+def test_bad_expression_is_a_config_error_with_exit_2(tmp_path, capsys, text):
+    custom = {"m": 1, "d": 1, "z1": ["x2"], "z2": [text], "sigma": [[1.0]], "b0": [[1.0]]}
+    with pytest.raises(ConfigurationError, match="model.custom"):
+        build_model({"custom": custom})
+    hamiltonian = {"builtin": "hamiltonian", "params": {"v_expr": text.replace("x2", "x1")}}
+    with pytest.raises(ConfigurationError, match="model.params"):
+        build_model(hamiltonian)
+    for i, model in enumerate(({"custom": custom}, hamiltonian)):
+        capsys.readouterr()
+        path = _write(tmp_path, f"bad{i}.json", _base_estimate_cfg(tmp_path, model=model))
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, err
+
+
+def test_non_string_expression_is_a_config_error():
+    # a v_expr of 0 once raised AttributeError from inside the model builder
+    for params in ({"v_expr": 0}, {"v_expr": None}, {"v_expr": ["x1"]},
+                   {"v_expr": "x1^2", "mass_expr": 1, "c_mass": 1.0}):
+        with pytest.raises(ConfigurationError, match="drift expression is a string"):
+            build_model({"builtin": "hamiltonian", "params": params})
+
+
+@pytest.mark.parametrize("builtin", ["kinetic_ou", "hamiltonian"])
+def test_block_size_m_must_be_a_positive_integer(tmp_path, capsys, builtin):
+    def kalman(m):
+        params = {"m": m} if builtin == "kinetic_ou" else {"m": m, "v_expr": "0.5*x1^2"}
+        return _write(tmp_path, "k.json", {
+            "schema_version": 1, "experiment": "kalman", "output": str(tmp_path / "out"),
+            "model": {"builtin": builtin, "params": params}})
+
+    # a fraction, a string or a bool once ran as int(m), with exit status 0
+    for m in (2.5, "2", True, 0, -1, None):
+        capsys.readouterr()
+        assert main(["run", kalman(m)]) == 2, m
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "m must be a positive integer" in err, m
+    for m in (2, 2.0):
+        assert main(["run", kalman(m)]) == 0, m
+        rec = json.loads((tmp_path / "out" / "results.json").read_text())[0]
+        assert rec["metrics"]["k"] == 0.0
+
+
 def test_build_test_function_rejects_unknown():
     with pytest.raises(ConfigurationError):
         build_test_function({"tag": "mystery", "params": {}})

@@ -678,6 +678,38 @@ def test_pathwise_linear_model_zero_variance(chain_spec):
     assert est.value == pytest.approx(truth, rel=1e-12)
 
 
+_GRID8 = TimeGrid(1.0, 8)
+_DRIVERS = {
+    "bismut_gradient": lambda spec, x0, v, f: bismut_gradient(
+        spec, x0, v, f, _GRID8, EstimatorConfig(n_paths=10, method="bismut_ito")),
+    "pathwise_gradient": lambda spec, x0, v, f: pathwise_gradient(
+        spec, x0, v, f, _GRID8, EstimatorConfig(n_paths=10, method="pathwise")),
+    "fd_gradient": lambda spec, x0, v, f: fd_gradient(
+        spec, x0, v, f, _GRID8, EstimatorConfig(n_paths=10, method="finite_difference")),
+    "expectation": lambda spec, x0, v, f: expectation(
+        spec, x0, f, _GRID8, EstimatorConfig(n_paths=10)),
+    "closed_form_gradient": lambda spec, x0, v, f: closed_form_gradient(spec, x0, v, f, 1.0),
+    "duality_gap": lambda spec, x0, v, f: duality_gap(
+        spec, x0, v, f, _GRID8, EstimatorConfig(n_paths=10, method="bismut_skorokhod")),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(_DRIVERS))
+def test_every_driver_checks_the_dimension_of_x0_and_v(kinetic_spec, driver):
+    # a short v once ran as if broadcast, or gave 0.0 or a raw matmul error
+    run = _DRIVERS[driver]
+    f = linear_f([1.0, 0.5])
+    for bad in ([1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(ConfigurationError,
+                           match=f"x0 must have dimension 2, got {len(bad)}"):
+            run(kinetic_spec, bad, [1.0, 0.0], f)
+        if driver != "expectation":                 # P_T f(x0) takes no direction
+            with pytest.raises(ConfigurationError,
+                               match=f"v must have dimension 2, got {len(bad)}"):
+                run(kinetic_spec, [1.0, 1.0], bad, f)
+    run(kinetic_spec, [1.0, 1.0], [1.0, 0.0], f)           # the right sizes run
+
+
 def test_pathwise_constant_f_exactly_zero(kinetic_spec):
     grid = TimeGrid(1.0, 32)
     cfg = EstimatorConfig(n_paths=100, master_seed=1, method="pathwise")

@@ -130,3 +130,98 @@ def test_tape_runs_shared_subtrees_once(monkeypatch):
     field = DriftExpr([Expr.add(e, Expr.mul(e, e)), Expr.neg(e)], 2)
     field.value(np.ones((2, 4)))
     assert len(calls) == 1
+
+
+# parse_expr(text, n).key() of every expression string in configs/,
+# perfbench/workloads.py, the README and the test models, as the
+# hand-written recursive-descent parser built them
+_PINNED_KEYS = {
+    "(1 + 0.2*x1^2)*x2": (2, "*(+(c1.0,*(c0.2,pow2(x0))),x1)"),
+    "(x1^2 + x2)*sin(x1^2 + x2) + 0.5/(x1^2 + x2)":
+        (2, "+(*(+(pow2(x0),x1),sin(+(pow2(x0),x1))),/(c0.5,+(pow2(x0),x1)))"),
+    "-(x1 + 0.4*x1^3) - 0.5*(0.4*x1)*x2^2":
+        (2, "+(neg(+(x0,*(c0.4,pow3(x0)))),neg(*(*(c0.5,*(c0.4,x0)),pow2(x1))))"),
+    "-10*x1^4": (1, "*(c-10.0,pow4(x0))"),
+    "-5*x1^4": (1, "*(c-5.0,pow4(x0))"),
+    "-x1": (1, "neg(x0)"),
+    "-x1 - x2": (2, "+(neg(x0),neg(x1))"),
+    "-x1 - x2 - 0.4*x1^3": (2, "+(+(neg(x0),neg(x1)),neg(*(c0.4,pow3(x0))))"),
+    "-x1 - x3": (3, "+(neg(x0),neg(x2))"),
+    "-x1 - x4": (4, "+(neg(x0),neg(x3))"),
+    "-x2 - 0.5*x4 + 0.1*x1^2": (4, "+(+(neg(x1),neg(*(c0.5,x3))),*(c0.1,pow2(x0)))"),
+    "-x2 - 0.5*x5 + 0.1*x1^2": (5, "+(+(neg(x1),neg(*(c0.5,x4))),*(c0.1,pow2(x0)))"),
+    "-x3": (3, "neg(x2)"),
+    "-x3 + 0.2*x1^2": (3, "+(neg(x2),*(c0.2,pow2(x0)))"),
+    "-x3 - x6 + 0.1*x2*x3": (6, "+(+(neg(x2),neg(x5)),*(*(c0.1,x1),x2))"),
+    "0": (1, "c0.0"),
+    "0*x2": (2, "c0.0"),
+    "0.25*x1^2": (1, "*(c0.25,pow2(x0))"),
+    "0.5*x1^2": (1, "*(c0.5,pow2(x0))"),
+    "0.5*x1^2 + 0.1*x1^4": (1, "+(*(c0.5,pow2(x0)),*(c0.1,pow4(x0)))"),
+    "0.5*x1^2 + 0.3*x2^2 + 0.1*x1*x2^3":
+        (2, "+(+(*(c0.5,pow2(x0)),*(c0.3,pow2(x1))),*(*(c0.1,x0),pow3(x1)))"),
+    "1 + 0.1*x1^2": (1, "+(c1.0,*(c0.1,pow2(x0)))"),
+    "1 + 0.2*x1^2": (1, "+(c1.0,*(c0.2,pow2(x0)))"),
+    "1 + 0.3*x1^2": (1, "+(c1.0,*(c0.3,pow2(x0)))"),
+    "1 + x1^2": (1, "+(c1.0,pow2(x0))"),
+    "2 - x2": (2, "+(c2.0,neg(x1))"),
+    "2.5": (1, "c2.5"),
+    "sin(x1)*exp(x2) + cos(x1 + x2)^3 - tanh(x1*x2)":
+        (2, "+(+(*(sin(x0),exp(x1)),pow3(cos(+(x0,x1)))),neg(tanh(*(x0,x1))))"),
+    "sin(x1)*exp(x2) + x1^2/(1 + x2^2)": (2, "+(*(sin(x0),exp(x1)),/(pow2(x0),+(c1.0,pow2(x1))))"),
+    "sqrt(1 + x1^2)/(2 + x2^4) + log(1 + x2^2) - x1^-1":
+        (2, "+(+(/(sqrt(+(c1.0,pow2(x0))),+(c2.0,pow4(x1))),log(+(c1.0,pow2(x1)))),"
+            "neg(pow-1(x0)))"),
+    "tanh(x1) / (2 + cos(x1))": (1, "/(tanh(x0),+(c2.0,cos(x0)))"),
+    "x1 + 0.4*x1^3 - 2*x2": (2, "+(+(x0,*(c0.4,pow3(x0))),neg(*(c2.0,x1)))"),
+    "x1*x2": (2, "*(x0,x1)"),
+    "x1^2 + x2": (2, "+(pow2(x0),x1)"),
+    "x1^3 * x2": (2, "*(pow3(x0),x1)"),
+    "x2": (2, "x1"),
+    "x2 + 0.05*x1^2*x2": (2, "+(x1,*(*(c0.05,pow2(x0)),x1))"),
+    "x2 + 0.1*x1^2": (2, "+(x1,*(c0.1,pow2(x0)))"),
+    "x2 + 0.1*x1^2*x2": (2, "+(x1,*(*(c0.1,pow2(x0)),x1))"),
+    "x2 + 0.4*x3 + 0.1*x1^2*x2": (3, "+(+(x1,*(c0.4,x2)),*(*(c0.1,pow2(x0)),x1))"),
+    "x3": (3, "x2"),
+    "x3 + 0.3*x1*x4": (4, "+(x2,*(*(c0.3,x0),x3))"),
+    "x3 + 0.3*x1*x4 + 0.2*x2*x4": (4, "+(+(x2,*(*(c0.3,x0),x3)),*(*(c0.2,x1),x3))"),
+    "x3 + 1": (3, "+(x2,c1.0)"),
+    "x4 + 0.2*x1*x5": (5, "+(x3,*(*(c0.2,x0),x4))"),
+    "x4 + 0.2*x2^2 + 0.1*x1*x3": (4, "+(+(x3,*(c0.2,pow2(x1))),*(*(c0.1,x0),x2))"),
+    "x4 + 0.2*x2^2 + 0.1*x3": (4, "+(+(x3,*(c0.2,pow2(x1))),*(c0.1,x2))"),
+    "x5 + 0.1*x2^2 + 0.1*x4": (5, "+(+(x4,*(c0.1,pow2(x1))),*(c0.1,x3))"),
+    "x6 + 0.1*x3*x4": (6, "+(x5,*(*(c0.1,x2),x3))"),
+}
+
+
+def test_parse_builds_the_pinned_trees():
+    for text, (n_vars, key) in _PINNED_KEYS.items():
+        assert parse_expr(text, n_vars).key() == key, text
+
+
+@pytest.mark.parametrize("text, reference", [
+    ("-x1^2", lambda x1, x2: -(x1 ** 2)),
+    ("-2^2", lambda x1, x2: np.full_like(x1, -4.0)),
+    ("2*-x1^2", lambda x1, x2: 2 * -(x1 ** 2)),
+    ("x1^-2", lambda x1, x2: x1 ** -2.0),
+    ("-(x1 + x2)^2", lambda x1, x2: -((x1 + x2) ** 2)),
+    ("-x1^2 + x1^4", lambda x1, x2: -(x1 ** 2) + x1 ** 4),
+    ("x1 +\n  2 *\tx2", lambda x1, x2: x1 + 2 * x2),
+])
+def test_power_binds_tighter_than_unary_minus(text, reference):
+    x = np.array([[3.0, -1.5, 0.5], [0.7, 2.0, -0.2]])
+    assert np.array_equal(parse_expr(text, 2)(x), reference(*x))
+
+
+# inputs outside the grammar; the last was a silent inf constant before
+REJECTED = ["x1**2", "x1 if x2 else 1", '__import__("os")', "x1.real", "sin(x1, x2)",
+            "sin(x=x1)", "x1^0.5", "x1^(1+1)", "0.5*x1^", "x1 x2", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("text", REJECTED + ["01", "True", "1j", "+x1", "x1^True",
+                                             "sin(*x1)", "1e400", "x0", "x1 // 2",
+                                             "lambda: x1", "[x1]", "-" * 5000 + "x1"],
+                         ids=lambda text: text if len(text) < 20 else text[:8] + "...")
+def test_inputs_outside_the_grammar_are_value_errors(text):
+    with pytest.raises(ValueError):
+        parse_expr(text, 2)

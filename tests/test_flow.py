@@ -38,6 +38,16 @@ def _zero_drift_spec(d=2):
                      b0=np.ones((m, d)), epsilon=0.0)
 
 
+@pytest.mark.parametrize("t_final, n_steps", [
+    (float("nan"), 4), (float("inf"), 4), (0.0, 4), (-1.0, 4),
+    (1.0, 0), (1.0, 2.5), (1.0, 4.0), (1.0, True), (1.0, "4")])
+def test_time_grid_needs_finite_t_final_and_integer_steps(t_final, n_steps):
+    # a nan horizon once passed (nan <= 0 is False) and gave nan nodes
+    with pytest.raises(ConfigurationError):
+        TimeGrid(t_final, n_steps)
+    assert TimeGrid(0.5, np.int64(4)).dt == 0.125
+
+
 def test_zero_drift_zero_noise_constant_path():
     spec = _zero_drift_spec()
     grid = TimeGrid(1.0, 16)

@@ -24,6 +24,24 @@ def test_hamiltonian_free_particle():
     assert np.allclose(spec.drift(x), [[-2.1], [0.0]])
 
 
+def test_hamiltonian_with_a_linear_term_is_affine():
+    # one affine rule for every expression model: no nonzero second
+    # derivative of Z, whatever Z(0) is; the custom twin always agreed
+    from hypograd.cli import build_model
+    from hypograd.estimator import closed_form_gradient, linear_f
+
+    spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + x1"})
+    twin = build_model({"custom": {"m": 1, "d": 1, "z1": ["x2"], "z2": ["-x1 - 1"],
+                                   "sigma": [[1.0]], "b0": [[1.0]]}})
+    assert spec.is_linear and twin.is_linear
+    assert np.array_equal(spec.drift_matrix, twin.drift_matrix)
+    assert np.array_equal(spec.drift(np.zeros(2)), twin.drift(np.zeros(2)))
+    assert np.array_equal(spec.drift(np.zeros(2)), [0.0, -1.0])
+    f = linear_f([1.0, 0.5])
+    assert closed_form_gradient(spec, [0.3, 0.1], [1.0, 0.0], f, 1.0) == \
+        closed_form_gradient(twin, [0.3, 0.1], [1.0, 0.0], f, 1.0)
+
+
 def test_integrator_chain_kalman_rank():
     from hypograd.analysis import kalman_index
     spec = builtin_model("integrator_chain", {"a": [[0, 1], [0, 0]],

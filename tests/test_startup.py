@@ -204,3 +204,19 @@ def test_every_helper_is_referenced_in_the_package():
             if name not in used and name not in protocol
             and not (name.startswith("__") and name.endswith("__"))}
     assert dead == {}
+
+
+def test_expression_parser_walks_and_never_evaluates():
+    # exprdrift reads drift expressions with ast.parse and walks the tree;
+    # no name in it may hand user text to the interpreter
+    tree = ast.parse((SRC / "hypograd" / "exprdrift.py").read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name, node.asname})
+    assert "parse" in named
+    assert named & {"eval", "exec", "compile", "__import__"} == set()

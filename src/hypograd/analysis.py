@@ -100,13 +100,13 @@ def _is_constant_f(f, x_probe):
     return bool(np.all(np.abs(vals - vals[0]) <= 1e-14 * (1 + abs(vals[0]))))
 
 
-def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512, c_bound=None):
+def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512):
     """Fit the horizon decay of the divergence weight L2 norm.
 
-    Runs the derivative-formula estimator per horizon T, fits log
-    ||delta||_L2 against
-    log T, and compares one-sidedly against the theoretical exponent: -3/2
-    when Rank(B0) = m, else -((4k-1) v 0 + 3/2) under the Kalman condition.
+    Runs the derivative-formula estimator per horizon T, its weight profile
+    built with ``cfg.c_bound``, fits log ||delta||_L2 against log T, and
+    compares one-sidedly against the theoretical exponent: -3/2 when
+    Rank(B0) = m, else -((4k-1) v 0 + 3/2) under the Kalman condition.
     Horizons where the weight's own relative standard error exceeds 0.1 are
     excluded from the fit.  For constant f the fit is skipped and the
     estimates are checked to be statistical zeros.
@@ -116,7 +116,7 @@ def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512, c_bound=None):
     if t_grid.size == 0:
         raise ConfigurationError("rate sweep needs at least one horizon")
     grids = [TimeGrid(float(t_final), n_steps) for t_final in t_grid]
-    profiles = [default_weights(spec, grid, c_bound=c_bound) for grid in grids]
+    profiles = [default_weights(spec, grid, c_bound=cfg.c_bound) for grid in grids]
     k_idx = profiles[0].meta.get("k", 0)
     expo = -1.5 if profiles[0].xi_case == "case1" else -(max(4 * k_idx - 1, 0) + 1.5)
 
@@ -152,8 +152,7 @@ def gradient_rate_sweep(spec, x0, v, f, t_grid, cfg, n_steps=512, c_bound=None):
                    extras={"kalman_k": k_idx, "weight_se": ses})
 
 
-def entropy_gradient_check(spec, x0, v, f_positive, t_final, lambda_grid, cfg,
-                           n_steps=256, c_bound=None):
+def entropy_gradient_check(spec, x0, v, f_positive, t_final, lambda_grid, cfg, n_steps=256):
     """Residual table for the entropy-gradient inequality.
 
     gamma_hat(lambda) = (|grad_v P_T f| - lambda * entropy) / P_T f with
@@ -177,7 +176,7 @@ def entropy_gradient_check(spec, x0, v, f_positive, t_final, lambda_grid, cfg,
         raise MethodMisuseError("entropy_gradient_check needs strictly positive f")
 
     est = bismut_gradient(spec, x0, v, f_positive, grid, cfg,
-                          weights=default_weights(spec, grid, c_bound=c_bound))
+                          weights=default_weights(spec, grid, c_bound=cfg.c_bound))
     grad_abs = abs(est.value)
     grad_se = est.std_error
 

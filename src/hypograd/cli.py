@@ -61,7 +61,7 @@ _SCHEMA = {
                   "fd_bump": _NUM, "antithetic": _BOOL,
                   "chunk_size": _INT + " or null", "c_bound": _NUM + " or null"},
     "validate": {"box_lo": _NUMS, "box_hi": _NUMS, "n_samples": _INT, "seed": _INT},
-    "sweep": {"t_grid": _NUMS, "n_steps": _INT, "c_bound": _NUM + " or null"},
+    "sweep": {"t_grid": _NUMS, "n_steps": _INT},
     "gramian": {"t_grid": _NUMS},
     "harnack": {"p_grid": _NUMS, "t_final": _NUM, "n_steps": _INT,
                 "use_oracle": _BOOL, "scales": _NUMS, "holdout_scales": _NUMS},

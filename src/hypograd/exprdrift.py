@@ -65,6 +65,8 @@ class Expr:
 
     @staticmethod
     def const(v):
+        if not np.isfinite(float(v)):
+            raise ValueError(f"non-finite constant {float(v)} in drift expression")
         return Expr("const", float(v))
 
     @staticmethod
@@ -112,6 +114,8 @@ class Expr:
     @staticmethod
     def pow(a, n):
         n = int(n)
+        if not -2**63 <= n < 2**63:
+            raise ValueError(f"exponent {n} out of the int64 range in drift expression")
         if n == 0:
             return Expr.const(1.0)
         if n == 1:
@@ -125,7 +129,8 @@ class Expr:
         if name not in _FUNCS:
             raise ValueError(f"unknown function {name!r} in drift expression")
         if a.kind == "const":
-            return Expr.const(float(_FUNCS[name][0](a.value)))
+            with np.errstate(all="ignore"):  # a nan or inf result is Expr.const's error
+                return Expr.const(_FUNCS[name][0](a.value))
         return Expr("call", name, (a,))
 
     # -- evaluation --------------------------------------------------------

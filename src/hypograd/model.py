@@ -15,6 +15,9 @@ The drift callables are vectorized and component-first, states (m+d, ...);
 the Lyapunov data of ``HypothesisData`` takes points (..., m+d).
 A model supplies the whole drift Z = (Z1, Z2) and its whole Jacobian DZ;
 code that needs a block, such as the cross Jacobian d(Z1)/d(x2), slices it.
+Every model the package builds, built-in or custom, is an expression model:
+``expression_model`` derives Z, DZ, the second derivatives of Z1, whether
+d1Z1 is constant and the matrix of an affine Z from one list of trees.
 """
 
 from __future__ import annotations
@@ -74,8 +77,11 @@ class ModelSpec:
     ``z`` is the drift Z, shape (m+d, ...), and ``dz`` its Jacobian DZ,
     shape (m+d, m+d, ...); blocks are slices of these.  ``hess_z1`` returns
     the second-derivative stack of Z1, shape (m, m+d, m+d, ...); the
-    anticipative Skorokhod trace needs it.  All callables must be pure so
-    the model object can be shared across concurrent path workers.
+    anticipative Skorokhod trace needs it.  ``constant_jac_z1`` says d1Z1
+    is constant, and ``drift_matrix`` is DZ of an affine Z; the package's
+    models get these three from ``expression_model``, a hand-built one sets
+    them itself.  All callables must be pure so the model object can be
+    shared across concurrent path workers.
     The Euler loop and the flows call Z and DZ through the ``drift`` and
     ``full_jacobian`` methods, which ``perfbench/tracer.py`` times.
     """
@@ -97,16 +103,15 @@ class ModelSpec:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ConfigurationError("dimensions m, d must be positive integers")
-        sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        b0 = np.atleast_2d(np.asarray(self.b0, dtype=float))
-        if sigma.shape != (self.d, self.d):
-            raise ConfigurationError(f"sigma must be {self.d}x{self.d}, got {sigma.shape}")
-        if b0.shape != (self.m, self.d):
-            raise ConfigurationError(f"b0 must be {self.m}x{self.d}, got {b0.shape}")
+        for key, shape in (("sigma", (self.d, self.d)), ("b0", (self.m, self.d))):
+            val = np.atleast_2d(np.asarray(getattr(self, key), dtype=float))
+            if val.shape != shape:
+                raise ConfigurationError(f"{key} must be {shape[0]}x{shape[1]}, got {val.shape}")
+            if not np.all(np.isfinite(val)):
+                raise ConfigurationError(f"{key} must be finite, got {val.tolist()}")
+            object.__setattr__(self, key, val)
         if not (0.0 <= self.epsilon < 1.0):
             raise ConfigurationError(f"epsilon must be in [0,1), got {self.epsilon}")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "b0", b0)
         if self.drift_matrix is not None:
             g = np.asarray(self.drift_matrix, dtype=float)
             n = self.m + self.d
@@ -425,37 +430,27 @@ def _build_kinetic_ou(p, raw):
     sigma = _as_matrix(p["sigma"], d, d, "kinetic_ou sigma")
     eye_md = np.eye(m, d)
     gfull = np.block([[np.zeros((m, m)), eye_md], [-k_mat, -g_mat]])
-
-    def z(x):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([x[m:], -np.tensordot(k_mat, x[:m], 1)
-                               - np.tensordot(g_mat, x[m:], 1)])
-
-    hyp = _quadratic_hypothesis(gfull, sigma, m)
-    return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
-                     sigma=sigma, b0=eye_md.copy(), epsilon=0.0, hypothesis=hyp,
-                     hess_z1=_zero_hess(m, d), constant_jac_z1=True, drift_matrix=gfull,
-                     name="kinetic_ou", params=raw)
+    return _affine_model(gfull, 0.0, m, sigma, eye_md, "kinetic_ou", raw)
 
 
-def _constant_jacobian(gfull):
-    """DZ of an affine drift: a fresh copy of ``gfull`` per state."""
+def _affine_rows(gfull, off):
+    """Expressions of the rows of x -> gfull x + off: row a is the left fold
+    off[a] + gfull[a, 0] x1 + gfull[a, 1] x2 + ..., whose zero terms drop out."""
+    rows = []
+    for g_row, c in zip(gfull, np.broadcast_to(off, len(gfull))):
+        acc = Expr.const(c)
+        for b, g in enumerate(g_row):
+            acc = Expr.add(acc, Expr.mul(Expr.const(g), Expr.var(b)))
+        rows.append(acc)
+    return rows
 
-    def dz(x):
-        shp = np.shape(x)[1:]
-        return np.broadcast_to(gfull.reshape(gfull.shape + (1,) * len(shp)),
-                               gfull.shape + shp).copy()
 
-    return dz
-
-
-def _zero_hess(m, d):
-    n = m + d
-
-    def hess_z1(x):
-        return np.zeros((m, n, n) + np.shape(x)[1:])
-
-    return hess_z1
+def _affine_model(gfull, off, m, sigma, b0, name, raw):
+    """Expression model of the affine drift Z(x) = gfull x + off."""
+    rows = _affine_rows(gfull, off)  # before the hypothesis: a non-finite entry is named here
+    return expression_model(m, len(gfull) - m, rows[:m], rows[m:], sigma=sigma, b0=b0,
+                            epsilon=0.0, hypothesis=_quadratic_hypothesis(gfull, sigma, m),
+                            name=name, params=raw)
 
 
 def expression_model(m, d, z1, z2, **kw):
@@ -507,12 +502,7 @@ def _build_hamiltonian(p, raw):
             raise ConfigurationError("hamiltonian: mass matrix must be positive definite")
         c_mass = p["c_mass"] if p["c_mass"] is not None else float(eigs[0])
         fm = friction @ mass
-        z1c = []
-        for a in range(m):
-            acc = Expr.const(0.0)
-            for b in range(m):
-                acc = Expr.add(acc, Expr.mul(Expr.const(mass[a, b]), Expr.var(m + b)))
-            z1c.append(acc)
+        z1c = _affine_rows(np.hstack([np.zeros((m, m)), mass]), 0.0)
         z2c = []
         for a in range(d):
             acc = Expr.neg(grad_v[a])
@@ -564,16 +554,6 @@ def _build_integrator_chain(p, raw):
     if z2_off.shape != (d,):
         raise ConfigurationError(f"integrator_chain z2_off must have length {d}")
     sigma = _as_matrix(p["sigma"], d, d, "integrator_chain sigma")
-    z1_lin = np.concatenate([a_mat, b0], axis=1)
-    gfull = np.concatenate([z1_lin, z2_lin], axis=0)
-
-    def z(x):
-        x = np.asarray(x, dtype=float)
-        off = z2_off.reshape((d,) + (1,) * (x.ndim - 1))
-        return np.concatenate([np.tensordot(z1_lin, x, 1), np.tensordot(z2_lin, x, 1) + off])
-
-    hyp = _quadratic_hypothesis(gfull, sigma, m)
-    return ModelSpec(m=m, d=d, z=z, dz=_constant_jacobian(gfull),
-                     sigma=sigma, b0=b0, epsilon=0.0, hypothesis=hyp,
-                     hess_z1=_zero_hess(m, d), constant_jac_z1=True, drift_matrix=gfull,
-                     name="integrator_chain", params=raw)
+    gfull = np.block([[a_mat, b0], [z2_lin]])
+    return _affine_model(gfull, np.concatenate([np.zeros(m), z2_off]), m, sigma, b0,
+                         "integrator_chain", raw)

@@ -188,6 +188,34 @@ def test_rate_sweep_needs_a_horizon(chain_spec):
                             linear_f([0.0, 0.0, 0.0], b=1.0), [], cfg)
 
 
+def test_sweep_and_entropy_take_the_estimator_c_bound(kinetic_spec):
+    # estimator.c_bound is the one bound on ||d1Z1||: the rate sweep and the
+    # entropy check build their case-1 profiles from it (both ignored it)
+    f = gaussian_bump_f([1.0, 0.0], width=0.8)
+
+    def cfg(c_bound):
+        return EstimatorConfig(n_paths=2000, master_seed=5, method="bismut_ito",
+                               c_bound=c_bound)
+
+    def sweep(spec, x0, v, c_bound):
+        return gradient_rate_sweep(spec, x0, v, f, [0.3, 0.6], cfg(c_bound), n_steps=16).values
+
+    def entropy_lhs(c_bound):
+        rows, _, _ = entropy_gradient_check(kinetic_spec, [1.0, 1.0], [1.0, 0.0], f, 0.5,
+                                            [1.0], cfg(c_bound), n_steps=16)
+        return rows[0]["lhs"]
+
+    assert not np.array_equal(sweep(kinetic_spec, [1.0, 1.0], [1.0, 0.0], None),
+                              sweep(kinetic_spec, [1.0, 1.0], [1.0, 0.0], 5.0))
+    assert entropy_lhs(None) != entropy_lhs(5.0)
+    # a state-dependent d1Z1 needs the bound; without it the sweep says so
+    mass = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4",
+                                         "mass_expr": "1 + 0.2*x1^2", "c_mass": 1.0})
+    with pytest.raises(ConfigurationError, match="needs c_bound"):
+        sweep(mass, [0.3, -0.2], [0.7, -0.4], None)
+    assert len(sweep(mass, [0.3, -0.2], [0.7, -0.4], 3.0)) == 2
+
+
 def test_entropy_constant_f_zero_residual(kinetic_spec):
     cfg = EstimatorConfig(n_paths=20000, master_seed=8, method="bismut_ito")
     f = gaussian_bump_f([0.0, 0.0], width=1e6)  # constant to float precision

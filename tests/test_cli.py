@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -439,7 +440,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
              (dict(base, entropy={"t_final": "1"}), "entropy.t_final"),
              (dict(base, duality={"functions": "linear"}), "duality.functions"),
              (dict(base, grid={"t_final": float("nan"), "n_steps": 8}), "grid.t_final"),
-             (dict(base, sweep={"t_grid": [0.1], "c_bound": None, "n_steps": None}),
+             (dict(base, sweep={"t_grid": [0.1], "n_steps": None}),
               "sweep.n_steps"),
              (dict(base, model={"custom": dict(custom, z1=["x2 +* x1"])}), "model.custom"),
              (dict(base, model={"custom": dict(custom, z1="x2")}), "model.custom.z1"),
@@ -489,6 +490,37 @@ def test_bad_expression_is_a_config_error_with_exit_2(tmp_path, capsys, text):
         assert main(["run", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
+
+
+# non-finite constants, folded from an expression or given as a built-in
+# parameter (JSON reads NaN and Infinity); each once ran with a warning, an
+# accidental error, a traceback or an infinite constant
+NON_FINITE = {
+    "log0": ("hamiltonian", {"v_expr": "log(0) + x1^2"}, "constant -inf"),
+    "overflow": ("hamiltonian", {"v_expr": "1e300*1e300 + x1^2"}, "constant inf"),
+    "sqrt_neg": ("hamiltonian", {"v_expr": "sqrt(-1)*x1^2"}, "constant nan"),
+    "huge_exponent": ("hamiltonian", {"v_expr": "x1^99999999999999999999"}, "exponent 9"),
+    "friction_inf": ("hamiltonian", {"v_expr": "0.5*x1^2", "friction": float("inf")},
+                     "constant inf"),
+    "kinetic_k_nan": ("kinetic_ou", {"m": 1, "k": float("nan")}, "constant nan"),
+    "kinetic_sigma_nan": ("kinetic_ou", {"m": 1, "sigma": float("nan")}, "sigma must be finite"),
+    "c_mass_nan": ("hamiltonian", {"v_expr": "0.5*x1^2", "c_mass": float("nan")},
+                   "b0 must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_constant_is_a_config_error_with_exit_2(tmp_path, capsys, case):
+    builtin, params, named = NON_FINITE[case]
+    model = {"builtin": builtin, "params": params}
+    path = _write(tmp_path, "c.json", _base_estimate_cfg(tmp_path, model=model))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err
+    assert "Traceback" not in err
 
 
 def test_non_string_expression_is_a_config_error():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,24 @@ REJECTED = ["x1**2", "x1 if x2 else 1", '__import__("os")', "x1.real", "sin(x1, 
 def test_inputs_outside_the_grammar_are_value_errors(text):
     with pytest.raises(ValueError):
         parse_expr(text, 2)
+
+
+
+def test_folded_constants_and_exponents_must_be_representable():
+    # a nan or inf constant, from a literal or a fold, and an exponent beyond
+    # int64 once built a tree; sqrt(-1) also printed a numpy warning
+    for v in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite constant"):
+            Expr.const(v)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name, arg, named in (("sqrt", -1.0, "nan"), ("log", 0.0, "-inf"),
+                                 ("exp", 1e3, "inf")):
+            with pytest.raises(ValueError, match=f"constant {named} "):
+                Expr.call(name, Expr.const(arg))
+    assert caught == []
+    assert Expr.pow(Expr.var(0), 2**63 - 1).value == 2**63 - 1
+    assert Expr.pow(Expr.var(0), -2**63).value == -2**63
+    for n in (2**63, -2**63 - 1):
+        with pytest.raises(ValueError, match="int64"):
+            Expr.pow(Expr.var(0), n)

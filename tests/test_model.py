@@ -171,6 +171,20 @@ def _custom_config_spec():
     return build_model(cfg["model"])
 
 
+def _in_order_affine_drift(spec, x):
+    """Z(x) = G x + off of an affine built-in on path-major states (..., n):
+    each row starts from its offset and adds its nonzero terms in column order."""
+    off = spec.params.get("z2_off")
+    off = np.concatenate([np.zeros(spec.m), np.zeros(spec.d) if off is None else off])
+    rows = []
+    for g_row, c in zip(spec.drift_matrix, off):
+        acc = np.full(x.shape[:-1], c)
+        for b in np.flatnonzero(g_row):
+            acc = acc + g_row[b] * x[..., b]
+        rows.append(acc)
+    return np.stack(rows, axis=-1)
+
+
 @pytest.mark.parametrize("name,params", [
     ("kinetic_ou", {"m": 1}),
     ("kinetic_ou", {"m": 2, "k": [[1.0, 0.3], [0.2, 1.5]],
@@ -188,8 +202,12 @@ def _custom_config_spec():
 ])
 def test_drift_and_jacobian_match_block_reference(name, params):
     # one drift and one Jacobian callable give the bytes the former
-    # block-concatenating drift/full_jacobian gave
+    # block-concatenating drift/full_jacobian gave, except that an affine
+    # built-in with m >= 2 adds a row's several nonzero terms in column order
     spec = _custom_config_spec() if name == "custom" else builtin_model(name, params)
+    g = spec.drift_matrix
+    in_order = g is not None and spec.m >= 2 and np.count_nonzero(g, axis=1).max() > 1
+    drift = _in_order_affine_drift if in_order else reference_drift
     rng = np.random.default_rng(3)
     bulk = rng.standard_normal((5, 7, spec.dim))
     inputs = {
@@ -200,11 +218,35 @@ def test_drift_and_jacobian_match_block_reference(name, params):
     }
     for label, x in inputs.items():
         xc = np.moveaxis(x, -1, 0)                 # the model takes components first
-        for got, ref in ((spec.drift(xc), np.moveaxis(reference_drift(spec, x), -1, 0)),
+        for got, ref in ((spec.drift(xc), np.moveaxis(drift(spec, x), -1, 0)),
                          (spec.full_jacobian(xc),
                           np.moveaxis(reference_full_jacobian(spec, x), (-2, -1), (0, 1)))):
             assert got.shape == ref.shape, label
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), label
+
+
+@pytest.mark.parametrize("name,params,gfull", [
+    ("kinetic_ou", {"m": 1}, [[0, 1], [-1, -1]]),
+    ("kinetic_ou", {"m": 2, "k": [[1.0, 0.3], [0.2, 1.5]], "gamma": [[0.7, 0.1], [0.0, 1.2]]},
+     [[0, 0, 1, 0], [0, 0, 0, 1], [-1, -0.3, -0.7, -0.1], [-0.2, -1.5, 0, -1.2]]),
+    ("integrator_chain", {"a": [[0.0, 1.0], [0.0, 0.0]], "b0": [[0.0], [1.0]]},
+     [[0, 1, 0], [0, 0, 1], [0, 0, -1]]),
+    ("integrator_chain", {"a": [[0.1, 1.0], [-0.3, 0.2]], "b0": [[0.5, 0.0], [0.2, 1.0]],
+                          "z2_lin": [[-1.0, 0.2, -0.7, 0.1], [0.3, -0.4, 0.0, -1.1]]},
+     [[0.1, 1, 0.5, 0], [-0.3, 0.2, 0.2, 1], [-1, 0.2, -0.7, 0.1], [0.3, -0.4, 0, -1.1]]),
+], ids=["kinetic_m1", "kinetic_m2", "chain", "chain_general"])
+def test_affine_builtins_are_expression_models(name, params, gfull):
+    # expression_model derives what the builders once set by hand: the drift
+    # matrix (byte for byte), a zero Hessian of Z1 and a constant d1Z1
+    spec = builtin_model(name, params)
+    n = spec.dim
+    assert spec.drift_matrix.tobytes() == np.array(gfull, dtype=float).tobytes()
+    assert spec.constant_jac_z1
+    x = np.random.default_rng(4).standard_normal((n, 3, 5))
+    hess = spec.hess_z1(x)
+    assert hess.shape == (spec.m, n, n, 3, 5) and not hess.any()
+    assert np.array_equal(spec.full_jacobian(x), np.broadcast_to(
+        spec.drift_matrix[..., None, None], (n, n, 3, 5)))
 
 
 def test_validate_rejects_wrong_shapes():

@@ -220,3 +220,18 @@ def test_expression_parser_walks_and_never_evaluates():
             named.update({node.name, node.asname})
     assert "parse" in named
     assert named & {"eval", "exec", "compile", "__import__"} == set()
+
+
+def test_every_model_is_built_by_expression_model():
+    # one way to build a model: the only ModelSpec(...) call in model.py is
+    # the one in expression_model, which the built-ins and the CLI share
+    tree = ast.parse((SRC / "hypograd" / "model.py").read_text())
+
+    def calls(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "ModelSpec"]
+
+    builder = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "expression_model"]
+    assert len(builder) == 1
+    assert len(calls(tree)) == 1 and len(calls(builder[0])) == 1

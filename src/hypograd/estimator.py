@@ -11,12 +11,12 @@ When the first drift Jacobian block is constant the control is
 deterministic, hdot is adapted and the trace vanishes, leaving the plain
 increment sum.  Otherwise (``skorokhod_delta``) the trace is evaluated from
 the forward sensitivities of the entire discrete chain (state -> K -> Q ->
-alpha -> hdot).  Increment i enters only through the states after t_i,
-whose sensitivities factor through the state-transition matrices; every
-pairwise object then contracts against cumulative per-node tensors,
-collapsing the nominal O(N^2 d) sweep to O(N d) work.  The result is the
-exact derivative (checked against brute-force increment bumping in the
-tests), so the discrete integration-by-parts identity
+alpha -> hdot).  Increment i enters only through the states after t_i, so
+each sum over later nodes of a node row times dX_j/dW_i is one backward
+recursion over the Euler step propagators (the adjoint view): O(N d) work in
+place of the nominal O(N^2 d), with no state-transition matrix formed.  The
+result is the exact derivative (checked against brute-force increment
+bumping in the tests), so the discrete integration-by-parts identity
 E[F delta] = E[sum_i <dF/dW_i, hdot_i> dt] holds with no discretization
 bias.
 
@@ -53,8 +53,9 @@ from .control import (_assemble_hdot, _pinv_stack, _prefix_sums, _suffix_sums,
                       phi_parabolic, q_inverse_bound_ratio, xi_case1, xi_case2)
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
-from .flow import (_euler_nodes, full_jacobian_flow, simulate_path, terminal_flow,
-                   valid_mask)
+# full_jacobian_flow is unused here but named for perfbench's span tracer
+from .flow import (_euler_nodes, _step_blocks, full_jacobian_flow, simulate_path,
+                   terminal_flow, valid_mask)
 
 __all__ = [
     "EstimatorConfig",
@@ -334,127 +335,115 @@ def _bridge_chain(spec, states, grid, v, weights):
 
 
 def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
-    """dt * sum_i tr(d hdot_i / d W_i), exact, via factored sensitivities.
+    """dt * sum_i tr(d hdot_i / d W_i), exact, by one backward sweep.
 
-    Notation per path: k_i = K(T, t_i), Phi_i the full state-transition
-    matrix, Y_i = Phi_{i+1}^{-1} (0, sigma), G_i = (Lambda_{i+1} . Y_i) with
-    Lambda the cumulative flow-sensitivity tensor, so that dk_r/dW_i =
-    G_i k_r for r <= i+1.  The chain collapses to the single vector
-
-        omega_i = G_i^T p + Dp_i + (DR_i + G_i^T rho_i)/nu,
-
-    through which D alpha_j[i] = -phi_j B0^T k_j^T omega_i for j <= i+1,
-    giving the diagonal derivatives of alpha, its divided-difference rate,
-    and g.  ``jac`` is the node Jacobian DZ at ``states``.
-
-    Per-node tensors are component-major, (components..., P, N+1), as the
-    chain builds them, so each contraction runs one long contiguous loop over
-    paths and nodes; operand order, contracted indices and the sequential
-    node sums are the path-major form's, whose bits m = d = 1 keeps.
+    Per path, with k_j = K(T, t_j) and F_j = I + dt DZ(X_j), increment i
+    moves X_j, j > i, by F_{j-1} ... F_{i+1} E sigma, so a sum over j > i of
+    node rows A_j (row vectors in the state index y) applied to those moves
+    is R_{i+1} E sigma, R_j = A_j + R_{j+1} F_j, R_N = 0: the adjoint form
+    of Giles & Glasserman ("Smoking adjoints", 2006).  dk_r/dW_i = G_i k_r
+    for r <= i+1, G_i the sweep of chi_j = dt k_{j+1} d_y d1Z1(X_j) k_j^{-1},
+    and the chain collapses to omega_i = G_i^T p + Dp_i + (DR_i +
+    G_i^T rho_i)/nu, through which D alpha_j[i] = -phi_j B0^T k_j^T omega_i
+    for j <= i+1 gives the derivatives of alpha, its rate and g.  With
+    kdc_j = k_j d_y d2Z1(X_j), dQ_T/dW_i is the sweep of a_dq_j = chi_j
+    Q_{j+1} + Q_{j+1} chi_j^T + phi_j dt kdc_j (k_j B0)^T, dc2/dW_i that of
+    chi_j c2low_{j+1} + w0_j dt kdc_j v2, Dp_i = Q_T^{-1} (dc2 - dQ_T p), and
+    DR_i + G_i^T rho_i that of -(w1_{j+1} : a_dq_j + uv_{j+1} : chi_j) plus
+    uv_{i+1} : G_i + G_i^T rho_{i+1} + w3_{i+1} G_i K v1, where uv_t : X =
+    sum_{l<t} wgt_l Q_l^{-1} (X Q_l + Q_l X^T) u_l and w1, w3 are the suffix
+    sums of wgt Q^{-1} (x) u and wgt Q^{-1}.  Folding p, Q_T^{-1} and 1/nu
+    into coefficients h_j, omega less its G_i terms is the sweep of the m
+    rows h_j : d_y DZ1(X_j): m^2 + m rows (m when v1 = 0) are stepped.
     """
     if spec.hess_z1 is None:
         raise MethodMisuseError("the Skorokhod trace needs the model's hess_z1 "
                                 "(second derivatives of Z1)")
-    n_steps, dt, m, d = grid.n_steps, grid.dt, spec.m, spec.d
+    n_steps, dt, m = grid.n_steps, grid.dt, spec.m
     v1, v2 = np.split(np.asarray(v, dtype=float).ravel(), [m])
+    has_v1 = np.linalg.norm(v1) > 0.0
     nodes = grid.nodes
-    phi_vals = profile.phi(nodes)
-    w0 = (grid.t_final - nodes) / grid.t_final
-    w0[-1] = 0.0
+    phi_vals, w0 = profile.phi(nodes), (grid.t_final - nodes) / grid.t_final   # w0[N] unread
+    q_path, q_next, p_vec = ad.q_path[..., :-1], ad.q_path[..., 1:], ad.p_vec
+    nu = ad.nu[:, None] if has_v1 else np.inf      # 1/nu scales v1's terms only; nu may be 0
+    qt_inv, qinv = ad.q_inv[..., -1], ad.q_inv[..., :-1]    # 0 when v2 = 0, when v1 = 0
 
-    phi_full = full_jacobian_flow(jac, grid)                       # (n, n, p, N+1)
-    # Y_i = Phi_{i+1}^{-1} E sigma, (n, d, p, N): the inverse's last d columns
-    y_seed = np.einsum("akpj,kc->acpj", _pinv_stack(phi_full[..., 1:])[0][:, m:], spec.sigma)
-    hess = spec.hess_z1(states)                                    # (m, n, n, p, N+1)
-    theta1 = np.einsum("abepj,ecpj->abcpj", hess[:, :m], phi_full)  # dA/dx . Phi
-    theta2 = np.einsum("abepj,ecpj->abcpj", hess[:, m:], phi_full)  # dC/dx . Phi
-    del hess, phi_full
-
-    kinv = _pinv_stack(k)[0]
-    c_nodes = jac[:m, m:]
-    kc = np.einsum("akpj,kdpj->adpj", k, c_nodes)                  # K C
-    kb = np.einsum("akpj,kd->adpj", k, spec.b0)                    # K B0
-    qcore = np.einsum("adpj,bdpj->abpj", kc, kb)                   # K C B0^T K^T
-
-    #   chi_s . Y = dt k_{s+1} (theta1_s . Y) k_s^{-1};  Lambda_i = sum_{s>=i} chi_s
-    lam = _suffix_sums(dt * np.einsum("Aapj,abcpj,bBpj->ABcpj",
-                                      k[..., 1:], theta1[..., :-1], kinv[..., :-1]))
-    g_tensor = np.einsum("abcpj,ctpj->abtpj", lam[..., 1:], y_seed)  # G_i, (m, m, d, p, N)
-
-    # Psi_r: tangent of the Q integrand at node r as a linear map of Y
-    psi = (np.einsum("axcpj,xbpj->abcpj", lam, qcore)
-           + np.einsum("axpj,xecpj,bepj->abcpj", k, theta2, kb)
-           + np.einsum("axpj,bxcpj->abcpj", qcore, lam))
-    psicum = _prefix_sums(psi * (phi_vals * dt))
-
-    # eta_r: tangent of the c2 integrand; c2 and kappa_A forward cumulatives
-    kcv2 = np.einsum("adpj,d->apj", kc, v2)
-    etacum = _prefix_sums((w0 * dt) * (np.einsum("abcpj,bpj->acpj", lam, kcv2)
-                                       + np.einsum("abpj,becpj,e->acpj", k, theta2, v2)))
-    c2low = _prefix_sums((w0 * dt) * kcv2)
+    kinv = _pinv_stack(k[..., :-1])[0]                             # (m, m, p, N)
+    kb = np.einsum("akpj,kd->adpj", k[..., :-1], spec.b0)          # K B0
+    kcv2 = np.einsum("akpj,kpj->apj", k, np.einsum("kdpj,d->kpj", jac[:m, m:], v2))
+    c2low = _prefix_sums((w0 * dt) * kcv2)[..., 1:]                # c2low_{j+1}
+    k0v1 = np.einsum("ikp,k->ip", k[..., 0], v1)
+    u = np.einsum("abpj,bp->apj", qinv, k0v1)                      # build_alpha's u
+    wq = (ad.xi_eff[:, :-1] ** 2 * dt) * qinv                      # wgt Q^{-1}
+    uv = np.cumsum(np.einsum("abpj,cpj->abcpj", wq, np.einsum("cepj,epj->cpj", q_path, u))
+                   + np.einsum("acpj,bpj->abcpj", np.einsum("aepj,ecpj->acpj", wq, q_path), u),
+                   axis=-1)                                        # uv_{j+1}
+    # the weight of -a_dq_j in omega's row: Q_T^{-1} (x) p + w1_{j+1} / nu
+    w_dq = (_suffix_sums(np.einsum("abpj,cpj->abcpj", wq, u))[..., 1:] / nu
+            + np.einsum("abp,cp->abcp", qt_inv, p_vec)[..., None])
+    # omega's row is c_chi : chi_j + c_kdc : kdc_j
+    c_chi = (np.einsum("ae,bp->abep", np.eye(m), p_vec)[..., None]
+             + np.einsum("abp,epj->abepj", qt_inv, c2low)
+             - np.einsum("abcpj,ecpj->abepj", w_dq, q_next)
+             - np.einsum("acbpj,cepj->abepj", w_dq, q_next) - uv / nu)
+    c_kdc = ((w0[:-1] * dt) * np.einsum("abp,e->abep", qt_inv, v2)[..., None]
+             - (phi_vals[:-1] * dt) * np.einsum("abcpj,cepj->abepj", w_dq, kb))
+    if has_v1:        # DR_i's terms in G_i: c_g : G_i = uv : G_i + G_i^T rho_{i+1} + w3 G_i K v1
+        c_g = (uv + np.einsum("bpi,ac->abcpi", ad.rho[..., 1:], np.eye(m))
+               + np.einsum("abpi,cp->abcpi", _suffix_sums(wq)[..., 1:], k0v1)) / nu
+    del kcv2, c2low, u, w_dq, uv, wq
+    # D g_i = -k_i^{-1} kappa_i omega_i, D alpha_i = -phi_i B0^T k_i^T omega_i and its rate
+    # make tr sigma^{-1} (dZ2(X_i)(D g_i, D alpha_i) - D alpha_dot_i) = c_i : omega_i
     kappa = _prefix_sums((phi_vals[:-1] * dt) * np.einsum(
-        "ikpj,klpj,blpj->ibpj", k[..., 1:], c_nodes[..., :-1], kb[..., :-1]))
-    del psi, lam, theta1, theta2, qcore, kc, kb, kcv2
-
-    q_path, p_vec = ad.q_path, ad.p_vec                            # (m, m, p, N+1), (m, p)
-
-    # Omega_i and the forward-tangent aggregates
-    q_next = q_path[..., 1:]                                       # Q_{i+1}
-    omega_mat = (np.einsum("actpi,cbpi->abtpi", g_tensor, q_next)
-                 + np.einsum("acpi,bctpi->abtpi", q_next, g_tensor)
-                 - np.einsum("abcpi,ctpi->abtpi", psicum[..., 1:], y_seed))
-
-    if np.linalg.norm(v2) > 0.0:
-        dq_t = omega_mat + np.einsum("abcp,ctpi->abtpi", psicum[..., -1], y_seed)
-        rhs = (np.einsum("actpi,cpi->atpi", g_tensor, c2low[..., 1:])      # D c2
-               + np.einsum("acpi,ctpi->atpi", etacum[..., -1:] - etacum[..., 1:], y_seed)
-               - np.einsum("abtpi,bp->atpi", dq_t, p_vec))
-        dp = np.einsum("abp,btpi->atpi", ad.q_inv[..., -1], rhs)
-        del dq_t, rhs
-    else:
-        dp = np.zeros((m, d) + y_seed.shape[-2:])
-    del etacum, c2low
-
-    if np.linalg.norm(v1) > 0.0:
-        wgt = (ad.xi_eff[:, :n_steps] ** 2) * dt                   # (p, N)
-        qinv = ad.q_inv[..., :n_steps]                             # (m, m, p, N)
-        k0v1 = np.einsum("ikp,k->ip", k[..., 0], v1)
-        u = np.einsum("abpj,bp->apj", qinv, k0v1)                  # build_alpha's u
-        w1 = _suffix_sums(np.einsum("pj,abpj,cpj->abcpj", wgt, qinv, u))
-        w2 = _suffix_sums(np.einsum("pj,abpj,becpj,epj->acpj", wgt, qinv,
-                                    psicum[..., :n_steps], u))
-        w3 = _suffix_sums(np.einsum("pj,abpj->abpj", wgt, qinv))
-        gt_u = np.einsum("batpi,bpi->atpi", g_tensor, u)
-        del u
-
-        g_k0 = np.einsum("actpi,cp->atpi", g_tensor, k0v1)
-        dr = (-(wgt * gt_u)
-              - np.einsum("abcpi,bctpi->atpi", w1[..., 1:], omega_mat)
-              - np.einsum("acpi,ctpi->atpi", w2[..., 1:], y_seed)
-              + np.einsum("abpi,btpi->atpi", w3[..., 1:], g_k0))
-        gt_rho = np.einsum("batpi,bpi->atpi", g_tensor, ad.rho[..., :n_steps])
-        ratio_part = (dr + gt_rho) / ad.nu[:, None]
-    else:
-        ratio_part = 0.0
-    del omega_mat, psicum, y_seed
-
-    omega = np.einsum("batpi,bp->atpi", g_tensor, p_vec) + dp + ratio_part   # (m, d, p, N)
-
-    k_omega_i = np.einsum("rapi,rtpi->atpi", k[..., :n_steps], omega)
-    k_omega_ip1 = np.einsum("rapi,rtpi->atpi", k[..., 1:], omega)
-    d_alpha = -phi_vals[:n_steps] * np.einsum("ae,atpi->etpi", spec.b0, k_omega_i)
-    dd_rate = (phi_vals[1:] * k_omega_ip1 - phi_vals[:n_steps] * k_omega_i) / dt
-    d_alpha_dot = -np.einsum("ae,atpi->etpi", spec.b0, dd_rate)
-
-    kappa_omega = np.einsum("abpi,btpi->atpi", kappa, omega)
-    d_g = -np.einsum("abpi,btpi->atpi", kinv[..., :n_steps], kappa_omega)
-
-    d_hdot = (np.einsum("dapi,atpi->dtpi", jac[m:, :m, :, :n_steps], d_g)
-              + np.einsum("depi,etpi->dtpi", jac[m:, m:, :, :n_steps], d_alpha)
-              - d_alpha_dot)
-    d_hdot = np.einsum("df,ftpi->dtpi", spec.sigma_inv(), d_hdot)
-    trace = np.trace(d_hdot, axis1=0, axis2=1)                     # (p, N), contiguous
+        "ikpj,klpj,blpj->ibpj", k[..., 1:], jac[:m, m:, :, :-1], kb))
+    s_inv = spec.sigma_inv()
+    sb = np.einsum("tf,af->ta", s_inv, spec.b0)                    # sigma^{-1} B0^T
+    c = (np.einsum("ta,rapi->trpi", sb / dt, phi_vals[1:] * k[..., 1:])
+         - np.einsum("tapi,abpi,brpi->trpi", np.einsum(
+             "tf,fapi->tapi", s_inv, jac[m:, :m, :, :-1]), kinv, kappa)
+         - np.einsum("tapi,rapi->trpi", np.einsum(
+             "tf,fepi,ae->tapi", s_inv, jac[m:, m:, :, :-1], spec.b0)
+             + sb[..., None, None] / dt, phi_vals[:-1] * k[..., :-1]))
+    kinv *= dt
+    del kb, kappa
+    h = np.empty((m, m, spec.dim) + kinv.shape[2:])                # ... and h_j : d_y DZ1(X_j)
+    np.einsum("abepj,bApj,Bepj->aABpj", c_chi, k[..., 1:], kinv, out=h[:, :, :m])
+    np.einsum("abepj,bApj->aAepj", c_kdc, k[..., :-1], out=h[:, :, m:])
+    del c_chi, c_kdc
+    rows = np.empty(((m * m if has_v1 else 0) + m,) + h.shape[2:])
+    for j in range(0, n_steps, 32):          # d_y DZ1(X_j), j < N, 32 nodes at a time
+        at = slice(j, min(j + 32, n_steps))
+        hess = spec.hess_z1(states[..., at])                       # (m, n, n, p, width)
+        np.einsum("aABpj,ABypj->aypj", h[..., at], hess, out=rows[-m:, ..., at])
+        if has_v1:                                                 # chi_j
+            np.einsum("bApj,ABypj,Bepj->beypj", k[..., j + 1:at.stop + 1], hess[:, :m],
+                      kinv[..., at], out=rows[:-m, ..., at].reshape((m, m) + hess.shape[2:]))
+    del h, hess
+    swept = _sweep(rows, jac, grid, spec.sigma, m)                 # (r, d, p, N)
+    omega = swept[-m:]                                             # (m, d, p, N)
+    if has_v1:
+        omega += np.einsum("abcpi,bctpi->atpi", c_g, swept[:-m].reshape((m, m) + omega.shape[1:]))
+    trace = np.einsum("trpi,rtpi->pi", c, omega)                   # (p, N), contiguous
     return dt * np.sum(trace, axis=1)
+
+
+def _sweep(rows, jac, grid, sigma, m):
+    """R_{i+1} E sigma, (r, d, P, N), of node rows (r, n, P, N) by R_j = rows_j +
+    R_{j+1} F_j, R_N = 0, over the blocks of ``_step_blocks``, 0 < j < N: one
+    ``einsum`` per step into a time-major block, copied out while in cache."""
+    r, n, n_paths, n_steps = rows.shape
+    out = np.zeros((r, len(sigma), n_paths, n_steps))              # R_N E sigma = 0
+    blk = np.zeros((min(n_steps - 1, 32) + 1, r, n, n_paths))  # R at a block's nodes, R_N on top
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, steps in _step_blocks(jac, grid.dt, 1, n_steps, backward=True):
+            width = len(steps)                     # only the first, topmost, is short
+            blk[:width] = np.moveaxis(rows[..., j:j + width], -1, 0)
+            for t in range(width - 1, -1, -1):
+                blk[t] += np.einsum("rap,abp->rbp", blk[t + 1], steps[t])
+            out[..., j - 1:j - 1 + width] = np.moveaxis(
+                np.einsum("trap,ae->trep", blk[:width, :, m:], sigma), 0, -1)
+            blk[-1] = blk[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +566,9 @@ def _finite(x_n, x0):
 
 def _chain_floats(spec):
     """Float64s per path and node past the increments of a ``_bridge_chain`` chunk: the
-    states and the chain's traced peak, 5 n (n + m^2) + 8, fitted within 8 % at m <= d <= 4."""
-    return 5 * spec.dim * (spec.dim + spec.m ** 2) + 8 + spec.dim
+    states and the chain's traced peak, n (2 n + 5 m^2 + 2) + 5, fitted within 4 % at
+    m <= d <= 4 and N = 64 (its 32-node blocks weigh less at larger N)."""
+    return spec.dim * (2 * spec.dim + 5 * spec.m ** 2 + 2) + 5 + spec.dim
 
 
 def _moment_flag(delta):

@@ -134,29 +134,36 @@ def terminal_flow(spec, jac, grid):
 
 
 def full_jacobian_flow(jac, grid):
-    """State-transition matrices Phi_i = dX_i/dX_0 of the discrete chain.
-
+    """State-transition matrices Phi_i = dX_i/dX_0 of the discrete chain:
     Phi_0 = I, Phi_{i+1} = (I + dt dZ(X_i)) Phi_i from the node Jacobian
-    ``jac``; returns a contiguous (n, n, B, N+1) array.  Stepped 32 nodes
-    at a time: one multiply writes the block's propagators time-major, each
-    step is one ``einsum`` into a (n, n, B) slab of a (33, n, n, B) scratch
-    block, and the block is copied out while in cache.
-    """
+    ``jac``, a contiguous (n, n, B, N+1) array, stepped over ``_step_blocks``
+    by one ``einsum`` per step into a scratch block copied out while in cache."""
     n, _, n_paths, n_nodes = jac.shape
     phi = np.empty(jac.shape)
-    steps = np.empty((min(n_nodes, 32), n, n, n_paths))   # I + dt dZ(X_i)
-    blk = np.empty((len(steps) + 1, n, n, n_paths))       # Phi at a block's nodes
+    blk = np.empty((min(n_nodes, 32) + 1, n, n, n_paths))  # Phi at a block's nodes
     blk[0] = np.eye(n)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(0, n_nodes, 32):
-            width = min(32, n_nodes - j)
-            np.multiply(np.moveaxis(jac[..., j:j + width], -1, 0), grid.dt, out=steps[:width])
-            steps[:width] += np.eye(n)[..., None]
+        for j, steps in _step_blocks(jac, grid.dt, 0, n_nodes):
+            width = len(steps)
             for t in range(min(width, n_nodes - 1 - j)):
                 np.einsum("abp,bcp->acp", steps[t], blk[t], out=blk[t + 1])
             phi[..., j:j + width] = np.moveaxis(blk[:width], 0, -1)
             blk[0] = blk[width]
     return phi
+
+
+def _step_blocks(jac, dt, start, stop, backward=False):
+    """Yield ``(j, steps)`` over the nodes [start, stop) of the node Jacobian
+    ``jac`` in blocks of 32 (the last from the top when ``backward``), with
+    the block's step propagators I + dt DZ(X_{j+t}) time-major, a (width, n,
+    n, B) view of one scratch buffer that the next block overwrites."""
+    buf = np.empty((min(stop - start, 32),) + jac.shape[:3])
+    starts = range(start, stop, 32)
+    for j in reversed(starts) if backward else starts:
+        steps = buf[:min(32, stop - j)]
+        np.multiply(np.moveaxis(jac[..., j:j + len(steps)], -1, 0), dt, out=steps)
+        steps += np.eye(len(jac))[..., None]
+        yield j, steps
 
 
 def _nodes_last(x, perm):

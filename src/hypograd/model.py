@@ -359,6 +359,9 @@ def builtin_schemas():
 
 def _as_matrix(val, rows, cols, what):
     arr = np.asarray(val, dtype=float)
+    if not np.isfinite(arr).all():      # before a scalar times I turns inf into nan
+        got = f"constant {float(arr)}" if arr.ndim == 0 else arr.tolist()
+        raise ConfigurationError(f"{what} must be finite, got {got}")
     if arr.ndim == 0:
         if rows != cols:
             raise ConfigurationError(f"{what}: scalar given but a {rows}x{cols} matrix is needed")

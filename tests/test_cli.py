@@ -502,6 +502,11 @@ NON_FINITE = {
     "huge_exponent": ("hamiltonian", {"v_expr": "x1^99999999999999999999"}, "exponent 9"),
     "friction_inf": ("hamiltonian", {"v_expr": "0.5*x1^2", "friction": float("inf")},
                      "constant inf"),
+    "friction_inf_m2": ("hamiltonian", {"m": 2, "v_expr": "0.5*x1^2 + 0.5*x2^2",
+                                        "friction": float("inf")},
+                        "hamiltonian friction must be finite, got constant inf"),
+    "kinetic_gamma_nan_matrix": ("kinetic_ou", {"m": 2, "gamma": [[1.0, 0.0], [0.0, float("nan")]]},
+                                 "kinetic_ou gamma must be finite, got [[1.0, 0.0], [0.0, nan]]"),
     "kinetic_k_nan": ("kinetic_ou", {"m": 1, "k": float("nan")}, "constant nan"),
     "kinetic_sigma_nan": ("kinetic_ou", {"m": 1, "sigma": float("nan")}, "sigma must be finite"),
     "c_mass_nan": ("hamiltonian", {"v_expr": "0.5*x1^2", "c_mass": float("nan")},

@@ -199,6 +199,16 @@ def test_pinv_stack_1x1_special_members_match_lapack_path(special):
     assert same_bytes(path_major(inv), ref_inv) and same_bytes(flagged, ref_flagged)
 
 
+def test_skorokhod_trace_with_v1_zero_reads_no_nu(anticipative_spec):
+    # with v1 = 0 the ratio term is absent and nu, 0 on a 2-step grid, is never divided by
+    spec, x0, v = anticipative_spec, np.array([0.3, -0.2]), np.array([0.0, 1.0])
+    grid = TimeGrid(0.5, 2)
+    prof = case1_profile(spec, 0.5, c_bound=3.0)
+    w = (np.random.default_rng(2).standard_normal((2, 1)) * np.sqrt(grid.dt))[None]
+    oracle = brute_force_divergence(spec, x0, grid, w, v, prof)
+    assert abs(skorokhod_delta(spec, x0, grid, w, v, prof)[0] - oracle) <= 1e-6
+
+
 def _chain_outputs(spec):
     """skorokhod_delta, bismut_gradient (pairing off/on) and duality_gap."""
     x0, v = [0.3, -0.2], [0.7, -0.4]
@@ -221,8 +231,8 @@ def _chain_outputs(spec):
 @pytest.mark.parametrize("which", ["mass", "custom"])
 def test_chain_bitwise_with_lapack_inverses_and_solves(which, anticipative_spec,
                                                        monkeypatch):
-    # every inverse of the chain, Q's in build_alpha and Phi's and K's in the
-    # trace, through LAPACK: the same bits at m = 1
+    # every inverse of the chain, Q's in build_alpha and K's in the trace,
+    # through LAPACK: the same bits at m = 1
     spec = anticipative_spec if which == "mass" else _estimate_custom_spec()
     assert spec.m == 1
     fast = _chain_outputs(spec)
@@ -981,12 +991,15 @@ def test_skorokhod_trace_multidimensional(model_cfg, x0):
     prof = xi_case1(spec.b0, phi_parabolic(t_final), 2.0, t_final)
     rng = np.random.default_rng(5)
     x0 = np.asarray(x0)
-    for _ in range(2):
-        v = rng.standard_normal(spec.dim)
-        w = (rng.standard_normal((n_steps, spec.d)) * np.sqrt(grid.dt))[None]
-        oracle = brute_force_divergence(spec, x0, grid, w, v, prof)
-        fast = float(skorokhod_delta(spec, x0, grid, w, v, prof)[0])
-        assert abs(oracle - fast) <= 1e-6 * max(1.0, abs(oracle))
+    # v1 = 0 sweeps omega's rows alone, v2 = 0 leaves p and Q_T^{-1} out
+    for zero in (slice(0), slice(spec.m), slice(spec.m, None)):
+        for _ in range(2):
+            v = rng.standard_normal(spec.dim)
+            v[zero] = 0.0
+            w = (rng.standard_normal((n_steps, spec.d)) * np.sqrt(grid.dt))[None]
+            oracle = brute_force_divergence(spec, x0, grid, w, v, prof)
+            fast = float(skorokhod_delta(spec, x0, grid, w, v, prof)[0])
+            assert abs(oracle - fast) <= 1e-6 * max(1.0, abs(oracle))
 
 
 def test_norm1_matches_reduction_formula():
@@ -1075,10 +1088,11 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
         bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid, cfg)
     else:
         duality_gap(spec, x0, v, quadratic_f(np.eye(2)), grid, cfg)
-    # one bulk Jacobian and Hessian per chunk; the Jacobian flow and the
-    # adjoint sweep index the bulk Jacobian instead of calling per step
+    # one bulk Jacobian per chunk, which the flows and the adjoint sweep
+    # index instead of calling per step; the trace's Hessian on the N step
+    # nodes, one call per 32-node block (one block here)
     assert calls["jacobian"] == chunks
-    assert calls["hessian"] == chunks
+    assert calls["hessian"] == [(2, c[1], grid.n_steps) for c in chunks]
     # Euler stepping: one drift evaluation per step
     assert calls["value"] == [(2, c[1]) for c in chunks for _ in range(grid.n_steps)]
 
@@ -1291,8 +1305,9 @@ def _chain_case(spec, x0, grid, n_paths, v, weights):
 @pytest.mark.parametrize("which", ["mass", "custom"])
 def test_skorokhod_trace_matches_path_major_reference_bitwise(which, n_paths, v,
                                                               anticipative_spec):
-    # the whole chain, from the node Jacobian to the trace, has the bits of
-    # the path-major chain at m = d = 1
+    # the whole chain, from the node Jacobian to hdot, has the bits of the
+    # path-major chain at m = d = 1; the trace, taken by backward sweeps
+    # instead of the reference's factored sums, agrees to round-off
     if which == "mass":
         spec, x0, c_bound = anticipative_spec, [0.3, -0.2], 3.0
     else:
@@ -1303,6 +1318,8 @@ def test_skorokhod_trace_matches_path_major_reference_bitwise(which, n_paths, v,
                         default_weights(spec, grid, c_bound=c_bound))
     ref_trace = pairs["trace"][1]
     assert np.isfinite(ref_trace).all() and np.any(ref_trace != 0.0)
+    got, ref = pairs.pop("trace")
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     for key, (got, ref) in pairs.items():
         assert same_bytes(got, ref), key
 
@@ -1371,11 +1388,11 @@ def test_anticipative_m2_independent_of_chunks_and_threads():
 
 
 # traced peak of the former path-major trace on the chunk below (numpy 2.4):
-# 157,651,604 bytes; the component-major trace peaks near 58.9 MB there
+# 157,651,604 bytes; the backward-sweep trace peaks near 27.3 MB there
 PATH_MAJOR_TRACE_PEAK = 157_650_000
 # traced peak of the whole ``_bridge_chain`` on the same chunk while the chain
 # upstream of the trace was path-major (numpy 2.4): 90,539,188 to 90,543,012
-# bytes over three calls; the component-major chain peaks near 77.8 MB there
+# bytes over three calls; the component-major chain peaks near 54.7 MB there
 PATH_MAJOR_CHAIN_PEAK = 90_540_000
 
 
@@ -1408,6 +1425,28 @@ def test_skorokhod_trace_traced_peak_below_path_major(anticipative_spec):
         spec, x, grid, v, weights, ad, k, jac)) <= PATH_MAJOR_TRACE_PEAK
     assert _traced_peak(lambda: estimator._bridge_chain(
         spec, states, grid, v, weights)) <= PATH_MAJOR_CHAIN_PEAK
+
+
+@pytest.mark.parametrize("model", ["mass", "m2", "m3"])
+def test_bridge_chain_inverts_only_m_by_m_stacks(model, monkeypatch):
+    # the chain inverts Q_T, the active Q_l and K, all m x m; the trace
+    # sweeps the step propagators and inverts no n x n state-transition matrix
+    spec, x0 = _chunk_case_model(model)
+    grid = TimeGrid(0.5, 8)
+    weights = xi_case1(spec.b0, phi_parabolic(0.5), 3.0, 0.5)
+    states, _, _ = estimator._simulate(spec, np.array(x0), grid,
+                                       path_increments(grid, spec.d, 1, 0, 5))
+    shapes, pinv_orig = [], control._pinv_stack
+
+    def pinv(mats):
+        shapes.append(mats.shape)
+        return pinv_orig(mats)
+
+    monkeypatch.setattr(control, "_pinv_stack", pinv)
+    monkeypatch.setattr(estimator, "_pinv_stack", pinv)
+    estimator._bridge_chain(spec, states, grid, np.linspace(0.7, -0.4, spec.dim), weights)
+    assert len(shapes) == 3
+    assert all(shape[:2] == (spec.m, spec.m) for shape in shapes), shapes
 
 
 def _blow_up_at(index, orig=path_increments):
@@ -1547,7 +1586,7 @@ def _derived_chunk_outputs(spec, x0, chunk_size):
 
 # each budget splits 300 paths into chunks of 64 or 128 for every driver
 @pytest.mark.parametrize("model,budget", [("affine", 20_000), ("euler", 40_000),
-                                          ("mass", 800_000), ("m2", 2 << 20)])
+                                          ("mass", 700_000), ("m2", 3 << 19)])
 def test_derived_chunks_match_one_chunk(model, budget, monkeypatch):
     # chunk_size null: chunks derived from CHUNK_BYTES, the last one partial,
     # give the bits of one explicit chunk of every path

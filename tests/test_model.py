@@ -258,3 +258,14 @@ def test_validate_rejects_wrong_shapes():
     for bad, what in ((short_z, "z returns dimension 1"), (flat_dz, "dz must return")):
         with pytest.raises(ConfigurationError, match=what):
             validate_model(bad, BOX, n_samples=8, seed=0)
+
+
+def test_scalar_parameter_matrix_rejects_non_finite_and_keeps_signed_zeros():
+    # a scalar is checked before it scales I: inf * I has nan off its diagonal
+    from hypograd.model import _as_matrix
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match=f"friction must be finite, got constant {bad}"):
+            _as_matrix(bad, 2, 2, "friction")
+    mat = _as_matrix(-2.0, 3, 3, "friction")
+    assert np.array_equal(mat, -2.0 * np.eye(3))
+    assert np.signbit(mat).all()               # -0.0 off the diagonal, as -2.0 * I

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import importlib.metadata
+import importlib.util
 import json
 import math
 import os
@@ -430,11 +430,17 @@ def write_results(out_dir, records, plotdata):
 
 
 def _scipy_version():
-    """The Version line of scipy's package metadata: importing scipy is
-    slow, and ``importlib.metadata.version`` runs the email header parser."""
-    meta = importlib.metadata.distribution("scipy").read_text("METADATA")
-    return next(line[8:].strip() for line in meta.splitlines()
-                if line.startswith("Version:"))
+    """The Version line of scipy's package metadata, read from the
+    ``*.dist-info`` next to the package: ``find_spec`` locates scipy without
+    importing it (slow), and ``importlib.metadata`` would load the email
+    package.  None when no metadata file is found."""
+    site = Path(importlib.util.find_spec("scipy").origin).parent.parent
+    for meta in sorted(site.glob("scipy-*.dist-info/METADATA")):
+        with open(meta, encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("Version:"):
+                    return line[8:].strip()
+    return None
 
 
 def run(config_path, seed_override=None, threads=None, out_override=None):
@@ -487,7 +493,9 @@ def run(config_path, seed_override=None, threads=None, out_override=None):
                        "threads": threads, "python": platform.python_version(),
                        "numpy": np.__version__, "scipy": _scipy_version(),
                        "noise_streams": f"sfc64-philoxkey-block{_est.NOISE_BLOCK}",
-                       "chunk_bytes": _est.CHUNK_BYTES, "chunk_paths": sorted(set(chunks))},
+                       "chunk_bytes": _est.CHUNK_BYTES,
+                       "chunk_paths": sorted({batch for batch, _ in chunks}),
+                       "slice_paths": sorted({width for _, width in chunks})},
                       fh, indent=2)
         return status
     finally:

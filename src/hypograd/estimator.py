@@ -29,10 +29,17 @@ stream, seeded by Philox's output under key (master_seed, 0) at counter
 block, so results do not depend on chunking or thread count; reductions
 run over per-path arrays assembled in path order.  One vectorised Philox
 draw per ``path_increments`` call seeds every block it touches, with no
-SeedSequence, and a block stops at the last row the call returns.  With
-``chunk_size`` null a chunk is the most whole blocks that fit
-``CHUNK_BYTES``, so it draws no unused noise, and the working set is about
-``n_threads * CHUNK_BYTES``.
+SeedSequence, and a block stops at the last row the call returns.
+
+Chunking has two levels under one byte budget, ``CHUNK_BYTES``.  Noise and
+Euler stepping run on batches of whole blocks (``chunk_size``, or the most
+that fit), so they draw no unused noise and pay the per-step cost of the
+drift once per wide batch.  The anticipative drivers run the per-path
+control chain, whose per-node footprint (``_chain_floats``) is ten or more
+times the states', on slices of a batch: the batch takes at most a third of
+the budget, and each slice is as wide as what the batch leaves holds, down
+to one path.  So the working set is about ``n_threads * CHUNK_BYTES`` at any
+N, and no result depends on batch, slice or thread count.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ MAX_REJECT_FRACTION = 1e-3
 MOMENT_P = 4.0       # order of the weight moment whose convergence is flagged
 NOISE_BLOCK = 64     # paths per noise stream; divides the derived chunk sizes
 CHUNK_BYTES = 32 << 20   # bytes one chunk may hold when chunk_size is null
-CHUNK_LOG = contextvars.ContextVar("chunk_log")   # a list; _mc_run appends its chunk sizes
+CHUNK_LOG = contextvars.ContextVar("chunk_log")   # a list; _mc_run appends (batch, slice) sizes
 
 
 @dataclass(frozen=True)
@@ -450,44 +457,71 @@ def _sweep(rows, jac, grid, sigma, m):
 # estimator drivers
 # ---------------------------------------------------------------------------
 
-def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node, seed_offset=0):
-    """The Monte Carlo loop of every driver: chunks, threads, noise, masks.
+def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node=0, seed_offset=0, x0=None):
+    """The Monte Carlo loop of every driver: batches, slices, threads, noise, masks.
 
-    Paths [0, n_paths) run on ``cfg.n_threads`` threads in chunks of
-    ``cfg.chunk_size``, or else of the most whole 64-path blocks (one at
-    least) whose footprint, the increments and the driver's ``per_node``
-    float64s per node, fits ``CHUNK_BYTES``.  A chunk's increments come
-    from ``path_increments``, one stream per 64-path block keyed by
+    Paths [0, n_paths) run on ``cfg.n_threads`` threads in batches of
+    ``cfg.chunk_size`` paths, or else of the most whole 64-path blocks (one
+    at least) whose footprint fits ``CHUNK_BYTES``.  A batch's increments
+    come from ``path_increments``, one stream per 64-path block keyed by
     (master_seed + seed_offset, block), with the configured antithetic
-    pairing, so no result depends on chunking or thread count.
-    ``per_chunk(inc)`` returns ``(cols, good, payload)``: ``n_cols``
-    per-path value arrays, the mask of the paths it kept and a diagnostics
-    payload.  A path is accepted when it was kept and all its values are
-    finite.  Chunks write disjoint slices of the output, and the payload
-    list is in path order, so diagnostics are deterministic under any
-    thread count.
+    pairing, so no result depends on batch, slice or thread count.
+
+    Without ``x0``, ``per_chunk(inc)`` runs on the whole batch, whose
+    footprint is its increments and the driver's ``per_node`` float64s per
+    node.  With ``x0`` (the anticipative drivers) the levels split: noise and
+    the Euler paths from x0 (``_simulate``) run once per batch, which holds
+    the increments and the states and may take a third of the budget, and
+    ``per_chunk(inc, states, x_n, good)`` runs the control chain on slices of the
+    batch, as wide as ``_chain_floats`` lets what the batch leaves of
+    ``CHUNK_BYTES`` (half of it at least) hold, one path at least, and whole
+    64-path blocks when wider than one, as a batch is.  So wide
+    batches amortise the per-step cost of Euler stepping while the chain's
+    per-node arrays stay near the cache, and memory stays bounded at any N.
+
+    ``per_chunk`` returns ``(cols, good, payload)``: ``n_cols`` per-path
+    value arrays, the mask of the paths it kept and a diagnostics payload.
+    A path is accepted when it was kept, its Euler path is finite, and all
+    its values are finite.  Batches write disjoint slices of the output, and
+    the payload list (one per slice) is in path order, so diagnostics are
+    deterministic under any thread count.
 
     Returns the (n_cols, n_paths) values, the accepted mask and the
     payloads; raises ``RunDegenerateError`` past ``MAX_REJECT_FRACTION``
     rejected paths.
     """
-    n_paths = cfg.n_paths
-    floats = grid.n_steps * spec.d + (grid.n_steps + 1) * per_node
-    chunk = cfg.chunk_size or NOISE_BLOCK * max(1, CHUNK_BYTES // (8 * NOISE_BLOCK * floats))
-    CHUNK_LOG.get([]).append(chunk)
+    n_paths, n_steps = cfg.n_paths, grid.n_steps
+    floats = n_steps * spec.d + (n_steps + 1) * (per_node if x0 is None else spec.dim)
+    share = CHUNK_BYTES if x0 is None else CHUNK_BYTES // 3
+    batch = cfg.chunk_size or NOISE_BLOCK * max(1, share // (8 * NOISE_BLOCK * floats))
+    width = batch
+    if x0 is not None:
+        left = max(CHUNK_BYTES - 8 * floats * batch, CHUNK_BYTES // 2)
+        width = max(1, int(left // (8 * _chain_floats(spec, n_steps))))
+        width = min(batch, width - width % NOISE_BLOCK if width > NOISE_BLOCK else width)
+    CHUNK_LOG.get([]).append((batch, width))
     vals = np.empty((n_cols, n_paths))
     ok = np.zeros(n_paths, dtype=bool)
 
     def worker(start):
-        stop = min(start + chunk, n_paths)
+        stop = min(start + batch, n_paths)
         inc = path_increments(grid, spec.d, cfg.master_seed + seed_offset, start,
                               stop - start, cfg.antithetic)
-        cols, good, payload = per_chunk(inc)
-        vals[:, start:stop] = cols
+        if x0 is None:
+            cols, good, payload = per_chunk(inc)
+            vals[:, start:stop], payloads = cols, [payload]
+        else:
+            states, x_n, good = _simulate(spec, x0, grid, inc)
+            payloads = []
+            for a in range(0, stop - start, width):
+                at = slice(a, a + width)
+                vals[:, start:stop][:, at], good[at], payload = per_chunk(
+                    inc[at], states[at], x_n[at], good[at])
+                payloads.append(payload)
         ok[start:stop] = good & np.isfinite(vals[:, start:stop]).all(axis=0)
-        return payload
+        return payloads
 
-    starts = range(0, n_paths, chunk)
+    starts = range(0, n_paths, batch)
     if cfg.n_threads <= 1 or len(starts) == 1:
         payloads = [worker(s) for s in starts]
     else:
@@ -497,7 +531,7 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node, seed_offset=0):
     if rejected > MAX_REJECT_FRACTION * n_paths:
         raise RunDegenerateError(
             f"{rejected}/{n_paths} paths rejected (limit {MAX_REJECT_FRACTION:.1%})")
-    return vals, ok, payloads
+    return vals, ok, [p for batch_payloads in payloads for p in batch_payloads]
 
 
 def _euler_terminal(spec, x0, grid, inc, tangent=None):
@@ -564,11 +598,13 @@ def _finite(x_n, x0):
     return x_n, ok
 
 
-def _chain_floats(spec):
-    """Float64s per path and node past the increments of a ``_bridge_chain`` chunk: the
-    states and the chain's traced peak, n (2 n + 5 m^2 + 2) + 5, fitted within 4 % at
-    m <= d <= 4 and N = 64 (its 32-node blocks weigh less at larger N)."""
-    return spec.dim * (2 * spec.dim + 5 * spec.m ** 2 + 2) + 5 + spec.dim
+def _chain_floats(spec, n_steps):
+    """Float64s per path that one slice of the control chain holds past the
+    batch's increments and states: n (4 m^2 + 2 m + 6) per node and 2.5 n^2 per
+    node of the 32-node blocks (propagators, sweep, Hessian), fitted to the
+    traced peak of ``_bridge_chain`` within 9 % at m <= d <= 4 and N = 12 to 512."""
+    n, m = spec.dim, spec.m
+    return n * (4 * m * m + 2 * m + 6) * (n_steps + 1) + 2.5 * n * n * min(n_steps, 32)
 
 
 def _moment_flag(delta):
@@ -681,19 +717,21 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             x_n, good = affine.terminal(x0, noise)
             return (f.f(x_n), noise[:, -1]), good, None
         states, x_n, good = _simulate(spec, x0, grid, inc)
-        if det_control is not None:
-            jac = spec.dz(np.moveaxis(states[:, :-1], -1, 0))
-            dl = _hdot_sum(_assemble_hdot(spec, jac, *det_control["bridge"]), inc)
-            return (f.f(x_n), dl), good, None
-        jac, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
-        dl = _hdot_sum(h_dot, inc) - trace
-        good = good & ~ad.degenerate
-        return (f.f(x_n), dl), good, _hypothesis_checks(spec, jac, ad, res, good)
+        jac = spec.dz(np.moveaxis(states[:, :-1], -1, 0))
+        dl = _hdot_sum(_assemble_hdot(spec, jac, *det_control["bridge"]), inc)
+        return (f.f(x_n), dl), good, None
 
-    # past the increments: nothing, the states and node Jacobian, or the chain
-    per_node = (0 if affine is not None else _chain_floats(spec) if det_control is None
-                else spec.dim * (spec.dim + 2))
-    (fvals, delta), ok, payloads = _mc_run(spec, grid, cfg, per_chunk, 2, per_node)
+    def per_slice(inc, states, x_n, good):
+        jac, ad, _, h_dot, res, trace = _bridge_chain(spec, states, grid, v, weights)
+        good = good & ~ad.degenerate
+        return ((f.f(x_n), _hdot_sum(h_dot, inc) - trace), good,
+                _hypothesis_checks(spec, jac, ad, res, good))
+
+    if det_control is None:
+        (fvals, delta), ok, payloads = _mc_run(spec, grid, cfg, per_slice, 2, x0=x0)
+    else:       # past the increments: nothing, or the states and node Jacobian
+        per_node = 0 if affine is not None else spec.dim * (spec.dim + 1)
+        (fvals, delta), ok, payloads = _mc_run(spec, grid, cfg, per_chunk, 2, per_node)
     checks = payloads if det_control is None else [det_control["checks"]]
     diagnostics.update({key: np.max([c[key] for c in checks], axis=0).tolist()
                         for key in checks[0]})
@@ -886,12 +924,9 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
         weights = default_weights(spec, grid, c_bound=cfg.c_bound, probe_x0=x0,
                                   probe_seed=cfg.master_seed)
 
-    def per_chunk(inc):
-        states, x_n, good = _simulate(spec, x0, grid, inc)
+    def per_slice(inc, states, x_n, good):
         jac, ad, _, h_dot, _, trace = _bridge_chain(spec, states, grid, v, weights)
-        dl = _hdot_sum(h_dot, inc) - trace
-        good = good & ~ad.degenerate
-        lhs = f.f(x_n) * dl
+        lhs = f.f(x_n) * (_hdot_sum(h_dot, inc) - trace)
 
         # adjoint sweep: a_i = (I + dt dZ(X_i))^T a_{i+1}, a_N = grad f(X_T)
         adj = f.grad_f(x_n).T                                 # (n, P)
@@ -901,8 +936,8 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
             dfdw = np.einsum("cp,cd->dp", adj[spec.m:], spec.sigma)      # (d, P)
             rhs += np.einsum("dp,dp->p", dfdw, h_dot[..., i]) * dt
             adj = adj + dt * np.einsum("bap,bp->ap", jac[..., i], adj)
-        return (lhs - rhs, lhs, rhs), good, None
+        return (lhs - rhs, lhs, rhs), good & ~ad.degenerate, None
 
-    (gaps, lhs, rhs), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 3, _chain_floats(spec))
+    (gaps, lhs, rhs), ok, _ = _mc_run(spec, grid, cfg, per_slice, 3, x0=x0)
     return (*_mean_se(gaps[ok], ok, cfg.antithetic),
             float(np.mean(lhs[ok])), float(np.mean(rhs[ok])))

@@ -64,21 +64,31 @@ def simulate_path(spec, x0, grid, inc):
     """Euler path X_{i+1} = X_i + Z(X_i) dt + (0, sigma dB_i).
 
     Deterministic given (x0, inc).  Increments (B, N, d) give states
-    (B, N+1, m+d), stepped in a time-major (N+1, m+d, B) buffer, so the
-    drift reads and writes contiguous slabs.  The result is a path-major
-    view of a contiguous component-major (m+d, B, N+1) array, which
-    ``np.moveaxis(states, -1, 0)`` recovers without a copy.
+    (B, N+1, m+d): a path-major view of a contiguous component-major
+    (m+d, B, N+1) array, which ``np.moveaxis(states, -1, 0)`` recovers
+    without a copy.  The nodes are stepped in a time-major 32-node scratch
+    block, so the drift reads and writes contiguous slabs, and each block is
+    copied into the result while in cache: the states are held once.
     """
-    x = _euler_nodes(spec, x0, grid, inc, grid.n_steps + 1)
-    return np.moveaxis(_nodes_last(x, (1, 2, 0)), 0, -1)
+    x = np.empty((spec.dim, len(inc), grid.n_steps + 1))
+    _euler_nodes(spec, x0, grid, inc, out=x)
+    return np.moveaxis(x, 0, -1)
 
 
-def _euler_nodes(spec, x0, grid, inc, n_keep=1, tangent=None):
-    """The Euler nodes of ``simulate_path``, time-major (n_keep, m+d, B): all
-    N+1, or with ``n_keep`` 1 X_N alone, each step overwriting one slab with
-    the same bits.  A step adds to every entry, so a non-finite one stays so.
-    A ``tangent`` (m+d, B), J_0 = v, is stepped in place with X to J_N = dX_N/dx0 . v
-    by J_{i+1} = (I + dt DZ(X_i)) J_i, the exact derivative of the Euler map."""
+def _euler_nodes(spec, x0, grid, inc, out=None, tangent=None):
+    """Step the Euler nodes of ``simulate_path``: into ``out`` (m+d, B, N+1),
+    32 nodes at a time from a time-major (33, m+d, B) block, or, without
+    ``out``, on one running (1, m+d, B) slab, which is returned holding X_N;
+    each step overwrites it with the same bits.  A step adds to every entry,
+    so a non-finite one stays so.  A ``tangent`` (m+d, B), J_0 = v, is
+    stepped in place with X to J_N = dX_N/dx0 . v by J_{i+1} = (I + dt
+    DZ(X_i)) J_i, the exact derivative of the Euler map.
+
+    The kicks ``inc @ sigma.T`` are formed per path on windows of min(32, N)
+    nodes, each ending at or before node N: every path's product has that
+    one shape, so no bit depends on the batch, and no window is the single
+    node that BLAS would round as a vector product.
+    """
     inc = np.asarray(inc, dtype=float)
     if inc.ndim != 3:
         raise ConfigurationError("increments must be shaped (B, N, d)")
@@ -90,19 +100,24 @@ def _euler_nodes(spec, x0, grid, inc, n_keep=1, tangent=None):
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape != (spec.dim,):
         raise ConfigurationError(f"x0 must have dimension {spec.dim}")
-    dt = grid.dt
-    x = np.empty((n_keep, spec.dim, n_paths))
+    dt, span = grid.dt, min(n_steps, 32)
+    x = np.empty((1 if out is None else span + 1, spec.dim, n_paths))
     x[0] = x0[:, None]
-    # path-major product, read strided per step: BLAS rounds a time-major
-    # (N, B, d) @ (d, d) product differently when B or N is 1
-    kicks = inc @ spec.sigma.T
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            xi, nxt = x[i % n_keep], x[(i + 1) % n_keep]
-            if tangent is not None:
-                tangent += dt * np.einsum("abp,bp->ap", spec.full_jacobian(xi), tangent)
-            np.add(xi, spec.drift(xi) * dt, out=nxt)
-            nxt[spec.m:] += kicks[:, i].T
+        for j in range(0, n_steps, 32):
+            width, lo = min(32, n_steps - j), min(j, n_steps - span)
+            kicks = inc[:, lo:lo + span] @ spec.sigma.T
+            for t in range(width):
+                xt, nxt = x[t % len(x)], x[(t + 1) % len(x)]
+                if tangent is not None:
+                    tangent += dt * np.einsum("abp,bp->ap", spec.full_jacobian(xt), tangent)
+                np.add(xt, spec.drift(xt) * dt, out=nxt)
+                nxt[spec.m:] += kicks[:, j - lo + t].T
+            if out is not None:
+                out[..., j:j + width] = np.moveaxis(x[:width], 0, -1)
+                x[0] = x[width]
+    if out is not None:
+        out[..., -1] = x[0]
     return x
 
 

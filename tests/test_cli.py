@@ -126,6 +126,21 @@ def test_validate_experiment_exit_zero(tmp_path):
     assert rec["metrics"]["overall"] == 1.0
 
 
+def test_run_meta_records_batches_and_chain_slices(tmp_path):
+    # an anticipative run steps Euler on batches that take a third of the
+    # byte budget and runs the control chain on slices of them
+    mass = {"builtin": "hamiltonian",
+            "params": {"v_expr": "0.5*x1^2 + 0.1*x1^4", "mass_expr": "1 + 0.2*x1^2",
+                       "c_mass": 1.0}}
+    cfg = _base_estimate_cfg(tmp_path, model=mass, x0=[0.3, -0.2], v=[0.7, -0.4],
+                             grid={"t_final": 0.5, "n_steps": 256})
+    cfg["estimator"] = {"n_paths": 100, "master_seed": 1, "method": "bismut_skorokhod",
+                        "c_bound": 3.0}
+    assert run(_write(tmp_path, "mass.json", cfg), threads=1) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert (meta["chunk_paths"], meta["slice_paths"]) == ([1792], [384])
+
+
 def test_estimate_rerun_byte_identical(tmp_path):
     path = _write(tmp_path, "e.json", _base_estimate_cfg(tmp_path))
     assert run(path, threads=1) == 0
@@ -140,6 +155,7 @@ def test_estimate_rerun_byte_identical(tmp_path):
     # the chunk derived from the byte budget: 32 MiB over 64 increments of 8 bytes
     assert meta["chunk_bytes"] == 32 << 20
     assert meta["chunk_paths"] == [65536]
+    assert meta["slice_paths"] == [65536]      # no control chain: a batch is one slice
     # run_meta.json records the thread count; results.json does not change
     assert run(path, threads=2) == 0
     assert (tmp_path / "out" / "results.json").read_bytes() == first
@@ -149,7 +165,8 @@ def test_estimate_rerun_byte_identical(tmp_path):
     cfg = _base_estimate_cfg(tmp_path)
     cfg["estimator"]["chunk_size"] = 500
     assert run(_write(tmp_path, "e500.json", cfg), threads=1) == 0
-    assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["chunk_paths"] == [500]
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert (meta["chunk_paths"], meta["slice_paths"]) == ([500], [500])
     assert (json.loads((tmp_path / "out" / "results.json").read_text())[0]["metrics"]
             == json.loads(first)[0]["metrics"])
 

@@ -1533,9 +1533,10 @@ def _derived_chunks(run):
 
 @pytest.mark.parametrize("model", ["mass", "m2", "m3"])
 def test_default_chunk_memory_within_budget(model, monkeypatch):
-    # one default-sized chunk through Euler and the control chain: its traced
-    # peak stays near max(CHUNK_BYTES, one block's footprint), and the
-    # footprint the chunk was sized by is within 15 % of that peak
+    # one default-sized batch through Euler and its first slice through the
+    # control chain: the batch takes at most a third of the budget, the slice
+    # what the batch leaves, and the footprint the two were sized by is within
+    # 15 % of their traced peak, which stays within the budget
     spec, x0 = _chunk_case_model(model)
     budget = 16 << 20                           # small, so Tier-1 stays fast
     monkeypatch.setattr(estimator, "CHUNK_BYTES", budget)
@@ -1543,23 +1544,76 @@ def test_default_chunk_memory_within_budget(model, monkeypatch):
     x0, v = np.array(x0), np.linspace(0.7, -0.4, spec.dim)
     weights = xi_case1(spec.b0, phi_parabolic(0.5), 3.0, 0.5)
     cfg = EstimatorConfig(n_paths=2, method="bismut_skorokhod")
-    _, (chunk,) = _derived_chunks(lambda: bismut_gradient(
+    _, [(batch, width)] = _derived_chunks(lambda: bismut_gradient(
         spec, x0, v, gaussian_bump_f(np.zeros(spec.dim)), grid, cfg, weights=weights))
-    floats = grid.n_steps * spec.d + (grid.n_steps + 1) * estimator._chain_floats(spec)
-    assert chunk == 64 * max(1, budget // (8 * 64 * floats))
-    assert (chunk == 64) == (model == "m3")     # one block's footprint exceeds the budget
+    floats = grid.n_steps * spec.d + (grid.n_steps + 1) * spec.dim    # increments, states
+    chain = estimator._chain_floats(spec, grid.n_steps)
+    assert batch == 64 * max(1, budget // 3 // (8 * 64 * floats))
+    assert width == min(batch, 64 * ((budget - 8 * floats * batch) // (8 * chain) // 64))
+    assert batch > width >= 64
 
-    def one_chunk():
-        inc = path_increments(grid, spec.d, 1, 0, chunk)
+    def one_slice():
+        inc = path_increments(grid, spec.d, 1, 0, batch)
         states, _, _ = estimator._simulate(spec, x0, grid, inc)
-        estimator._bridge_chain(spec, states, grid, v, weights)
+        estimator._bridge_chain(spec, states[:width], grid, v, weights)
 
-    peak = _traced_peak(one_chunk)
-    assert peak <= 1.15 * max(budget, 8 * floats * 64)
-    assert abs(8 * floats * chunk - peak) <= 0.15 * peak
+    peak = _traced_peak(one_slice)
+    footprint = 8 * (floats * batch + chain * width)
+    assert peak <= 1.05 * budget
+    assert abs(footprint - peak) <= 0.15 * peak
 
 
-def _derived_chunk_outputs(spec, x0, chunk_size):
+def _slice_work(spec, states, inc, grid, v, weights):
+    """What ``bismut_gradient`` runs on one slice of a batch."""
+    jac, ad, _, h_dot, res, trace = estimator._bridge_chain(spec, states, grid, v, weights)
+    estimator._hdot_sum(h_dot, inc) - trace
+    estimator._hypothesis_checks(spec, jac, ad, res, ~ad.degenerate)
+
+
+@pytest.mark.parametrize("n_steps", [12, 64, 256])
+@pytest.mark.parametrize("model", ["mass", "m2", "m3"])
+def test_chain_floats_models_one_slice(model, n_steps):
+    # the slices are sized by _chain_floats: the traced peak of one slice's
+    # work, past the batch's increments and states, is within 10 % of it
+    spec, x0 = _chunk_case_model(model)
+    grid = TimeGrid(0.5, n_steps)
+    weights = xi_case1(spec.b0, phi_parabolic(0.5), 3.0, 0.5)
+    v = np.linspace(0.7, -0.4, spec.dim)
+    inc = path_increments(grid, spec.d, 1, 0, 64)
+    states, _, _ = estimator._simulate(spec, np.array(x0), grid, inc)
+    peak = _traced_peak(lambda: _slice_work(spec, states, inc, grid, v, weights))
+    model_bytes = 8 * 64 * estimator._chain_floats(spec, n_steps)
+    assert abs(model_bytes - peak) <= 0.10 * peak, (model_bytes, peak)
+
+
+def test_m3_below_one_block_of_chain_stays_within_budget(monkeypatch):
+    # a budget smaller than one 64-path block's chain: the batch stays whole
+    # blocks, the chain runs on slices narrower than a block, the run's traced
+    # peak stays within 1.25 budgets, and the result has the bits of 64-path chunks
+    spec, x0 = _chunk_case_model("m3")
+    grid = TimeGrid(0.5, 64)
+    x0, v = np.array(x0), np.linspace(0.7, -0.4, spec.dim)
+    weights = xi_case1(spec.b0, phi_parabolic(0.5), 3.0, 0.5)
+    f = gaussian_bump_f(np.zeros(spec.dim))
+
+    def run(chunk_size):
+        cfg = EstimatorConfig(n_paths=160, master_seed=2, method="bismut_skorokhod",
+                              chunk_size=chunk_size)
+        return bismut_gradient(spec, x0, v, f, grid, cfg, weights=weights)
+
+    blocks64 = run(64)
+    budget = 2 << 20
+    assert 8 * 64 * estimator._chain_floats(spec, grid.n_steps) > budget
+    monkeypatch.setattr(estimator, "CHUNK_BYTES", budget)
+    got, log = [], []
+    peak = _traced_peak(lambda: got.append(_derived_chunks(lambda: run(None))))
+    [(est, log)] = got
+    assert [(batch % 64, width < 64) for batch, width in log] == [(0, True)]
+    assert peak <= 1.25 * budget
+    assert pickle.dumps(est) == pickle.dumps(blocks64)
+
+
+def _derived_chunk_outputs(spec, x0, chunk_size, n_threads=1):
     x0, v = np.array(x0), np.linspace(0.7, -0.4, spec.dim)
     grid = TimeGrid(0.4, 8 if spec.m == 2 else 16)
     f = quadratic_f(np.eye(spec.dim), b=np.linspace(0.5, -0.5, spec.dim))
@@ -1567,7 +1621,8 @@ def _derived_chunk_outputs(spec, x0, chunk_size):
 
     def cfg(method, antithetic):
         return EstimatorConfig(n_paths=300, master_seed=4, method=method,
-                               chunk_size=chunk_size, antithetic=antithetic)
+                               chunk_size=chunk_size, antithetic=antithetic,
+                               n_threads=n_threads)
 
     outs = []
     for anti in (False, True):
@@ -1584,15 +1639,28 @@ def _derived_chunk_outputs(spec, x0, chunk_size):
     return pickle.dumps(outs)
 
 
-# each budget splits 300 paths into chunks of 64 or 128 for every driver
+# one-level drivers: each budget splits 300 paths into batches of 64 or 128;
+# anticipative: the slices cut every batch, narrower than a block at the
+# smaller budget of each model, where the batches split too
 @pytest.mark.parametrize("model,budget", [("affine", 20_000), ("euler", 40_000),
-                                          ("mass", 700_000), ("m2", 3 << 19)])
+                                          ("mass", 150_000), ("mass", 700_000),
+                                          ("m2", 260_000), ("m2", 3 << 19)])
 def test_derived_chunks_match_one_chunk(model, budget, monkeypatch):
-    # chunk_size null: chunks derived from CHUNK_BYTES, the last one partial,
-    # give the bits of one explicit chunk of every path
+    # chunk_size null: batches and slices derived from CHUNK_BYTES, the last
+    # ones partial, on one thread or two, give the bits of one explicit chunk
+    # of every path (one slice at the default budget)
     spec, x0 = _chunk_case_model(model)
+    whole = _derived_chunk_outputs(spec, x0, 300)
     monkeypatch.setattr(estimator, "CHUNK_BYTES", budget)
-    derived, chunks = _derived_chunks(lambda: _derived_chunk_outputs(spec, x0, None))
-    assert all(c % 64 == 0 and -(-300 // c) >= 3 and 300 % c for c in chunks)
-    assert max(chunks) > 64                     # sized by the budget, not the floor
-    assert derived == _derived_chunk_outputs(spec, x0, 300)
+    for n_threads in (1, 2):
+        derived, log = _derived_chunks(lambda: _derived_chunk_outputs(spec, x0, None, n_threads))
+        assert derived == whole
+    batches = [batch for batch, _ in log]
+    if spec.constant_jac_z1:
+        assert all(b % 64 == 0 and -(-300 // b) >= 3 and 300 % b for b in batches)
+        assert max(batches) > 64                 # sized by the budget, not the floor
+        assert all(width == batch for batch, width in log)
+    else:
+        assert all(min(batch, 300) % width for batch, width in log)
+        narrow = budget < 500_000
+        assert all((batch < 300) == narrow and (width < 64) == narrow for batch, width in log)

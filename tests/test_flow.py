@@ -257,19 +257,21 @@ def _simulate_path_major(spec, x0, grid, inc):
      "sigma": [[1.0, 0.2], [0.3, 0.8]]},
 ])
 def test_simulate_path_matches_path_major_loop(params):
+    # 65 steps: two 32-node blocks and a one-node block, whose kicks come
+    # from the last 32-node window
     spec = builtin_model("hamiltonian", params)
-    grid = TimeGrid(0.5, 24)
     rng = np.random.default_rng(12)
     x0 = rng.standard_normal(spec.dim)
-    for n_paths in (1, 2, 37):
-        inc = rng.standard_normal((n_paths, 24, spec.d)) * np.sqrt(grid.dt)
+    for n_paths, n_steps in ((1, 24), (2, 24), (37, 24), (1, 65), (37, 65)):
+        grid = TimeGrid(0.5, n_steps)
+        inc = rng.standard_normal((n_paths, n_steps, spec.d)) * np.sqrt(grid.dt)
         ref = _simulate_path_major(spec, x0, grid, inc)
         got = simulate_path(spec, x0, grid, inc)
         assert got.shape == ref.shape
         assert states_cm(got).flags.c_contiguous     # the chain reads it without a copy
         assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
         one = simulate_path(spec, x0, grid, inc[:1])
-        assert one.shape == (1, 25, spec.dim)
+        assert one.shape == (1, n_steps + 1, spec.dim)
         assert np.ascontiguousarray(one).tobytes() == ref[:1].tobytes()
         # X_N alone, stepped on one running slab, has the last node's bits
         last = _euler_nodes(spec, x0, grid, inc)

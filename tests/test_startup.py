@@ -126,6 +126,17 @@ def test_scipy_loads_only_at_its_call_sites(tmp_path):
     assert meta["threads"] == 1
 
 
+def test_cli_import_loads_no_metadata_reader():
+    # run_meta.json reads scipy's version from its METADATA file:
+    # importlib.metadata and the email package it loads cost import time
+    code = ("import sys, hypograd.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'email' or m.startswith('importlib.metadata')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_exported_names_resolve():
     # a name deleted from a module must leave its __all__ and the package too
     for path in sorted((SRC / "hypograd").glob("*.py")):

@@ -602,7 +602,7 @@ def _chain_floats(spec, n_steps):
     """Float64s per path that one slice of the control chain holds past the
     batch's increments and states: n (4 m^2 + 2 m + 6) per node and 2.5 n^2 per
     node of the 32-node blocks (propagators, sweep, Hessian), fitted to the
-    traced peak of ``_bridge_chain`` within 9 % at m <= d <= 4 and N = 12 to 512."""
+    traced peak of ``_bridge_chain`` within 9 % at m <= d <= 4 and N = 12 to 256."""
     n, m = spec.dim, spec.m
     return n * (4 * m * m + 2 * m + 6) * (n_steps + 1) + 2.5 * n * n * min(n_steps, 32)
 

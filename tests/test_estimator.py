@@ -1605,7 +1605,7 @@ def test_m3_below_one_block_of_chain_stays_within_budget(monkeypatch):
     budget = 2 << 20
     assert 8 * 64 * estimator._chain_floats(spec, grid.n_steps) > budget
     monkeypatch.setattr(estimator, "CHUNK_BYTES", budget)
-    got, log = [], []
+    got = []
     peak = _traced_peak(lambda: got.append(_derived_chunks(lambda: run(None))))
     [(est, log)] = got
     assert [(batch % 64, width < 64) for batch, width in log] == [(0, True)]

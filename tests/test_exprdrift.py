@@ -72,8 +72,21 @@ def _recursive(e, x):
     if e.kind == "neg":
         return -_recursive(e.args[0], x)
     if e.kind == "pow":
-        return _recursive(e.args[0], x) ** e.value
+        return _multiplied_power(_recursive(e.args[0], x), e.value)
     return _FUNCS[e.value][0](_recursive(e.args[0], x))
+
+
+def _multiplied_power(base, n):
+    """base^n as the tapes form it: the squares base^(2^k) for the set bits k
+    of |n|, multiplied together from the lowest bit, then 1/that if n < 0."""
+    squares = [base]
+    while 2 ** len(squares) <= abs(n):
+        squares.append(squares[-1] * squares[-1])
+    used = [sq for k, sq in enumerate(squares) if abs(n) >> k & 1]
+    prod = used[0]
+    for sq in used[1:]:
+        prod = prod * sq
+    return 1.0 / prod if n < 0 else prod
 
 
 def _reference(field, x, method):
@@ -213,6 +226,19 @@ def test_parse_builds_the_pinned_trees():
 def test_power_binds_tighter_than_unary_minus(text, reference):
     x = np.array([[3.0, -1.5, 0.5], [0.7, 2.0, -0.2]])
     assert np.array_equal(parse_expr(text, 2)(x), reference(*x))
+
+
+def test_integer_powers_are_products_of_squares():
+    # x^2 and x^-1 keep the bits of numpy's ** (square and reciprocal); other
+    # exponents are products of squares, which round the same on every host,
+    # where np.power's loop differs from libm's pow in the last bit
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, (1, 20000))
+    x1, sq = x[0], x[0] * x[0]
+    expected = {"x1^2": x1 ** 2, "x1^-1": x1 ** -1, "x1^3": x1 * sq, "x1^4": sq * sq,
+                "x1^-2": 1.0 / sq, "x1^5": x1 * (sq * sq), "x1^6": sq * (sq * sq),
+                "x1^-3": 1.0 / (x1 * sq)}
+    for text, ref in expected.items():
+        assert parse_expr(text, 1)(x).tobytes() == ref.tobytes(), text
 
 
 # inputs outside the grammar; the last was a silent inf constant before

@@ -493,7 +493,7 @@ def run(config_path, seed_override=None, threads=None, out_override=None):
                        "threads": threads, "python": platform.python_version(),
                        "numpy": np.__version__, "scipy": _scipy_version(),
                        "noise_streams": f"sfc64-philoxkey-block{_est.NOISE_BLOCK}",
-                       "chunk_bytes": _est.CHUNK_BYTES,
+                       "chunk_bytes": _est.CHUNK_BYTES, "cache_bytes": _est.CACHE_BYTES,
                        "chunk_paths": sorted({batch for batch, _ in chunks}),
                        "slice_paths": sorted({width for _, width in chunks})},
                       fh, indent=2)

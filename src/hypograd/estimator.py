@@ -31,15 +31,18 @@ run over per-path arrays assembled in path order.  One vectorised Philox
 draw per ``path_increments`` call seeds every block it touches, with no
 SeedSequence, and a block stops at the last row the call returns.
 
-Chunking has two levels under one byte budget, ``CHUNK_BYTES``.  Noise and
-Euler stepping run on batches of whole blocks (``chunk_size``, or the most
-that fit), so they draw no unused noise and pay the per-step cost of the
-drift once per wide batch.  The anticipative drivers run the per-path
-control chain, whose per-node footprint (``_chain_floats``) is ten or more
-times the states', on slices of a batch: the batch takes at most a third of
-the budget, and each slice is as wide as what the batch leaves holds, down
-to one path.  So the working set is about ``n_threads * CHUNK_BYTES`` at any
-N, and no result depends on batch, slice or thread count.
+Chunking has two levels under one byte budget, ``CHUNK_BYTES``.  Noise runs
+on batches of whole blocks (``chunk_size``, or the most that fit), so it
+draws no unused noise.  A batch that steps Euler paths fills the budget,
+which pays the per-step cost of the drift once per wide batch; one that
+steps none (an affine model's contraction) holds at most ``CACHE_BYTES`` of
+increments, so they are drawn and contracted in cache.  The anticipative
+drivers run the per-path control chain, whose per-node footprint
+(``_chain_floats``) is ten or more times the states', on slices of a batch:
+the batch takes at most a third of the budget, and each slice is as wide as
+what the batch leaves holds, down to one path.  So the working set is about
+``n_threads * CHUNK_BYTES`` at any N, and no result depends on batch, slice
+or thread count.
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ __all__ = [
 MAX_REJECT_FRACTION = 1e-3
 MOMENT_P = 4.0       # order of the weight moment whose convergence is flagged
 NOISE_BLOCK = 64     # paths per noise stream; divides the derived chunk sizes
-CHUNK_BYTES = 32 << 20   # bytes one chunk may hold when chunk_size is null
+CHUNK_BYTES = 32 << 20   # bytes a batch and its slice may hold when chunk_size is null
+CACHE_BYTES = 2 << 20    # one core's L2 on the reference host: a batch that steps no Euler path
 CHUNK_LOG = contextvars.ContextVar("chunk_log")   # a list; _mc_run appends (batch, slice) sizes
 
 
@@ -457,25 +461,29 @@ def _sweep(rows, jac, grid, sigma, m):
 # estimator drivers
 # ---------------------------------------------------------------------------
 
-def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node=0, seed_offset=0, x0=None):
+def _mc_run(spec, grid, cfg, per_chunk, n_cols, held=None, seed_offset=0, x0=None):
     """The Monte Carlo loop of every driver: batches, slices, threads, noise, masks.
 
     Paths [0, n_paths) run on ``cfg.n_threads`` threads in batches of
     ``cfg.chunk_size`` paths, or else of the most whole 64-path blocks (one
-    at least) whose footprint fits ``CHUNK_BYTES``.  A batch's increments
+    at least) whose footprint fits the batch's share.  A batch's increments
     come from ``path_increments``, one stream per 64-path block keyed by
     (master_seed + seed_offset, block), with the configured antithetic
     pairing, so no result depends on batch, slice or thread count.
 
-    Without ``x0``, ``per_chunk(inc)`` runs on the whole batch, whose
-    footprint is its increments and the driver's ``per_node`` float64s per
-    node.  With ``x0`` (the anticipative drivers) the levels split: noise and
+    Without ``x0``, ``per_chunk(inc)`` runs on the whole batch.  When it
+    steps Euler paths, ``held`` is the float64s per path it holds past the
+    increments, and the share is ``CHUNK_BYTES``: Euler wants width.  When
+    it steps none (``held`` None: an affine model's contraction), the batch
+    is its increments alone, and the share is at most ``CACHE_BYTES``, so
+    they are drawn and contracted while in cache.
+    With ``x0`` (the anticipative drivers) the levels split: noise and
     the Euler paths from x0 (``_simulate``) run once per batch, which holds
-    the increments and the states and may take a third of the budget, and
-    ``per_chunk(inc, states, x_n, good)`` runs the control chain on slices of the
-    batch, as wide as ``_chain_floats`` lets what the batch leaves of
-    ``CHUNK_BYTES`` (half of it at least) hold, one path at least, and whole
-    64-path blocks when wider than one, as a batch is.  So wide
+    the increments and the states and may take a third of ``CHUNK_BYTES``,
+    and ``per_chunk(inc, states, x_n, good)`` runs the control chain on
+    slices of the batch, as wide as ``_chain_floats`` lets what the batch
+    leaves of ``CHUNK_BYTES`` (half of it at least) hold, one path at least,
+    and whole 64-path blocks when wider than one, as a batch is.  So wide
     batches amortise the per-step cost of Euler stepping while the chain's
     per-node arrays stay near the cache, and memory stays bounded at any N.
 
@@ -491,8 +499,13 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, per_node=0, seed_offset=0, x0=No
     rejected paths.
     """
     n_paths, n_steps = cfg.n_paths, grid.n_steps
-    floats = n_steps * spec.d + (n_steps + 1) * (per_node if x0 is None else spec.dim)
-    share = CHUNK_BYTES if x0 is None else CHUNK_BYTES // 3
+    floats = n_steps * spec.d                                # the increments
+    if x0 is not None:                                       # and the states
+        floats, share = floats + (n_steps + 1) * spec.dim, CHUNK_BYTES // 3
+    elif held is None:                                       # no Euler path
+        share = min(CHUNK_BYTES, CACHE_BYTES)
+    else:
+        floats, share = floats + held, CHUNK_BYTES
     batch = cfg.chunk_size or NOISE_BLOCK * max(1, share // (8 * NOISE_BLOCK * floats))
     width = batch
     if x0 is not None:
@@ -538,6 +551,17 @@ def _euler_terminal(spec, x0, grid, inc, tangent=None):
     """Euler X_N alone, as ``_finite``, and a ``tangent`` stepped with it; past the
     increments it holds their kicks."""
     return _finite(_euler_nodes(spec, x0, grid, inc, tangent=tangent)[0].T.copy(), x0)
+
+
+def _euler_floats(spec, grid, tangent=False):
+    """Float64s per path that an X_N-only Euler batch holds past the
+    increments: the kicks of one min(32, N)-node window, the running slab, the
+    drift's temporaries and X_N, a ``tangent``, and the larger of two arrays
+    never held at once: the window's strided increments, copied for the
+    product past N = 32, and the tangent's node Jacobian."""
+    span, n = min(grid.n_steps, 32), spec.dim
+    return (span * spec.d + n * (4 + tangent)
+            + max(span * spec.d * (grid.n_steps > span), tangent * n * n))
 
 
 def _simulate(spec, x0, grid, inc):
@@ -729,9 +753,9 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
 
     if det_control is None:
         (fvals, delta), ok, payloads = _mc_run(spec, grid, cfg, per_slice, 2, x0=x0)
-    else:       # past the increments: nothing, or the states and node Jacobian
-        per_node = 0 if affine is not None else spec.dim * (spec.dim + 1)
-        (fvals, delta), ok, payloads = _mc_run(spec, grid, cfg, per_chunk, 2, per_node)
+    else:       # past the increments: no Euler path, or the states and node Jacobian
+        held = None if affine is not None else (grid.n_steps + 1) * spec.dim * (spec.dim + 1)
+        (fvals, delta), ok, payloads = _mc_run(spec, grid, cfg, per_chunk, 2, held)
     checks = payloads if det_control is None else [det_control["checks"]]
     diagnostics.update({key: np.max([c[key] for c in checks], axis=0).tolist()
                         for key in checks[0]})
@@ -805,7 +829,8 @@ def pathwise_gradient(spec, x0, v, f, grid, cfg):
             jac = jac.T
         return (np.einsum("pa,pa->p", f.grad_f(x_n), jac),), good, None
 
-    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, 0 if affine else spec.d)
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1,
+                             None if affine else _euler_floats(spec, grid, tangent=True))
     return _plain_estimate(vals, ok, cfg, "pathwise")
 
 
@@ -826,7 +851,8 @@ def fd_gradient(spec, x0, v, f, grid, cfg):
         diff = (f.f(xp) - f.f(xm)) / (2.0 * eta)
         return (diff,), good_p & good_m, None
 
-    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, 0 if affine else spec.d)
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1,
+                             None if affine else _euler_floats(spec, grid))
     return _plain_estimate(vals, ok, cfg, "finite_difference")
 
 
@@ -842,8 +868,8 @@ def expectation(spec, x0, f, grid, cfg, seed_offset=0):
             x_n, good = _euler_terminal(spec, x0, grid, inc)
         return (f.f(x_n),), good, None
 
-    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1, 0 if affine else spec.d,
-                             seed_offset=seed_offset)
+    (vals,), ok, _ = _mc_run(spec, grid, cfg, per_chunk, 1,
+                             None if affine else _euler_floats(spec, grid), seed_offset)
     return _mean_se(vals[ok], ok, cfg.antithetic)
 
 

@@ -139,6 +139,13 @@ def test_run_meta_records_batches_and_chain_slices(tmp_path):
     assert run(_write(tmp_path, "mass.json", cfg), threads=1) == 0
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
     assert (meta["chunk_paths"], meta["slice_paths"]) == ([1792], [384])
+    # on a short grid the chain of a whole 8000-path batch fits what the
+    # batch leaves of the budget, so the batch runs as one slice
+    cfg["grid"]["n_steps"] = 12
+    cfg["estimator"]["chunk_size"] = 8000
+    assert run(_write(tmp_path, "short.json", cfg), threads=1) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert (meta["chunk_paths"], meta["slice_paths"]) == ([8000], [8000])
 
 
 def test_estimate_rerun_byte_identical(tmp_path):
@@ -152,10 +159,12 @@ def test_estimate_rerun_byte_identical(tmp_path):
     assert meta["numpy"] == np.__version__
     assert meta["scipy"] == scipy.__version__
     assert meta["noise_streams"] == "sfc64-philoxkey-block64"
-    # the chunk derived from the byte budget: 32 MiB over 64 increments of 8 bytes
+    # an affine run steps no Euler path, so its batch is derived from the
+    # cache: 2 MiB over 64 increments of 8 bytes (the budget would give 65536)
     assert meta["chunk_bytes"] == 32 << 20
-    assert meta["chunk_paths"] == [65536]
-    assert meta["slice_paths"] == [65536]      # no control chain: a batch is one slice
+    assert meta["cache_bytes"] == 2 << 20
+    assert meta["chunk_paths"] == [4096]
+    assert meta["slice_paths"] == [4096]       # no control chain: a batch is one slice
     # run_meta.json records the thread count; results.json does not change
     assert run(path, threads=2) == 0
     assert (tmp_path / "out" / "results.json").read_bytes() == first

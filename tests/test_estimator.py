@@ -1563,6 +1563,38 @@ def test_default_chunk_memory_within_budget(model, monkeypatch):
     assert abs(footprint - peak) <= 0.15 * peak
 
 
+_X_N_DRIVERS = {
+    "pathwise": pathwise_gradient,
+    "finite_difference": fd_gradient,
+    "expectation": lambda spec, x0, v, f, grid, cfg: expectation(spec, x0, f, grid, cfg),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(_X_N_DRIVERS))
+@pytest.mark.parametrize("model", ["mass", "m3"])
+def test_default_euler_batch_memory_within_budget(model, driver, monkeypatch):
+    # an X_N-only Euler driver on a non-affine model: one default-sized batch
+    # fills the budget at the footprint of _euler_floats (the kick window, the
+    # running slab, the tangent), which is within 15 % of the run's traced
+    # peak, and that peak stays within the budget
+    spec, x0 = _chunk_case_model(model)
+    budget = 16 << 20
+    monkeypatch.setattr(estimator, "CHUNK_BYTES", budget)
+    grid = TimeGrid(0.5, 64)
+    x0, v = np.array(x0), np.linspace(0.7, -0.4, spec.dim)
+    floats = grid.n_steps * spec.d + estimator._euler_floats(
+        spec, grid, tangent=driver == "pathwise")
+    batch = 64 * (budget // (8 * 64 * floats))
+    cfg = EstimatorConfig(n_paths=batch, master_seed=1, method="pathwise")
+    f = quadratic_f(np.eye(spec.dim))
+    got = []
+    peak = _traced_peak(lambda: got.append(_derived_chunks(
+        lambda: _X_N_DRIVERS[driver](spec, x0, v, f, grid, cfg))))
+    assert got[0][1] == [(batch, batch)]
+    assert peak <= budget
+    assert abs(8 * floats * batch - peak) <= 0.15 * peak, (8 * floats * batch, peak)
+
+
 def _slice_work(spec, states, inc, grid, v, weights):
     """What ``bismut_gradient`` runs on one slice of a batch."""
     jac, ad, _, h_dot, res, trace = estimator._bridge_chain(spec, states, grid, v, weights)
@@ -1613,9 +1645,9 @@ def test_m3_below_one_block_of_chain_stays_within_budget(monkeypatch):
     assert pickle.dumps(est) == pickle.dumps(blocks64)
 
 
-def _derived_chunk_outputs(spec, x0, chunk_size, n_threads=1):
+def _derived_chunk_outputs(spec, x0, chunk_size, n_threads=1, n_steps=None):
     x0, v = np.array(x0), np.linspace(0.7, -0.4, spec.dim)
-    grid = TimeGrid(0.4, 8 if spec.m == 2 else 16)
+    grid = TimeGrid(0.4, n_steps or (8 if spec.m == 2 else 16))
     f = quadratic_f(np.eye(spec.dim), b=np.linspace(0.5, -0.5, spec.dim))
     weights = xi_case1(spec.b0, phi_parabolic(0.4), 3.0, 0.4)
 
@@ -1642,7 +1674,7 @@ def _derived_chunk_outputs(spec, x0, chunk_size, n_threads=1):
 # one-level drivers: each budget splits 300 paths into batches of 64 or 128;
 # anticipative: the slices cut every batch, narrower than a block at the
 # smaller budget of each model, where the batches split too
-@pytest.mark.parametrize("model,budget", [("affine", 20_000), ("euler", 40_000),
+@pytest.mark.parametrize("model,budget", [("affine", 20_000), ("euler", 48_000),
                                           ("mass", 150_000), ("mass", 700_000),
                                           ("m2", 260_000), ("m2", 3 << 19)])
 def test_derived_chunks_match_one_chunk(model, budget, monkeypatch):
@@ -1664,3 +1696,32 @@ def test_derived_chunks_match_one_chunk(model, budget, monkeypatch):
         assert all(min(batch, 300) % width for batch, width in log)
         narrow = budget < 500_000
         assert all((batch < 300) == narrow and (width < 64) == narrow for batch, width in log)
+
+
+def test_affine_batches_are_sized_by_the_cache():
+    # an affine model steps no Euler path, so at the default budget its
+    # derived batch holds at most CACHE_BYTES of increments: 128 paths at
+    # N = 2048, whose batches of 128, 128 and 44 paths, on one thread or two,
+    # give the bits of one chunk of every path and of 64-path chunks
+    spec, x0 = _chunk_case_model("affine")
+    whole = _derived_chunk_outputs(spec, x0, 300, n_steps=2048)
+    assert _derived_chunk_outputs(spec, x0, 64, n_steps=2048) == whole
+    for n_threads in (1, 2):
+        derived, log = _derived_chunks(
+            lambda: _derived_chunk_outputs(spec, x0, None, n_threads, n_steps=2048))
+        assert derived == whole
+        assert set(log) == {(128, 128)}
+    assert 8 * 128 * 2048 <= estimator.CACHE_BYTES < 8 * (128 + 64) * 2048
+
+
+def test_affine_bismut_run_peak_stays_near_the_cache():
+    # 8192 paths at N = 512 are 32 MiB of increments, which one batch sized by
+    # CHUNK_BYTES would hold at once; cache-sized batches of 512 paths keep the
+    # run's traced peak near CACHE_BYTES
+    spec, x0 = _chunk_case_model("affine")
+    cfg = EstimatorConfig(n_paths=8192, master_seed=1, method="bismut_ito")
+    got = []
+    peak = _traced_peak(lambda: got.append(_derived_chunks(lambda: bismut_gradient(
+        spec, x0, [1.0, 0.0], linear_f([1.0, 0.0]), TimeGrid(1.0, 512), cfg))))
+    assert got[0][1] == [(512, 512)]
+    assert peak <= 1.25 * estimator.CACHE_BYTES, peak

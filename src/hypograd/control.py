@@ -17,11 +17,13 @@ shifted path derivative matches the directional derivative up to the g_N
 defect exactly (see tests).  The analytic rate, which uses
 d/dt K(T,t) = -K(T,t) d1Z1(X_t), is also computed and the gap is reported.
 
-All operations take a batch of paths, component-major as in
-:mod:`hypograd.flow`: flows K(T, t_i) and Gramians (m, m, B, N+1), alpha
-(d, B, N+1), and in place of the states the node Jacobian ``jac`` = DZ(X),
-(n, n, B, N+1), which the caller evaluates once for the whole chain.  At
-m = d = 1 each small matrix product and inverse is one element-wise operation.
+All operations take a batch of paths, node-major as in :mod:`hypograd.flow`:
+flows K(T, t_i) and Gramians (m, m, N+1, B), alpha (d, N+1, B), and in place
+of the states the node Jacobian ``jac`` = DZ(X), (n, n, N+1, B), which the
+caller evaluates once for the whole chain.  A sum over the node axis that
+rounds in blocks (``nu``, the c2 integral) runs on a path-major copy of its
+operand, so its bits do not depend on the layout.  At m = d = 1 each small
+matrix product and inverse is one element-wise operation.
 """
 
 from __future__ import annotations
@@ -122,8 +124,10 @@ class WeightProfile:
     ``xi_grid`` returns the discretization-consistent node values used
     inside the control build and the Q-inverse bound (for case 1 the
     per-step flow-decay product, for case 2 the closed form clipped by the
-    deterministic discrete Gramian floor).  ``xi_case`` is "case1" or
-    "case2".
+    deterministic discrete Gramian floor, whose running maximum it takes:
+    that floor grows in the Loewner order, so only round-off near a
+    rank-deficient start, of order 1e-20, can make it dip).  Both are
+    nondecreasing.  ``xi_case`` is "case1" or "case2".
     """
 
     t_final: float
@@ -149,7 +153,7 @@ class WeightProfile:
         vals = np.asarray(self.xi(nodes), dtype=float)
         floor = _discrete_gramian_floor(self.meta["a_matrix"], self.meta["b0"],
                                         self.phi, grid)
-        return np.minimum(vals, floor)
+        return np.maximum.accumulate(np.minimum(vals, floor))
 
 
 def _discrete_gramian_floor(a_mat, b0, phi, grid):
@@ -161,7 +165,7 @@ def _discrete_gramian_floor(a_mat, b0, phi, grid):
     p_step = np.eye(m) + grid.dt * a_mat
     for i in range(n - 1, -1, -1):
         k[i] = k[i + 1] @ p_step
-    gram = gramian_M(np.moveaxis(k, 0, -1)[:, :, None], b0, phi, grid)[:, :, 0]
+    gram = gramian_M(np.moveaxis(k, 0, -1)[..., None], b0, phi, grid)[..., 0]
     return np.linalg.eigvalsh(np.moveaxis(gram, -1, 0))[:, 0]
 
 
@@ -170,11 +174,12 @@ def gramian_M(k_flow, b0, phi, grid):
 
     Left-endpoint sum M_{t_i} = sum_{j<i} phi(t_j) K(T,t_j) B0 B0^T
     K(T,t_j)^* dt at every node, symmetrized against round-off.  Flows
-    (m, m, B, N+1) give (m, m, B, N+1).
+    (m, m, N+1, B) give (m, m, N+1, B).
     """
     b0 = np.atleast_2d(np.asarray(b0, dtype=float))
-    kb = np.einsum("akpj,kd->adpj", k_flow, b0)
-    gram = _prefix_sums(phi(grid.nodes) * np.einsum("adpj,bdpj->abpj", kb, kb) * grid.dt)
+    kb = np.einsum("akjp,kd->adjp", k_flow, b0)
+    gram = _prefix_sums(phi(grid.nodes)[:, None] * np.einsum("adjp,bdjp->abjp", kb, kb)
+                        * grid.dt)
     return 0.5 * (gram + np.swapaxes(gram, 0, 1))
 
 
@@ -195,30 +200,32 @@ def gramian_integral(g, d_mat, t):
 
 
 def _prefix_sums(x):
-    """out_j = sum_{s<j} x_s along the node axis, out_0 = 0."""
+    """out_j = sum_{s<j} x_s along the node axis -2, out_0 = 0."""
     out = np.empty_like(x)
-    out[..., 0] = 0.0
-    np.cumsum(x[..., :-1], axis=-1, out=out[..., 1:])
+    out[..., 0, :] = 0.0
+    np.cumsum(x[..., :-1, :], axis=-2, out=out[..., 1:, :])
     return out
 
 
 def _suffix_sums(x):
-    """out_j = sum_{s>=j} x_s along the node axis, one node longer, out_N = 0."""
-    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
-    out[..., -1] = 0.0
-    np.cumsum(x[..., ::-1], axis=-1, out=out[..., -2::-1])
+    """out_j = sum_{s>=j} x_s along the node axis -2, one node longer, out_N = 0."""
+    out = np.empty(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1]))
+    out[..., -1, :] = 0.0
+    np.cumsum(x[..., ::-1, :], axis=-2, out=out[..., -2::-1, :])
     return out
 
 
-def gramian_Q(spec, jac, k_flow, phi, grid):
+def gramian_Q(spec, jac, k_flow, phi, grid, kb=None):
     """Gramian with the full cross Jacobian d2Z1(X_s) in place of B0.
 
-    Not symmetrized: Q_t is not symmetric in general.  Shape (m, m, B, N+1).
+    Not symmetrized: Q_t is not symmetric in general.  Shape (m, m, N+1, B).
+    ``kb`` is K B0, (m, d, N+1, B), formed here when not given.
     """
     m = spec.m
-    kc = np.einsum("akpj,kdpj->adpj", k_flow, jac[:m, m:])     # K C
-    kb = np.einsum("akpj,kd->adpj", k_flow, spec.b0)            # K B0
-    return _prefix_sums(phi(grid.nodes) * np.einsum("adpj,bdpj->abpj", kc, kb) * grid.dt)
+    kc = np.einsum("akjp,kdjp->adjp", k_flow, jac[:m, m:])     # K C
+    kb = np.einsum("akjp,kd->adjp", k_flow, spec.b0) if kb is None else kb
+    return _prefix_sums(phi(grid.nodes)[:, None] * np.einsum("adjp,bdjp->abjp", kc, kb)
+                        * grid.dt)
 
 
 def xi_case1(b0, phi, c_bound, t_final):
@@ -282,7 +289,7 @@ def xi_case2(a_matrix, b0, phi, t_final):
     flow[0] = expm(T * a_mat)
     for j in range(fine.n_steps):
         flow[j + 1] = flow[j] @ e_step
-    gram = gramian_M(np.moveaxis(flow, 0, -1)[:, :, None], b0, phi_fn, fine)[:, :, 0]
+    gram = gramian_M(np.moveaxis(flow, 0, -1)[..., None], b0, phi_fn, fine)[..., 0]
     lam_min = np.linalg.eigvalsh(np.moveaxis(gram[..., 128::128], -1, 0))[:, 0]
     calib_t = T * np.arange(1, _XI_N_CALIB + 1) / _XI_N_CALIB
     shape = np.minimum(calib_t, 1.0) ** (2 * (k_idx + 1)) / (T * np.exp(c2 * T))
@@ -306,16 +313,20 @@ def xi_case2(a_matrix, b0, phi, t_final):
 class AlphaData:
     """Control process alpha with its rates and inverse by-products."""
 
-    alpha: np.ndarray            # (d, B, N+1)
-    alpha_dot: np.ndarray        # (d, B, N) divided difference, feeds hdot
+    alpha: np.ndarray            # (d, N+1, B)
+    alpha_dot: np.ndarray        # (d, N, B) divided difference, feeds hdot
     alpha_dot_gap: float         # max |analytic rate - alpha_dot|
-    q_path: np.ndarray           # (m, m, B, N+1)
+    q_path: np.ndarray           # (m, m, N+1, B)
     xi_vals: np.ndarray          # (N+1,) grid profile before per-path drops
-    xi_eff: np.ndarray           # (B, N+1) after drops
+    xi_eff: np.ndarray           # (N+1, B) after drops
+    xi_sq: np.ndarray            # (N, B) xi_eff^2 on the step nodes
     nu: np.ndarray               # (B,) normalizer
-    q_inv: np.ndarray            # (m, m, B, N+1) Q^{-1} at node N and the active
+    q_inv: np.ndarray            # (m, m, N+1, B) Q^{-1} at node N and the active
                                  #   nodes, 0 at flagged members and elsewhere
-    rho: np.ndarray              # (m, B, N+1) backward xi^2-weighted sum of u
+    kb: np.ndarray               # (m, d, N+1, B) K(T,t) B0
+    k0v1: np.ndarray             # (m, B) K(T,0) v1
+    u: np.ndarray                # (m, N, B) Q^{-1} K(T,0) v1 on the step nodes
+    rho: np.ndarray              # (m, N+1, B) backward xi^2-weighted sum of u
     p_vec: np.ndarray            # (m, B) Q_T^{-1} c2
     dropped_nodes: np.ndarray    # (B,) count of dropped quadrature nodes
     degenerate: np.ndarray       # (B,) bool, Q_T^{-1} flagged
@@ -401,10 +412,12 @@ def build_alpha(spec, jac, k_flow, grid, v, profile):
     construction.  Q_T and the active Q_l are each inverted once by
     ``_pinv_stack``, and its flags decide: a flagged Q_T makes the path
     degenerate, and a flagged Q_l drops its node from the backward sum (its
-    weight is a quadrature artifact of phi(0) = 0); drops are counted.
+    weight is a quadrature artifact of phi(0) = 0); drops are counted.  The
+    active nodes, those of 1..N-1 with xi > 0, are one run ending at N-1,
+    since ``xi_grid`` is nondecreasing, so they are inverted as one slice.
     """
     k = k_flow
-    n_paths = jac.shape[2]
+    n_paths = jac.shape[-1]
     n = grid.n_steps
     dt = grid.dt
     m = spec.m
@@ -412,71 +425,75 @@ def build_alpha(spec, jac, k_flow, grid, v, profile):
     v = np.asarray(v, dtype=float).ravel()
     v1, v2 = v[:m], v[m:]
     nodes = grid.nodes
-    phi_vals = profile.phi(nodes)
-    phi_dot_vals = profile.phi_dot(nodes)
+    phi_vals = profile.phi(nodes)[:, None]
+    phi_dot_vals = profile.phi_dot(nodes)[:, None]
     w0 = (T - nodes) / T
     w0[-1] = 0.0
 
-    q_path = gramian_Q(spec, jac, k, profile.phi, grid)
+    kb = np.einsum("akjp,kd->adjp", k, spec.b0)                 # K B0
+    q_path = gramian_Q(spec, jac, k, profile.phi, grid, kb)
 
     xi_vals = profile.xi_grid(grid)
-    xi_eff = np.broadcast_to(xi_vals, (n_paths, n + 1)).copy()
+    xi_eff = np.broadcast_to(xi_vals[:, None], (n + 1, n_paths)).copy()
     degenerate = np.zeros(n_paths, dtype=bool)
     dropped = np.zeros(n_paths, dtype=int)
 
     a_nodes, c_nodes = jac[:m, :m], jac[:m, m:]
 
-    # second term: p = Q_T^{-1} c2, the node sum over a path-major view
-    kc_v2 = np.einsum("ikpj,klpj,l->ipj", k, c_nodes, v2)
+    # second term: p = Q_T^{-1} c2, its node sum on a path-major (m, p, N+1) copy
+    kc_v2 = np.einsum("ikjp,kljp,l->ijp", k, c_nodes, v2).transpose(0, 2, 1).copy()
     c2_vec = np.einsum("j,pji->pi", w0[:-1] * dt, np.moveaxis(kc_v2, 0, -1)[:, :-1]).T
     q_inv = np.zeros_like(q_path)
     if np.linalg.norm(v2) > 0:
-        inv, degenerate = _pinv_stack(q_path[..., n])
-        q_inv[..., n] = np.where(degenerate, 0.0, inv)
-        p_vec = np.einsum("abp,bp->ap", q_inv[..., n], c2_vec)
+        inv, degenerate = _pinv_stack(q_path[:, :, n])
+        q_inv[:, :, n] = np.where(degenerate, 0.0, inv)
+        p_vec = np.einsum("abp,bp->ap", q_inv[:, :, n], c2_vec)
     else:
         p_vec = np.zeros((m, n_paths))
 
-    # third term: u_l = Q_l^{-1} K(T,0) v1 on nodes with xi > 0
+    # third term: u_l = Q_l^{-1} K(T,0) v1 on the active nodes lo..N-1
     has_v1 = np.linalg.norm(v1) > 0
-    if has_v1:
-        active = (xi_vals > 0) & (np.arange(n + 1) >= 1) & (np.arange(n + 1) <= n - 1)
-        idx = np.nonzero(active)[0]
-        if idx.size:
-            inv, drop = _pinv_stack(q_path[..., idx])
-            q_inv[..., idx] = np.where(drop, 0.0, inv)
-            xi_eff[:, idx] = np.where(drop, 0.0, xi_eff[:, idx])
-            dropped += drop.sum(axis=1)
-    u = np.einsum("abpj,bp->apj", q_inv[..., :n], np.einsum("ikp,k->ip", k[..., 0], v1))
-    nu = np.sum(xi_eff[:, :-1] ** 2, axis=1) * dt
-    rho = _suffix_sums(xi_eff[:, :-1] ** 2 * u * dt)
+    positive = xi_vals[1:n] > 0
+    if has_v1 and positive.any():
+        lo = 1 + int(np.argmax(positive))
+        inv, drop = _pinv_stack(q_path[:, :, lo:n])
+        inv[:, :, drop] = 0.0
+        q_inv[:, :, lo:n] = inv
+        xi_eff[lo:n][drop] = 0.0
+        dropped += drop.sum(axis=0)
+    k0v1 = np.einsum("ikp,k->ip", k[:, :, 0], v1)
+    u = np.einsum("abjp,bp->ajp", q_inv[:, :, :n], k0v1)
+    xi_sq = xi_eff[:-1] ** 2
+    nu = np.sum(xi_sq.T.copy(), axis=1) * dt                    # path-major, as c2
+    rho = _suffix_sums(xi_sq * u * dt)
     if has_v1:
         bad_nu = nu <= 0
         degenerate |= bad_nu
         nu = np.where(bad_nu, 1.0, nu)
-        vec = p_vec[..., None] + rho / nu[:, None]
+        vec = p_vec[:, None] + rho / nu
     else:
-        vec = np.broadcast_to(p_vec[..., None], (m, n_paths, n + 1))
+        vec = np.broadcast_to(p_vec[:, None], (m, n + 1, n_paths))
 
-    kt_vec = np.einsum("rapj,rpj->apj", k, vec)          # K(T,t)^* vec
-    corr = np.einsum("ae,apj->epj", spec.b0, kt_vec)     # B0^T K^* vec, (d, p, j)
-    alpha = w0 * v2[:, None, None] - phi_vals * corr
+    kt_vec = np.einsum("rajp,rjp->ajp", k, vec)          # K(T,t)^* vec
+    corr = np.einsum("ae,ajp->ejp", spec.b0, kt_vec)     # B0^T K^* vec, (d, j, p)
+    alpha = w0[:, None] * v2[:, None, None] - phi_vals * corr
 
-    alpha_dot = (alpha[..., 1:] - alpha[..., :-1]) / dt
+    alpha_dot = (alpha[:, 1:] - alpha[:, :-1]) / dt
 
     # analytic rate: -v2/T - B0^T (phi' I - phi A^T) K^* vec + phi xi^2/nu B0^T K^* u
-    at_kt_vec = np.einsum("rapj,rpj->apj", a_nodes[..., :-1], kt_vec[..., :-1])
-    z = phi_dot_vals[:-1] * kt_vec[..., :-1] - phi_vals[:-1] * at_kt_vec
-    alpha_dot_an = -v2[:, None, None] / T - np.einsum("ae,apj->epj", spec.b0, z)
+    at_kt_vec = np.einsum("rajp,rjp->ajp", a_nodes[:, :, :-1], kt_vec[:, :-1])
+    z = phi_dot_vals[:-1] * kt_vec[:, :-1] - phi_vals[:-1] * at_kt_vec
+    alpha_dot_an = -v2[:, None, None] / T - np.einsum("ae,ajp->ejp", spec.b0, z)
     if has_v1:
-        kt_u = np.einsum("rapj,rpj->apj", k[..., :-1], u)
+        kt_u = np.einsum("rajp,rjp->ajp", k[:, :, :-1], u)
         alpha_dot_an = alpha_dot_an + np.einsum(
-            "ae,apj->epj", spec.b0, (phi_vals[:-1] * xi_eff[:, :-1] ** 2 / nu[:, None]) * kt_u)
+            "ae,ajp->ejp", spec.b0, (phi_vals[:-1] * xi_sq / nu) * kt_u)
     gap = float(np.max(np.abs(alpha_dot_an - alpha_dot))) if alpha.size else 0.0
 
     return AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_gap=gap, q_path=q_path,
-                     xi_vals=xi_vals, xi_eff=xi_eff, nu=nu, q_inv=q_inv, rho=rho,
-                     p_vec=p_vec, dropped_nodes=dropped, degenerate=degenerate)
+                     xi_vals=xi_vals, xi_eff=xi_eff, xi_sq=xi_sq, nu=nu, q_inv=q_inv,
+                     kb=kb, k0v1=k0v1, u=u, rho=rho, p_vec=p_vec, dropped_nodes=dropped,
+                     degenerate=degenerate)
 
 
 def build_bridge(spec, jac, alpha_data, grid, v):
@@ -484,11 +501,11 @@ def build_bridge(spec, jac, alpha_data, grid, v):
 
     g follows the forward linear ODE g' = d1Z1(X) g + d2Z1(X) alpha with
     g_0 = v1 (Euler, shared grid); hdot_t = sigma^{-1}(dZ2(X_t)(g_t, alpha_t)
-    - alpha_dot_t) pointwise on steps.  Returns g, hdot (d, B, N) and the
-    residuals |alpha_0 - v2|, |alpha_N|, |g_N| (B, 3).
+    - alpha_dot_t) pointwise on steps.  Returns g (m, N+1, B), hdot (d, N, B)
+    and the residuals |alpha_0 - v2|, |alpha_N|, |g_N| (B, 3).
     """
     alpha, alpha_dot = alpha_data.alpha, alpha_data.alpha_dot
-    n_paths = jac.shape[2]
+    n_paths = jac.shape[-1]
     n = grid.n_steps
     dt = grid.dt
     m = spec.m
@@ -496,46 +513,45 @@ def build_bridge(spec, jac, alpha_data, grid, v):
     v1, v2 = v[:m], v[m:]
 
     a_nodes, c_nodes = jac[:m, :m], jac[:m, m:]
-    g = np.empty((n + 1, m, n_paths))                  # time-major, as the Euler loop
-    g[0] = v1[:, None]
+    g = np.empty((m, n + 1, n_paths))
+    g[:, 0] = v1[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        c_alpha = np.einsum("adpj,dpj->apj", c_nodes[..., :-1], alpha[..., :-1])
+        c_alpha = np.einsum("adjp,djp->ajp", c_nodes[:, :, :-1], alpha[:, :-1])
         for i in range(n):
-            g[i + 1] = g[i] + dt * (np.einsum("abp,bp->ap", a_nodes[..., i], g[i])
-                                    + c_alpha[..., i])
-    g = np.moveaxis(g, 0, -1)
-    h_dot = _assemble_hdot(spec, jac[..., :-1], g[..., :-1], alpha[..., :-1], alpha_dot)
-    res = np.stack([_norm(alpha[..., 0] - v2[:, None]), _norm(alpha[..., n]),
-                    _norm(g[..., n])], axis=-1)
+            np.add(g[:, i], dt * (np.einsum("abp,bp->ap", a_nodes[:, :, i], g[:, i])
+                                  + c_alpha[:, i]), out=g[:, i + 1])
+    h_dot = _assemble_hdot(spec, jac[:, :, :-1], g[:, :-1], alpha[:, :-1], alpha_dot)
+    res = np.stack([_norm(alpha[:, 0] - v2[:, None]), _norm(alpha[:, n]),
+                    _norm(g[:, n])], axis=-1)
     return g, h_dot, res
 
 
 def _assemble_hdot(spec, jac, g, alpha, alpha_dot):
-    """hdot = sigma^{-1} (dZ2(X)(g, alpha) - alpha_dot), (d, B, N), from the
+    """hdot = sigma^{-1} (dZ2(X)(g, alpha) - alpha_dot), (d, N, B), from the
     node Jacobian and g, alpha on the N step nodes; a batch of one in g,
     alpha and alpha_dot is shared by every path of ``jac``."""
     m = spec.m
-    drive = (np.einsum("dapj,apj->dpj", jac[m:, :m], g)
-             + np.einsum("depj,epj->dpj", jac[m:, m:], alpha) - alpha_dot)
-    return np.einsum("fd,dpj->fpj", spec.sigma_inv(), drive)
+    drive = (np.einsum("dajp,ajp->djp", jac[m:, :m], g)
+             + np.einsum("dejp,ejp->djp", jac[m:, m:], alpha) - alpha_dot)
+    return np.einsum("fd,djp->fjp", spec.sigma_inv(), drive)
 
 
 def q_inverse_bound_ratio(q_path, xi_grid_vals, epsilon):
     """Worst ratio ||Q_t^{-1}|| * (1 - eps) xi(t) over nodes with xi > 0.
 
     The bound ||Q_t^{-1}|| <= 1/((1-eps) xi(t)) holds when the ratio is
-    <= 1 (up to round-off).  ``q_path``: (m, m, B, N+1); an empty batch
+    <= 1 (up to round-off).  ``q_path``: (m, m, N+1, B); an empty batch
     gives 0.  For m = 1 the smallest singular value is |Q|, LAPACK's bits.
     """
     xi = np.asarray(xi_grid_vals, dtype=float)
     active = xi > 0
-    if not np.any(active) or q_path.shape[2] == 0:
+    if not np.any(active) or q_path.shape[-1] == 0:
         return 0.0
-    q = q_path[..., active]
+    q = q_path[:, :, active]
     if len(q) == 1:
         smin = np.abs(q[0, 0])
     else:
         smin = np.linalg.svd(np.moveaxis(q, (0, 1), (-2, -1)), compute_uv=False)[..., -1]
     with np.errstate(divide="ignore"):
-        ratio = (1.0 - epsilon) * xi[active] / smin
+        ratio = (1.0 - epsilon) * xi[active][:, None] / smin
     return float(np.max(ratio))

@@ -15,6 +15,8 @@ alpha -> hdot).  Increment i enters only through the states after t_i, so
 each sum over later nodes of a node row times dX_j/dW_i is one backward
 recursion over the Euler step propagators (the adjoint view): O(N d) work in
 place of the nominal O(N^2 d), with no state-transition matrix formed.  The
+chain's per-path arrays are node-major, as in :mod:`hypograd.flow`, so the
+recursion overwrites one contiguous node slab per step.  The
 result is the exact derivative (checked against brute-force increment
 bumping in the tests), so the discrete integration-by-parts identity
 E[F delta] = E[sum_i <dF/dW_i, hdot_i> dt] holds with no discretization
@@ -64,7 +66,7 @@ from .control import (_assemble_hdot, _pinv_stack, _prefix_sums, _suffix_sums,
 from .errors import (ConfigurationError, MethodMisuseError, NotApplicableError,
                      RunDegenerateError)
 # full_jacobian_flow is unused here but named for perfbench's span tracer
-from .flow import (_euler_nodes, _step_blocks, full_jacobian_flow, simulate_path,
+from .flow import (_euler_nodes, _propagator, full_jacobian_flow, simulate_path,
                    terminal_flow, valid_mask)
 
 __all__ = [
@@ -301,7 +303,7 @@ def _sampled_jac_bound(spec, grid, x0, seed, n_probe=32):
     states = states[valid_mask(states)]
     if states.size == 0:
         raise RunDegenerateError("all probe paths for the Jacobian bound blew up")
-    return 1.25 * _norm2_max(spec.dz(np.moveaxis(states, -1, 0))[:spec.m, :spec.m])
+    return 1.25 * _norm2_max(spec.dz(states.T)[:spec.m, :spec.m])
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +324,9 @@ def skorokhod_delta(spec, x0, grid, inc, v, weights):
 
 
 def _hdot_sum(h_dot, inc):
-    """Per-path sum_i <hdot_i, dW_i> of hdot (d, P, N) and increments (P, N, d)."""
-    return np.sum(inc * np.moveaxis(h_dot, 0, -1), axis=(-2, -1))
+    """Per-path sum_i <hdot_i, dW_i> of hdot (d, N, P) and increments (P, N, d),
+    over their product laid out as ``inc``."""
+    return np.sum(inc * h_dot.T, axis=(-2, -1))
 
 
 def _bridge_chain(spec, states, grid, v, weights):
@@ -331,16 +334,16 @@ def _bridge_chain(spec, states, grid, v, weights):
     evaluation of the node Jacobian.
 
     Returns ``(jac, alpha_data, g, h_dot, bridge_residuals, trace)``, all
-    component-major; the Skorokhod trace is zero when jac_z1 is constant
-    (the control is then deterministic and the trace vanishes).
+    node-major; the Skorokhod trace is zero when jac_z1 is constant (the
+    control is then deterministic and the trace vanishes).
     """
-    states = np.moveaxis(states, -1, 0)
+    states = states.T
     with np.errstate(over="ignore", invalid="ignore"):
         jac = spec.full_jacobian(states)
     k = terminal_flow(spec, jac, grid)
     ad = build_alpha(spec, jac, k, grid, v, weights)
     g, h_dot, res = build_bridge(spec, jac, ad, grid, v)
-    trace = (np.zeros(states.shape[1]) if spec.constant_jac_z1
+    trace = (np.zeros(states.shape[-1]) if spec.constant_jac_z1
              else _skorokhod_trace(spec, states, grid, v, weights, ad, k, jac))
     return jac, ad, g, h_dot, res, trace
 
@@ -366,6 +369,9 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     sums of wgt Q^{-1} (x) u and wgt Q^{-1}.  Folding p, Q_T^{-1} and 1/nu
     into coefficients h_j, omega less its G_i terms is the sweep of the m
     rows h_j : d_y DZ1(X_j): m^2 + m rows (m when v1 = 0) are stepped.
+
+    ``states`` (n, N+1, P) and every per-node array are node-major; the
+    final sum over the nodes runs on a path-major (P, N) array.
     """
     if spec.hess_z1 is None:
         raise MethodMisuseError("the Skorokhod trace needs the model's hess_z1 "
@@ -374,86 +380,83 @@ def _skorokhod_trace(spec, states, grid, v, profile, ad, k, jac):
     v1, v2 = np.split(np.asarray(v, dtype=float).ravel(), [m])
     has_v1 = np.linalg.norm(v1) > 0.0
     nodes = grid.nodes
-    phi_vals, w0 = profile.phi(nodes), (grid.t_final - nodes) / grid.t_final   # w0[N] unread
-    q_path, q_next, p_vec = ad.q_path[..., :-1], ad.q_path[..., 1:], ad.p_vec
-    nu = ad.nu[:, None] if has_v1 else np.inf      # 1/nu scales v1's terms only; nu may be 0
-    qt_inv, qinv = ad.q_inv[..., -1], ad.q_inv[..., :-1]    # 0 when v2 = 0, when v1 = 0
+    phi_vals = profile.phi(nodes)[:, None]
+    w0 = ((grid.t_final - nodes) / grid.t_final)[:, None]                # w0[N] unread
+    q_path, q_next, p_vec = ad.q_path[:, :, :-1], ad.q_path[:, :, 1:], ad.p_vec
+    nu = ad.nu if has_v1 else np.inf       # 1/nu scales v1's terms only; nu may be 0
+    qt_inv, qinv = ad.q_inv[:, :, -1], ad.q_inv[:, :, :-1]  # 0 when v2 = 0, when v1 = 0
+    k0v1, u, kb = ad.k0v1, ad.u, ad.kb[:, :, :-1]
 
-    kinv = _pinv_stack(k[..., :-1])[0]                             # (m, m, p, N)
-    kb = np.einsum("akpj,kd->adpj", k[..., :-1], spec.b0)          # K B0
-    kcv2 = np.einsum("akpj,kpj->apj", k, np.einsum("kdpj,d->kpj", jac[:m, m:], v2))
-    c2low = _prefix_sums((w0 * dt) * kcv2)[..., 1:]                # c2low_{j+1}
-    k0v1 = np.einsum("ikp,k->ip", k[..., 0], v1)
-    u = np.einsum("abpj,bp->apj", qinv, k0v1)                      # build_alpha's u
-    wq = (ad.xi_eff[:, :-1] ** 2 * dt) * qinv                      # wgt Q^{-1}
-    uv = np.cumsum(np.einsum("abpj,cpj->abcpj", wq, np.einsum("cepj,epj->cpj", q_path, u))
-                   + np.einsum("acpj,bpj->abcpj", np.einsum("aepj,ecpj->acpj", wq, q_path), u),
-                   axis=-1)                                        # uv_{j+1}
+    kinv = _pinv_stack(k[:, :, :-1])[0]                            # (m, m, N, p)
+    kcv2 = np.einsum("akjp,kjp->ajp", k, np.einsum("kdjp,d->kjp", jac[:m, m:], v2))
+    c2low = _prefix_sums((w0 * dt) * kcv2)[:, 1:]                  # c2low_{j+1}
+    wq = (ad.xi_sq * dt) * qinv                                    # wgt Q^{-1}
+    uv = np.cumsum(np.einsum("abjp,cjp->abcjp", wq, np.einsum("cejp,ejp->cjp", q_path, u))
+                   + np.einsum("acjp,bjp->abcjp", np.einsum("aejp,ecjp->acjp", wq, q_path), u),
+                   axis=-2)                                        # uv_{j+1}
     # the weight of -a_dq_j in omega's row: Q_T^{-1} (x) p + w1_{j+1} / nu
-    w_dq = (_suffix_sums(np.einsum("abpj,cpj->abcpj", wq, u))[..., 1:] / nu
-            + np.einsum("abp,cp->abcp", qt_inv, p_vec)[..., None])
+    w_dq = (_suffix_sums(np.einsum("abjp,cjp->abcjp", wq, u))[..., 1:, :] / nu
+            + np.einsum("abp,cp->abcp", qt_inv, p_vec)[..., None, :])
     # omega's row is c_chi : chi_j + c_kdc : kdc_j
-    c_chi = (np.einsum("ae,bp->abep", np.eye(m), p_vec)[..., None]
-             + np.einsum("abp,epj->abepj", qt_inv, c2low)
-             - np.einsum("abcpj,ecpj->abepj", w_dq, q_next)
-             - np.einsum("acbpj,cepj->abepj", w_dq, q_next) - uv / nu)
-    c_kdc = ((w0[:-1] * dt) * np.einsum("abp,e->abep", qt_inv, v2)[..., None]
-             - (phi_vals[:-1] * dt) * np.einsum("abcpj,cepj->abepj", w_dq, kb))
+    c_chi = (np.einsum("ae,bp->abep", np.eye(m), p_vec)[..., None, :]
+             + np.einsum("abp,ejp->abejp", qt_inv, c2low)
+             - np.einsum("abcjp,ecjp->abejp", w_dq, q_next)
+             - np.einsum("acbjp,cejp->abejp", w_dq, q_next) - uv / nu)
+    c_kdc = ((w0[:-1] * dt) * np.einsum("abp,e->abep", qt_inv, v2)[..., None, :]
+             - (phi_vals[:-1] * dt) * np.einsum("abcjp,cejp->abejp", w_dq, kb))
     if has_v1:        # DR_i's terms in G_i: c_g : G_i = uv : G_i + G_i^T rho_{i+1} + w3 G_i K v1
-        c_g = (uv + np.einsum("bpi,ac->abcpi", ad.rho[..., 1:], np.eye(m))
-               + np.einsum("abpi,cp->abcpi", _suffix_sums(wq)[..., 1:], k0v1)) / nu
-    del kcv2, c2low, u, w_dq, uv, wq
+        c_g = (uv + np.einsum("bip,ac->abcip", ad.rho[:, 1:], np.eye(m))
+               + np.einsum("abip,cp->abcip", _suffix_sums(wq)[..., 1:, :], k0v1)) / nu
+    del kcv2, c2low, w_dq, uv, wq
     # D g_i = -k_i^{-1} kappa_i omega_i, D alpha_i = -phi_i B0^T k_i^T omega_i and its rate
     # make tr sigma^{-1} (dZ2(X_i)(D g_i, D alpha_i) - D alpha_dot_i) = c_i : omega_i
     kappa = _prefix_sums((phi_vals[:-1] * dt) * np.einsum(
-        "ikpj,klpj,blpj->ibpj", k[..., 1:], jac[:m, m:, :, :-1], kb))
+        "ikjp,kljp,bljp->ibjp", k[:, :, 1:], jac[:m, m:, :-1], kb))
     s_inv = spec.sigma_inv()
     sb = np.einsum("tf,af->ta", s_inv, spec.b0)                    # sigma^{-1} B0^T
-    c = (np.einsum("ta,rapi->trpi", sb / dt, phi_vals[1:] * k[..., 1:])
-         - np.einsum("tapi,abpi,brpi->trpi", np.einsum(
-             "tf,fapi->tapi", s_inv, jac[m:, :m, :, :-1]), kinv, kappa)
-         - np.einsum("tapi,rapi->trpi", np.einsum(
-             "tf,fepi,ae->tapi", s_inv, jac[m:, m:, :, :-1], spec.b0)
-             + sb[..., None, None] / dt, phi_vals[:-1] * k[..., :-1]))
+    c = (np.einsum("ta,raip->trip", sb / dt, phi_vals[1:] * k[:, :, 1:])
+         - np.einsum("taip,abip,brip->trip", np.einsum(
+             "tf,faip->taip", s_inv, jac[m:, :m, :-1]), kinv, kappa)
+         - np.einsum("taip,raip->trip", np.einsum(
+             "tf,feip,ae->taip", s_inv, jac[m:, m:, :-1], spec.b0)
+             + sb[..., None, None] / dt, phi_vals[:-1] * k[:, :, :-1]))
     kinv *= dt
-    del kb, kappa
+    del kappa
     h = np.empty((m, m, spec.dim) + kinv.shape[2:])                # ... and h_j : d_y DZ1(X_j)
-    np.einsum("abepj,bApj,Bepj->aABpj", c_chi, k[..., 1:], kinv, out=h[:, :, :m])
-    np.einsum("abepj,bApj->aAepj", c_kdc, k[..., :-1], out=h[:, :, m:])
+    np.einsum("abejp,bAjp,Bejp->aABjp", c_chi, k[:, :, 1:], kinv, out=h[:, :, :m])
+    np.einsum("abejp,bAjp->aAejp", c_kdc, k[:, :, :-1], out=h[:, :, m:])
     del c_chi, c_kdc
     rows = np.empty(((m * m if has_v1 else 0) + m,) + h.shape[2:])
     for j in range(0, n_steps, 32):          # d_y DZ1(X_j), j < N, 32 nodes at a time
         at = slice(j, min(j + 32, n_steps))
-        hess = spec.hess_z1(states[..., at])                       # (m, n, n, p, width)
-        np.einsum("aABpj,ABypj->aypj", h[..., at], hess, out=rows[-m:, ..., at])
+        hess = spec.hess_z1(states[:, at])                         # (m, n, n, width, p)
+        np.einsum("aABjp,ABYjp->aYjp", h[..., at, :], hess, out=rows[-m:, :, at])
         if has_v1:                                                 # chi_j
-            np.einsum("bApj,ABypj,Bepj->beypj", k[..., j + 1:at.stop + 1], hess[:, :m],
-                      kinv[..., at], out=rows[:-m, ..., at].reshape((m, m) + hess.shape[2:]))
+            np.einsum("bAjp,ABYjp,Bejp->beYjp", k[:, :, j + 1:at.stop + 1], hess[:, :m],
+                      kinv[:, :, at], out=rows[:-m, :, at].reshape((m, m) + hess.shape[2:]))
     del h, hess
-    swept = _sweep(rows, jac, grid, spec.sigma, m)                 # (r, d, p, N)
-    omega = swept[-m:]                                             # (m, d, p, N)
+    swept = _sweep(rows, jac, grid, spec.sigma, m)                 # (r, d, N, p)
+    omega = swept[-m:]                                             # (m, d, N, p)
     if has_v1:
-        omega += np.einsum("abcpi,bctpi->atpi", c_g, swept[:-m].reshape((m, m) + omega.shape[1:]))
-    trace = np.einsum("trpi,rtpi->pi", c, omega)                   # (p, N), contiguous
+        omega += np.einsum("abcip,bctip->atip", c_g, swept[:-m].reshape((m, m) + omega.shape[1:]))
+    trace = np.empty((k.shape[-1], n_steps))        # (p, N) C-ordered: each path sums pairwise
+    np.einsum("trip,rtip->pi", c, omega, out=trace)
     return dt * np.sum(trace, axis=1)
 
 
 def _sweep(rows, jac, grid, sigma, m):
-    """R_{i+1} E sigma, (r, d, P, N), of node rows (r, n, P, N) by R_j = rows_j +
-    R_{j+1} F_j, R_N = 0, over the blocks of ``_step_blocks``, 0 < j < N: one
-    ``einsum`` per step into a time-major block, copied out while in cache."""
-    r, n, n_paths, n_steps = rows.shape
-    out = np.zeros((r, len(sigma), n_paths, n_steps))              # R_N E sigma = 0
-    blk = np.zeros((min(n_steps - 1, 32) + 1, r, n, n_paths))  # R at a block's nodes, R_N on top
+    """R_{i+1} E sigma, (r, d, N, P), of node rows (r, n, N, P) by R_j = rows_j +
+    R_{j+1} F_j, R_N = 0, 0 < j < N: one ``einsum`` per node overwrites
+    ``rows`` with R in place, and one more forms every R E sigma."""
+    # R_N = 0 is stepped through F_{N-1} too, so a non-finite F_{N-1} makes R_{N-1} NaN
+    r_next = np.zeros(rows.shape[:2] + rows.shape[3:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, steps in _step_blocks(jac, grid.dt, 1, n_steps, backward=True):
-            width = len(steps)                     # only the first, topmost, is short
-            blk[:width] = np.moveaxis(rows[..., j:j + width], -1, 0)
-            for t in range(width - 1, -1, -1):
-                blk[t] += np.einsum("rap,abp->rbp", blk[t + 1], steps[t])
-            out[..., j - 1:j - 1 + width] = np.moveaxis(
-                np.einsum("trap,ae->trep", blk[:width, :, m:], sigma), 0, -1)
-            blk[-1] = blk[0]
+        for j in range(rows.shape[2] - 1, 0, -1):
+            rows[:, :, j] += np.einsum("rap,abp->rbp", r_next, _propagator(jac, grid.dt, j))
+            r_next = rows[:, :, j]
+        out = np.empty((len(rows), len(sigma)) + rows.shape[2:])
+        out[:, :, -1] = 0.0
+        np.einsum("rajp,ae->rejp", rows[:, m:, 1:], sigma, out=out[:, :, :-1])
     return out
 
 
@@ -550,7 +553,7 @@ def _mc_run(spec, grid, cfg, per_chunk, n_cols, held=None, seed_offset=0, x0=Non
 def _euler_terminal(spec, x0, grid, inc, tangent=None):
     """Euler X_N alone, as ``_finite``, and a ``tangent`` stepped with it; past the
     increments it holds their kicks."""
-    return _finite(_euler_nodes(spec, x0, grid, inc, tangent=tangent)[0].T.copy(), x0)
+    return _finite(_euler_nodes(spec, x0, grid, inc, tangent=tangent)[:, 0].T.copy(), x0)
 
 
 def _euler_floats(spec, grid, tangent=False):
@@ -741,7 +744,7 @@ def bismut_gradient(spec, x0, v, f, grid, cfg, weights=None):
             x_n, good = affine.terminal(x0, noise)
             return (f.f(x_n), noise[:, -1]), good, None
         states, x_n, good = _simulate(spec, x0, grid, inc)
-        jac = spec.dz(np.moveaxis(states[:, :-1], -1, 0))
+        jac = spec.dz(states[:, :-1].T)
         dl = _hdot_sum(_assemble_hdot(spec, jac, *det_control["bridge"]), inc)
         return (f.f(x_n), dl), good, None
 
@@ -778,7 +781,7 @@ def _deterministic_control(spec, x0, grid, v, weights):
     if bool(ad.degenerate[0]):
         raise RunDegenerateError("deterministic control chain is degenerate "
                                  "(singular terminal Gramian)")
-    return {"bridge": (g[..., :-1], ad.alpha[..., :-1], ad.alpha_dot), "h_dot": h_dot[:, 0],
+    return {"bridge": (g[:, :-1], ad.alpha[:, :-1], ad.alpha_dot), "h_dot": h_dot[..., 0],
             "checks": _hypothesis_checks(spec, jac, ad, res, ~ad.degenerate)}
 
 
@@ -790,13 +793,13 @@ def _hypothesis_checks(spec, jac, ad, res, good):
     return {"bridge_residuals_max": got.max(axis=0) if got.size else np.zeros(3),
             "alpha_dot_gap": ad.alpha_dot_gap,
             "dropped_nodes_max": int(ad.dropped_nodes.max()),
-            "q_bound_ratio": q_inverse_bound_ratio(ad.q_path[:, :, good], ad.xi_vals,
+            "q_bound_ratio": q_inverse_bound_ratio(ad.q_path[..., good], ad.xi_vals,
                                                    spec.epsilon),
             "c_bound_realized": _norm2_max(jac[:spec.m, :spec.m], good)}
 
 
 def _norm2_max(blocks, keep=slice(None)):
-    """Largest spectral norm over the square blocks (m, m, P, ...) of the
+    """Largest spectral norm over the square blocks (m, m, ..., P) of the
     paths ``keep`` selects; 0 when it selects none, inf when a block is not
     finite (LAPACK's SVD fails on those).  A 1x1 block's norm is its
     absolute value."""
@@ -808,7 +811,7 @@ def _norm2_max(blocks, keep=slice(None)):
         norms[finite] = np.linalg.norm(np.moveaxis(blocks, (0, 1), (-2, -1))[finite],
                                        ord=2, axis=(-2, -1))
     norms[~finite] = np.inf
-    per_path = norms.max(axis=tuple(range(1, norms.ndim)))[keep]
+    per_path = norms.max(axis=tuple(range(norms.ndim - 1)))[keep]
     return float(per_path.max()) if per_path.size else 0.0
 
 
@@ -960,8 +963,8 @@ def duality_gap(spec, x0, v, f, grid, cfg, weights=None):
         dt = grid.dt
         for i in range(grid.n_steps - 1, -1, -1):
             dfdw = np.einsum("cp,cd->dp", adj[spec.m:], spec.sigma)      # (d, P)
-            rhs += np.einsum("dp,dp->p", dfdw, h_dot[..., i]) * dt
-            adj = adj + dt * np.einsum("bap,bp->ap", jac[..., i], adj)
+            rhs += np.einsum("dp,dp->p", dfdw, h_dot[:, i]) * dt
+            adj = adj + dt * np.einsum("bap,bp->ap", jac[:, :, i], adj)
         return (lhs - rhs, lhs, rhs), good & ~ad.degenerate, None
 
     (gaps, lhs, rhs), ok, _ = _mc_run(spec, grid, cfg, per_slice, 3, x0=x0)

@@ -37,20 +37,21 @@ def anticipative_spec():
 
 
 def states_cm(x):
-    """Component-first (n, B, N+1) view of (B, N+1, n) states, the layout the
-    model callables and the control chain take."""
-    return np.moveaxis(x, -1, 0)
+    """Node-major (n, N+1, B) view of (B, N+1, n) states, the layout the
+    control chain takes: their plain transpose."""
+    return x.T
 
 
 def path_major(a, k=2):
-    """(B, N+1, components...) view of a component-major array whose first
-    ``k`` axes are components."""
-    return np.moveaxis(a, tuple(range(k)), tuple(range(-k, 0)))
+    """(B, [N+1,] components...) view of a node-major array (components...,
+    [N+1,] B) whose first ``k`` axes are components."""
+    return np.transpose(a, tuple(range(a.ndim - 1, k - 1, -1)) + tuple(range(k)))
 
 
 def comp_major(a, k=2):
-    """Component-major view of an array whose last ``k`` axes are components."""
-    return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
+    """Node-major view, (components..., [N+1,] B), of a path-major array
+    (B, [N+1,] components...) whose last ``k`` axes are components."""
+    return np.transpose(a, tuple(range(a.ndim - k, a.ndim)) + tuple(range(a.ndim - k - 1, -1, -1)))
 
 
 def sample_noise(grid, d, rng, n_paths):
@@ -64,12 +65,12 @@ def directional_jacobian(spec, states, grid, v):
     (I + dt dZ(X_i)) J_i with J_0 = v.  Reference for the tangent that
     ``flow._euler_nodes`` steps with X in one pass."""
     v = np.asarray(v, dtype=float).ravel()
-    x = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
-    jac = np.repeat(v[:, None], x.shape[1], axis=1)
+    x = states_cm(np.asarray(states, dtype=float))
+    jac = np.repeat(v[:, None], x.shape[-1], axis=1)
     dt = grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(x.shape[-1] - 1):
-            g = spec.full_jacobian(x[..., i])
+        for i in range(x.shape[1] - 1):
+            g = spec.full_jacobian(x[:, i])
             jac = jac + dt * np.einsum("abp,bp->ap", g, jac)
     return jac.T
 
@@ -158,7 +159,7 @@ def pinv_stack_lapack(mats):
     if n == 2:
         inv, singular = control._inv(comp_major(safe))
         inv = np.ascontiguousarray(path_major(inv))
-        bad |= singular
+        bad |= path_major(singular, 0)
     else:
         try:
             inv = np.linalg.inv(safe)
@@ -168,8 +169,8 @@ def pinv_stack_lapack(mats):
             safe = np.where(bad[..., None, None], np.eye(n), mats)
             inv = np.linalg.inv(safe)
     with np.errstate(over="ignore", invalid="ignore"):
-        bad |= ~(n * control._norm1(comp_major(safe))
-                 * control._norm1(comp_major(inv)) < 1e13)
+        bad |= ~path_major(n * control._norm1(comp_major(safe))
+                           * control._norm1(comp_major(inv)) < 1e13, 0)
     inv[bad] = np.nan
     return inv, bad
 
@@ -393,8 +394,10 @@ def reference_build_alpha(spec, jac, k_flow, grid, v, profile):
     gap = float(np.max(np.abs(alpha_dot_an - alpha_dot))) if alpha.size else 0.0
 
     return AlphaData(alpha=alpha, alpha_dot=alpha_dot, alpha_dot_gap=gap, q_path=q_path,
-                     xi_vals=xi_vals, xi_eff=xi_eff, nu=nu, q_inv=q_inv, rho=rho,
-                     p_vec=p_vec, dropped_nodes=dropped, degenerate=degenerate)
+                     xi_vals=xi_vals, xi_eff=xi_eff, xi_sq=xi_eff[:, :-1] ** 2, nu=nu,
+                     q_inv=q_inv, kb=k @ spec.b0, k0v1=np.einsum("pik,k->pi", k[:, 0], v1),
+                     u=u_nodes, rho=rho, p_vec=p_vec, dropped_nodes=dropped,
+                     degenerate=degenerate)
 
 
 def reference_build_bridge(spec, jac, alpha_data, grid, v):

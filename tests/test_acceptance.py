@@ -156,7 +156,7 @@ def test_criterion_5_bridge_conditions(criterion3_run, hamiltonian):
         if cur.n_steps != n_steps:
             g, cur = refine_noise(g, cur, rng)
         x = simulate_path(hamiltonian, criterion3_run["x0"], cur, g)
-        jac = hamiltonian.dz(np.moveaxis(x, -1, 0))        # component-major
+        jac = hamiltonian.dz(x.T)                          # node-major
         k = terminal_flow(hamiltonian, jac, cur)
         prof = case1_profile(hamiltonian, 0.5, c_bound=0.0)
         ad = build_alpha(hamiltonian, jac, k, cur, v, prof)
@@ -177,7 +177,7 @@ def test_criterion_6_gramian_bounds(criterion3_run, hamiltonian):
     rng = np.random.default_rng(16)
     x = simulate_path(hamiltonian, criterion3_run["x0"], grid,
                       sample_noise(grid, 1, rng, n_paths=8))
-    jac = hamiltonian.dz(np.moveaxis(x, -1, 0))            # component-major
+    jac = hamiltonian.dz(x.T)                              # node-major
     k = terminal_flow(hamiltonian, jac, grid)
     phi, _ = phi_parabolic(grid.t_final)
     q = gramian_Q(hamiltonian, jac, k, phi, grid)

@@ -15,7 +15,7 @@ from tests.conftest import (case1_profile, comp_major, path_major,
 
 
 def _flat_flow(grid, m):
-    return np.broadcast_to(np.eye(m)[:, :, None, None], (m, m, 1, grid.n_steps + 1)).copy()
+    return np.broadcast_to(np.eye(m)[:, :, None, None], (m, m, grid.n_steps + 1, 1)).copy()
 
 
 def test_gramian_m_zero_at_origin():
@@ -55,8 +55,8 @@ def test_gramian_q_equals_m_when_c_is_b0(kinetic_spec):
     phi, _ = phi_parabolic(1.0)
     q = gramian_Q(kinetic_spec, jac, k, phi, grid)
     m = gramian_M(k, kinetic_spec.b0, phi, grid)
-    assert q.shape == (1, 1, 1, 257) and np.allclose(q, m, atol=1e-12)
-    assert np.array_equal(q[..., 0, 0], np.zeros((1, 1)))
+    assert q.shape == (1, 1, 257, 1) and np.allclose(q, m, atol=1e-12)
+    assert np.array_equal(q[:, :, 0, 0], np.zeros((1, 1)))
 
 
 def test_gramian_ordering_on_nonlinear_paths(anticipative_spec):
@@ -194,9 +194,9 @@ def test_alpha_boundary_values_exact(kinetic_spec):
     v = np.array([0.6, -0.8])
     prof = case1_profile(kinetic_spec, 1.0)
     ad = build_alpha(kinetic_spec, jac, k, grid, v, prof)
-    assert ad.alpha.shape == (1, 4, 257)          # (d, P, N+1)
-    assert np.max(np.abs(ad.alpha[..., 0] - v[1:, None])) <= 1e-14
-    assert np.max(np.abs(ad.alpha[..., -1])) <= 1e-14
+    assert ad.alpha.shape == (1, 257, 4)          # (d, N+1, P)
+    assert np.max(np.abs(ad.alpha[:, 0] - v[1:, None])) <= 1e-14
+    assert np.max(np.abs(ad.alpha[:, -1])) <= 1e-14
 
 
 def test_alpha_zero_direction_gives_zero_control(kinetic_spec):
@@ -230,7 +230,7 @@ def test_bridge_g_residual_kinetic(kinetic_spec):
 
 @pytest.mark.parametrize("v", [[0.7, -0.4], [0.0, 1.0]])
 def test_bridge_g_matches_path_major_loop(anticipative_spec, v):
-    # g is stepped time-major; the path-major recursion gives the same bits
+    # g is stepped node-major; the path-major recursion gives the same bits
     spec, grid = anticipative_spec, TimeGrid(0.5, 24)
     rng = np.random.default_rng(6)
     x = simulate_path(spec, np.array([0.3, -0.2]), grid, sample_noise(grid, 1, rng, 9))
@@ -246,7 +246,7 @@ def test_bridge_g_matches_path_major_loop(anticipative_spec, v):
         ref[:, i + 1] = ref[:, i] + grid.dt * (
             np.einsum("pab,pb->pa", jac[:, i, :1, :1], ref[:, i])
             + np.einsum("pad,pd->pa", jac[:, i, :1, 1:], alpha[:, i]))
-    assert g.shape == (1, 9, 25)                   # (m, P, N+1)
+    assert g.shape == (1, 25, 9)                   # (m, N+1, P)
     assert same_bytes(np.ascontiguousarray(path_major(g, 1)), ref)
 
 
@@ -263,7 +263,7 @@ def test_bridge_telescoping_h_total():
     v = np.array([0.0, 0.7])
     ad = build_alpha(spec, jac, k, grid, v, prof)
     _, h_dot, _ = build_bridge(spec, jac, ad, grid, v)
-    h_total = np.sum(h_dot[:, 0], axis=-1) * grid.dt
+    h_total = np.sum(h_dot[..., 0], axis=-1) * grid.dt
     assert np.allclose(h_total, v[1:], atol=1e-12)
 
 
@@ -322,8 +322,8 @@ def test_linear_model_control_deterministic(chain_spec):
     v = np.array([1.0, 0.2, -0.5])
     ad = build_alpha(chain_spec, jac, k, grid, v, prof)
     g, _, _ = build_bridge(chain_spec, jac, ad, grid, v)
-    for arr in (ad.alpha, g, ad.q_path):             # paths on axis -2
-        assert np.max(np.abs(arr - arr[..., :1, :])) <= 1e-12
+    for arr in (ad.alpha, g, ad.q_path):             # paths on axis -1
+        assert np.max(np.abs(arr - arr[..., :1])) <= 1e-12
 
 
 def test_alpha_dot_gap_shrinks_with_refinement(kinetic_spec):
@@ -355,6 +355,38 @@ def test_case2_q_inverse_bound_on_chain(chain_spec):
     q = gramian_Q(chain_spec, jac, k, phi, grid)
     ratio = q_inverse_bound_ratio(q, prof.xi_grid(grid), chain_spec.epsilon)
     assert ratio <= 1.0 + 1e-6
+
+
+_PROFILE_MODELS = {
+    "kinetic": ("kinetic_ou", {"m": 1}),
+    "chain": ("integrator_chain", {"a": [[0.0, 1.0], [0.0, 0.0]], "b0": [[0.0], [1.0]]}),
+    "chain3": ("integrator_chain", {"a": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                    "b0": [[0.0], [0.0], [1.0]]}),
+    "mass": ("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4", "mass_expr": "1 + 0.2*x1^2",
+                             "c_mass": 1.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILE_MODELS))
+def test_xi_grid_nondecreasing_so_active_nodes_are_one_run(name):
+    # build_alpha inverts the active Q_l, those of nodes 1..N-1 with xi > 0,
+    # as one slice ending at N-1, which needs xi_grid nondecreasing: case 1
+    # is a cumulative sum of non-negative terms, case 2 the minimum of a
+    # closed form and lambda_min of a Gramian that grows in the Loewner order
+    spec = builtin_model(*_PROFILE_MODELS[name])
+    m = spec.m
+    a0 = spec.dz(np.zeros(spec.dim))[:m, :m]
+    for t_final in (0.1, 0.5, 1.0, 4.0):
+        phi = phi_parabolic(t_final)
+        profiles = [xi_case2(a0, spec.b0, phi, t_final)]
+        if np.linalg.matrix_rank(spec.b0) == m:
+            profiles += [xi_case1(spec.b0, phi, c_bound, t_final) for c_bound in (0.0, 1.0, 3.0)]
+        for prof in profiles:
+            for n_steps in (1, 2, 7, 12, 40, 256, 1024):
+                xi = prof.xi_grid(TimeGrid(t_final, n_steps))
+                assert np.all(np.diff(xi) >= 0.0), (prof.xi_case, t_final, n_steps)
+                active = np.flatnonzero(xi[1:n_steps] > 0) + 1
+                assert active.tolist() == list(range(n_steps - active.size, n_steps))
 
 
 def test_weight_profile_shape_properties(kinetic_spec):
@@ -420,19 +452,19 @@ def test_build_alpha_masks_are_the_inverse_flags(m, monkeypatch):
     q = np.ascontiguousarray(comp_major(q))
     monkeypatch.setattr(control, "gramian_Q", lambda *args: q)
     jac = np.broadcast_to(spec.dz(np.zeros(spec.dim))[..., None, None],
-                          (spec.dim, spec.dim, n_paths, n + 1))
+                          (spec.dim, spec.dim, n + 1, n_paths))
     v = np.concatenate([np.linspace(0.5, 1.0, m), np.linspace(-0.4, 0.3, m)])
     ad = build_alpha(spec, jac, terminal_flow(spec, jac, grid), grid, v, prof)
-    inv_t, flag_t = control._pinv_stack(q[..., n])
-    inv_l, flag_l = control._pinv_stack(q[..., idx])
+    inv_t, flag_t = control._pinv_stack(q[:, :, n])
+    inv_l, flag_l = control._pinv_stack(q[:, :, idx])
     assert flag_t.tolist() == [True, False, False, True, True]
-    assert np.argwhere(flag_l).tolist() == [[0, 2], [1, 1], [2, 3]]
+    assert np.argwhere(flag_l.T).tolist() == [[0, 2], [1, 1], [2, 3]]
     assert ad.degenerate.tolist() == flag_t.tolist()
-    assert ad.dropped_nodes.tolist() == flag_l.sum(axis=1).tolist()
-    assert same_bytes(ad.xi_eff[:, idx] == 0.0, flag_l)
-    assert same_bytes(ad.q_inv[..., n], np.where(flag_t, 0.0, inv_t))
-    assert same_bytes(ad.q_inv[..., idx], np.where(flag_l, 0.0, inv_l))
-    assert not ad.q_inv[..., :2].any() and np.isfinite(ad.alpha).all()
+    assert ad.dropped_nodes.tolist() == flag_l.sum(axis=0).tolist()
+    assert same_bytes(ad.xi_eff[idx] == 0.0, flag_l)
+    assert same_bytes(ad.q_inv[:, :, n], np.where(flag_t, 0.0, inv_t))
+    assert same_bytes(ad.q_inv[:, :, idx], np.where(flag_l, 0.0, inv_l))
+    assert not ad.q_inv[:, :, :2].any() and np.isfinite(ad.alpha).all()
     # the others have the bits they have without the flagged members
-    alone = control._pinv_stack(np.ascontiguousarray(q[..., n][..., ~flag_t]))
+    alone = control._pinv_stack(np.ascontiguousarray(q[:, :, n][..., ~flag_t]))
     assert not alone[1].any() and same_bytes(alone[0], inv_t[..., ~flag_t])

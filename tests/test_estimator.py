@@ -137,7 +137,7 @@ def test_pinv_stack_singular_member_does_not_reroute_stack():
     mats = rng.standard_normal((16, 32, 1, 1))
     mats[3, 7] = 0.0
     inv, flagged = control._pinv_stack(comp_major(mats))
-    got = path_major(inv)
+    got, flagged = path_major(inv), path_major(flagged, 0)
     assert np.argwhere(flagged).tolist() == [[3, 7]]
     assert np.isnan(got[3, 7, 0, 0])
     np.testing.assert_array_equal(got[~flagged], 1.0 / mats[~flagged])
@@ -172,7 +172,7 @@ def test_pinv_stack_2x2_unusable_determinant_routed_per_member(special, kind):
 def test_pinv_stack_1x1_matches_lapack_bitwise():
     mats = wide_values(200_000, 21).reshape(400, 500, 1, 1)
     inv, flagged = control._pinv_stack(comp_major(mats))
-    got = path_major(inv)
+    got, flagged = path_major(inv), path_major(flagged, 0)
     with np.errstate(all="ignore"):
         lapack = np.linalg.inv(mats)
         kept = np.abs(mats * lapack)[..., 0, 0] < 1e13
@@ -196,7 +196,8 @@ def test_pinv_stack_1x1_special_members_match_lapack_path(special):
     mats.reshape(-1)[::997] = special
     inv, flagged = control._pinv_stack(comp_major(mats))
     ref_inv, ref_flagged = pinv_stack_lapack(mats)
-    assert same_bytes(path_major(inv), ref_inv) and same_bytes(flagged, ref_flagged)
+    assert same_bytes(path_major(inv), ref_inv)
+    assert same_bytes(path_major(flagged, 0), ref_flagged)
 
 
 def test_skorokhod_trace_with_v1_zero_reads_no_nu(anticipative_spec):
@@ -241,7 +242,7 @@ def test_chain_bitwise_with_lapack_inverses_and_solves(which, anticipative_spec,
     def pinv(mats):
         calls.append(mats.shape)
         inv, flagged = pinv_stack_lapack(path_major(mats))
-        return np.ascontiguousarray(comp_major(inv)), flagged
+        return np.ascontiguousarray(comp_major(inv)), comp_major(flagged, 0)
 
     monkeypatch.setattr(control, "_pinv_stack", pinv)
     monkeypatch.setattr(estimator, "_pinv_stack", pinv)
@@ -259,9 +260,8 @@ def test_skorokhod_trace_singular_k_member_poisons_its_path_alone(anticipative_s
                                        path_increments(grid, spec.d, 3, 0, 8))
     jac, ad, _, _, _, trace = estimator._bridge_chain(spec, states, grid, v, weights)
     k = terminal_flow(spec, jac, grid)
-    k[..., 3, 5] = 0.0
-    bad = estimator._skorokhod_trace(spec, np.moveaxis(states, -1, 0), grid, v, weights,
-                                     ad, k, jac)
+    k[:, :, 5, 3] = 0.0
+    bad = estimator._skorokhod_trace(spec, states.T, grid, v, weights, ad, k, jac)
     keep = np.arange(8) != 3
     assert np.isnan(bad[3]) and np.isfinite(trace).all()
     assert same_bytes(bad[keep], trace[keep])
@@ -522,20 +522,20 @@ def test_q_inverse_bound_ratio_1x1_matches_svd():
     xi = np.linspace(0.0, 2.0, 9)
     smin = np.linalg.svd(q[:, 1:], compute_uv=False)[..., -1]
     ref = np.max((1.0 - 0.3) * xi[1:] / smin)
-    q = comp_major(q)                                  # (m, m, P, N+1)
+    q = comp_major(q)                                  # (m, m, N+1, P)
     assert control.q_inverse_bound_ratio(q, xi, 0.3) == ref
     assert control.q_inverse_bound_ratio(-np.abs(q), xi, 0.3) == ref
-    assert control.q_inverse_bound_ratio(q[:, :, :0], xi, 0.3) == 0.0
+    assert control.q_inverse_bound_ratio(q[..., :0], xi, 0.3) == 0.0
 
 
 def test_norm2_max_of_blocks():
     rng = np.random.default_rng(5)
     blocks = rng.standard_normal((6, 4, 2, 2))
-    cm = comp_major(blocks)                            # (m, m, P, N+1)
+    cm = comp_major(blocks)                            # (m, m, N+1, P)
     ref = np.max(np.linalg.norm(blocks, ord=2, axis=(-2, -1)))
     assert estimator._norm2_max(cm) == ref
     assert estimator._norm2_max(cm[:1, :1]) == np.max(np.abs(blocks[..., 0, 0]))
-    assert estimator._norm2_max(cm[:, :, :0]) == 0.0
+    assert estimator._norm2_max(cm[..., :0]) == 0.0
     keep = np.array([True, False, True, False, False, False])
     assert estimator._norm2_max(cm, keep) == np.max(
         np.linalg.norm(blocks[keep], ord=2, axis=(-2, -1)))
@@ -1012,7 +1012,7 @@ def test_norm1_matches_reduction_formula():
         mats[3, 0] = np.nan
         mats[4, 0, 0, 0], mats[4, 0, -1, 0] = np.inf, np.nan
         ref = np.abs(mats).sum(axis=-2).max(axis=-1)
-        got = control._norm1(comp_major(mats))
+        got = path_major(control._norm1(comp_major(mats)), 0)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes(), n
 
@@ -1069,7 +1069,7 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
                           c_bound=3.0, chunk_size=25)
     x0, v = [0.3, -0.2], [0.7, -0.4]
     calls = _spy_drift_expr(monkeypatch)
-    chunks = [(2, 25, 13), (2, 25, 13), (2, 10, 13)]     # component-first states
+    chunks = [(2, 13, 25), (2, 13, 25), (2, 13, 10)]     # node-major states
     if driver == "bismut_ito":
         import dataclasses
         # constant mass: the control chain runs once, on the constant x0
@@ -1078,7 +1078,7 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
         spec = builtin_model("hamiltonian", {"v_expr": "0.5*x1^2 + 0.1*x1^4"})
         bismut_gradient(spec, x0, v, gaussian_bump_f([0.2, 0.0], 0.8), grid,
                         dataclasses.replace(cfg, method="bismut_ito"))
-        assert calls["jacobian"] == [(2, 1, 13)] + [(2, c[1], 12) for c in chunks]
+        assert calls["jacobian"] == [(2, 13, 1)] + [(2, 12, c[2]) for c in chunks]
         assert calls["hessian"] == []
         return
     # built after the spy is in place: hess_z1 binds its DriftExpr method
@@ -1092,9 +1092,9 @@ def test_anticipative_chunk_evaluates_model_once(driver, monkeypatch):
     # index instead of calling per step; the trace's Hessian on the N step
     # nodes, one call per 32-node block (one block here)
     assert calls["jacobian"] == chunks
-    assert calls["hessian"] == [(2, c[1], grid.n_steps) for c in chunks]
+    assert calls["hessian"] == [(2, grid.n_steps, c[2]) for c in chunks]
     # Euler stepping: one drift evaluation per step
-    assert calls["value"] == [(2, c[1]) for c in chunks for _ in range(grid.n_steps)]
+    assert calls["value"] == [(2, c[2]) for c in chunks for _ in range(grid.n_steps)]
 
 
 @pytest.mark.parametrize("name,params,x0,v,f", [
@@ -1268,7 +1268,7 @@ def test_closed_form_keeps_drift_offset():
 # ---------------------------------------------------------------------------
 
 def _chain_case(spec, x0, grid, n_paths, v, weights):
-    """One chunk's control chain, component-major, and its path-major
+    """One chunk's control chain, node-major, and its path-major
     reference, as pairs of like arrays (the chain's moved to path-major).
 
     Both start from the same node Jacobian; the reference chains the
@@ -1341,7 +1341,7 @@ def test_skorokhod_trace_multidimensional_matches_reference(model_cfg, x0, n_pat
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pinv_stack_component_major_view_bitwise(n):
-    # a component-major (n, n, P, N) view of path-major (P, N, n, n) memory
+    # a node-major (n, n, N, P) view of path-major (P, N, n, n) memory
     # gives the bits and flags of its contiguous copy
     rng = np.random.default_rng(10 + n)
     mats = rng.standard_normal((12, 9, n, n)) + 2.0 * n * np.eye(n)
@@ -1349,12 +1349,12 @@ def test_pinv_stack_component_major_view_bitwise(n):
     mats[3, 4] = 1e-15 * np.ones((n, n)) + np.diag([1.0] + [0.0] * (n - 1))
     mats[5, 6, 0, -1] = np.nan
     mats[7, 0] = np.diag(np.linspace(1.0, 1e-14, n))          # ill-conditioned
-    view = comp_major(mats)                  # component-major view of (P, N, n, n) memory
-    assert view.flags.c_contiguous == (n == 1)
+    view = comp_major(mats)                  # node-major view of (P, N, n, n) memory
+    assert not view.flags.c_contiguous
     inv, flagged = control._pinv_stack(view)
     ref_inv, ref_flagged = control._pinv_stack(np.ascontiguousarray(view))
     expected = [[1, 2], [5, 6]] if n == 1 else [[1, 2], [3, 4], [5, 6], [7, 0]]
-    assert np.argwhere(flagged).tolist() == expected
+    assert np.argwhere(path_major(flagged, 0)).tolist() == expected
     assert same_bytes(flagged, ref_flagged)
     assert same_bytes(np.ascontiguousarray(inv), ref_inv)
 

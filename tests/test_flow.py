@@ -79,7 +79,7 @@ def test_terminal_flow_identity_when_a_zero(kinetic_spec):
     x = simulate_path(kinetic_spec, np.zeros(2), grid,
                       sample_noise(grid, 1, rng, 1))
     k = terminal_flow(kinetic_spec, kinetic_spec.dz(states_cm(x)), grid)
-    assert np.array_equal(k, np.ones((1, 1, 1, 65)))
+    assert np.array_equal(k, np.ones((1, 1, 65, 1)))
 
 
 def test_terminal_flow_nilpotent_constant_a(chain_spec):
@@ -228,9 +228,9 @@ def test_single_path_flow_shapes(kinetic_spec):
     jac = _tangent(kinetic_spec, [1.0, 0.0], grid, noise, [1.0, 0.0])
     assert valid_mask(x).tolist() == [True]
     assert x.shape == (1, 33, 2)
-    assert k.shape == (1, 1, 1, 33)                # component-major (m, m, B, N+1)
+    assert k.shape == (1, 1, 33, 1)                # node-major (m, m, N+1, B)
     assert jac.shape == (1, 2)
-    assert np.array_equal(k[..., 0, -1], np.eye(1))
+    assert np.array_equal(k[:, :, -1, 0], np.eye(1))
 
 
 def test_single_path_increments_rejected(kinetic_spec):
@@ -275,8 +275,8 @@ def test_simulate_path_matches_path_major_loop(params):
         assert np.ascontiguousarray(one).tobytes() == ref[:1].tobytes()
         # X_N alone, stepped on one running slab, has the last node's bits
         last = _euler_nodes(spec, x0, grid, inc)
-        assert last.shape == (1, spec.dim, n_paths)
-        assert np.ascontiguousarray(last[0].T).tobytes() == ref[:, -1].tobytes()
+        assert last.shape == (spec.dim, 1, n_paths)
+        assert np.ascontiguousarray(last[:, 0].T).tobytes() == ref[:, -1].tobytes()
 
 
 def test_euler_terminal_mask_is_whole_path_mask(anticipative_spec):
@@ -288,14 +288,14 @@ def test_euler_terminal_mask_is_whole_path_mask(anticipative_spec):
     x0 = np.array([0.3, -0.2])
     states = simulate_path(spec, x0, grid, inc)
     assert np.isfinite(states[5, :6]).all() and not np.isfinite(states[5, 6]).all()
-    last = _euler_nodes(spec, x0, grid, inc)[0].T
+    last = _euler_nodes(spec, x0, grid, inc)[:, 0].T
     assert np.array_equal(valid_mask(last[:, None]), valid_mask(states))
     assert np.flatnonzero(~valid_mask(states)).tolist() == [5]
     assert same_bytes(np.ascontiguousarray(last), np.ascontiguousarray(states[:, -1]))
 
 
 def test_valid_mask_finds_nan_in_time_major_view():
-    buf = np.zeros((17, 9, 2))                   # (N+1, B, n), as simulated
+    buf = np.zeros((17, 9, 2))                   # (N+1, B, n), read through a strided view
     buf[5, 6, 1] = np.nan
     view = np.swapaxes(buf, 0, 1)
     expected = np.ones(9, dtype=bool)
@@ -332,18 +332,18 @@ def _flow_case(model_cfg, grid, n_paths, rng):
     CUSTOM_M2,
 ])
 def test_flows_match_path_major_loops(params):
-    # both flows step time-major buffers and return component-major arrays
+    # both flows step node slabs in place and return node-major arrays
     # with the bits of the path-major loops
     grid = TimeGrid(0.5, 24)
     rng = np.random.default_rng(13)
     for n_paths in (1, 7, 37):
         spec, jac = _flow_case(params, grid, n_paths, rng)
         phi = full_jacobian_flow(jac, grid)
-        assert phi.shape == (spec.dim, spec.dim, n_paths, 25) and phi.flags.c_contiguous
+        assert phi.shape == (spec.dim, spec.dim, 25, n_paths) and phi.flags.c_contiguous
         ref = reference_full_jacobian_flow(path_major(jac), grid)
         assert same_bytes(np.ascontiguousarray(path_major(phi)), ref)
         k = terminal_flow(spec, jac, grid)
-        assert k.shape == (spec.m, spec.m, n_paths, 25) and k.flags.c_contiguous
+        assert k.shape == (spec.m, spec.m, 25, n_paths) and k.flags.c_contiguous
         ref = reference_terminal_flow(spec, path_major(jac), grid)
         assert same_bytes(np.ascontiguousarray(path_major(k)), ref)
 
@@ -366,17 +366,17 @@ def test_flows_stay_within_round_off_of_matmul_stepping(model):
 
 @pytest.mark.parametrize("n_nodes", [2, 32, 33, 34, 64, 65])
 def test_full_jacobian_flow_block_edges(n_nodes):
-    # Phi is stepped 32 nodes at a time and the last node of a block carried
-    # to the next: around each block edge it keeps the bits of the unblocked
-    # sequential loop, and a path alone has the bits it has inside a batch
+    # Phi is stepped node by node on slabs of a narrower path slice of the
+    # node Jacobian: it keeps the bits of the sequential path-major loop
+    # around 32-node edges, and a path alone has the bits it has inside a batch
     grid = TimeGrid(0.5, n_nodes - 1)
     rng = np.random.default_rng(n_nodes)
     for n in (2, 3):
-        jac = rng.standard_normal((n, n, 37, n_nodes))
+        jac = rng.standard_normal((n, n, n_nodes, 37))
         for n_paths in (1, 7, 37):
-            phi = full_jacobian_flow(jac[:, :, :n_paths], grid)
-            ref = reference_full_jacobian_flow(path_major(jac[:, :, :n_paths]), grid)
+            phi = full_jacobian_flow(jac[..., :n_paths], grid)
+            ref = reference_full_jacobian_flow(path_major(jac[..., :n_paths]), grid)
             assert same_bytes(np.ascontiguousarray(path_major(phi)), ref)
             last = n_paths - 1
-            alone = full_jacobian_flow(np.ascontiguousarray(jac[:, :, last:last + 1]), grid)
-            assert same_bytes(alone, np.ascontiguousarray(phi[:, :, last:last + 1]))
+            alone = full_jacobian_flow(np.ascontiguousarray(jac[..., last:last + 1]), grid)
+            assert same_bytes(alone, np.ascontiguousarray(phi[..., last:last + 1]))
